@@ -2,9 +2,7 @@
 
 Measures what ``partition --workers N`` actually buys over the
 *single-worker* sequential out-of-core driver — the path a user without
-``--workers`` runs today — and what the PR 7 shared-memory protocol
-buys over the PR 4 pickled-delta pipes at the same configuration.
-Three honest effects stack:
+``--workers`` runs today.  Three honest effects stack:
 
 * **batching** — the BSP schedule scores ``batch`` edges per worker per
   superstep against a frozen snapshot, so scoring vectorizes; the
@@ -14,9 +12,7 @@ Three honest effects stack:
   replication-factor cost of staleness.
 * **shared-memory state** — worker batches land in scratch lanes of one
   ``/dev/shm`` segment and snapshots are published by flipping a double
-  buffer, so the pipe path's pickle/encode/apply tax disappears.  The
-  paired rows record the protocol delta per worker count; it is a real
-  per-superstep saving even on one core.
+  buffer, so no worker pickles a batch or re-applies a merged delta.
 * **process parallelism** — with ``N`` workers each streams its own
   shard assignment, so scoring and shard decode run concurrently on
   multi-core hosts.  On a single-core container (``cpu_count`` is
@@ -25,8 +21,8 @@ Three honest effects stack:
   work-split model — the same convention ``bench_scan.py`` uses.
 
 The measured rows land in ``results/BENCH_workers.json`` (validated by
-``tools/check_bench_schema.py``) with per-protocol 1/2/4-worker
-wall-clock and replication factor, plus the sequential single-worker
+``tools/check_bench_schema.py``) with 1/2/4-worker wall-clock and
+replication factor, plus the sequential single-worker
 baseline every speedup is computed against, plus a PR 8 cached-vs-cold
 pair: the same 2-worker ``JobSpec`` run cold through
 :func:`repro.runtime.api.run_job` (artifact-store write included) and
@@ -86,14 +82,13 @@ def _best_of(fn, repeats: int = _REPEATS):
 
 
 def bench_multi_worker_scaling(manifest, capsys, tmp_path):
-    """1/2/4 workers, shared-memory vs pipes, vs the sequential driver.
+    """1/2/4 shared-memory workers vs the sequential driver.
 
     Emits ``results/BENCH_workers.json``.  Gates: the widest
-    shared-memory configuration must beat the single-worker sequential
-    baseline by >= 1.3x (batching alone clears that on one core); it
-    must not lose to the pipe protocol at the same configuration; and
-    4 workers must beat 1 worker by >= 1.3x — measured where the host
-    has >= 4 cores, by the shard work-split model where it does not.
+    configuration must beat the single-worker sequential baseline by
+    >= 1.3x (batching alone clears that on one core), and 4 workers
+    must beat 1 worker by >= 1.3x — measured where the host has >= 4
+    cores, by the shard work-split model where it does not.
     """
     seq_s, seq = _best_of(
         lambda: StreamingPartitionerDriver(
@@ -114,26 +109,24 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
     ]
     shm_seconds: dict[int, float] = {}
     for workers in _WORKER_COUNTS:
-        for shared, protocol in ((True, "shared-memory"), (False, "pipes")):
-            run_s, run = _best_of(
-                lambda w=workers, s=shared: MultiWorkerStreamingDriver(
-                    workers=w, batch=_BATCH, shared_memory=s
-                ).partition(manifest.path, _K)
-            )
-            if shared:
-                shm_seconds[workers] = run_s
-            rows.append(
-                {
-                    "driver": f"{run.algorithm} ({protocol})",
-                    "protocol": protocol,
-                    "workers": workers,
-                    "batch": _BATCH,
-                    "seconds": run_s,
-                    "rf": run.replication_factor,
-                    "supersteps": run.report.supersteps,
-                    "speedup_vs_single_worker": seq_s / run_s,
-                }
-            )
+        run_s, run = _best_of(
+            lambda w=workers: MultiWorkerStreamingDriver(
+                workers=w, batch=_BATCH
+            ).partition(manifest.path, _K)
+        )
+        shm_seconds[workers] = run_s
+        rows.append(
+            {
+                "driver": f"{run.algorithm} (shared-memory)",
+                "protocol": "shared-memory",
+                "workers": workers,
+                "batch": _BATCH,
+                "seconds": run_s,
+                "rf": run.replication_factor,
+                "supersteps": run.report.supersteps,
+                "speedup_vs_single_worker": seq_s / run_s,
+            }
+        )
     # Cached re-run: the same 2-worker spec served from the PR 8
     # content-addressed artifact store instead of recomputed.  The cold
     # row pays the full pipeline plus the store write; the cached row
@@ -194,18 +187,11 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
                 f"rf={row['rf']:.4f}  "
                 f"x{row['speedup_vs_single_worker']:.2f}"
             )
-    shm_rows = [r for r in rows if r["protocol"] == "shared-memory"]
-    pipe_rows = [r for r in rows if r["protocol"] == "pipes"]
-    widest_shm, widest_pipe = shm_rows[-1], pipe_rows[-1]
+    widest_shm = [r for r in rows if r["protocol"] == "shared-memory"][-1]
     assert widest_shm["speedup_vs_single_worker"] >= 1.3, (
         f"4-worker shared-memory run only "
         f"{widest_shm['speedup_vs_single_worker']:.2f}x faster than the "
         f"sequential single-worker driver"
-    )
-    # The protocol swap must never cost wall-clock (small noise margin).
-    assert widest_shm["seconds"] <= widest_pipe["seconds"] * 1.05, (
-        f"shared memory ({widest_shm['seconds']:.3f}s) lost to pipes "
-        f"({widest_pipe['seconds']:.3f}s) at 4 workers"
     )
     if (os.cpu_count() or 1) >= 4:
         assert shm_seconds[1] / shm_seconds[4] >= 1.3, (

@@ -117,9 +117,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     if args.batch is not None and args.workers is None:
         raise ReproError("--batch sizes the per-worker superstep; it "
                          "requires --workers")
-    if not args.shared_memory and not args.out_of_core:
-        raise ReproError("--no-shared-memory selects the worker state "
-                         "protocol; it requires --out-of-core")
     if args.out_of_core:
         return _partition_out_of_core(args)
     if args.memory_budget is not None:
@@ -181,18 +178,15 @@ def _job_spec_from_args(args: argparse.Namespace):
     """Lower the ``partition`` flag set to a runtime JobSpec.
 
     Mirrors the legacy drivers' defaulting policies exactly: the
-    sequential HEP pipeline scans with cold pools
-    (``shared_memory=False``), the multi-worker drivers default their
-    scan parallelism to the worker count, and ``--batch`` falls back to
-    the BSP default.
+    multi-worker drivers default their scan parallelism to the worker
+    count, and ``--batch`` falls back to the BSP default.
     """
     from repro.runtime.spec import make_job
     from repro.stream.workers import DEFAULT_WORKER_BATCH
 
-    hep = args.method.upper() == "HEP"
     options: dict = {}
     algo_params: dict = {}
-    if hep:
+    if args.method.upper() == "HEP":
         algo = "HEP"
         options.update(
             tau=args.tau,
@@ -213,13 +207,9 @@ def _job_spec_from_args(args: argparse.Namespace):
             # 0 = "not set": scan with the worker count, as the
             # multi-worker drivers always did.
             metrics_workers=args.metrics_workers or args.workers,
-            shared_memory=args.shared_memory,
         )
     else:
-        options.update(
-            metrics_workers=args.metrics_workers,
-            shared_memory=False if hep else args.shared_memory,
-        )
+        options.update(metrics_workers=args.metrics_workers)
     return make_job(
         algo, args.graph, args.k,
         chunk_size=args.chunk_size,
@@ -278,14 +268,14 @@ def _partition_multi_worker(args: argparse.Namespace) -> int:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
     if args.batch is not None and args.batch < 1:
         raise ReproError(f"--batch must be >= 1, got {args.batch}")
-    method = args.method.upper()
-    if method == "HEP":
-        return _multi_worker_hep(args)
-    if method != "HDRF":
-        raise ReproError(
-            f"--workers supports HEP or HDRF (the BSP-parallelizable "
-            f"streaming kernels); got {args.method!r}"
-        )
+    from repro.runtime.api import run_job, validate_spec
+
+    spec = _job_spec_from_args(args)
+    # The runtime's rules first: the CLI, run_job and POST /jobs then
+    # reject an unsupported algorithm with the same message.
+    validate_spec(spec)
+    if spec.algo.upper() == "HEP":
+        return _multi_worker_hep(args, spec)
     if args.memory_budget is not None:
         raise ReproError("--memory-budget tunes HEP's tau; multi-worker "
                          "HDRF has no such knob")
@@ -298,27 +288,17 @@ def _partition_multi_worker(args: argparse.Namespace) -> int:
         raise ReproError("--mmap applies to the single-reader drivers; "
                          "workers stream their shard slices with buffered "
                          "reads, so it has no effect here")
-    from repro.runtime.api import run_job
-
     store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
+    result = run_job(spec, store=store)
     print(f"partitioner        : {result.algorithm} (out-of-core, "
           f"{args.workers} worker processes)")
     print(f"source             : {args.graph} "
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
     print(f"chunk size         : {result.chunk_size:,} edges")
-    _print_worker_protocol(args.shared_memory)
     _print_worker_report(result.report)
     _print_cache(store, result)
     _print_ooc_quality(result, args.output)
     return 0
-
-
-def _print_worker_protocol(shared_memory: bool) -> None:
-    """One line naming the worker state protocol that ran."""
-    print("worker protocol    : "
-          + ("shared-memory snapshots, warm pool" if shared_memory
-             else "pickled deltas over pipes (--no-shared-memory)"))
 
 
 def _print_worker_report(report) -> None:
@@ -339,18 +319,17 @@ def _print_worker_report(report) -> None:
           f"send {timings.coordinator_send_s:.3f}s")
 
 
-def _multi_worker_hep(args: argparse.Namespace) -> int:
+def _multi_worker_hep(args: argparse.Namespace, spec) -> int:
     """HEP with a multi-process streaming phase (``--algo HEP --workers``)."""
     from repro.runtime.api import run_job
 
     store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
+    result = run_job(spec, store=store)
     print(f"partitioner        : HEP-{result.tau:g} (out-of-core, "
           f"{args.workers} worker processes)")
     print(f"source             : {args.graph} "
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
     print(f"chunk size         : {result.chunk_size:,} edges")
-    _print_worker_protocol(args.shared_memory)
     if result.projected_memory_bytes is not None:
         print(f"memory budget      : {args.memory_budget:,} bytes "
               f"(projected {result.projected_memory_bytes:,})")
@@ -456,7 +435,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     # the printed path always matches the one that ran.
     parallel = effective_scan_workers(args.graph, args.metrics_workers)
     pool = None
-    if parallel and args.shared_memory:
+    if parallel:
         from repro.stream import PersistentWorkerPool
 
         pool = PersistentWorkerPool(args.metrics_workers)
@@ -474,10 +453,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         print(f"degrees            : mean {stats.mean_degree:.3f}, "
               f"max {max_degree:,}, isolated {isolated:,}")
         if parallel:
-            style = ("warm shared-memory pool" if pool is not None
-                     else "cold pools, --no-shared-memory")
             print(f"scan passes        : {parallel} worker processes "
-                  f"({style})")
+                  f"(one warm pool)")
         else:
             print("scan passes        : sequential")
         if args.parts is None:
@@ -681,14 +658,11 @@ def _budget_parent(budget_help: str) -> argparse.ArgumentParser:
     return parent
 
 
-def _worker_parent(metrics_help: str, shm_help: str) -> argparse.ArgumentParser:
+def _worker_parent(metrics_help: str) -> argparse.ArgumentParser:
     """Parent parser: the scan-worker flag group."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--metrics-workers", type=int, default=0, metavar="N",
                         help=metrics_help)
-    parent.add_argument("--shared-memory",
-                        action=argparse.BooleanOptionalAction, default=True,
-                        help=shm_help)
     return parent
 
 
@@ -708,10 +682,6 @@ def _partition_parents() -> list[argparse.ArgumentParser]:
             "processes (--out-of-core; bit-identical results; "
             "0 = sequential, or the --workers count for the "
             "multi-worker drivers)",
-            "serve worker state from a shared-memory segment "
-            "on a warm process pool (the default); "
-            "--no-shared-memory falls back to the pickled-"
-            "delta pipe protocol (bit-identical, slower)",
         ),
     ]
 
@@ -812,11 +782,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "fall back to column-blocked sweeps"
             ),
             _worker_parent(
-                "run both passes on N worker processes (shard "
-                "manifests and flat binary edge files)",
-                "run both passes on one warm worker pool, shipping "
-                "the assignment through shared memory; "
-                "--no-shared-memory forks a cold pool per pass",
+                "run both passes on N worker processes sharing one "
+                "warm pool (shard manifests and flat binary edge "
+                "files)",
             ),
             _trace_parent(),
         ],

@@ -31,9 +31,9 @@ from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
 from repro.stream import (
     open_edge_source,
-    parallel_scan_source,
     plan_worker_segments,
     scan_source,
+    scan_stats,
     write_sharded_edges,
 )
 
@@ -63,7 +63,9 @@ def run(graphs: tuple[str, ...] | None = None, k: int = _K) -> ExperimentResult:
             # The counting pass the drivers run on their worker count
             # must equal the sequential sweep bit for bit.
             seq_stats = scan_source(open_edge_source(manifest))
-            par_stats = parallel_scan_source(manifest, workers=2)
+            par_stats = scan_stats(
+                manifest, open_edge_source(manifest), workers=2
+            )
             scan_identical &= (
                 seq_stats.num_vertices == par_stats.num_vertices
                 and seq_stats.num_edges == par_stats.num_edges

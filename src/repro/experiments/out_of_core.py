@@ -100,7 +100,7 @@ def run(
             budget = max(1, int(footprint * budget_fraction))
             result = run_job(make_job(
                 "HEP", path, k, chunk_size=_CHUNK, memory_budget=budget,
-                metrics_workers=metrics_workers, shared_memory=False,
+                metrics_workers=metrics_workers,
             ))
             # One equality probe per graph: the worker-parallel metrics
             # pass must match the sequential sweep bit for bit.

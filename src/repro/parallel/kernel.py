@@ -21,8 +21,9 @@ bitwise equal to a per-edge loop:
   the *live* capacity mask, mutating the live state edge by edge (what a
   serialized partition owner does near the balance bound),
 * :func:`apply_batch` / :func:`apply_delta` — the barrier merge:
-  replica marks OR-ed, loads summed (order-independent, so the merged
-  delta can be applied vectorized on every worker's snapshot copy).
+  replica marks OR-ed, loads summed (order-independent, so a merged
+  delta can be applied vectorized — the shared snapshot buffers replay
+  deltas this way at commit).
 
 Stream construction is also shared, so the in-process oracle and the
 multi-process driver agree on who owns which edges:

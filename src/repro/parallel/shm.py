@@ -1,18 +1,13 @@
 """Shared-memory BSP state: numpy views over one ``/dev/shm`` segment.
 
-PR 4's multi-worker protocol shipped *state* over pipes: every
-superstep each worker pickled/encoded its batch, the coordinator
-re-encoded the merged delta, and every worker re-applied it to a
-private snapshot copy — ``O(workers² · batch)`` bytes framed and
-``O(workers · batch)`` redundant apply work per superstep.  The
-profiling subsystem (``bench_profile.py``) attributes most of the
-multi-worker gap to exactly that spawn/pickle/pipe tax.
-
-This module replaces the data plane with one
-:mod:`multiprocessing.shared_memory` segment that workers and the
-coordinator map as plain numpy views; pipes are demoted to tiny control
-frames (a one-byte tag plus the spill frame header).  Two ideas make it
-bit-identical to the pipe protocol and the in-process
+The multi-worker data plane is one :mod:`multiprocessing.shared_memory`
+segment that workers and the coordinator map as plain numpy views;
+pipes carry only tiny control frames (a one-byte tag plus the spill
+frame header).  Shipping state over pipes instead — every worker
+encoding its batch and re-applying every merged delta to a private
+snapshot copy — costs ``O(workers² · batch)`` framed bytes and
+``O(workers · batch)`` redundant apply work per superstep.  Two ideas
+make the shared segment bit-identical to the in-process
 :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`:
 
 * **Double-buffered snapshot/commit** (:class:`SharedState`): the
@@ -20,7 +15,8 @@ bit-identical to the pipe protocol and the in-process
   Workers only ever read the *published* buffer — by the BSP invariant
   it equals the live state at the start of the superstep they are
   scoring.  The coordinator merges batches into its private live state
-  exactly as before, then :meth:`SharedState.commit` folds the last two
+  exactly as the in-process schedule does, then
+  :meth:`SharedState.commit` folds the last two
   superstep deltas into the *staging* buffer (each buffer is two
   supersteps stale, so replaying both pending deltas catches it up in
   ``O(batch)``) and flips the published index.  The flip
@@ -94,9 +90,22 @@ def _tracker_paused():
 
 
 def _create_untracked(size: int) -> shared_memory.SharedMemory:
-    """Create a fresh segment whose lifetime *we* manage, not the tracker."""
-    with _tracker_paused():
-        return shared_memory.SharedMemory(create=True, size=size)
+    """Create a fresh segment whose lifetime *we* manage, not the tracker.
+
+    Every segment the package creates goes through here, so a host
+    without usable shared memory (no ``/dev/shm``, a full or read-only
+    one) fails with one :class:`~repro.errors.ConfigurationError`.
+    """
+    try:
+        with _tracker_paused():
+            return shared_memory.SharedMemory(create=True, size=size)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create a {size:,}-byte shared-memory segment ({exc}); "
+            f"worker processes exchange state through shared memory, so "
+            f"this host cannot run them — a run with workers=0 and "
+            f"metrics_workers<=1 needs no shared memory"
+        ) from exc
 
 
 def _attach_untracked(name: str) -> shared_memory.SharedMemory:

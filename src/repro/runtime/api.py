@@ -53,6 +53,13 @@ def validate_spec(spec: JobSpec) -> None:
     if spec.workers >= 1:
         if spec.batch < 1:
             raise ConfigurationError(f"batch must be >= 1, got {spec.batch}")
+        # The pool executor streams informed HDRF (alone or as HEP's
+        # phase two); any other algorithm would silently run as HDRF.
+        if not hep and spec.algo.upper() != "HDRF":
+            raise ConfigurationError(
+                f"multi-worker partitioning supports HEP or HDRF (the "
+                f"BSP-parallelizable streaming kernels); got {spec.algo!r}"
+            )
         if hep and spec.buffer_size is not None:
             raise ConfigurationError(
                 "buffer_size is a sequential scoring window; it cannot "

@@ -4,13 +4,11 @@ Two strategies exist, selected from the spec's execution shape:
 
 * :class:`InProcessExecutor` (``workers == 0``) — sequential chunk
   sweeps in the coordinator process; the counting/metrics passes may
-  still fan out over scan workers (``metrics_workers``), on a warm
-  :class:`~repro.stream.workers.PersistentWorkerPool` when
-  ``shared_memory`` is set,
+  still fan out over scan workers (``metrics_workers``), on one warm
+  :class:`~repro.stream.workers.PersistentWorkerPool`,
 * :class:`PoolExecutor` (``workers >= 1``) — the streaming phase runs
-  on BSP worker processes, reusing one warm pool across the counting
-  pass, the stream, and the metrics pass (or per-run pipe pools with
-  ``shared_memory=False``).
+  on BSP worker processes over shared-memory state, reusing one warm
+  pool across the counting pass, the stream, and the metrics pass.
 
 Both strategies are pinned bit-identical to each other and to the
 in-memory oracles by the equivalence/Hypothesis suites; the executor
@@ -41,7 +39,7 @@ class Executor:
     ``prepare`` runs before the source is opened, ``start`` just after,
     ``finish`` in the run's ``finally``.  The scan passes are identical
     across strategies (the front doors in
-    :mod:`repro.stream.parallel_scan` pick sequential/cold/warm
+    :mod:`repro.stream.parallel_scan` pick sequential or parallel
     internally), so they live here.
     """
 
@@ -94,18 +92,14 @@ class InProcessExecutor(Executor):
     name = "in-process"
 
     def start(self, spec: JobSpec, ctx: RunContext) -> None:
-        """Warm scan pool for the counting/metrics fan-outs, if asked.
+        """Warm scan pool for the counting/metrics fan-outs, if any.
 
-        Mirrors the sequential baseline driver: one warm pool serves
-        both scan passes when ``shared_memory`` is set and the source
-        supports parallel scans; the sequential HEP shim passes
-        ``shared_memory=False`` and keeps the PR 5 cold-pool behavior.
+        One warm pool serves both scan passes when the source supports
+        parallel scans and ``metrics_workers > 1``.
         """
         from repro.stream.parallel_scan import effective_scan_workers
 
-        if spec.shared_memory and effective_scan_workers(
-            ctx.source, spec.metrics_workers
-        ):
+        if effective_scan_workers(ctx.source, spec.metrics_workers):
             from repro.stream.workers import PersistentWorkerPool
 
             # Registered on the context *before* start(): if an
@@ -185,9 +179,7 @@ class PoolExecutor(Executor):
             self._spawn_warm_pool(spec, ctx)
 
     def _spawn_warm_pool(self, spec: JobSpec, ctx: RunContext) -> None:
-        """Start the shared-memory warm pool (unless pipes were asked for)."""
-        if not spec.shared_memory:
-            return
+        """Start the warm pool every pass of this run shares."""
         from repro.stream.workers import PersistentWorkerPool
 
         pool = PersistentWorkerPool(
@@ -199,29 +191,15 @@ class PoolExecutor(Executor):
         pool.start()
 
     def _run_bsp(self, spec: JobSpec, segments, state, parts, ctx):
-        """One BSP run over ``segments``: warm shared-memory or pipe pool."""
-        from repro.stream.workers import WorkerPool, run_bsp_shared
+        """One shared-memory BSP run over ``segments`` on the warm pool."""
+        from repro.stream.workers import run_bsp_shared
 
         params = spec.params
-        lam = params.get("lam", 1.1)
-        eps = params.get("eps", 1.0)
-        if ctx.pool is not None:
-            return run_bsp_shared(
-                ctx.pool, segments, state, parts,
-                batch=spec.batch, lam=lam, eps=eps,
-                chunk_size=spec.chunk_size,
-            )
-        with WorkerPool(
-            segments,
-            state,
-            batch=spec.batch,
-            lam=lam,
-            eps=eps,
-            chunk_size=spec.chunk_size,
-            mp_context=spec.mp_context,
-            timeout=spec.timeout,
-        ) as pool:
-            return pool.run(parts)
+        return run_bsp_shared(
+            ctx.pool, segments, state, parts,
+            batch=spec.batch, lam=params.get("lam", 1.1),
+            eps=params.get("eps", 1.0), chunk_size=spec.chunk_size,
+        )
 
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Informed HDRF over the shard assignment, one process per worker."""

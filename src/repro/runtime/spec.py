@@ -3,7 +3,7 @@
 A :class:`JobSpec` is the runtime's single description of "one
 partitioning job": what to read (:class:`InputSpec`), which algorithm
 with which parameters, ``k``, the memory budget, and the execution
-shape (workers/batch/shared-memory).  Two properties make it the
+shape (workers/batch/scan workers).  Two properties make it the
 substrate for the content-addressed artifact store
 (:mod:`repro.runtime.store`) and the future ``repro.serve`` job queue:
 
@@ -15,8 +15,8 @@ substrate for the content-addressed artifact store
 * **a stable content hash** — :meth:`JobSpec.content_hash` digests only
   the *semantic* fields (those that can change the assignment).  Pure
   I/O knobs (``prefetch``, ``mmap``), scan parallelism
-  (``metrics_workers``, ``shared_memory`` — bit-identical by the
-  equivalence suites), spill placement, and pool plumbing
+  (``metrics_workers`` — bit-identical by the equivalence suites),
+  spill placement, and pool plumbing
   (``mp_context``, ``timeout``) are excluded, so equivalent runs share
   a cache entry.  ``workers``/``batch`` *are* semantic: the BSP
   schedule's staleness window changes assignments.
@@ -159,7 +159,6 @@ class JobSpec:
     workers: int = 0
     batch: int = DEFAULT_WORKER_BATCH
     metrics_workers: int = 0
-    shared_memory: bool = True
     mp_context: str | None = None
     timeout: float = DEFAULT_WORKER_TIMEOUT
     # trace options (observational only, never hashed)
@@ -225,7 +224,6 @@ class JobSpec:
             "workers": int(self.workers),
             "batch": int(self.batch),
             "metrics_workers": int(self.metrics_workers),
-            "shared_memory": bool(self.shared_memory),
             "mp_context": self.mp_context,
             "timeout": float(self.timeout),
             "trace_path": self.trace_path,
@@ -242,8 +240,8 @@ class JobSpec:
         """The subset of fields that can change the assignment.
 
         Everything excluded here is pinned bit-identical by the
-        equivalence suites (scan parallelism, shared-memory protocol,
-        prefetch/mmap I/O, spill placement, pool plumbing, tracing).
+        equivalence suites (scan parallelism, prefetch/mmap I/O, spill
+        placement, pool plumbing, tracing).
         """
         return {
             "version": SPEC_VERSION,

@@ -14,8 +14,8 @@ paper compares against:
   is bit-packed — ``k x n`` true bits — with a budget-aware
   column-blocked fallback),
 * :mod:`repro.stream.parallel_scan` — the same two passes fanned out
-  over worker processes (degrees summed, covers OR-ed), bit-identical
-  to the sequential sweeps (``--metrics-workers N``),
+  as jobs on a warm worker pool (degrees summed, covers OR-ed),
+  bit-identical to the sequential sweeps (``--metrics-workers N``),
 * :mod:`repro.stream.spill` — the disk-backed h2h edge file NE++
   appends to instead of holding high/high edges in RAM (raw or
   zlib-framed on-disk format),
@@ -37,11 +37,11 @@ paper compares against:
   OS processes each stream their shard assignment against a shared
   replica/load snapshot under the BSP schedule, bit-identical to the
   in-process :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`
-  (``partition --workers N --out-of-core``).  By default the snapshot
-  lives in one :mod:`multiprocessing.shared_memory` segment
+  (``partition --workers N --out-of-core``).  The snapshot lives in
+  one :mod:`multiprocessing.shared_memory` segment
   (:class:`~repro.parallel.shm.SharedState`) served to a warm
-  :class:`PersistentWorkerPool`; ``--no-shared-memory`` restores the
-  pickled-delta pipe protocol.
+  :class:`PersistentWorkerPool`, the one way work reaches a worker
+  process.
 """
 
 from repro.stream.buffered import buffered_hdrf_stream, stream_chunks_through_hdrf
@@ -54,8 +54,6 @@ from repro.stream.driver import (
 )
 from repro.stream.extsort import EXTSORT_ORDERS, ExtSortResult, external_sort_edges
 from repro.stream.parallel_scan import (
-    parallel_chunked_quality,
-    parallel_scan_source,
     scan_quality,
     scan_stats,
     supports_parallel_scan,
@@ -99,7 +97,6 @@ from repro.stream.workers import (
     MultiWorkerStreamingDriver,
     PersistentWorkerPool,
     StateService,
-    WorkerPool,
     plan_worker_segments,
     run_bsp_shared,
     split_spill_round_robin,
@@ -120,8 +117,6 @@ __all__ = [
     "chunked_quality",
     "PackedCover",
     "plan_cover_blocks",
-    "parallel_scan_source",
-    "parallel_chunked_quality",
     "scan_stats",
     "scan_quality",
     "supports_parallel_scan",
@@ -129,7 +124,6 @@ __all__ = [
     "read_spill_header",
     "read_spill_chunks",
     "EdgeSegment",
-    "WorkerPool",
     "PersistentWorkerPool",
     "run_bsp_shared",
     "StateService",

@@ -304,13 +304,8 @@ class StreamingPartitionerDriver:
         file, run the counting and metrics passes on this many worker
         processes (:mod:`repro.stream.parallel_scan`) — bit-identical
         results, wall-clock scaling with cores.  0/1 keeps the
-        sequential sweeps.
-    shared_memory:
-        When the scan passes run on workers, keep one warm
-        :class:`~repro.stream.workers.PersistentWorkerPool` alive for
-        both passes instead of forking a fresh pool per pass.
-        ``False`` restores the PR 5 cold-pool behavior (the
-        ``--no-shared-memory`` escape hatch).
+        sequential sweeps.  Both passes share one warm
+        :class:`~repro.stream.workers.PersistentWorkerPool`.
     """
 
     def __init__(
@@ -323,7 +318,6 @@ class StreamingPartitionerDriver:
         prefetch: int = 0,
         mmap: bool = False,
         metrics_workers: int = 0,
-        shared_memory: bool = True,
         **algo_kwargs,
     ) -> None:
         if isinstance(algorithm, StreamingAlgorithm):
@@ -345,7 +339,6 @@ class StreamingPartitionerDriver:
         self.prefetch = int(prefetch)
         self.mmap = bool(mmap)
         self.metrics_workers = int(metrics_workers)
-        self.shared_memory = bool(shared_memory)
         self.last_result: StreamedResult | None = None
         self.name = f"{self.algorithm.name}-ooc"
 
@@ -384,7 +377,6 @@ class StreamingPartitionerDriver:
             alpha=self.alpha,
             seed=self.seed,
             metrics_workers=self.metrics_workers,
-            shared_memory=self.shared_memory,
         )
         outcome = run_job(spec, source=source, algorithm=self.algorithm)
         result = outcome.to_streamed()

@@ -1,48 +1,49 @@
 """Worker-parallel counting & metrics passes over segmentable sources.
 
-PR 4 parallelized the *streaming phase*; this module parallelizes the
-two remaining sequential ``O(m)`` sweeps — the counting pass and the
-quality/metrics pass (:mod:`repro.stream.scan`) — on the same worker
-machinery (:class:`~repro.stream.workers.BaseWorkerPool`, the shard
-assignment of :func:`~repro.stream.workers.plan_worker_segments`, the
-spill-frame wire format).  Both passes are pure order-independent
-reductions, so the parallel runs are **bit-identical** to the
-sequential references:
+Besides the streaming phase, a run makes two sequential ``O(m)`` sweeps:
+the counting pass and the quality/metrics pass
+(:mod:`repro.stream.scan`).  This module runs both as jobs on the warm
+:class:`~repro.stream.workers.PersistentWorkerPool`, over the shard
+assignment of :func:`~repro.stream.workers.plan_worker_segments`.
+Both passes are pure order-independent reductions, so the parallel runs
+are **bit-identical** to the sequential references:
 
-* **counting** (:func:`parallel_scan_source`) — each worker sweeps its
-  shard assignment accumulating a partial degree array and edge count
+* **counting** (:func:`_count_job`) — each worker sweeps its shard
+  assignment accumulating a partial degree array and edge count
   (:func:`~repro.stream.scan.accumulate_degrees`, the same chunk step
   the sequential pass runs); the coordinator *sums* the partials and
   applies the identical declared-universe reconciliation
   (:func:`~repro.stream.scan.finalize_source_stats`).
-* **metrics** (:func:`parallel_chunked_quality`) — each worker sweeps
-  its assignment marking per-partition vertex covers as packed bits
-  (:class:`~repro.stream.scan.PackedCover`, ``k x n`` true bits); the
-  coordinator *ORs* the partial covers and popcounts the merge.  The
-  column-blocked budget fallback (:func:`~repro.stream.scan.
+* **metrics** (:func:`_cover_job`) — the assignment is published once
+  as a read-only :class:`~repro.parallel.shm.SharedArray`; each worker
+  sweeps its assignment marking per-partition vertex covers as packed
+  bits (:class:`~repro.stream.scan.PackedCover`, ``k x n`` true bits);
+  the coordinator *ORs* the partial covers and popcounts the merge.
+  The column-blocked budget fallback (:func:`~repro.stream.scan.
   plan_cover_blocks`) applies unchanged: every process holds at most
   one block's cover at a time, so ``--memory-budget`` bounds worker
   memory too (each worker pays one cover — the same replication price
   the BSP snapshot already set a precedent for).
 
 Failure semantics are the pool's: a worker that dies or hits a corrupt
-shard surfaces as one :class:`~repro.errors.WorkerFailureError` and no
-process is orphaned.
+shard surfaces as one :class:`~repro.errors.WorkerFailureError` (or the
+sequential pass's :class:`~repro.errors.GraphFormatError` for a bad
+shard) and no process is orphaned.
 
 The front doors :func:`scan_stats` / :func:`scan_quality` pick the
 parallel path when the source is segmentable on disk
 (:func:`supports_parallel_scan`: a shard manifest or flat binary edge
 file) and ``workers > 1``, and fall back to the sequential pass on the
-already-opened chunk source otherwise.  Since PR 8 the runtime
-executors (:mod:`repro.runtime.executor`) are the callers for every
-partitioning job — the legacy drivers are shims over
-:func:`repro.runtime.api.run_job` — while
-:mod:`repro.stream.extsort` and the ``scan`` CLI command still wire
-the front doors directly.
+already-opened chunk source otherwise.  The runtime executors
+(:mod:`repro.runtime.executor`) pass the warm pool a run shares across
+its passes; other callers (:mod:`repro.stream.extsort`,
+:func:`repro.metrics.streamed_quality_report`, the ``scan`` CLI
+command) pass none, and the front door starts a pool for the one call.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import time
@@ -51,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.errors import GraphFormatError, WorkerFailureError
-from repro.obs.tracer import get_tracer, install_collecting_tracer
+from repro.obs.tracer import get_tracer
 from repro.parallel.shm import SharedArray
 from repro.stream.reader import (
     BINARY_SUFFIXES,
@@ -70,13 +71,10 @@ from repro.stream.scan import (
 )
 from repro.stream.shard import is_manifest_path
 from repro.stream.workers import (
-    _claim_pipe,
     _iter_segment,
     _MSG_ERROR,
-    _MSG_TRACE,
     _pack_message,
     _unpack_message,
-    BaseWorkerPool,
     PersistentWorkerPool,
     plan_worker_segments,
 )
@@ -84,8 +82,6 @@ from repro.stream.workers import (
 __all__ = [
     "supports_parallel_scan",
     "effective_scan_workers",
-    "parallel_scan_source",
-    "parallel_chunked_quality",
     "scan_stats",
     "scan_quality",
     "DEFAULT_SCAN_TIMEOUT",
@@ -104,7 +100,7 @@ _MSG_COUNTS = b"G"  # worker -> coord: int64 edge count + partial degrees
 _MSG_COVER = b"C"   # worker -> coord: one block's packed cover words
 
 
-def _resurface_error(pool: BaseWorkerPool, w: int, payload) -> None:
+def _resurface_error(pool: PersistentWorkerPool, w: int, payload) -> None:
     """Re-raise a worker's forwarded exception with sequential-pass types.
 
     The scan sweeps are deterministic reads, so a data problem a worker
@@ -154,14 +150,13 @@ def effective_scan_workers(source, workers: int) -> int:
     return workers if workers > 1 and supports_parallel_scan(source) else 0
 
 
-# -- worker entry points ----------------------------------------------------
+# -- job handlers (run by PersistentWorkerPool workers) ---------------------
 
 
-def _run_count(conn, tracer, worker_id: int, segments, chunk_size: int
-               ) -> None:
-    """The counting sweep itself: shared by cold workers and warm jobs."""
+def _count_job(context, *, segments, chunk_size: int) -> None:
+    """Counting sweep: partial degrees + edge count over ``segments``."""
     perf = time.perf_counter
-    with tracer.span("worker_count", worker=worker_id) as span:
+    with context.tracer.span("worker_count", worker=context.worker_id) as span:
         t0 = perf()
         degrees = np.zeros(0, dtype=np.int64)
         num_edges = 0
@@ -180,7 +175,7 @@ def _run_count(conn, tracer, worker_id: int, segments, chunk_size: int
         message = _pack_message(_MSG_COUNTS, degrees.size, payload)
         encode_s = perf() - t0
         t0 = perf()
-        conn.send_bytes(message)
+        context.conn.send_bytes(message)
         send_s = perf() - t0
         for name, value in (
             ("busy_s", busy_s), ("encode_s", encode_s),
@@ -188,115 +183,6 @@ def _run_count(conn, tracer, worker_id: int, segments, chunk_size: int
             ("frames_sent", 1), ("bytes_piped", len(message)),
         ):
             span.add(name, value)
-
-
-def _run_cover(
-    conn, tracer, worker_id: int, segments, chunk_size: int, k: int,
-    parts: np.ndarray, blocks,
-) -> None:
-    """The metrics sweep itself: shared by cold workers and warm jobs."""
-    perf = time.perf_counter
-    with tracer.span("worker_cover", worker=worker_id) as span:
-        busy_s = encode_s = send_s = 0.0
-        edges = piped = 0
-        parts = np.asarray(parts)
-        for index, (lo, hi) in enumerate(blocks):
-            t0 = perf()
-            cover = PackedCover(k, lo, hi)
-            for segment in segments:
-                path = Path(segment.path)
-                for pairs, eids in _iter_segment(segment, chunk_size):
-                    _validate_chunk(pairs, path)
-                    cover.mark_assignment(parts, pairs, eids)
-                    edges += pairs.shape[0]
-            busy_s += perf() - t0
-            t0 = perf()
-            message = _pack_message(
-                _MSG_COVER, index, cover.words.tobytes()
-            )
-            encode_s += perf() - t0
-            t0 = perf()
-            conn.send_bytes(message)
-            send_s += perf() - t0
-            piped += len(message)
-        for name, value in (
-            ("busy_s", busy_s), ("encode_s", encode_s),
-            ("send_s", send_s), ("edges_scanned", edges),
-            ("frames_sent", len(blocks)), ("bytes_piped", piped),
-        ):
-            span.add(name, value)
-
-
-def _counting_worker_main(
-    worker_id: int, pipes: list, segments, chunk_size: int,
-    trace: bool = False,
-) -> None:
-    """One counting worker: partial degrees + edge count over its segments."""
-    conn = _claim_pipe(worker_id, pipes)
-    tracer = install_collecting_tracer(trace)
-    try:
-        _run_count(conn, tracer, worker_id, segments, chunk_size)
-        if trace:
-            conn.send_bytes(
-                _pack_message(_MSG_TRACE, 0, pickle.dumps(tracer.drain()))
-            )
-    except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-        try:
-            conn.send_bytes(
-                _pack_message(
-                    _MSG_ERROR, 0,
-                    pickle.dumps((type(exc).__name__, str(exc))),
-                )
-            )
-        except OSError:
-            pass  # coordinator already gone; exit quietly
-    finally:
-        conn.close()
-
-
-def _cover_worker_main(
-    worker_id: int,
-    pipes: list,
-    segments,
-    chunk_size: int,
-    k: int,
-    parts: np.ndarray,
-    blocks,
-    trace: bool = False,
-) -> None:
-    """One metrics worker: per-block packed covers over its segments."""
-    conn = _claim_pipe(worker_id, pipes)
-    tracer = install_collecting_tracer(trace)
-    try:
-        _run_cover(
-            conn, tracer, worker_id, segments, chunk_size, k, parts, blocks
-        )
-        if trace:
-            conn.send_bytes(
-                _pack_message(_MSG_TRACE, 0, pickle.dumps(tracer.drain()))
-            )
-    except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-        try:
-            conn.send_bytes(
-                _pack_message(
-                    _MSG_ERROR, 0,
-                    pickle.dumps((type(exc).__name__, str(exc))),
-                )
-            )
-        except OSError:
-            pass
-    finally:
-        conn.close()
-
-
-# -- warm-pool job handlers (see workers.PersistentWorkerPool) ---------------
-
-
-def _count_job(context, *, segments, chunk_size: int) -> None:
-    """Counting sweep as a warm-pool job (the job loop owns trace/errors)."""
-    _run_count(
-        context.conn, context.tracer, context.worker_id, segments, chunk_size
-    )
 
 
 def _cover_job(
@@ -310,27 +196,56 @@ def _cover_job(
     parts_dtype: str,
     blocks,
 ) -> None:
-    """Metrics sweep as a warm-pool job.
+    """Metrics sweep: per-block packed covers over ``segments``.
 
-    The assignment array arrives as a read-only
+    The assignment arrives as a read-only
     :class:`~repro.parallel.shm.SharedArray` (named by ``parts_name``)
     rather than pickled per job — at millions of edges the assignment
-    is the payload that made cold metrics pools expensive to spawn.
+    is the biggest payload a scan ships.
     """
+    perf = time.perf_counter
     shared = SharedArray.attach(parts_name, tuple(parts_shape), parts_dtype)
     try:
-        _run_cover(
-            context.conn, context.tracer, context.worker_id, segments,
-            chunk_size, k, shared.array, blocks,
-        )
+        parts = shared.array
+        with context.tracer.span(
+            "worker_cover", worker=context.worker_id
+        ) as span:
+            busy_s = encode_s = send_s = 0.0
+            edges = piped = 0
+            for index, (lo, hi) in enumerate(blocks):
+                t0 = perf()
+                cover = PackedCover(k, lo, hi)
+                for segment in segments:
+                    path = Path(segment.path)
+                    for pairs, eids in _iter_segment(segment, chunk_size):
+                        _validate_chunk(pairs, path)
+                        cover.mark_assignment(parts, pairs, eids)
+                        edges += pairs.shape[0]
+                busy_s += perf() - t0
+                t0 = perf()
+                message = _pack_message(
+                    _MSG_COVER, index, cover.words.tobytes()
+                )
+                encode_s += perf() - t0
+                t0 = perf()
+                context.conn.send_bytes(message)
+                send_s += perf() - t0
+                piped += len(message)
+            for name, value in (
+                ("busy_s", busy_s), ("encode_s", encode_s),
+                ("send_s", send_s), ("edges_scanned", edges),
+                ("frames_sent", len(blocks)), ("bytes_piped", piped),
+            ):
+                span.add(name, value)
     finally:
+        parts = None  # noqa: F841 — drop the view before unmapping
         shared.close()
 
 
-# -- pools ------------------------------------------------------------------
+# -- coordinator-side merges ----------------------------------------------
 
 
-def _merge_counts(pool: BaseWorkerPool) -> tuple[np.ndarray, int]:
+def _merge_counts(pool: PersistentWorkerPool) -> tuple[np.ndarray, int]:
     """Sum every worker's partial degrees; returns (degrees, edges)."""
     degrees = np.zeros(0, dtype=np.int64)
     num_edges = 0
@@ -356,7 +271,7 @@ def _merge_counts(pool: BaseWorkerPool) -> tuple[np.ndarray, int]:
 
 
 def _merge_cover_block(
-    pool: BaseWorkerPool, k: int, index: int, lo: int, hi: int
+    pool: PersistentWorkerPool, k: int, index: int, lo: int, hi: int
 ) -> int:
     """OR every worker's cover for one block; returns its set bits."""
     merged = PackedCover(k, lo, hi)
@@ -371,132 +286,6 @@ def _merge_cover_block(
             )
         merged.union_update(payload)
     return merged.count()
-
-
-class _CountingPool(BaseWorkerPool):
-    """Map-reduce pool for the counting pass (one message per worker)."""
-
-    _worker_target = staticmethod(_counting_worker_main)
-
-    def __init__(self, worker_segments, chunk_size, **kwargs) -> None:
-        super().__init__(worker_segments, **kwargs)
-        self.chunk_size = int(chunk_size)
-
-    def _spawn_args(self, worker_id: int) -> tuple:
-        return (self.chunk_size,)
-
-    def merge(self) -> tuple[np.ndarray, int]:
-        """Sum every worker's partial degrees; returns (degrees, edges)."""
-        return _merge_counts(self)
-
-
-class _CoverPool(BaseWorkerPool):
-    """Map-reduce pool for the metrics pass (one message per block)."""
-
-    _worker_target = staticmethod(_cover_worker_main)
-
-    def __init__(
-        self, worker_segments, chunk_size, k, parts, blocks, **kwargs
-    ) -> None:
-        super().__init__(worker_segments, **kwargs)
-        self.chunk_size = int(chunk_size)
-        self.k = int(k)
-        self.parts = parts
-        self.blocks = list(blocks)
-
-    def _spawn_args(self, worker_id: int) -> tuple:
-        return (self.chunk_size, self.k, self.parts, self.blocks)
-
-    def merge_block(self, index: int, lo: int, hi: int) -> int:
-        """OR every worker's cover for one block; returns its set bits."""
-        return _merge_cover_block(self, self.k, index, lo, hi)
-
-
-# -- coordinator entry points -----------------------------------------------
-
-
-def parallel_scan_source(
-    source,
-    workers: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
-) -> SourceStats:
-    """Counting pass on ``workers`` processes — ≡ :func:`scan_source`.
-
-    ``source`` is a shard manifest or flat binary edge file
-    (:func:`supports_parallel_scan`).  Shards are dealt round-robin (a
-    flat file is split contiguously); each worker returns its partial
-    degree array and edge count and the coordinator sums them — the
-    same integers the sequential sweep accumulates, in a different
-    order, so the merged :class:`~repro.stream.scan.SourceStats` is
-    bit-identical.
-    """
-    segments, _, planned_edges, declared = plan_worker_segments(
-        source, workers
-    )
-    with _CountingPool(
-        segments, chunk_size, mp_context=mp_context, timeout=timeout
-    ) as pool:
-        with get_tracer().span(
-            "pool_run", pool="count", workers=workers
-        ) as span:
-            degrees, num_edges = pool.merge()
-            pool.collect_worker_spans()
-            span.add("recv_wait_s", pool.recv_wait_s)
-            span.add("frames_sent", pool.frames_recv)
-            span.add("bytes_piped", pool.bytes_recv)
-    if num_edges != planned_edges:
-        raise GraphFormatError(
-            f"{source}: parallel counting pass saw {num_edges} edges but "
-            f"the source declares {planned_edges}; it changed on disk"
-        )
-    return finalize_source_stats(degrees, num_edges, declared, str(source))
-
-
-def parallel_chunked_quality(
-    source,
-    stats: SourceStats,
-    k: int,
-    parts: np.ndarray,
-    workers: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    memory_budget: int | None = None,
-    mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
-) -> tuple[float, float]:
-    """Metrics pass on ``workers`` processes — ≡ :func:`chunked_quality`.
-
-    Workers sweep their shard assignment once per cover block
-    (:func:`~repro.stream.scan.plan_cover_blocks` under
-    ``memory_budget``), shipping each block's packed per-part covers;
-    the coordinator ORs them and popcounts the merge.  Cover bits are
-    idempotent under OR, so the merged count equals the sequential
-    sweep's exactly and the returned floats are bit-identical.
-    """
-    sizes = np.bincount(parts[parts >= 0], minlength=k)
-    if stats.num_edges == 0:
-        return 0.0, 1.0
-    blocks = plan_cover_blocks(stats.num_vertices, k, memory_budget)
-    segments, _, _, _ = plan_worker_segments(source, workers)
-    replicas = 0
-    with _CoverPool(
-        segments, chunk_size, k, parts, blocks,
-        mp_context=mp_context, timeout=timeout,
-    ) as pool:
-        with get_tracer().span(
-            "pool_run", pool="cover", workers=workers, blocks=len(blocks)
-        ) as span:
-            for index, (lo, hi) in enumerate(blocks):
-                replicas += pool.merge_block(index, lo, hi)
-            pool.collect_worker_spans()
-            span.add("recv_wait_s", pool.recv_wait_s)
-            span.add("frames_sent", pool.frames_recv)
-            span.add("bytes_piped", pool.bytes_recv)
-    covered = int((stats.degrees > 0).sum())
-    rf = float(replicas / covered) if covered else 0.0
-    balance = float(sizes.max() / (stats.num_edges / k))
-    return rf, balance
 
 
 # -- warm-pool runners -------------------------------------------------------
@@ -528,7 +317,7 @@ def _pooled_scan_source(
     pool: PersistentWorkerPool,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> SourceStats:
-    """Counting pass on a warm pool — ≡ :func:`parallel_scan_source`.
+    """Counting pass on a warm pool — ≡ the sequential :func:`scan_source`.
 
     The pool's per-frame watchdog is widened to the scan default for
     the duration (a scan worker's first bytes arrive only after its
@@ -579,10 +368,10 @@ def _pooled_chunked_quality(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     memory_budget: int | None = None,
 ) -> tuple[float, float]:
-    """Metrics pass on a warm pool — ≡ :func:`parallel_chunked_quality`.
+    """Metrics pass on a warm pool — ≡ the sequential :func:`chunked_quality`.
 
     The assignment is published once as a shared segment instead of
-    being pickled into every spawn; it is closed and unlinked before
+    being pickled into every job; it is closed and unlinked before
     returning on every path.
     """
     sizes = np.bincount(parts[parts >= 0], minlength=k)
@@ -643,13 +432,19 @@ def _pooled_chunked_quality(
 # -- front doors (what the drivers call) ------------------------------------
 
 
+def _scan_pool(pool, workers: int, mp_context: str | None):
+    """The caller's warm ``pool``, or a pool started for one call."""
+    if pool is not None:
+        return contextlib.nullcontext(pool)
+    return PersistentWorkerPool(workers, mp_context=mp_context)
+
+
 def scan_stats(
     source,
     opened: EdgeChunkSource,
     workers: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
     pool: "PersistentWorkerPool | None" = None,
 ) -> SourceStats:
     """Counting pass, parallel when it can be: the drivers' front door.
@@ -658,18 +453,14 @@ def scan_stats(
     worker segments when it is segmentable), ``opened`` the chunk
     source already opened from it (used for the sequential fallback, so
     prefetch/mmap wrappers keep serving the sequential path).  A warm
-    ``pool`` reuses already-spawned workers instead of forking a
-    one-shot pool (same result, bit for bit).
+    ``pool`` reuses already-spawned workers; without one the parallel
+    pass starts a pool for this call (same result, bit for bit).
     """
     parallel = effective_scan_workers(source, workers)
     with get_tracer().span("count_pass", workers=parallel) as span:
-        if parallel and pool is not None:
-            stats = _pooled_scan_source(source, workers, pool, chunk_size)
-        elif parallel:
-            stats = parallel_scan_source(
-                source, workers, chunk_size, mp_context=mp_context,
-                timeout=timeout,
-            )
+        if parallel:
+            with _scan_pool(pool, parallel, mp_context) as warm:
+                stats = _pooled_scan_source(source, workers, warm, chunk_size)
         else:
             stats = scan_source(opened)
         span.add("edges_scanned", stats.num_edges)
@@ -686,23 +477,20 @@ def scan_quality(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     memory_budget: int | None = None,
     mp_context: str | None = None,
-    timeout: float = DEFAULT_SCAN_TIMEOUT,
     pool: "PersistentWorkerPool | None" = None,
 ) -> tuple[float, float]:
-    """Metrics pass, parallel when it can be: the drivers' front door."""
+    """Metrics pass, parallel when it can be: the drivers' front door.
+
+    Same source/pool contract as :func:`scan_stats`.
+    """
     parallel = effective_scan_workers(source, workers)
     with get_tracer().span("metrics_pass", workers=parallel) as span:
-        if parallel and pool is not None:
-            quality = _pooled_chunked_quality(
-                source, stats, k, parts, workers, pool, chunk_size,
-                memory_budget=memory_budget,
-            )
-        elif parallel:
-            quality = parallel_chunked_quality(
-                source, stats, k, parts, workers, chunk_size,
-                memory_budget=memory_budget, mp_context=mp_context,
-                timeout=timeout,
-            )
+        if parallel:
+            with _scan_pool(pool, parallel, mp_context) as warm:
+                quality = _pooled_chunked_quality(
+                    source, stats, k, parts, workers, warm, chunk_size,
+                    memory_budget=memory_budget,
+                )
         else:
             quality = chunked_quality(opened, stats, k, parts, memory_budget)
         span.add("edges_scanned", stats.num_edges)

@@ -174,10 +174,8 @@ class OutOfCoreHep:
     def _job_spec(self, source, k: int):
         """Lower the constructor knobs to a runtime JobSpec.
 
-        ``shared_memory=False`` preserves this driver's historical scan
-        behavior (sequential sweeps or cold per-pass pools — no warm
-        pool);  :class:`~repro.stream.workers.MultiWorkerHep` overrides
-        the execution-shape fields on top of this spec.
+        :class:`~repro.stream.workers.MultiWorkerHep` overrides the
+        execution-shape fields on top of this spec.
         """
         from repro.runtime.spec import InputSpec, JobSpec
 
@@ -199,7 +197,6 @@ class OutOfCoreHep:
             spill_dir=self.spill_dir,
             spill_compression=self.spill_compression,
             metrics_workers=self.metrics_workers,
-            shared_memory=False,
             mp_context=getattr(self, "mp_context", None),
         )
 

@@ -13,33 +13,36 @@ rather than simulated.
 Architecture
 ------------
 
-* **Workers** (:func:`_worker_main`) each hold a private snapshot copy
-  of the replica/load state.  Per superstep a worker reads the next
-  ``batch`` edges of its stream, scores them against its snapshot with
-  the *same kernel* the in-process schedule uses
-  (:func:`~repro.parallel.kernel.score_batch_on_snapshot`), and ships
-  the batch to the coordinator.
+One transport carries all work: a warm :class:`PersistentWorkerPool`
+runs pickled jobs, and a BSP run's state lives in one
+:class:`~repro.parallel.shm.SharedState` segment.
+
+* **Workers** (:func:`_stream_shared_job`) map the segment and read the
+  published replica/load snapshot.  Per superstep a worker reads the
+  next ``batch`` edges of its stream, scores them against the snapshot
+  with a kernel bitwise equal to the in-process schedule's
+  (:class:`~repro.parallel.kernel.FusedBatchScorer`), and writes the
+  batch to its scratch lane of the segment.
 * **The coordinator** (:class:`StateService` inside
-  :class:`WorkerPool`) owns the live state.  It merges worker batches
-  in worker order — replica marks OR-ed, loads summed — exactly as
-  :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream` specifies, then
-  broadcasts the merged delta; every worker applies it and the barrier
-  completes.
+  :func:`run_bsp_shared`) owns the live state.  It merges worker
+  batches in worker order — replica marks OR-ed, loads summed — exactly
+  as :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream` specifies,
+  folds the merged delta into the double-buffered snapshot and releases
+  the workers with a ``COMMIT`` control frame.
 * **The capacity fast path**: when no partition can reach capacity
   within one superstep (:func:`~repro.parallel.kernel.
   superstep_is_safe` — a pure function of superstep-start loads, so
   workers and coordinator agree without communicating), placements are
-  pure argmaxes and workers send only ``(eid, u, v) + p``.  Near the
-  balance bound workers send full score matrices and the coordinator
+  pure argmaxes and workers write only ``(eid, u, v) + p``.  Near the
+  balance bound workers write full score matrices and the coordinator
   places edge by edge under the live capacity mask
   (:func:`~repro.parallel.kernel.place_batch_serialized`).  Both
   branches are bit-identical to the in-process schedule — the
   equivalence property ``tests/test_stream_workers.py`` pins.
 
-Messages are framed with the spill file's frame encoding
-(:data:`~repro.stream.spill` ``_FRAME``: ``<u4 payload_bytes, <u4
-record_count``) and batch/delta records are the spill's int64 triples —
-one wire format on disk and between processes.
+Pipes carry only control frames, framed with the spill file's frame
+encoding (:data:`~repro.stream.spill` ``_FRAME``: ``<u4 payload_bytes,
+<u4 record_count``) behind a one-byte tag.
 
 Failure handling: a worker that dies mid-superstep (killed, OOM, or a
 poisoned shard) surfaces as a single
@@ -66,10 +69,8 @@ from repro.obs.tracer import get_tracer, install_collecting_tracer
 from repro.parallel.kernel import (
     FusedBatchScorer,
     apply_batch,
-    apply_delta,
     contiguous_streams,
     place_batch_serialized,
-    score_batch_on_snapshot,
     shard_round_robin_streams,
     superstep_is_safe,
 )
@@ -86,14 +87,11 @@ from repro.stream.shard import (
     read_shard_manifest,
 )
 
-# One wire format: worker/coordinator messages reuse the spill file's
-# frame struct and int64 triple records (see repro.stream.spill).
+# Control frames reuse the spill file's frame struct (repro.stream.spill).
 from repro.stream.spill import _FRAME, SpillFile, read_spill_chunks
 
 __all__ = [
     "EdgeSegment",
-    "BaseWorkerPool",
-    "WorkerPool",
     "PersistentWorkerPool",
     "StateService",
     "MultiWorkerReport",
@@ -115,17 +113,12 @@ DEFAULT_WORKER_BATCH = 8
 #: seconds the coordinator waits on a silent worker before declaring it hung
 DEFAULT_WORKER_TIMEOUT = 120.0
 
-_TRIPLE = np.dtype("<i8")
-
 # message tags (one byte, prepended to the spill-style frame)
-_MSG_BATCH = b"B"   # worker -> coord: triples + chosen partitions (fast path)
-_MSG_SCORES = b"S"  # worker -> coord: triples + score matrix (near capacity)
-_MSG_DONE = b"D"    # worker -> coord: stream exhausted (+ busy/wait/send f64s)
-_MSG_ERROR = b"E"   # worker -> coord: pickled (type name, message)
-_MSG_DELTA = b"M"   # coord -> worker: merged (u, v, p) triples
-_MSG_TRACE = b"T"   # worker -> coord: pickled trace records (final message)
-
-# warm-pool / shared-memory control frames (empty or tiny payloads)
+_MSG_BATCH = b"B"     # worker -> coord: lane holds partitions (fast path)
+_MSG_SCORES = b"S"    # worker -> coord: lane holds scores (near capacity)
+_MSG_DONE = b"D"      # worker -> coord: stream exhausted (+ busy/wait/send f64s)
+_MSG_ERROR = b"E"     # worker -> coord: pickled (type name, message)
+_MSG_TRACE = b"T"     # worker -> coord: pickled trace records (after a job)
 _MSG_JOB = b"J"       # coord -> worker: pickled (handler, kwargs) job
 _MSG_SHUTDOWN = b"Q"  # coord -> worker: leave the job loop, exit cleanly
 _MSG_COMMIT = b"K"    # coord -> worker: barrier done; count = published index
@@ -269,34 +262,14 @@ def _unpack_message(blob: bytes) -> tuple[bytes, int, memoryview]:
     return tag, count, payload
 
 
-def _pack_triples(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> bytes:
-    """Encode three parallel int64 columns as spill-style triples."""
-    records = np.empty((a.shape[0], 3), dtype=_TRIPLE)
-    records[:, 0] = a
-    records[:, 1] = b
-    records[:, 2] = c
-    return records.tobytes()
-
-
-def _unpack_triples(
-    payload: memoryview, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode spill-style triples back into three int64 columns."""
-    records = np.frombuffer(payload, dtype=_TRIPLE, count=count * 3)
-    records = records.reshape(count, 3)
-    return records[:, 0], records[:, 1], records[:, 2]
-
-
-# -- worker process ---------------------------------------------------------
+# -- warm workers (job loop) ------------------------------------------------
 
 
 def _claim_pipe(worker_id: int, pipes: list):
     """Keep worker ``worker_id``'s child pipe end; close every other end.
 
     Closing the inherited ends that are not ours keeps EOF detection and
-    fd hygiene intact after the fork.  Shared by every worker entry
-    point (BSP streaming here, counting/metrics sweeps in
-    :mod:`repro.stream.parallel_scan`).
+    fd hygiene intact after the fork.
     """
     conn = pipes[worker_id][1]
     for i, (parent_end, child_end) in enumerate(pipes):
@@ -309,133 +282,6 @@ def _claim_pipe(worker_id: int, pipes: list):
     return conn
 
 
-def _worker_main(
-    worker_id: int,
-    pipes: list,
-    segments: Sequence[EdgeSegment],
-    num_vertices: int,
-    k: int,
-    capacity: int,
-    degrees: np.ndarray,
-    init_replicas: np.ndarray | None,
-    init_loads: np.ndarray | None,
-    workers: int,
-    batch: int,
-    lam: float,
-    eps: float,
-    chunk_size: int,
-    trace: bool = False,
-) -> None:
-    """Entry point of one worker process (module-level for spawnability).
-
-    Holds a private snapshot of the replica/load state, streams its
-    segments in ``batch``-edge steps, and participates in the BSP
-    barrier protocol described in the module docstring.  Any exception
-    is shipped to the coordinator as an ``ERROR`` message before a clean
-    exit — the coordinator turns it into one
-    :class:`~repro.errors.WorkerFailureError`.
-
-    The worker always times itself (busy vs. barrier-wait vs. pipe-send
-    seconds ride on the DONE payload so skew is visible without
-    tracing); with ``trace`` it additionally records a ``worker_stream``
-    span and ships its drained trace records as a final
-    :data:`_MSG_TRACE` message for the coordinator to adopt.
-    """
-    conn = _claim_pipe(worker_id, pipes)
-    tracer = install_collecting_tracer(trace)
-    perf = time.perf_counter
-    read_s = score_s = encode_s = send_s = wait_s = apply_s = 0.0
-    edges = frames = piped = 0
-    try:
-        if init_replicas is None:
-            replicas = np.zeros((k, num_vertices), dtype=bool)
-        else:
-            replicas = np.array(init_replicas, dtype=bool)
-        if init_loads is None:
-            loads = np.zeros(k, dtype=np.int64)
-        else:
-            loads = np.asarray(init_loads, dtype=np.int64).copy()
-        degrees = np.asarray(degrees, dtype=np.int64)
-
-        with tracer.span("worker_stream", worker=worker_id) as span:
-            batches = _iter_batches(segments, batch, chunk_size)
-            while True:
-                t0 = perf()
-                step = next(batches, None)
-                read_s += perf() - t0
-                if step is None:
-                    break
-                us, vs, eids = step
-                t0 = perf()
-                safe = superstep_is_safe(loads, workers, batch, capacity)
-                scores = score_batch_on_snapshot(
-                    replicas, loads, degrees, us, vs, lam, eps
-                )
-                score_s += perf() - t0
-                t0 = perf()
-                triples = _pack_triples(eids, us, vs)
-                if safe:
-                    ps = np.argmax(scores, axis=1)
-                    message = _pack_message(
-                        _MSG_BATCH, us.shape[0], triples,
-                        ps.astype(_TRIPLE).tobytes(),
-                    )
-                else:
-                    message = _pack_message(
-                        _MSG_SCORES, us.shape[0], triples,
-                        np.ascontiguousarray(scores, dtype="<f8").tobytes(),
-                    )
-                encode_s += perf() - t0
-                t0 = perf()
-                conn.send_bytes(message)
-                send_s += perf() - t0
-                t0 = perf()
-                blob = conn.recv_bytes()
-                wait_s += perf() - t0
-                t0 = perf()
-                tag, count, payload = _unpack_message(blob)
-                if tag != _MSG_DELTA:
-                    raise WorkerFailureError(
-                        f"worker {worker_id}: expected a delta, got {tag!r}"
-                    )
-                dus, dvs, dps = _unpack_triples(payload, count)
-                apply_delta(replicas, loads, dus, dvs, dps)
-                apply_s += perf() - t0
-                edges += us.shape[0]
-                frames += 1
-                piped += len(message) + len(blob)
-            busy_s = read_s + score_s + apply_s
-            for name, value in (
-                ("busy_s", busy_s), ("read_s", read_s),
-                ("score_s", score_s), ("apply_s", apply_s),
-                ("encode_s", encode_s), ("send_s", send_s),
-                ("wait_s", wait_s), ("edges_scanned", edges),
-                ("frames_sent", frames), ("bytes_piped", piped),
-            ):
-                span.add(name, value)
-        timings = np.array([busy_s, wait_s, send_s], dtype=_DONE_TIMINGS)
-        conn.send_bytes(_pack_message(_MSG_DONE, 0, timings.tobytes()))
-        if trace:
-            conn.send_bytes(
-                _pack_message(_MSG_TRACE, 0, pickle.dumps(tracer.drain()))
-            )
-    except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-        try:
-            conn.send_bytes(
-                _pack_message(
-                    _MSG_ERROR, 0,
-                    pickle.dumps((type(exc).__name__, str(exc))),
-                )
-            )
-        except OSError:
-            pass  # coordinator already gone; exit quietly
-    finally:
-        conn.close()
-
-
-# -- warm workers (job loop) ------------------------------------------------
-
-
 @dataclass(frozen=True)
 class _JobContext:
     """What a job handler receives from the warm worker's job loop."""
@@ -445,20 +291,13 @@ class _JobContext:
     tracer: object         # the worker-process tracer (may be the null one)
 
 
-def _job_worker_main(
-    worker_id: int,
-    pipes: list,
-    segments: Sequence[EdgeSegment],
-    trace: bool = False,
-) -> None:
-    """Entry point of one *warm* worker: run pickled jobs until shutdown.
+def _job_worker_main(worker_id: int, pipes: list, trace: bool = False) -> None:
+    """Entry point of one warm worker: run pickled jobs until shutdown.
 
     The pool spawns these once and then :meth:`PersistentWorkerPool.
     submit`\\ s any number of jobs — a job is a pickled ``(handler,
     kwargs)`` pair, and the handler owns whatever pipe protocol it needs
-    (BSP supersteps, one-shot count/cover sweeps, ...).  ``segments`` is
-    unused (jobs carry their own work); it exists so the spawn signature
-    matches :class:`BaseWorkerPool`'s.
+    (BSP supersteps, one-shot count/cover sweeps, ...).
 
     After each successful job the worker ships its drained trace records
     (when tracing) so the coordinator can adopt them per job.  A failed
@@ -518,11 +357,10 @@ def _stream_shared_job(
 ) -> None:
     """One worker's half of a shared-memory BSP run (see run_bsp_shared).
 
-    Instead of holding a private snapshot copy and applying every merged
-    delta (the pipe protocol), the worker maps the coordinator's
-    :class:`~repro.parallel.shm.SharedState` segment and simply *reads*
-    the published snapshot each superstep — the commit frame's count
-    field names the buffer that is current.  Batches are written to this
+    The worker maps the coordinator's
+    :class:`~repro.parallel.shm.SharedState` segment and *reads* the
+    published snapshot each superstep — the commit frame's count field
+    names the buffer that is current.  Batches are written to this
     worker's scratch lane; the pipe carries only empty ``BATCH``/
     ``SCORES`` control frames.  Scoring runs through the fused
     :class:`~repro.parallel.kernel.FusedBatchScorer` (bitwise equal to
@@ -561,7 +399,7 @@ def _stream_shared_job(
                 safe = superstep_is_safe(loads, workers, batch, capacity)
                 scores = scorer.scores(replicas, loads, degrees, us, vs)
                 score_s += perf() - t0
-                # Lane writes play the pipe path's encode role.
+                # Lane writes are this transport's encode step.
                 t0 = perf()
                 if safe:
                     ps = np.argmax(scores, axis=1)
@@ -618,10 +456,10 @@ class WorkerTimings:
     """Where one BSP run's seconds went, per worker and on the coordinator.
 
     Workers always self-time (no ``--trace`` needed): ``busy_s`` is
-    scoring + reading + delta-apply, ``wait_s`` is barrier time blocked
-    on the coordinator's delta, ``send_s`` is pipe-send time.  The
-    coordinator contributes its own split: time blocked waiting on
-    worker frames, merge/commit time, and delta broadcast time.
+    scoring + reading, ``wait_s`` is barrier time blocked on the
+    coordinator's commit frame, ``send_s`` is control-frame send time.
+    The coordinator contributes its own split: time blocked waiting on
+    worker frames, merge/commit time, and commit-frame send time.
     """
 
     busy_s: tuple[float, ...]
@@ -697,27 +535,6 @@ class StateService:
             self.state.loads, self.workers, self.batch, self.state.capacity
         )
 
-    def merge(
-        self,
-        worker_id: int,
-        tag: bytes,
-        count: int,
-        payload: memoryview,
-        safe: bool,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode one pipe-protocol batch payload and commit it."""
-        triple_bytes = count * 3 * _TRIPLE.itemsize
-        eids, us, vs = _unpack_triples(payload[:triple_bytes], count)
-        if tag == _MSG_BATCH:
-            extra = np.frombuffer(
-                payload[triple_bytes:], dtype=_TRIPLE, count=count
-            )
-        else:
-            extra = np.frombuffer(
-                payload[triple_bytes:], dtype="<f8", count=count * self.state.k
-            ).reshape(count, self.state.k)
-        return self.merge_arrays(worker_id, tag, eids, us, vs, extra, safe)
-
     def merge_arrays(
         self,
         worker_id: int,
@@ -731,8 +548,8 @@ class StateService:
         """Commit one worker's batch; returns ``(us, vs, ps)`` for the delta.
 
         ``extra`` is the chosen-partition vector (:data:`_MSG_BATCH`) or
-        the ``count × k`` score matrix (:data:`_MSG_SCORES`) — decoded
-        pipe payloads and shared-memory lane views land here alike.
+        the ``count × k`` score matrix (:data:`_MSG_SCORES`), both views
+        of the worker's shared-memory lane.
         """
         if tag == _MSG_BATCH:
             if not safe:
@@ -756,7 +573,7 @@ class StateService:
 
 #: every started, not-yet-closed pool, for service-level health checks
 #: (weak references: a pool dropped without close() must not pin itself)
-_LIVE_POOLS: "weakref.WeakSet[BaseWorkerPool]" = weakref.WeakSet()
+_LIVE_POOLS: "weakref.WeakSet[PersistentWorkerPool]" = weakref.WeakSet()
 
 
 def live_pool_health() -> list[dict]:
@@ -769,45 +586,51 @@ def live_pool_health() -> list[dict]:
     return [pool.health() for pool in list(_LIVE_POOLS)]
 
 
-class BaseWorkerPool:
-    """Lifecycle shared by every segment-sweeping worker-process pool.
+class PersistentWorkerPool:
+    """Warm worker processes: spawn once, run many jobs, shut down once.
 
-    Owns the processes, pipes, liveness-watching receive loop and the
-    single-:class:`~repro.errors.WorkerFailureError` failure surface
-    (terminate + join everything, no orphans).  Subclasses provide the
-    module-level worker entry point (``_worker_target``) and the extra
-    spawn arguments (:meth:`_spawn_args`); what flows over the pipes is
-    theirs to define.  :class:`WorkerPool` drives the BSP partitioning
-    protocol on top; the counting/metrics pools in
-    :mod:`repro.stream.parallel_scan` run one-shot map-reduce sweeps.
+    The one way work reaches a worker process.  The pool keeps its
+    processes alive across jobs — the counting pass, the streaming
+    phase, and the metrics pass of one partition run (or many runs) all
+    reuse the same workers, so the spawn tax is paid once.  A job is a
+    module-level handler plus kwargs, pickled into one
+    :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
+    there (:func:`_stream_shared_job` drives BSP supersteps, the
+    handlers in :mod:`repro.stream.parallel_scan` run one-shot sweeps).
+
+    The pool owns the processes, pipes, liveness-watching receive loop
+    and the single-:class:`~repro.errors.WorkerFailureError` failure
+    surface (terminate + join everything, no orphans).
 
     Parameters
     ----------
-    worker_segments:
-        One list of :class:`EdgeSegment` per worker (may be empty — the
-        worker reports its empty result immediately).
+    workers:
+        Number of worker processes.
     mp_context:
         ``multiprocessing`` start method; default prefers ``fork``
-        (cheap, inherits the init arrays) and falls back to ``spawn``.
+        (cheap) and falls back to ``spawn``.
     timeout:
-        Seconds the coordinator waits on a silent worker before raising
-        :class:`~repro.errors.WorkerFailureError`.
+        Seconds the coordinator waits on a silent worker, per received
+        frame, before raising :class:`~repro.errors.WorkerFailureError`.
+        Callers running long uninterrupted sweeps (the scan front doors)
+        temporarily widen it around their job.
     """
-
-    #: module-level worker entry point, set by subclasses via
-    #: ``staticmethod(...)`` so it stays spawn-picklable
-    _worker_target = None
 
     def __init__(
         self,
-        worker_segments: Sequence[Sequence[EdgeSegment]],
+        workers: int,
         mp_context: str | None = None,
         timeout: float = DEFAULT_WORKER_TIMEOUT,
     ) -> None:
-        if not worker_segments:
-            raise ConfigurationError("worker_segments must name >= 1 worker")
-        self.worker_segments = [list(segs) for segs in worker_segments]
-        self.workers = len(self.worker_segments)
+        """Size the pool; :meth:`start` spawns the processes."""
+        if workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {workers}")
+        self.workers = int(workers)
+        # What each worker sweeps in the current job (set by submit), so
+        # failure messages can name it.
+        self.worker_segments: list[list[EdgeSegment]] = [
+            [] for _ in range(self.workers)
+        ]
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
@@ -822,19 +645,15 @@ class BaseWorkerPool:
         self.bytes_recv = 0
         self._trace_workers = False
 
-    def _spawn_args(self, worker_id: int) -> tuple:
-        """Extra positional args for ``_worker_target`` after the segments."""
-        raise NotImplementedError
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Fork the workers; each gets its segments and the spawn args.
+        """Fork the workers into their job loops.
 
         When the process-global tracer is live the spawn is wrapped in a
-        ``pool_spawn`` span and every worker gets a trailing trace flag,
-        telling it to collect spans and ship them back as its final
-        message (see :meth:`collect_worker_spans`).
+        ``pool_spawn`` span and every worker gets a trace flag, telling
+        it to collect spans and ship them back after each job (see
+        :meth:`collect_worker_spans`).
         """
         if self._procs:
             raise ConfigurationError(
@@ -851,14 +670,8 @@ class BaseWorkerPool:
             try:
                 for w in range(self.workers):
                     proc = ctx.Process(
-                        target=type(self)._worker_target,
-                        args=(
-                            w,
-                            pipes,
-                            self.worker_segments[w],
-                            *self._spawn_args(w),
-                            self._trace_workers,
-                        ),
+                        target=_job_worker_main,
+                        args=(w, pipes, self._trace_workers),
                         name=f"repro-worker-{w}",
                         daemon=True,
                     )
@@ -913,14 +726,65 @@ class BaseWorkerPool:
                 proc.join()
         self._procs = []
 
-    def __enter__(self) -> "BaseWorkerPool":
+    def submit(
+        self,
+        handler,
+        kwargs_per_worker: Sequence[dict],
+        segments: "Sequence[Sequence[EdgeSegment]] | None" = None,
+    ) -> None:
+        """Send one ``(handler, kwargs)`` job to every worker.
+
+        ``handler`` must be a module-level callable (pickled by
+        reference) taking a :class:`_JobContext` plus its kwargs.
+        ``segments`` optionally records what each worker is sweeping so
+        failure messages can name it.
+        """
+        if not self._procs:
+            raise ConfigurationError("submit() before start()")
+        if len(kwargs_per_worker) != self.workers:
+            raise ConfigurationError(
+                f"submit() needs kwargs for all {self.workers} workers, "
+                f"got {len(kwargs_per_worker)}"
+            )
+        if segments is not None:
+            self.worker_segments = [list(segs) for segs in segments]
+        for w, kwargs in enumerate(kwargs_per_worker):
+            frame = _pack_message(
+                _MSG_JOB, 0, pickle.dumps((handler, kwargs))
+            )
+            try:
+                self._conns[w].send_bytes(frame)
+            except (BrokenPipeError, OSError):
+                raise self._worker_died(w) from None
+
+    def shutdown(self) -> None:
+        """Ask the job loops to exit, join briefly, then tear down.
+
+        Idempotent, and safe after failures: workers that already died
+        are skipped and :meth:`close` terminates any straggler.  The
+        graceful drain (send ``SHUTDOWN``, join) runs
+        under a ``finally``-guarded :meth:`close`, so an interrupt
+        delivered mid-drain still terminates every process.
+        """
+        try:
+            for conn in self._conns:
+                try:
+                    conn.send_bytes(_pack_message(_MSG_SHUTDOWN, 0))
+                except (BrokenPipeError, OSError):
+                    pass
+            for proc in self._procs:
+                proc.join(timeout=5.0)
+        finally:
+            self.close()
+
+    def __enter__(self) -> "PersistentWorkerPool":
         """Start the pool on entry."""
         self.start()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        """Tear the pool down (terminate/join/close) on exit."""
-        self.close()
+        """Shut the pool down (drain, terminate stragglers) on exit."""
+        self.shutdown()
 
     # -- protocol plumbing --------------------------------------------------
 
@@ -1008,280 +872,6 @@ class BaseWorkerPool:
         )
 
 
-class WorkerPool(BaseWorkerPool):
-    """N worker processes + pipes driving one BSP run (context manager).
-
-    Parameters
-    ----------
-    worker_segments:
-        One list of :class:`EdgeSegment` per worker (may be empty — the
-        worker reports DONE immediately).
-    state:
-        The coordinator's live state; its replica/load arrays (and
-        degrees/capacity) seed every worker's snapshot.
-    batch:
-        Edges each worker scores per superstep.
-    chunk_size:
-        I/O block size for the workers' segment readers.
-    mp_context:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (cheap, inherits the init arrays) and falls back to ``spawn``.
-    timeout:
-        Seconds the coordinator waits on a silent worker before raising
-        :class:`~repro.errors.WorkerFailureError`.
-    """
-
-    _worker_target = staticmethod(_worker_main)
-
-    def __init__(
-        self,
-        worker_segments: Sequence[Sequence[EdgeSegment]],
-        state: StreamingState,
-        batch: int = DEFAULT_WORKER_BATCH,
-        lam: float = 1.1,
-        eps: float = 1.0,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        mp_context: str | None = None,
-        timeout: float = DEFAULT_WORKER_TIMEOUT,
-    ) -> None:
-        super().__init__(worker_segments, mp_context=mp_context, timeout=timeout)
-        if batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {batch}")
-        self.state = state
-        self.batch = int(batch)
-        self.lam = lam
-        self.eps = eps
-        self.chunk_size = int(chunk_size)
-
-    def _spawn_args(self, worker_id: int) -> tuple:
-        """Snapshot seed + schedule parameters for one BSP worker."""
-        state = self.state
-        return (
-            state.num_vertices,
-            state.k,
-            state.capacity,
-            state.degrees,
-            state.replicas,
-            state.loads,
-            self.workers,
-            self.batch,
-            self.lam,
-            self.eps,
-            self.chunk_size,
-        )
-
-    # -- protocol -----------------------------------------------------------
-
-    def run(self, parts: np.ndarray) -> MultiWorkerReport:
-        """Drive supersteps until every worker reports DONE.
-
-        Mutates ``self.state`` (the live state) and ``parts`` exactly
-        like the in-process ``bsp_hdrf_stream`` with the same
-        workers/batch/streams.  Any worker failure raises one
-        :class:`~repro.errors.WorkerFailureError` after the pool is
-        cleaned up by the surrounding context manager.
-        """
-        if not self._procs:
-            raise ConfigurationError("WorkerPool.run() before start()")
-        perf = time.perf_counter
-        service = StateService(self.state, parts, self.workers, self.batch)
-        active = list(range(self.workers))
-        supersteps = 0
-        fast = 0
-        slow = 0
-        merge_s = encode_s = send_s = 0.0
-        frames_sent = 0
-        bytes_sent = 0
-        worker_timings: dict[int, tuple[float, float, float]] = {}
-        with get_tracer().span(
-            "pool_run", pool="bsp", workers=self.workers, batch=self.batch,
-        ) as span:
-            while active:
-                safe = service.begin_superstep()
-                messages = []
-                for w in active:
-                    tag, count, payload = _unpack_message(self._recv(w))
-                    messages.append((w, tag, count, payload))
-                delta_us: list[np.ndarray] = []
-                delta_vs: list[np.ndarray] = []
-                delta_ps: list[np.ndarray] = []
-                senders: list[int] = []
-                for w, tag, count, payload in messages:
-                    if tag == _MSG_DONE:
-                        active.remove(w)
-                        expected = _DONE_TIMING_FIELDS * _DONE_TIMINGS.itemsize
-                        if len(payload) >= expected:
-                            busy, wait, send = np.frombuffer(
-                                payload, dtype=_DONE_TIMINGS,
-                                count=_DONE_TIMING_FIELDS,
-                            )
-                            worker_timings[w] = (
-                                float(busy), float(wait), float(send)
-                            )
-                        continue
-                    if tag == _MSG_ERROR:
-                        self._raise_worker_error(w, payload)
-                    t0 = perf()
-                    us, vs, ps = service.merge(w, tag, count, payload, safe)
-                    merge_s += perf() - t0
-                    delta_us.append(us)
-                    delta_vs.append(vs)
-                    delta_ps.append(ps)
-                    senders.append(w)
-                if not senders:
-                    continue
-                supersteps += 1
-                if safe:
-                    fast += 1
-                else:
-                    slow += 1
-                t0 = perf()
-                delta = _pack_message(
-                    _MSG_DELTA,
-                    sum(u.shape[0] for u in delta_us),
-                    _pack_triples(
-                        np.concatenate(delta_us),
-                        np.concatenate(delta_vs),
-                        np.concatenate(delta_ps),
-                    ),
-                )
-                encode_s += perf() - t0
-                t0 = perf()
-                for w in senders:
-                    try:
-                        self._conns[w].send_bytes(delta)
-                    except (BrokenPipeError, OSError):
-                        raise self._worker_died(w) from None
-                send_s += perf() - t0
-                frames_sent += len(senders)
-                bytes_sent += len(delta) * len(senders)
-            self.collect_worker_spans()
-            for name, value in (
-                ("recv_wait_s", self.recv_wait_s), ("merge_s", merge_s),
-                ("encode_s", encode_s), ("send_s", send_s),
-                ("supersteps", supersteps),
-                ("frames_sent", self.frames_recv + frames_sent),
-                ("bytes_piped", self.bytes_recv + bytes_sent),
-            ):
-                span.add(name, value)
-        timings = WorkerTimings(
-            busy_s=tuple(
-                worker_timings.get(w, (0.0, 0.0, 0.0))[0]
-                for w in range(self.workers)
-            ),
-            wait_s=tuple(
-                worker_timings.get(w, (0.0, 0.0, 0.0))[1]
-                for w in range(self.workers)
-            ),
-            send_s=tuple(
-                worker_timings.get(w, (0.0, 0.0, 0.0))[2]
-                for w in range(self.workers)
-            ),
-            coordinator_recv_s=self.recv_wait_s,
-            coordinator_merge_s=merge_s,
-            coordinator_send_s=send_s,
-        )
-        return MultiWorkerReport(
-            workers=self.workers,
-            batch=self.batch,
-            supersteps=supersteps,
-            edges_streamed=service.edges_streamed,
-            fast_supersteps=fast,
-            slow_supersteps=slow,
-            timings=timings,
-        )
-
-
-class PersistentWorkerPool(BaseWorkerPool):
-    """Warm worker processes: spawn once, run many jobs, shut down once.
-
-    Where :class:`WorkerPool` forks per BSP run, this pool keeps its
-    processes alive across jobs — the counting pass, the streaming
-    phase, and the metrics pass of one partition run (or many runs) all
-    reuse the same workers, so the spawn tax is paid once.  A job is a
-    module-level handler plus kwargs, pickled into one
-    :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
-    there (:func:`_stream_shared_job` drives BSP supersteps, the
-    handlers in :mod:`repro.stream.parallel_scan` run one-shot sweeps).
-
-    ``timeout`` is per received frame, exactly as in the one-shot
-    pools; callers running long uninterrupted sweeps (the scan front
-    doors) temporarily widen it around their job.
-    """
-
-    _worker_target = staticmethod(_job_worker_main)
-
-    def __init__(
-        self,
-        workers: int,
-        mp_context: str | None = None,
-        timeout: float = DEFAULT_WORKER_TIMEOUT,
-    ) -> None:
-        """Size the pool; :meth:`start` spawns the processes."""
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        super().__init__(
-            [[] for _ in range(int(workers))],
-            mp_context=mp_context,
-            timeout=timeout,
-        )
-
-    def _spawn_args(self, worker_id: int) -> tuple:
-        """Warm workers take no spawn args — jobs carry everything."""
-        return ()
-
-    def submit(
-        self,
-        handler,
-        kwargs_per_worker: Sequence[dict],
-        segments: "Sequence[Sequence[EdgeSegment]] | None" = None,
-    ) -> None:
-        """Send one ``(handler, kwargs)`` job to every worker.
-
-        ``handler`` must be a module-level callable (pickled by
-        reference) taking a :class:`_JobContext` plus its kwargs.
-        ``segments`` optionally records what each worker is sweeping so
-        failure messages can name it.
-        """
-        if not self._procs:
-            raise ConfigurationError("submit() before start()")
-        if len(kwargs_per_worker) != self.workers:
-            raise ConfigurationError(
-                f"submit() needs kwargs for all {self.workers} workers, "
-                f"got {len(kwargs_per_worker)}"
-            )
-        if segments is not None:
-            self.worker_segments = [list(segs) for segs in segments]
-        for w, kwargs in enumerate(kwargs_per_worker):
-            frame = _pack_message(
-                _MSG_JOB, 0, pickle.dumps((handler, kwargs))
-            )
-            try:
-                self._conns[w].send_bytes(frame)
-            except (BrokenPipeError, OSError):
-                raise self._worker_died(w) from None
-
-    def shutdown(self) -> None:
-        """Ask the job loops to exit, join briefly, then tear down.
-
-        Idempotent, and safe after failures: workers that already died
-        are skipped and :meth:`BaseWorkerPool.close` terminates any
-        straggler.  The graceful drain (send ``SHUTDOWN``, join) runs
-        under a ``finally``-guarded :meth:`close`, so an interrupt
-        delivered mid-drain still terminates every process.
-        """
-        try:
-            for conn in self._conns:
-                try:
-                    conn.send_bytes(_pack_message(_MSG_SHUTDOWN, 0))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-        finally:
-            self.close()
-
-
 def run_bsp_shared(
     pool: PersistentWorkerPool,
     segments: Sequence[Sequence[EdgeSegment]],
@@ -1294,21 +884,19 @@ def run_bsp_shared(
 ) -> MultiWorkerReport:
     """Drive one shared-memory BSP streaming run on a warm pool.
 
-    The shared-state sibling of :meth:`WorkerPool.run`, bit-identical to
-    it (and to the in-process ``bsp_hdrf_stream``) for the same
+    Bit-identical to the in-process ``bsp_hdrf_stream`` for the same
     ``segments``/``batch``: the schedule is ``len(segments)`` streams
     wide regardless of pool size (spare workers get empty segment lists
     and report DONE immediately), merges happen in worker order, and the
     fast/slow path split is the same deterministic predicate.
 
-    What changes is the data plane: worker batches land in per-worker
-    scratch lanes of one :class:`~repro.parallel.shm.SharedState`
-    segment and the merged delta is *not* broadcast — the coordinator
-    folds it into the double-buffered snapshot
+    Worker batches land in per-worker scratch lanes of one
+    :class:`~repro.parallel.shm.SharedState` segment and the merged
+    delta is never broadcast — the coordinator folds it into the
+    double-buffered snapshot
     (:meth:`~repro.parallel.shm.SharedState.commit`) and releases the
     workers with an empty ``COMMIT`` frame naming the published buffer.
-    Workers therefore skip the pipe path's per-worker delta apply
-    entirely, and pipes carry only control frames.
+    Workers apply no deltas, and pipes carry only control frames.
 
     Mutates ``state`` and ``parts``; the segment is closed and unlinked
     on every exit path.  Worker failures surface as one
@@ -1686,7 +1274,6 @@ class MultiWorkerStreamingDriver:
         mp_context: str | None = None,
         timeout: float = DEFAULT_WORKER_TIMEOUT,
         metrics_workers: int | None = None,
-        shared_memory: bool = True,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
@@ -1706,9 +1293,6 @@ class MultiWorkerStreamingDriver:
         self.metrics_workers = (
             self.workers if metrics_workers is None else int(metrics_workers)
         )
-        # Shared-memory state + one warm pool for every pass (default);
-        # False falls back to the per-run pipe protocol.
-        self.shared_memory = bool(shared_memory)
         self.last_result: MultiWorkerResult | None = None
         self.name = f"HDRF-mw{workers}"
 
@@ -1720,8 +1304,8 @@ class MultiWorkerStreamingDriver:
         the :class:`~repro.runtime.executor.PoolExecutor`, which plans
         the shard assignment and runs the BSP schedule exactly as this
         method used to), and the unified result converts back to the
-        historical :class:`MultiWorkerResult` — pinned bit-identical by
-        the shm/pipes/in-process equivalence suites.
+        historical :class:`MultiWorkerResult` — pinned bit-identical to
+        the in-process BSP schedule by the equivalence suites.
         """
         from repro.runtime.api import run_job
         from repro.runtime.spec import InputSpec, JobSpec
@@ -1737,7 +1321,6 @@ class MultiWorkerStreamingDriver:
             workers=self.workers,
             batch=self.batch,
             metrics_workers=self.metrics_workers,
-            shared_memory=self.shared_memory,
             mp_context=self.mp_context,
             timeout=self.timeout,
         )
@@ -1770,7 +1353,6 @@ class MultiWorkerHep(OutOfCoreHep):
         batch: int = DEFAULT_WORKER_BATCH,
         mp_context: str | None = None,
         timeout: float = DEFAULT_WORKER_TIMEOUT,
-        shared_memory: bool = True,
         **kwargs,
     ) -> None:
         if kwargs.get("buffer_size") is not None:
@@ -1789,7 +1371,6 @@ class MultiWorkerHep(OutOfCoreHep):
         self.batch = int(batch)
         self.mp_context = mp_context
         self.timeout = timeout
-        self.shared_memory = bool(shared_memory)
         self.last_report: MultiWorkerReport | None = None
         self.name = f"HEP-mw{workers}"
 
@@ -1815,7 +1396,6 @@ class MultiWorkerHep(OutOfCoreHep):
             batch=self.batch,
             mp_context=self.mp_context,
             timeout=self.timeout,
-            shared_memory=self.shared_memory,
         )
 
     def _absorb(self, outcome) -> None:

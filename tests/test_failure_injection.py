@@ -138,9 +138,9 @@ class TestBoundaryGraphs:
 
 @pytest.mark.slow
 class TestMultiWorkerFailures:
-    """A worker dying mid-superstep must surface as *one* clean
-    :class:`WorkerFailureError` naming the worker and its shard, leave
-    no orphan processes, and keep the pool reusable for a fresh run."""
+    """Failures a multi-worker driver run meets before its streaming
+    phase: a corrupt shard fails the counting pass with the sequential
+    pass's error type, and worker errors are library errors."""
 
     @pytest.fixture()
     def sharded(self, tmp_path):
@@ -151,50 +151,6 @@ class TestMultiWorkerFailures:
             graph, tmp_path / "fi.manifest.json", num_shards=4
         )
         return graph, manifest
-
-    def _pool(self, graph, manifest, workers=2, batch=2):
-        from repro.partition.base import capacity_bound
-        from repro.partition.state import StreamingState
-        from repro.stream import WorkerPool, plan_worker_segments
-
-        segments, _, _, _ = plan_worker_segments(manifest.path, workers)
-        capacity = capacity_bound(graph.num_edges, 4, 1.0)
-        state = StreamingState(
-            graph.num_vertices, 4, capacity, exact_degrees=graph.degrees
-        )
-        parts = np.full(graph.num_edges, -1, dtype=np.int32)
-        pool = WorkerPool(
-            segments, state, batch=batch, chunk_size=64, timeout=30.0
-        )
-        return pool, parts
-
-    def test_killed_worker_raises_and_leaves_no_orphans(self, sharded):
-        graph, manifest = sharded
-        pool, parts = self._pool(graph, manifest)
-        pool.start()
-        os.kill(pool.pids[1], signal.SIGKILL)
-        with pytest.raises(WorkerFailureError, match=r"worker 1 .*died"):
-            pool.run(parts)
-        pool.close()
-        assert multiprocessing.active_children() == []
-
-    def test_poisoned_shard_names_worker_and_shard(self, sharded):
-        graph, manifest = sharded
-        # Truncate shard 2 (owned by worker 0) *after* planning — the
-        # worker hits it mid-stream, exactly like disk corruption or a
-        # concurrent truncation during a long run.
-        shard = manifest.shard_paths[2]
-        data = shard.read_bytes()
-        shard.write_bytes(data[: len(data) // 2 - 3])
-        pool, parts = self._pool(graph, manifest)
-        with pool:
-            with pytest.raises(WorkerFailureError) as excinfo:
-                pool.run(parts)
-        message = str(excinfo.value)
-        assert "worker 0" in message
-        assert "shard-0002" in message
-        assert "GraphFormatError" in message
-        assert multiprocessing.active_children() == []
 
     def test_pre_poisoned_manifest_fails_in_counting_pass(self, sharded):
         from repro.stream import MultiWorkerStreamingDriver
@@ -210,39 +166,14 @@ class TestMultiWorkerFailures:
         assert issubclass(WorkerFailureError, PartitioningError)
         assert issubclass(WorkerFailureError, ReproError)
 
-    def test_driver_recovers_after_failure(self, sharded):
-        """A failed run must not poison the next one (fresh pool/state)."""
-        from repro.stream import MultiWorkerStreamingDriver
-
-        graph, manifest = sharded
-        pool, parts = self._pool(graph, manifest)
-        pool.start()
-        os.kill(pool.pids[0], signal.SIGKILL)
-        with pytest.raises(WorkerFailureError):
-            pool.run(parts)
-        pool.close()
-        result = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            manifest.path, 4
-        )
-        assert result.num_unassigned == 0
-        assert multiprocessing.active_children() == []
-
-    def test_pool_close_is_idempotent(self, sharded):
-        graph, manifest = sharded
-        pool, parts = self._pool(graph, manifest)
-        pool.start()
-        pool.close()
-        pool.close()
-        assert multiprocessing.active_children() == []
-
 
 @pytest.mark.slow
 class TestWarmPoolFailures:
-    """The shared-memory path under the same injections: a warm worker
-    killed mid-superstep or a shard truncated mid-pass must surface as
-    *one* clean :class:`WorkerFailureError`, leave no orphan processes,
-    and leak no ``/dev/shm`` segment (the coordinator unlinks in its
-    ``finally`` even on the failure path)."""
+    """A warm worker killed mid-superstep or a shard truncated mid-pass
+    must surface as *one* clean :class:`WorkerFailureError` naming the
+    worker and its shard, leave no orphan processes, and leak no
+    ``/dev/shm`` segment (the coordinator unlinks in its ``finally``
+    even on the failure path)."""
 
     @pytest.fixture()
     def sharded(self, tmp_path):
@@ -295,8 +226,9 @@ class TestWarmPoolFailures:
         from repro.stream import PersistentWorkerPool
 
         graph, manifest = sharded
-        # Truncate shard 2 (owned by worker 0) after planning — hit
-        # mid-stream by the warm worker, like the pipe-path test above.
+        # Truncate shard 2 (owned by worker 0) *after* planning — the
+        # worker hits it mid-stream, exactly like disk corruption or a
+        # concurrent truncation during a long run.
         shard = manifest.shard_paths[2]
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2 - 3])
@@ -341,3 +273,39 @@ class TestWarmPoolFailures:
         pool.shutdown()
         pool.shutdown()
         assert multiprocessing.active_children() == []
+
+    def test_shared_memory_unavailable_is_one_configuration_error(
+        self, sharded, monkeypatch
+    ):
+        """No usable /dev/shm: a worker run fails with one defined error
+        (naming the bytes it asked for), orphans no process and leaks no
+        segment; a run that needs no shared memory still works."""
+        from multiprocessing import shared_memory
+
+        from repro.parallel import SharedState
+        from repro.runtime import make_job, run_job
+        from repro.stream import DEFAULT_WORKER_BATCH
+
+        graph, manifest = sharded
+        real = shared_memory.SharedMemory
+
+        def no_dev_shm(name=None, create=False, size=0):
+            if create:
+                raise FileNotFoundError(2, "No such file or directory")
+            return real(name=name, create=create, size=size)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", no_dev_shm)
+        before = self._psm_segments()
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_job(make_job("HDRF", manifest.path, 8, workers=2))
+        requested = SharedState.segment_bytes(
+            graph.num_vertices, 8, 2, DEFAULT_WORKER_BATCH
+        )
+        message = str(excinfo.value)
+        assert f"{requested:,}-byte shared-memory segment" in message
+        assert "workers=0 and metrics_workers<=1" in message
+        assert multiprocessing.active_children() == []
+        if before is not None:
+            assert self._psm_segments() - before == set()
+        result = run_job(make_job("HDRF", manifest.path, 8))
+        assert result.num_unassigned == 0

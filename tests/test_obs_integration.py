@@ -53,15 +53,8 @@ def _collected_run(driver, source, k=8):
 
 
 class TestWorkerSpanForwarding:
-    @pytest.mark.parametrize(
-        "shared_memory,pool_name", [(True, "bsp-shm"), (False, "bsp")]
-    )
-    def test_two_worker_run_builds_one_tree(
-        self, manifest, shared_memory, pool_name
-    ):
-        driver = MultiWorkerStreamingDriver(
-            workers=2, batch=8, shared_memory=shared_memory
-        )
+    def test_two_worker_run_builds_one_tree(self, manifest):
+        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
         _, spans = _collected_run(driver, manifest.path)
         by_id = {s["id"]: s for s in spans}
         roots = [s for s in spans if s["parent"] is None]
@@ -83,7 +76,7 @@ class TestWorkerSpanForwarding:
         for stream in streams:
             parent = by_id[stream["parent"]]
             assert parent["name"] == "pool_run"
-            assert parent["attrs"]["pool"] == pool_name
+            assert parent["attrs"]["pool"] == "bsp-shm"
             assert stream["counters"]["edges_scanned"] > 0
             assert stream["counters"]["busy_s"] >= 0.0
 
@@ -105,19 +98,12 @@ class TestWorkerSpanForwarding:
         assert len(commits) == 1
         assert commits[0]["counters"]["supersteps"] > 0
 
-    @pytest.mark.parametrize(
-        "shared_memory,pool_name", [(True, "bsp-shm"), (False, "bsp")]
-    )
-    def test_pool_run_carries_coordinator_counters(
-        self, manifest, shared_memory, pool_name
-    ):
-        driver = MultiWorkerStreamingDriver(
-            workers=2, batch=8, shared_memory=shared_memory
-        )
+    def test_pool_run_carries_coordinator_counters(self, manifest):
+        driver = MultiWorkerStreamingDriver(workers=2, batch=8)
         _, spans = _collected_run(driver, manifest.path)
         bsp = next(
             s for s in spans
-            if s["name"] == "pool_run" and s["attrs"]["pool"] == pool_name
+            if s["name"] == "pool_run" and s["attrs"]["pool"] == "bsp-shm"
         )
         counters = bsp["counters"]
         assert counters["supersteps"] > 0

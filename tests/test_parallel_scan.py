@@ -32,8 +32,6 @@ from repro.stream import (
     StreamingPartitionerDriver,
     chunked_quality,
     open_edge_source,
-    parallel_chunked_quality,
-    parallel_scan_source,
     plan_cover_blocks,
     scan_quality,
     scan_source,
@@ -160,7 +158,9 @@ class TestScanBugfixes:
         with pytest.raises(GraphFormatError, match="too small"):
             scan_source(open_edge_source(manifest.path, 64))
         with pytest.raises(GraphFormatError, match="too small"):
-            parallel_scan_source(manifest.path, 2, 64)
+            scan_stats(
+                manifest.path, open_edge_source(manifest.path, 64), 2, 64
+            )
 
 
 class TestPackedCover:
@@ -243,10 +243,7 @@ class TestParallelEquivalence:
     ):
         for source in (manifest.path, binary):
             seq = scan_source(open_edge_source(source, 64))
-            if workers == 1:
-                par = scan_stats(source, open_edge_source(source, 64), workers)
-            else:
-                par = parallel_scan_source(source, workers, 64)
+            par = scan_stats(source, open_edge_source(source, 64), workers, 64)
             assert par.num_vertices == seq.num_vertices
             assert par.num_edges == seq.num_edges
             assert par.degrees.dtype == seq.degrees.dtype
@@ -265,8 +262,9 @@ class TestParallelEquivalence:
                 open_edge_source(source, 64), stats, k, parts,
                 memory_budget=budget,
             )
-            par = parallel_chunked_quality(
-                source, stats, k, parts, workers, 64, memory_budget=budget,
+            par = scan_quality(
+                source, open_edge_source(source, 64), stats, k, parts,
+                workers, 64, memory_budget=budget,
             )
             assert par == seq  # bit-identical floats, not approx
 
@@ -297,7 +295,9 @@ class TestParallelEquivalence:
         shard = manifest.shard_paths[1]
         shard.write_bytes(shard.read_bytes()[:-8])
         with pytest.raises(GraphFormatError, match="shard"):
-            parallel_scan_source(manifest.path, 2, 64)
+            scan_stats(
+                manifest.path, open_edge_source(manifest.path, 64), 2, 64
+            )
 
 
 class TestStreamedQualityReport:

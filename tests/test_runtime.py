@@ -113,7 +113,6 @@ class TestContentHash:
             make_job("HDRF", "OK", 4, prefetch=4),
             make_job("HDRF", "OK", 4, mmap=True),
             make_job("HDRF", "OK", 4, metrics_workers=2),
-            make_job("HDRF", "OK", 4, shared_memory=False),
             make_job("HDRF", "OK", 4, spill_dir=str(tmp_path)),
             make_job("HDRF", "OK", 4, trace_path="t.jsonl"),
         ):
@@ -265,6 +264,28 @@ class TestArtifactCache:
         result = run_job(spec, source=edge_file, store=store)
         assert not result.cache_hit
         assert (store.hits, store.misses) == (0, 0)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("algo", ["Greedy", "DBH"])
+    def test_multi_worker_job_must_name_hep_or_hdrf(
+        self, edge_file, tmp_path, capsys, algo
+    ):
+        """A multi-worker Greedy/DBH job is rejected, never run as HDRF
+        and cached under the wrong hash; the CLI shows the same message."""
+        store = ArtifactStore(tmp_path / "cache")
+        spec = make_job(algo, edge_file, 8, workers=2, batch=8)
+        with pytest.raises(
+            ConfigurationError, match="supports HEP or HDRF"
+        ) as excinfo:
+            run_job(spec, store=store)
+        assert (store.hits, store.misses) == (0, 0)
+        message = str(excinfo.value)
+        assert repr(algo) in message and "--" not in message
+        rc = main(["partition", str(edge_file), "--k", "8", "--out-of-core",
+                   "--algo", algo, "--workers", "2", "--batch", "8"])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
 class TestJobCli:

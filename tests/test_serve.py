@@ -169,6 +169,10 @@ class TestSubmitValidation:
                 await manager.submit(_payload(tmp_path / "missing.bin"))
             with pytest.raises(SubmitError, match="invalid job spec"):
                 await manager.submit(_payload(edge_file, k=1))
+            with pytest.raises(SubmitError, match="supports HEP or HDRF"):
+                await manager.submit(
+                    _payload(edge_file, algo="Greedy", workers=2)
+                )
             with pytest.raises(SubmitError, match="JSON object"):
                 await manager.submit(["not", "a", "dict"])
             await manager.shutdown()

@@ -1,26 +1,22 @@
-"""Differential harness pinning the shared-memory protocol to the pipe path.
+"""The shared-memory data plane: segment contracts, kernels, warm reuse.
 
-PR 7 swaps the BSP data plane: worker batches land in scratch lanes of
-one shared segment and the coordinator publishes snapshots by flipping a
-double buffer, instead of pickling deltas over pipes.  The load-bearing
-property is that nothing observable changes — the shared-memory run, the
-PR 4 pipe run, and the in-process ``bsp_hdrf_stream`` oracle are
-**bit-identical** for any graph × workers × batch, for informed HDRF and
-for HEP's phase two alike.  This file pins that three-way equivalence
-(fixed schedules plus a Hypothesis property), the commit/aging contract
-of :class:`~repro.parallel.shm.SharedState`, the bitwise equality of
+Worker batches land in scratch lanes of one shared segment and the
+coordinator publishes snapshots by flipping a double buffer.  The
+end-to-end property — a shared-memory run is **bit-identical** to the
+in-process ``bsp_hdrf_stream`` oracle for any graph × workers × batch —
+is pinned in ``tests/test_stream_workers.py``.  This file pins the
+pieces underneath it: the commit/aging contract of
+:class:`~repro.parallel.shm.SharedState`, the bitwise equality of
 :class:`~repro.parallel.kernel.FusedBatchScorer` against the reference
-scorer, warm-pool reuse across jobs, and the no-leaked-segments
-invariant the CI gate also enforces.
+scorer, warm-pool reuse across jobs (against the oracle), HEP's
+single-worker phase two against sequential HEP, and the
+no-leaked-segments invariant the CI gate also enforces.
 """
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-
-from strategies import bsp_schedules, power_law_graphs
 
 from repro.errors import ConfigurationError
 from repro.graph.generators import chung_lu
@@ -300,25 +296,6 @@ class TestFusedBatchScorer:
 
 
 class TestHdrfDifferential:
-    @pytest.mark.parametrize(
-        "workers,batch", [(1, 1), (1, 8), (2, 4), (4, 8)]
-    )
-    def test_shm_pipe_and_oracle_identical(
-        self, graph, manifest, workers, batch
-    ):
-        shm = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=True
-        ).partition(manifest.path, 8)
-        pipe = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=False
-        ).partition(manifest.path, 8)
-        np.testing.assert_array_equal(shm.parts, pipe.parts)
-        assert shm.replication_factor == pipe.replication_factor
-        assert shm.edge_balance == pipe.edge_balance
-        _, streams, _, _ = plan_worker_segments(manifest.path, workers)
-        oracle = _oracle_parts(graph, workers, batch, streams)
-        np.testing.assert_array_equal(shm.parts, oracle)
-
     def test_no_segment_leaks_after_runs(self, manifest):
         before = _psm_segments()
         if before is None:
@@ -331,17 +308,6 @@ class TestHdrfDifferential:
 
 
 class TestHepDifferential:
-    def test_shm_matches_pipe(self, manifest):
-        shm = MultiWorkerHep(workers=2, batch=8, tau=2.0).partition(
-            manifest.path, 8
-        )
-        pipe = MultiWorkerHep(
-            workers=2, batch=8, tau=2.0, shared_memory=False
-        ).partition(manifest.path, 8)
-        np.testing.assert_array_equal(shm.parts, pipe.parts)
-        assert shm.replication_factor == pipe.replication_factor
-        assert shm.edge_balance == pipe.edge_balance
-
     def test_single_worker_matches_sequential_hep(self, manifest):
         seq = OutOfCoreHep(tau=2.0).partition(manifest.path, 8)
         shm = MultiWorkerHep(workers=1, batch=1, tau=2.0).partition(
@@ -415,23 +381,3 @@ class TestWarmPoolReuse:
                 run_bsp_shared(pool, segments, state, parts, batch=8)
         finally:
             pool.shutdown()
-
-
-class TestEquivalenceProperty:
-    @settings(max_examples=4, deadline=None)
-    @given(graph=power_law_graphs(max_vertices=60), schedule=bsp_schedules())
-    def test_shared_memory_never_changes_assignments(
-        self, tmp_path_factory, graph, schedule
-    ):
-        workers, batch, num_shards = schedule
-        out = tmp_path_factory.mktemp("shm-prop") / "g.manifest.json"
-        manifest = write_sharded_edges(graph, out, num_shards=num_shards)
-        shm = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=True
-        ).partition(manifest.path, 4)
-        pipe = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, shared_memory=False
-        ).partition(manifest.path, 4)
-        np.testing.assert_array_equal(shm.parts, pipe.parts)
-        assert shm.replication_factor == pipe.replication_factor
-        assert shm.edge_balance == pipe.edge_balance

@@ -343,7 +343,7 @@ class TestWarmPoolInterrupt:
         )
         spec = make_job(
             "HDRF", manifest, 8,
-            workers=2, batch=2, shared_memory=True, chunk_size=256,
+            workers=2, batch=2, chunk_size=256,
         )
         with pytest.raises(KeyboardInterrupt):
             run_job(spec)

@@ -31,18 +31,17 @@ from repro.stream import (
     MultiWorkerHep,
     MultiWorkerReport,
     MultiWorkerStreamingDriver,
+    PersistentWorkerPool,
     StreamingPartitionerDriver,
-    WorkerPool,
     plan_worker_segments,
+    run_bsp_shared,
     write_sharded_edges,
 )
 from repro.stream.workers import (
     EdgeSegment,
     _iter_batches,
     _pack_message,
-    _pack_triples,
     _unpack_message,
-    _unpack_triples,
 )
 
 
@@ -144,14 +143,11 @@ class TestRebatching:
 
 class TestWireFormat:
     def test_message_roundtrip(self):
-        a = np.arange(5, dtype=np.int64)
-        blob = _pack_message(b"B", 5, _pack_triples(a, a + 1, a + 2))
+        body = np.arange(5, dtype=np.int64).tobytes()
+        blob = _pack_message(b"B", 5, body[:16], body[16:])
         tag, count, payload = _unpack_message(blob)
         assert (tag, count) == (b"B", 5)
-        x, y, z = _unpack_triples(payload, 5)
-        assert np.array_equal(x, a)
-        assert np.array_equal(y, a + 1)
-        assert np.array_equal(z, a + 2)
+        assert bytes(payload) == body
 
     def test_corrupt_frame_rejected(self):
         blob = _pack_message(b"B", 3, b"\x00" * 72)
@@ -190,16 +186,20 @@ class TestValidation:
     def test_pool_requires_start(self, manifest):
         segments, _, _, _ = plan_worker_segments(manifest.path, 2)
         state = StreamingState(10, 4, 100, exact_degrees=np.zeros(10, np.int64))
-        pool = WorkerPool(segments, state)
+        pool = PersistentWorkerPool(2)
         with pytest.raises(ConfigurationError, match="before start"):
-            pool.run(np.zeros(4, np.int32))
+            run_bsp_shared(pool, segments, state, np.zeros(4, np.int32))
 
     def test_pool_validates_shape(self):
         state = StreamingState(10, 4, 100, exact_degrees=np.zeros(10, np.int64))
+        parts = np.zeros(4, np.int32)
         with pytest.raises(ConfigurationError):
-            WorkerPool([], state)
+            PersistentWorkerPool(0)
+        pool = PersistentWorkerPool(1)
         with pytest.raises(ConfigurationError):
-            WorkerPool([[]], state, batch=0)
+            run_bsp_shared(pool, [], state, parts)
+        with pytest.raises(ConfigurationError):
+            run_bsp_shared(pool, [[]], state, parts, batch=0)
 
     def test_hep_rejects_buffer_size(self):
         with pytest.raises(ConfigurationError, match="buffer_size"):

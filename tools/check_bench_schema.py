@@ -3,9 +3,10 @@
 
 Checks ``results/BENCH_workers.json`` (``benchmarks/bench_workers.py``)
 and ``results/BENCH_scan.json`` (``benchmarks/bench_scan.py``), so a
-bench refactor that drops a protocol row (including the PR 8
-cached-vs-cold artifact-store pair), loses ``cpu_count``, or stops
-emitting the warm-pool configuration fails the build instead of
+bench refactor that drops a row kind (the shared-memory worker rows,
+the PR 8 cached-vs-cold artifact-store pair, or the cold/warm scan
+rows), loses ``cpu_count``, or stops emitting the warm-pool
+configuration fails the build instead of
 silently degrading the artifacts the README points at.
 
 Dispatches on each record's ``"bench"`` tag, so one invocation can take
@@ -77,7 +78,7 @@ def validate_workers_record(record: dict) -> None:
         try:
             protocol = _require(row, "protocol", str)
             if protocol not in (
-                "sequential", "shared-memory", "pipes", "cold", "cached"
+                "sequential", "shared-memory", "cold", "cached"
             ):
                 raise SchemaError(f"unknown protocol {protocol!r}")
             _require(row, "rf", float, positive=True)
@@ -85,9 +86,9 @@ def validate_workers_record(record: dict) -> None:
         except SchemaError as exc:
             raise SchemaError(f"rows[{i}]: {exc}") from None
         protocols.add(protocol)
-    for needed in ("sequential", "shared-memory", "pipes", "cold", "cached"):
+    for needed in ("sequential", "shared-memory", "cold", "cached"):
         if needed not in protocols:
-            raise SchemaError(f"no {needed!r} row — protocol pairing lost")
+            raise SchemaError(f"no {needed!r} row — a configuration was lost")
     by_protocol = {row["protocol"]: row for row in rows}
     if by_protocol["cached"]["rf"] != by_protocol["cold"]["rf"]:
         raise SchemaError(
