@@ -39,10 +39,10 @@ import pytest
 
 from repro.core.hep import HepPartitioner
 from repro.graph import generators, read_binary_edgelist, write_binary_edgelist
+from repro.runtime import make_job, run_job
 from repro.stream import (
     BinaryFileEdgeSource,
     MmapEdgeSource,
-    OutOfCoreHep,
     PrefetchingEdgeSource,
     ShardedEdgeSource,
     SpillFile,
@@ -84,33 +84,33 @@ def bench_in_memory_hep(benchmark, edge_file):
 
 
 def bench_out_of_core_hep(benchmark, edge_file):
-    pipeline = OutOfCoreHep(tau=_TAU, chunk_size=_CHUNK)
+    spec = make_job("HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK)
     result = benchmark.pedantic(
-        pipeline.partition, args=(edge_file, _K), rounds=2, iterations=1,
-        warmup_rounds=0,
+        run_job, args=(spec,), rounds=2, iterations=1, warmup_rounds=0,
     )
     assert result.num_unassigned == 0
     assert result.breakdown.num_h2h_edges > 0
 
 
 def bench_out_of_core_hep_buffered(benchmark, edge_file):
-    pipeline = OutOfCoreHep(tau=_TAU, chunk_size=_CHUNK, buffer_size=1024)
+    spec = make_job(
+        "HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK, buffer_size=1024
+    )
     result = benchmark.pedantic(
-        pipeline.partition, args=(edge_file, _K), rounds=1, iterations=1,
-        warmup_rounds=0,
+        run_job, args=(spec,), rounds=1, iterations=1, warmup_rounds=0,
     )
     assert result.num_unassigned == 0
 
 
 def bench_out_of_core_hep_compressed_spill(benchmark, edge_file):
     """zlib-framed spill: same parts, smaller disk footprint."""
-    raw = OutOfCoreHep(tau=_TAU, chunk_size=_CHUNK).partition(edge_file, _K)
-    pipeline = OutOfCoreHep(
-        tau=_TAU, chunk_size=_CHUNK, spill_compression="zlib"
+    raw = run_job(make_job("HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK))
+    spec = make_job(
+        "HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK,
+        spill_compression="zlib",
     )
     result = benchmark.pedantic(
-        pipeline.partition, args=(edge_file, _K), rounds=1, iterations=1,
-        warmup_rounds=0,
+        run_job, args=(spec,), rounds=1, iterations=1, warmup_rounds=0,
     )
     assert (result.parts == raw.parts).all()
     assert result.spill_bytes < raw.spill_bytes
@@ -284,8 +284,8 @@ def bench_peak_heap_comparison(benchmark, edge_file, capsys):
         del graph, in_mem
 
         tracemalloc.start()
-        result = OutOfCoreHep(tau=_TAU, chunk_size=_CHUNK).partition(
-            edge_file, _K
+        result = run_job(
+            make_job("HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK)
         )
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()

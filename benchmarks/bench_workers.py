@@ -47,12 +47,7 @@ import pytest
 
 from repro.graph import datasets
 from repro.runtime import ArtifactStore, make_job, run_job
-from repro.stream import (
-    MultiWorkerStreamingDriver,
-    StreamingPartitionerDriver,
-    plan_worker_segments,
-    write_sharded_edges,
-)
+from repro.stream import plan_worker_segments, write_sharded_edges
 
 _K = 8
 _BATCH = 16
@@ -91,9 +86,9 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
     cores, by the shard work-split model where it does not.
     """
     seq_s, seq = _best_of(
-        lambda: StreamingPartitionerDriver(
-            "HDRF", exact_degrees=True
-        ).partition(manifest.path, _K)
+        lambda: run_job(make_job(
+            "HDRF", manifest.path, _K, algo_params={"exact_degrees": True},
+        ))
     )
     rows = [
         {
@@ -110,9 +105,9 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
     shm_seconds: dict[int, float] = {}
     for workers in _WORKER_COUNTS:
         run_s, run = _best_of(
-            lambda w=workers: MultiWorkerStreamingDriver(
-                workers=w, batch=_BATCH
-            ).partition(manifest.path, _K)
+            lambda w=workers: run_job(make_job(
+                "HDRF", manifest.path, _K, workers=w, batch=_BATCH,
+            ))
         )
         shm_seconds[workers] = run_s
         rows.append(

@@ -14,6 +14,13 @@ Quickstart::
     graph = datasets.load("OK")
     assignment = HepPartitioner(tau=10.0).partition(graph, k=32)
     print(replication_factor(assignment), assignment.balance())
+
+Out of core — the edge file is streamed in chunks, never loaded whole::
+
+    from repro import make_job, run_job
+
+    result = run_job(make_job("HEP", "wi.bin", 8, memory_budget=400_000))
+    print(result.tau, result.replication_factor)
 """
 
 from repro.core import (
@@ -57,7 +64,8 @@ from repro.partition import (
     SimpleHybridPartitioner,
     SnePartitioner,
 )
-from repro.stream import OutOfCoreHep, SpillFile, open_edge_source
+from repro.runtime import PartitionResult, make_job, run_job
+from repro.stream import SpillFile, open_edge_source
 
 __version__ = "1.0.0"
 
@@ -101,8 +109,10 @@ __all__ = [
     "MetisPartitioner",
     "SimpleHybridPartitioner",
     "RestreamingHdrfPartitioner",
-    # out-of-core streaming I/O
-    "OutOfCoreHep",
+    # out-of-core jobs
+    "make_job",
+    "run_job",
+    "PartitionResult",
     "SpillFile",
     "open_edge_source",
 ]

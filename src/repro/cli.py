@@ -177,9 +177,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _job_spec_from_args(args: argparse.Namespace):
     """Lower the ``partition`` flag set to a runtime JobSpec.
 
-    Mirrors the legacy drivers' defaulting policies exactly: the
-    multi-worker drivers default their scan parallelism to the worker
-    count, and ``--batch`` falls back to the BSP default.
+    A ``--workers`` run scans with the worker count unless
+    ``--metrics-workers`` says otherwise, and ``--batch`` falls back to
+    the BSP default.
     """
     from repro.runtime.spec import make_job
     from repro.stream.workers import DEFAULT_WORKER_BATCH
@@ -204,8 +204,7 @@ def _job_spec_from_args(args: argparse.Namespace):
             workers=args.workers,
             batch=(DEFAULT_WORKER_BATCH if args.batch is None
                    else args.batch),
-            # 0 = "not set": scan with the worker count, as the
-            # multi-worker drivers always did.
+            # 0 = "not set": scan with the worker count.
             metrics_workers=args.metrics_workers or args.workers,
         )
     else:
@@ -229,15 +228,6 @@ def _make_store(args: argparse.Namespace):
     return ArtifactStore(args.cache)
 
 
-def _print_cache(store, result) -> None:
-    """One greppable line reporting the cache outcome of this run."""
-    if store is None:
-        return
-    outcome = "hit" if result.cache_hit else "miss (stored)"
-    print(f"cache              : {outcome} job {result.job_hash[:12]} "
-          f"in {store.root}")
-
-
 def _partition_out_of_core(args: argparse.Namespace) -> int:
     """Chunked out-of-core partitioning (``--out-of-core``): the flag
     set is lowered to a :class:`~repro.runtime.spec.JobSpec` and run by
@@ -246,171 +236,106 @@ def _partition_out_of_core(args: argparse.Namespace) -> int:
     pipeline; any registered streaming baseline name plans the
     three-stage streaming pipeline; ``--workers N`` executes on BSP
     worker processes."""
+    from repro.runtime.api import run_job, validate_spec
+
     if args.shards_dir:
         raise ReproError("--shards-dir needs the edge list in memory; "
                          "rerun without --out-of-core to write shards")
-    if args.workers is not None:
-        return _partition_multi_worker(args)
-    if args.method.upper() == "HEP":
-        return _out_of_core_hep(args)
-    return _out_of_core_baseline(args)
-
-
-def _partition_multi_worker(args: argparse.Namespace) -> int:
-    """``--workers N``: shard-parallel partitioning on worker processes.
-
-    ``--algo HEP`` runs the budgeted HEP pipeline with a multi-process
-    streaming phase; ``--algo HDRF`` streams the whole file as informed
-    HDRF, one worker per shard assignment.  Both are bit-identical to
-    the in-process BSP schedule with the same workers/batch.
-    """
-    if args.workers < 1:
+    if args.workers is not None and args.workers < 1:
         raise ReproError(f"--workers must be >= 1, got {args.workers}")
     if args.batch is not None and args.batch < 1:
         raise ReproError(f"--batch must be >= 1, got {args.batch}")
-    from repro.runtime.api import run_job, validate_spec
-
     spec = _job_spec_from_args(args)
     # The runtime's rules first: the CLI, run_job and POST /jobs then
-    # reject an unsupported algorithm with the same message.
+    # reject an unknown algorithm or parameter with the same message.
     validate_spec(spec)
-    if spec.algo.upper() == "HEP":
-        return _multi_worker_hep(args, spec)
+    if spec.algo.upper() != "HEP":
+        _reject_hep_only_flags(args)
+    store = _make_store(args)
+    result = run_job(spec, store=store)
+    _print_report(result, args.graph, store, args.output)
+    return 0
+
+
+def _reject_hep_only_flags(args: argparse.Namespace) -> None:
+    """HEP's knobs on a streaming-baseline run are errors, not no-ops."""
+    multi = args.workers is not None
     if args.memory_budget is not None:
-        raise ReproError("--memory-budget tunes HEP's tau; multi-worker "
-                         "HDRF has no such knob")
+        raise ReproError(
+            "--memory-budget tunes HEP's tau; "
+            + ("multi-worker HDRF has no such knob" if multi else
+               "the streaming baselines have no such knob (their state "
+               "is O(n + k) by construction)")
+        )
     if args.buffer_size is not None:
         raise ReproError("--buffer-size applies to HEP's streaming phase")
     if args.spill_dir is not None or args.spill_compression is not None:
-        raise ReproError("--spill-dir/--spill-compression apply to HEP's "
-                         "h2h spill; multi-worker HDRF never spills")
-    if args.mmap:
+        raise ReproError(
+            "--spill-dir/--spill-compression apply to HEP's h2h spill; "
+            + ("multi-worker HDRF never spills" if multi else
+               "the baselines never spill")
+        )
+    if multi and args.mmap:
         raise ReproError("--mmap applies to the single-reader drivers; "
                          "workers stream their shard slices with buffered "
                          "reads, so it has no effect here")
-    store = _make_store(args)
-    result = run_job(spec, store=store)
-    print(f"partitioner        : {result.algorithm} (out-of-core, "
-          f"{args.workers} worker processes)")
-    print(f"source             : {args.graph} "
+
+
+def _print_report(result, source: str, store, output: str | None) -> None:
+    """The out-of-core report, rendered from the job's result.
+
+    Every optional line keys off a field the artifact store round-trips,
+    so a cache hit prints the cold run's report line for line (bar the
+    run-time and cache lines).
+    """
+    spec = result.spec
+    name = result.algorithm if result.tau is None else f"HEP-{result.tau:g}"
+    shape = "out-of-core"
+    if spec.workers:
+        shape += f", {spec.workers} worker processes"
+    print(f"partitioner        : {name} ({shape})")
+    print(f"source             : {source} "
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
     print(f"chunk size         : {result.chunk_size:,} edges")
-    _print_worker_report(result.report)
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
-    return 0
-
-
-def _print_worker_report(report) -> None:
-    """Shared superstep summary of the multi-worker runs."""
-    if report is None:
-        return
-    print(f"bsp schedule       : {report.workers} workers x batch "
-          f"{report.batch} = {report.supersteps:,} supersteps "
-          f"({report.slow_supersteps} near capacity)")
-    timings = report.timings
-    if timings is None:
-        return
-    print(f"worker busy        : max {timings.max_busy_s:.3f}s, "
-          f"mean {timings.mean_busy_s:.3f}s "
-          f"(skew {timings.skew:.2f}x)")
-    print(f"coordinator        : recv wait {timings.coordinator_recv_s:.3f}s, "
-          f"merge {timings.coordinator_merge_s:.3f}s, "
-          f"send {timings.coordinator_send_s:.3f}s")
-
-
-def _multi_worker_hep(args: argparse.Namespace, spec) -> int:
-    """HEP with a multi-process streaming phase (``--algo HEP --workers``)."""
-    from repro.runtime.api import run_job
-
-    store = _make_store(args)
-    result = run_job(spec, store=store)
-    print(f"partitioner        : HEP-{result.tau:g} (out-of-core, "
-          f"{args.workers} worker processes)")
-    print(f"source             : {args.graph} "
-          f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
+    if spec.input.prefetch:
+        print(f"prefetch depth     : {spec.input.prefetch} chunks")
+    if result.buffer_size:
+        print(f"buffer size        : {result.buffer_size:,} edges")
+    if result.passes > 1:
+        print(f"stream passes      : {result.passes}")
     if result.projected_memory_bytes is not None:
-        print(f"memory budget      : {args.memory_budget:,} bytes "
+        print(f"memory budget      : {spec.memory_budget:,} bytes "
               f"(projected {result.projected_memory_bytes:,})")
-    print(f"h2h edges spilled  : {result.breakdown.num_h2h_edges:,} "
-          f"({result.spill_bytes:,} bytes on disk)")
-    _print_worker_report(result.report)
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
-    return 0
-
-
-def _print_ooc_quality(result, output: str | None) -> None:
-    """Shared tail of the out-of-core reports: quality, timing, output."""
+    if result.breakdown is not None:
+        print(f"h2h edges spilled  : {result.breakdown.num_h2h_edges:,} "
+              f"({result.spill_bytes:,} bytes on disk"
+              + (f", {spec.spill_compression}"
+                 if spec.spill_compression else "")
+              + ")")
+    report = result.report
+    if report is not None:
+        print(f"bsp schedule       : {report.workers} workers x batch "
+              f"{report.batch} = {report.supersteps:,} supersteps "
+              f"({report.slow_supersteps} near capacity)")
+        timings = report.timings
+        if timings is not None:
+            print(f"worker busy        : max {timings.max_busy_s:.3f}s, "
+                  f"mean {timings.mean_busy_s:.3f}s "
+                  f"(skew {timings.skew:.2f}x)")
+            print(f"coordinator        : recv wait "
+                  f"{timings.coordinator_recv_s:.3f}s, "
+                  f"merge {timings.coordinator_merge_s:.3f}s, "
+                  f"send {timings.coordinator_send_s:.3f}s")
+    if store is not None:
+        outcome = "hit" if result.cache_hit else "miss (stored)"
+        print(f"cache              : {outcome} job {result.job_hash[:12]} "
+              f"in {store.root}")
     print(f"replication factor : {result.replication_factor:.4f}")
     print(f"edge balance alpha : {result.edge_balance:.4f}")
     print(f"run-time           : {result.runtime_s:.3f}s")
     if output:
         np.savetxt(output, result.parts, fmt="%d")
         print(f"assignment written : {output}")
-
-
-def _out_of_core_hep(args: argparse.Namespace) -> int:
-    """The budgeted HEP pipeline through the runtime."""
-    from repro.runtime.api import run_job
-
-    store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
-    print(f"partitioner        : HEP-{result.tau:g} (out-of-core)")
-    print(f"source             : {args.graph} "
-          f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
-    if args.prefetch:
-        print(f"prefetch depth     : {args.prefetch} chunks")
-    if result.buffer_size:
-        print(f"buffer size        : {result.buffer_size:,} edges")
-    if result.projected_memory_bytes is not None:
-        print(f"memory budget      : {args.memory_budget:,} bytes "
-              f"(projected {result.projected_memory_bytes:,})")
-    print(f"h2h edges spilled  : {result.breakdown.num_h2h_edges:,} "
-          f"({result.spill_bytes:,} bytes on disk"
-          + (f", {args.spill_compression}" if args.spill_compression else "")
-          + ")")
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
-    return 0
-
-
-def _out_of_core_baseline(args: argparse.Namespace) -> int:
-    """A registered streaming baseline through the runtime."""
-    from repro.runtime.api import run_job
-    from repro.runtime.registry import AlgorithmRegistryView
-
-    streaming_algorithms = AlgorithmRegistryView()
-    known = {name.lower() for name in streaming_algorithms}
-    if args.method.lower() not in known:
-        raise ReproError(
-            f"--out-of-core supports HEP or a streaming baseline "
-            f"({', '.join(streaming_algorithms)}); got {args.method!r}"
-        )
-    if args.memory_budget is not None:
-        raise ReproError("--memory-budget tunes HEP's tau; the streaming "
-                         "baselines have no such knob (their state is "
-                         "O(n + k) by construction)")
-    if args.buffer_size is not None:
-        raise ReproError("--buffer-size applies to HEP's streaming phase")
-    if args.spill_dir is not None or args.spill_compression is not None:
-        raise ReproError("--spill-dir/--spill-compression apply to HEP's "
-                         "h2h spill; the baselines never spill")
-    store = _make_store(args)
-    result = run_job(_job_spec_from_args(args), store=store)
-    print(f"partitioner        : {result.algorithm} (out-of-core)")
-    print(f"source             : {args.graph} "
-          f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
-    if args.prefetch:
-        print(f"prefetch depth     : {args.prefetch} chunks")
-    if result.passes > 1:
-        print(f"stream passes      : {result.passes}")
-    _print_cache(store, result)
-    _print_ooc_quality(result, args.output)
-    return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -680,8 +605,8 @@ def _partition_parents() -> list[argparse.ArgumentParser]:
         _worker_parent(
             "run the counting/metrics passes on N worker "
             "processes (--out-of-core; bit-identical results; "
-            "0 = sequential, or the --workers count for the "
-            "multi-worker drivers)",
+            "0 = sequential, or the --workers count for "
+            "--workers runs)",
         ),
     ]
 

@@ -100,8 +100,9 @@ def select_from_footprints(
 ) -> tuple[float, int]:
     """The grid-selection rule shared with the out-of-core pipeline.
 
-    :class:`~repro.stream.pipeline.OutOfCoreHep` computes footprints
-    from chunk-counted column entries and must pick identically to
+    The runtime's ``select_tau`` stage
+    (:mod:`repro.runtime.stages`) computes footprints from
+    chunk-counted column entries and must pick identically to
     :func:`select_tau` — both funnel through here.
     """
     best: tuple[float, int] | None = None

@@ -1,15 +1,15 @@
-"""``run_job``: the single entry point every driver delegates to.
+"""``run_job``: the one way to run a partitioning job.
 
-The runner takes a frozen :class:`~repro.runtime.spec.JobSpec`, plans
-it (:func:`~repro.runtime.plan.plan_job`), picks an executor
+The runner takes a frozen :class:`~repro.runtime.spec.JobSpec`,
+validates it (:func:`validate_spec`), plans it
+(:func:`~repro.runtime.plan.plan_job`), picks an executor
 (:func:`~repro.runtime.executor.select_executor`), and runs the stage
-sequence inside the same ``partition`` root span — same attribute set,
-same pass order, same pool lifecycles — the four legacy drivers
-emitted, so the observability suite pins the runtime exactly as it
-pinned the drivers.  With an :class:`~repro.runtime.store.ArtifactStore`
-attached, a content-addressed lookup runs first: on a hit the saved
-assignment is returned bit for bit with **zero** stages executed (the
-result's ``stages_executed`` is empty and the trace holds a single
+sequence inside one ``partition`` root span, so the observability
+suite pins a run's span tree and attributes.  With an
+:class:`~repro.runtime.store.ArtifactStore` attached, a
+content-addressed lookup runs first: on a hit the saved assignment is
+returned bit for bit with **zero** stages executed (the result's
+``stages_executed`` is empty and the trace holds a single
 ``cache_hit`` span instead of the pipeline).
 """
 
@@ -20,20 +20,23 @@ import time
 from repro.errors import ConfigurationError, JobCancelledError
 from repro.obs.tracer import get_tracer
 from repro.runtime.plan import pipeline_kind, plan_job
-from repro.runtime.registry import create_algorithm
+from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
-from repro.runtime.spec import JobSpec
+from repro.runtime.spec import JobSpec, declared_params
 from repro.runtime.stages import RunContext
 
 __all__ = ["run_job", "validate_spec"]
 
 
 def validate_spec(spec: JobSpec) -> None:
-    """Reject invalid specs with the drivers' exact error messages.
+    """Reject a spec the run would fail on or silently misread.
 
-    The legacy constructors performed these checks at build time; the
-    shims still do.  Running them here as well means specs built
-    directly via :func:`~repro.runtime.spec.make_job` fail identically.
+    :func:`run_job` calls this first, and ``repro serve`` calls it at
+    submit time, so the CLI, ``run_job`` and ``POST /jobs`` reject the
+    same specs with the same messages — before any input is hashed or
+    any stage runs.  Beyond the numeric ranges, ``algo`` must be HEP
+    or a registered streaming algorithm, and every ``algo_params``
+    name must be one that algorithm declares.
     """
     hep = pipeline_kind(spec) == "hep"
     if spec.tau is not None and spec.tau <= 0:
@@ -65,6 +68,19 @@ def validate_spec(spec: JobSpec) -> None:
                 "buffer_size is a sequential scoring window; it cannot "
                 "combine with multi-worker streaming"
             )
+    declared = declared_params(spec.algo)
+    if declared is None:
+        raise ConfigurationError(
+            f"out-of-core partitioning supports HEP or a streaming "
+            f"baseline ({', '.join(algorithm_names())}); got {spec.algo!r}"
+        )
+    undeclared = sorted(set(spec.params) - set(declared))
+    if undeclared:
+        raise ConfigurationError(
+            f"{spec.algo!r} takes no parameter "
+            f"{', '.join(map(repr, undeclared))} "
+            f"(declared: {', '.join(declared) or 'none'})"
+        )
     if spec.k < 2:
         if hep:
             raise ConfigurationError(
@@ -110,19 +126,15 @@ def _check_cancel(cancel, spec: JobSpec, where: str) -> None:
         )
 
 
-def _execute(spec: JobSpec, source, algorithm=None, cancel=None) -> PartitionResult:
-    """Run the planned stages; the body mirrors the pre-PR 8 drivers."""
+def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
+    """Run the planned stages under the ``partition`` root span."""
     from repro.runtime.executor import select_executor
     from repro.stream.reader import PrefetchingEdgeSource, open_edge_source
 
     kind = pipeline_kind(spec)
     algo = None
     if kind != "hep" and spec.workers == 0:
-        algo = (
-            algorithm
-            if algorithm is not None
-            else create_algorithm(spec.algo, **spec.params)
-        )
+        algo = create_algorithm(spec.algo, **spec.params)
     display, result_name = _names(spec, algo)
 
     ctx = RunContext(spec, source, algorithm=algo)
@@ -195,7 +207,7 @@ def _execute(spec: JobSpec, source, algorithm=None, cancel=None) -> PartitionRes
 
 
 def run_job(
-    spec: JobSpec, source=None, *, store=None, algorithm=None, cancel=None
+    spec: JobSpec, source=None, *, store=None, cancel=None
 ) -> PartitionResult:
     """Run one partitioning job described by ``spec``.
 
@@ -214,12 +226,6 @@ def run_job(
         given and the input is content-addressable, a cache hit returns
         the saved result without executing any stage, and a miss
         persists the computed result for next time.
-    algorithm:
-        Optional pre-built :class:`~repro.stream.driver.
-        StreamingAlgorithm` instance (the legacy driver shims pass the
-        one their constructor already validated); by default the
-        adapter is created from the registry using ``spec.algo`` and
-        ``spec.params``.
     cancel:
         Optional :class:`threading.Event`-like object.  When set, the
         run raises :class:`~repro.errors.JobCancelledError` at the next
@@ -252,7 +258,7 @@ def run_job(
                 )
                 return cached
     _check_cancel(cancel, spec, "planning")
-    result = _execute(spec, resolved, algorithm=algorithm, cancel=cancel)
+    result = _execute(spec, resolved, cancel=cancel)
     if key is not None:
         store.put(key, result, digest)
     return result

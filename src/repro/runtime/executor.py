@@ -13,8 +13,8 @@ Two strategies exist, selected from the spec's execution shape:
 Both strategies are pinned bit-identical to each other and to the
 in-memory oracles by the equivalence/Hypothesis suites; the executor
 choice changes wall-clock and memory placement, never assignments.
-The pass bodies are the pre-PR 8 driver internals, moved here intact
-(same kernel calls, same span names, same pool lifecycles).
+Each pass keeps its kernel calls, span names and pool lifecycle fixed,
+which is what the observability suite pins.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ class PoolExecutor(Executor):
     def prepare(self, spec: JobSpec, ctx: RunContext) -> None:
         """Multi-worker HDRF setup: shard plan + warm pool, pre-open.
 
-        Matches :class:`~repro.stream.workers.MultiWorkerStreamingDriver`:
-        the shard assignment is planned (and the empty source rejected)
+        The shard assignment is planned (and the empty source rejected)
         before anything else, and the warm pool is spawned before any
         big arrays exist.  The HEP pipeline plans nothing here — its
         worker segments come from the spill split in phase two.

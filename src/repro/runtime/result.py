@@ -1,16 +1,11 @@
-"""The unified result of a runtime partitioning job.
+"""The result of a runtime partitioning job.
 
-One :class:`PartitionResult` replaces the three pre-PR 8 result
-families (:class:`~repro.stream.driver.StreamedResult`,
-:class:`~repro.stream.pipeline.OutOfCoreResult`,
-:class:`~repro.stream.workers.MultiWorkerResult`): it carries the
-assignment handle, the quality metrics, the HEP phase breakdown and
-worker report when the pipeline produced them, the provenance
-(``job_hash``, ``cache_hit``, ``stages_executed``), and the trace
-path.  The legacy driver shims convert through
-:meth:`to_streamed` / :meth:`to_out_of_core` / :meth:`to_multi_worker`
-so their public return types — and every field the test suite pins —
-stay exactly as before.
+:class:`PartitionResult` is the one type every job returns, whatever
+its pipeline (streaming baseline or HEP) and executor (in process or
+on worker processes).  It carries the assignment, the quality metrics,
+the HEP phase breakdown and worker report when the pipeline produced
+them, the provenance (``job_hash``, ``cache_hit``,
+``stages_executed``), and the trace path.
 """
 
 from __future__ import annotations
@@ -62,62 +57,3 @@ class PartitionResult:
         from repro.partition.base import PartitionAssignment
 
         return PartitionAssignment(graph, self.k, self.parts)
-
-    # -- legacy conversions ------------------------------------------------
-
-    def to_streamed(self):
-        """Convert to the legacy :class:`~repro.stream.driver.StreamedResult`."""
-        from repro.stream.driver import StreamedResult
-
-        return StreamedResult(
-            algorithm=self.algorithm,
-            parts=self.parts,
-            k=self.k,
-            num_vertices=self.num_vertices,
-            num_edges=self.num_edges,
-            chunk_size=self.chunk_size,
-            passes=self.passes,
-            loads=self.loads,
-            replication_factor=self.replication_factor,
-            edge_balance=self.edge_balance,
-            runtime_s=self.runtime_s,
-        )
-
-    def to_out_of_core(self):
-        """Convert to the legacy :class:`~repro.stream.pipeline.OutOfCoreResult`."""
-        from repro.stream.pipeline import OutOfCoreResult
-
-        return OutOfCoreResult(
-            parts=self.parts,
-            k=self.k,
-            tau=self.tau,
-            num_vertices=self.num_vertices,
-            num_edges=self.num_edges,
-            chunk_size=self.chunk_size,
-            buffer_size=self.buffer_size,
-            breakdown=self.breakdown,
-            spill_bytes=self.spill_bytes,
-            loads=self.loads,
-            replication_factor=self.replication_factor,
-            edge_balance=self.edge_balance,
-            projected_memory_bytes=self.projected_memory_bytes,
-            runtime_s=self.runtime_s,
-        )
-
-    def to_multi_worker(self):
-        """Convert to the legacy :class:`~repro.stream.workers.MultiWorkerResult`."""
-        from repro.stream.workers import MultiWorkerResult
-
-        return MultiWorkerResult(
-            algorithm=self.algorithm,
-            parts=self.parts,
-            k=self.k,
-            num_vertices=self.num_vertices,
-            num_edges=self.num_edges,
-            chunk_size=self.chunk_size,
-            report=self.report,
-            loads=self.loads,
-            replication_factor=self.replication_factor,
-            edge_balance=self.edge_balance,
-            runtime_s=self.runtime_s,
-        )

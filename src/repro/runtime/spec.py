@@ -34,17 +34,35 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from repro.core.tau import DEFAULT_TAU_GRID
+from repro.errors import ConfigurationError
 from repro.runtime.registry import algorithm_info
 from repro.stream.reader import DEFAULT_CHUNK_SIZE
 from repro.stream.workers import DEFAULT_WORKER_BATCH, DEFAULT_WORKER_TIMEOUT
 
-__all__ = ["InputSpec", "JobSpec", "SPEC_VERSION", "make_job"]
+__all__ = [
+    "InputSpec", "JobSpec", "SPEC_VERSION", "declared_params", "make_job",
+]
 
 #: bumped whenever the canonical form changes meaning (invalidates caches)
 SPEC_VERSION = 1
 
-#: phase-two HDRF defaults shared by every HEP driver signature
+#: HEP's own algo_params: the phase-two HDRF knobs
 _HEP_PARAM_DEFAULTS = (("eps", 1.0), ("lam", 1.1))
+
+
+def declared_params(algo: str) -> dict[str, object] | None:
+    """``{param: default}`` that ``algo`` declares; ``None`` if unknown.
+
+    HEP declares its phase-two HDRF knobs; a registered streaming
+    algorithm declares its adapter's constructor parameters
+    (:attr:`~repro.runtime.registry.AlgorithmInfo.params`).
+    """
+    if algo.upper() == "HEP":
+        return dict(_HEP_PARAM_DEFAULTS)
+    try:
+        return dict(algorithm_info(algo).params)
+    except ConfigurationError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -169,16 +187,9 @@ class JobSpec:
         """Normalize to the canonical form (sorted, default-merged params)."""
         object.__setattr__(self, "tau_grid", tuple(self.tau_grid))
         given = {str(name): value for name, value in self.algo_params}
-        defaults: dict[str, object] = {}
-        if self.algo.upper() == "HEP":
-            defaults = dict(_HEP_PARAM_DEFAULTS)
-        else:
-            try:
-                info = algorithm_info(self.algo)
-            except Exception:
-                info = None  # unregistered custom adapter: keep as given
-            if info is not None:
-                defaults = dict(info.params)
+        # An unknown algo keeps its params as given; validate_spec
+        # rejects the spec before anything runs.
+        defaults = declared_params(self.algo) or {}
         merged = {**defaults, **given}
         object.__setattr__(
             self,
@@ -302,9 +313,9 @@ def make_job(
 
     The ergonomic front door the CLI, experiments, and benches use:
     ``source`` is classified by :meth:`InputSpec.from_source`,
-    ``algo_params`` accepts a dict or ``(name, value)`` pairs, and —
-    matching the legacy multi-worker drivers — ``metrics_workers``
-    defaults to ``workers`` when a worker count is given.
+    ``algo_params`` accepts a dict or ``(name, value)`` pairs, and
+    ``metrics_workers`` defaults to ``workers`` when a worker count is
+    given (the scan passes use the streaming phase's parallelism).
     """
     input_spec = InputSpec.from_source(
         source, chunk_size=chunk_size, order=order, seed=seed,

@@ -1,13 +1,10 @@
 """Stage implementations and the mutable run context they share.
 
-The code here is the pipeline bodies that previously lived inside the
-four driver classes (:class:`~repro.stream.driver.
-StreamingPartitionerDriver`, :class:`~repro.stream.pipeline.OutOfCoreHep`,
-:class:`~repro.stream.workers.MultiWorkerStreamingDriver`,
-:class:`~repro.stream.workers.MultiWorkerHep`), moved behind the stage
-registry so there is exactly one pipeline to register into.  Every
-stage preserves the pre-PR 8 call order, kernel invocations, and trace
-span names (``count_pass``/``select_tau``/``split_pass``/``phase_one``/
+These are the bodies of both pipelines — HEP's six stages and the
+streaming baselines' three — behind the stage registry, so there is
+exactly one pipeline to register into.  Each stage keeps a fixed call
+order, kernel invocations, and trace span names
+(``count_pass``/``select_tau``/``split_pass``/``phase_one``/
 ``stream_pass``/``metrics_pass``) — the property the equivalence and
 observability suites pin bit for bit.
 
@@ -173,7 +170,7 @@ def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
     )
 
 
-# -- HEP stage bodies (moved verbatim from stream/pipeline.py) --------------
+# -- HEP stage bodies ------------------------------------------------------
 
 
 def _select_tau_from_budget(

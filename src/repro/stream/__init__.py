@@ -21,12 +21,10 @@ paper compares against:
   zlib-framed on-disk format),
 * :mod:`repro.stream.buffered` — a buffered scoring window for phase
   two (quality/throughput knob ``buffer_size``),
-* :mod:`repro.stream.pipeline` — :class:`OutOfCoreHep`, chaining the
-  pieces under an explicit byte budget from
-  :mod:`repro.core.memory_model`,
-* :mod:`repro.stream.driver` — :class:`StreamingPartitionerDriver`,
-  running HDRF/Greedy/DBH/Grid/restreaming from chunked sources with
-  bounded memory, bit-identical to their in-memory counterparts,
+* :mod:`repro.stream.driver` — the :class:`StreamingAlgorithm`
+  adapters that run HDRF/Greedy/DBH/Grid/restreaming from chunked
+  sources with bounded memory, bit-identical to their in-memory
+  counterparts,
 * :mod:`repro.stream.extsort` — an external merge sort producing
   degree-ordered edge *files* in bounded memory,
 * :mod:`repro.stream.shard` — the sharded edge-file format (JSON
@@ -42,23 +40,20 @@ paper compares against:
   (:class:`~repro.parallel.shm.SharedState`) served to a warm
   :class:`PersistentWorkerPool`, the one way work reaches a worker
   process.
+
+The stages that chain these pieces into HEP's budgeted pipeline and
+the streaming-baseline pipeline live in :mod:`repro.runtime`; run a
+job with ``run_job(make_job(...))``.
 """
 
 from repro.stream.buffered import buffered_hdrf_stream, stream_chunks_through_hdrf
-from repro.stream.driver import (
-    STREAMING_ALGORITHMS,
-    StreamedResult,
-    StreamingAlgorithm,
-    StreamingPartitionerDriver,
-    make_streaming_algorithm,
-)
+from repro.stream.driver import StreamingAlgorithm
 from repro.stream.extsort import EXTSORT_ORDERS, ExtSortResult, external_sort_edges
 from repro.stream.parallel_scan import (
     scan_quality,
     scan_stats,
     supports_parallel_scan,
 )
-from repro.stream.pipeline import OutOfCoreHep, OutOfCoreResult
 from repro.stream.reader import (
     DEFAULT_CHUNK_SIZE,
     DEFAULT_PREFETCH_DEPTH,
@@ -91,10 +86,7 @@ from repro.stream.spill import SpillFile, read_spill_chunks, read_spill_header
 from repro.stream.workers import (
     DEFAULT_WORKER_BATCH,
     EdgeSegment,
-    MultiWorkerHep,
     MultiWorkerReport,
-    MultiWorkerResult,
-    MultiWorkerStreamingDriver,
     PersistentWorkerPool,
     StateService,
     plan_worker_segments,
@@ -128,21 +120,12 @@ __all__ = [
     "run_bsp_shared",
     "StateService",
     "MultiWorkerReport",
-    "MultiWorkerResult",
-    "MultiWorkerStreamingDriver",
-    "MultiWorkerHep",
     "plan_worker_segments",
     "split_spill_round_robin",
     "DEFAULT_WORKER_BATCH",
     "buffered_hdrf_stream",
     "stream_chunks_through_hdrf",
-    "OutOfCoreHep",
-    "OutOfCoreResult",
     "StreamingAlgorithm",
-    "StreamingPartitionerDriver",
-    "StreamedResult",
-    "STREAMING_ALGORITHMS",
-    "make_streaming_algorithm",
     "EXTSORT_ORDERS",
     "ExtSortResult",
     "external_sort_edges",

@@ -1,6 +1,6 @@
 """Shared chunked passes: counting and quality metrics without a Graph.
 
-Every out-of-core driver needs the same two sweeps over an
+Every out-of-core run needs the same two sweeps over an
 :class:`~repro.stream.reader.EdgeChunkSource`:
 
 * a **counting pass** (:func:`scan_source`) establishing exact degrees,
@@ -24,10 +24,9 @@ summed, cover bits are OR-ed), which is what makes the worker-parallel
 siblings in :mod:`repro.stream.parallel_scan` bit-identical to these
 sequential references.
 
-Used by HEP's pipeline (:mod:`repro.stream.pipeline`), the universal
-baseline driver (:mod:`repro.stream.driver`), the multi-worker drivers
-(:mod:`repro.stream.workers`) and the external sort
-(:mod:`repro.stream.extsort`).
+Used by the runtime's count and metrics stages (both pipelines, in
+process or on workers: :mod:`repro.runtime.executor`) and by the
+external sort (:mod:`repro.stream.extsort`).
 """
 
 from __future__ import annotations

@@ -153,13 +153,13 @@ class TestMultiWorkerFailures:
         return graph, manifest
 
     def test_pre_poisoned_manifest_fails_in_counting_pass(self, sharded):
-        from repro.stream import MultiWorkerStreamingDriver
+        from repro.runtime import make_job, run_job
 
         graph, manifest = sharded
         shard = manifest.shard_paths[1]
         shard.write_bytes(shard.read_bytes()[:-8])
         with pytest.raises(GraphFormatError, match="shard"):
-            MultiWorkerStreamingDriver(workers=2).partition(manifest.path, 4)
+            run_job(make_job("HDRF", manifest.path, 4, workers=2))
         assert multiprocessing.active_children() == []
 
     def test_failure_is_worker_failure_error_subclass(self):
@@ -250,7 +250,8 @@ class TestWarmPoolFailures:
 
     def test_driver_recovers_after_warm_failure(self, sharded):
         """A killed warm run must not poison a fresh shared-memory run."""
-        from repro.stream import MultiWorkerStreamingDriver, PersistentWorkerPool
+        from repro.runtime import make_job, run_job
+        from repro.stream import PersistentWorkerPool
 
         graph, manifest = sharded
         pool = PersistentWorkerPool(2, timeout=30.0)
@@ -259,8 +260,8 @@ class TestWarmPoolFailures:
         with pytest.raises(WorkerFailureError):
             self._shared_run(graph, manifest, pool)
         pool.shutdown()
-        result = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            manifest.path, 4
+        result = run_job(
+            make_job("HDRF", manifest.path, 4, workers=2, batch=4)
         )
         assert result.num_unassigned == 0
         assert multiprocessing.active_children() == []

@@ -36,7 +36,6 @@ from repro.runtime import (
     make_job,
     plan_job,
     register_streaming_algorithm,
-    registered_algorithm_name,
     run_job,
 )
 
@@ -162,7 +161,6 @@ class TestRegistry:
     def test_create_is_case_insensitive(self):
         algo = create_algorithm("hdrf", lam=1.5)
         assert algo.name == "HDRF"
-        assert registered_algorithm_name(algo) == "HDRF"
 
     def test_duplicate_registration_is_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -287,6 +285,38 @@ class TestSpecValidation:
         assert rc == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
+    @pytest.mark.parametrize(
+        "algo,params,match",
+        [
+            ("NoSuch", {}, "streaming baseline"),
+            ("NE", {}, "streaming baseline"),
+            ("Greedy", {"passes": 2}, "takes no parameter 'passes'"),
+            ("HEP", {"passes": 2}, "takes no parameter 'passes'"),
+        ],
+        ids=["NoSuch", "NE", "Greedy-passes", "HEP-passes"],
+    )
+    def test_unknown_algorithm_or_parameter_is_rejected(
+        self, edge_file, tmp_path, capsys, algo, params, match
+    ):
+        """Rejected before the input is hashed or a stage runs — never
+        run with the parameter dropped — and, for an algorithm name the
+        CLI can spell, with the CLI's message."""
+        store = ArtifactStore(tmp_path / "cache")
+        spec = make_job(algo, edge_file, 8, algo_params=params)
+        with pytest.raises(ConfigurationError, match=match) as excinfo:
+            run_job(spec, store=store)
+        assert (store.hits, store.misses) == (0, 0)
+        message = str(excinfo.value)
+        assert "--" not in message
+        if params:
+            return
+        for name in ("HEP", *algorithm_names()):
+            assert name in message
+        rc = main(["partition", str(edge_file), "--k", "8", "--out-of-core",
+                   "--algo", algo])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
 
 class TestJobCli:
     def test_job_describe_prints_canonical_json_and_hash(self, capsys):
@@ -314,12 +344,35 @@ class TestJobCli:
         assert rc == 1
         assert "--cache requires --out-of-core" in capsys.readouterr().err
 
-    def test_cli_cache_hit_on_second_run(self, edge_file, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "flags,shape_line",
+        [
+            (["--memory-budget", "400000"], "memory budget"),
+            (["--algo", "Restreaming", "--passes", "2", "--prefetch", "2"],
+             "stream passes"),
+            (["--algo", "HDRF", "--workers", "2"], "bsp schedule"),
+            (["--workers", "2", "--tau", "1.0"], "h2h edges spilled"),
+        ],
+        ids=["hep-budget", "restreaming", "hdrf-mw2", "hep-mw2"],
+    )
+    def test_cli_cache_hit_on_second_run(
+        self, edge_file, tmp_path, capsys, flags, shape_line
+    ):
+        """A hit prints the cold run's report: the one printer renders
+        from the result alone, and the store round-trips every field it
+        reads."""
         argv = ["partition", str(edge_file), "--k", "4", "--out-of-core",
-                "--method", "HDRF", "--cache", str(tmp_path / "c")]
+                "--cache", str(tmp_path / "c"), *flags]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "cache              : miss (stored)" in first
         assert main(argv) == 0
         second = capsys.readouterr().out
         assert "cache              : hit" in second
+
+        def stable(report):
+            return [line for line in report.splitlines()
+                    if not line.startswith(("run-time", "cache"))]
+
+        assert stable(second) == stable(first)
+        assert any(line.startswith(shape_line) for line in stable(first))

@@ -173,6 +173,13 @@ class TestSubmitValidation:
                 await manager.submit(
                     _payload(edge_file, algo="Greedy", workers=2)
                 )
+            with pytest.raises(SubmitError, match="streaming baseline"):
+                await manager.submit(_payload(edge_file, algo="NoSuch"))
+            with pytest.raises(SubmitError, match="no parameter 'passes'"):
+                await manager.submit(
+                    _payload(edge_file, algo="Greedy",
+                             algo_params={"passes": 2})
+                )
             with pytest.raises(SubmitError, match="JSON object"):
                 await manager.submit(["not", "a", "dict"])
             await manager.shutdown()

@@ -29,11 +29,9 @@ from repro.parallel import (
 from repro.parallel.kernel import apply_delta, score_batch_on_snapshot
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
+from repro.runtime import make_job, run_job
 from repro.stream import (
     DEFAULT_CHUNK_SIZE,
-    MultiWorkerHep,
-    MultiWorkerStreamingDriver,
-    OutOfCoreHep,
     PersistentWorkerPool,
     open_edge_source,
     plan_worker_segments,
@@ -300,18 +298,16 @@ class TestHdrfDifferential:
         before = _psm_segments()
         if before is None:
             pytest.skip("no /dev/shm on this platform")
-        MultiWorkerStreamingDriver(workers=2, batch=8).partition(
-            manifest.path, 8
-        )
+        run_job(make_job("HDRF", manifest.path, 8, workers=2, batch=8))
         after = _psm_segments()
         assert after - before == set()
 
 
 class TestHepDifferential:
     def test_single_worker_matches_sequential_hep(self, manifest):
-        seq = OutOfCoreHep(tau=2.0).partition(manifest.path, 8)
-        shm = MultiWorkerHep(workers=1, batch=1, tau=2.0).partition(
-            manifest.path, 8
+        seq = run_job(make_job("HEP", manifest.path, 8, tau=2.0))
+        shm = run_job(
+            make_job("HEP", manifest.path, 8, workers=1, batch=1, tau=2.0)
         )
         np.testing.assert_array_equal(shm.parts, seq.parts)
         assert shm.replication_factor == seq.replication_factor

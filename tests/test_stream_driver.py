@@ -1,4 +1,4 @@
-"""Universal out-of-core driver: streamed ≡ in-memory per baseline."""
+"""Streaming baselines out of core: streamed ≡ in-memory per baseline."""
 
 import numpy as np
 import pytest
@@ -15,14 +15,10 @@ from repro.partition import (
     HdrfPartitioner,
     RestreamingHdrfPartitioner,
 )
-from repro.stream import (
-    STREAMING_ALGORITHMS,
-    StreamingPartitionerDriver,
-    make_streaming_algorithm,
-)
+from repro.runtime import create_algorithm, make_job, run_job
 from strategies import graphs
 
-#: (algo name, equivalent in-memory partitioner factory, driver kwargs)
+#: (algo name, equivalent in-memory partitioner factory, algo_params)
 _CASES = [
     ("HDRF", lambda: HdrfPartitioner(), {}),
     ("Greedy", lambda: GreedyPartitioner(), {}),
@@ -51,8 +47,10 @@ class TestEquivalence:
         self, graph, chunk_size, k, name, make_inmem, kwargs
     ):
         expected = make_inmem().partition(graph, k)
-        driver = StreamingPartitionerDriver(name, chunk_size=chunk_size, **kwargs)
-        result = driver.partition(graph, k)
+        spec = make_job(
+            name, graph, k, chunk_size=chunk_size, algo_params=kwargs
+        )
+        result = run_job(spec, graph)
         assert np.array_equal(result.parts, expected.parts)
 
     @pytest.mark.parametrize("name,make_inmem,kwargs", _CASES)
@@ -62,9 +60,9 @@ class TestEquivalence:
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
         expected = make_inmem().partition(skewed_graph, 5)
-        result = StreamingPartitionerDriver(
-            name, chunk_size=173, **kwargs
-        ).partition(path, 5)
+        result = run_job(
+            make_job(name, path, 5, chunk_size=173, algo_params=kwargs)
+        )
         assert np.array_equal(result.parts, expected.parts)
         assert result.replication_factor == pytest.approx(
             expected.replication_factor()
@@ -75,75 +73,65 @@ class TestEquivalence:
         path = tmp_path / "g.txt"
         write_text_edgelist(skewed_graph, path)
         expected = HdrfPartitioner().partition(skewed_graph, 4)
-        result = StreamingPartitionerDriver("HDRF", chunk_size=64).partition(
-            path, 4
-        )
+        result = run_job(make_job("HDRF", path, 4, chunk_size=64))
         assert np.array_equal(result.parts, expected.parts)
 
     def test_prefetch_does_not_change_results(self, skewed_graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
         for name, _, kwargs in _CASES:
-            plain = StreamingPartitionerDriver(
-                name, chunk_size=97, **kwargs
-            ).partition(path, 4)
-            prefetched = StreamingPartitionerDriver(
-                name, chunk_size=97, prefetch=3, **kwargs
-            ).partition(path, 4)
+            plain = run_job(
+                make_job(name, path, 4, chunk_size=97, algo_params=kwargs)
+            )
+            prefetched = run_job(
+                make_job(
+                    name, path, 4, chunk_size=97, prefetch=3,
+                    algo_params=kwargs,
+                )
+            )
             assert np.array_equal(plain.parts, prefetched.parts), name
 
 
 class TestResult:
     def test_result_fields_and_validity(self, skewed_graph):
-        driver = StreamingPartitionerDriver("Greedy", chunk_size=50)
-        result = driver.partition(skewed_graph, 4)
+        result = run_job(
+            make_job("Greedy", skewed_graph, 4, chunk_size=50), skewed_graph
+        )
         assert result.algorithm == "Greedy"
         assert result.num_unassigned == 0
         assert result.num_edges == skewed_graph.num_edges
         assert result.loads.sum() == skewed_graph.num_edges
         assert_valid(result.to_assignment(skewed_graph))
-        assert driver.last_result is result
 
     def test_restreaming_reports_passes(self, skewed_graph):
-        result = StreamingPartitionerDriver(
-            "Restreaming", passes=2, chunk_size=64
-        ).partition(skewed_graph, 3)
+        spec = make_job(
+            "Restreaming", skewed_graph, 3, chunk_size=64,
+            algo_params={"passes": 2},
+        )
+        result = run_job(spec, skewed_graph)
         assert result.passes == 2
         assert result.algorithm == "ReHDRF-2"
-
-    def test_driver_name(self):
-        assert StreamingPartitionerDriver("DBH").name == "DBH-ooc"
 
 
 class TestConfiguration:
     def test_case_insensitive_lookup(self):
         for spelled in ("hdrf", "HDRF", "Hdrf"):
-            assert make_streaming_algorithm(spelled).name == "HDRF"
+            assert create_algorithm(spelled).name == "HDRF"
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_streaming_algorithm("NE")
-
-    def test_registry_covers_paper_baselines(self):
-        assert set(STREAMING_ALGORITHMS) >= {
-            "HDRF", "Greedy", "DBH", "Grid", "Restreaming"
-        }
-
-    def test_instance_with_kwargs_rejected(self):
-        algo = make_streaming_algorithm("HDRF")
-        with pytest.raises(ConfigurationError):
-            StreamingPartitionerDriver(algo, lam=1.5)
+            create_algorithm("NE")
 
     def test_k_too_small(self, skewed_graph):
         with pytest.raises(ConfigurationError):
-            StreamingPartitionerDriver("HDRF").partition(skewed_graph, 1)
+            run_job(make_job("HDRF", skewed_graph, 1), skewed_graph)
 
     def test_empty_stream(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("# nothing\n")
         with pytest.raises(PartitioningError):
-            StreamingPartitionerDriver("HDRF").partition(path, 2)
+            run_job(make_job("HDRF", path, 2))
 
     def test_bad_passes(self):
         with pytest.raises(ConfigurationError):
-            make_streaming_algorithm("Restreaming", passes=0)
+            create_algorithm("Restreaming", passes=0)

@@ -317,12 +317,12 @@ class TestFormatSniffing:
         """The original failure mode end to end: a text file named
         .edges fed to the out-of-core driver must raise, not produce a
         garbage partition."""
-        from repro.stream import StreamingPartitionerDriver
+        from repro.runtime import make_job, run_job
 
         path = tmp_path / "snap.edges"
         write_text_edgelist(graph, path)
         with pytest.raises(GraphFormatError):
-            StreamingPartitionerDriver("HDRF", chunk_size=4).partition(path, 2)
+            run_job(make_job("HDRF", path, 2, chunk_size=4))
 
 
 class TestPrefetchClose:

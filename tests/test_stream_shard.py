@@ -13,15 +13,14 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph import Graph, generators, write_binary_edgelist
 from repro.partition import HdrfPartitioner
+from repro.runtime import make_job, run_job
 from repro.stream import (
     BinaryFileEdgeSource,
     InMemoryEdgeSource,
     MmapEdgeSource,
-    OutOfCoreHep,
     PrefetchingEdgeSource,
     ShardedEdgeSource,
     ShardWriter,
-    StreamingPartitionerDriver,
     open_edge_source,
     read_shard_manifest,
     write_sharded_edges,
@@ -364,18 +363,16 @@ class TestDriverEquivalence:
             manifest = write_sharded_edges(
                 graph, Path(tmp) / "g.manifest.json", num_shards=num_shards
             )
-            result = StreamingPartitionerDriver(
-                "HDRF", chunk_size=chunk_size
-            ).partition(str(manifest.path), k)
+            result = run_job(
+                make_job("HDRF", str(manifest.path), k, chunk_size=chunk_size)
+            )
         assert np.array_equal(result.parts, expected.parts)
 
     def test_hdrf_mmap_identical(self, skewed_graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
         expected = HdrfPartitioner().partition(skewed_graph, 4)
-        result = StreamingPartitionerDriver(
-            "HDRF", chunk_size=97, mmap=True
-        ).partition(path, 4)
+        result = run_job(make_job("HDRF", path, 4, chunk_size=97, mmap=True))
         assert np.array_equal(result.parts, expected.parts)
 
     @pytest.mark.parametrize("compression", [None, "zlib"])
@@ -389,8 +386,8 @@ class TestDriverEquivalence:
             compression=compression,
         )
         expected = HepPartitioner(tau=1.0).partition(skewed_graph, 4)
-        result = OutOfCoreHep(tau=1.0, chunk_size=101).partition(
-            str(manifest.path), 4
+        result = run_job(
+            make_job("HEP", str(manifest.path), 4, tau=1.0, chunk_size=101)
         )
         assert np.array_equal(result.parts, expected.parts)
 
@@ -400,8 +397,8 @@ class TestDriverEquivalence:
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
         expected = HepPartitioner(tau=1.0).partition(skewed_graph, 4)
-        result = OutOfCoreHep(tau=1.0, chunk_size=101, mmap=True).partition(
-            path, 4
+        result = run_job(
+            make_job("HEP", path, 4, tau=1.0, chunk_size=101, mmap=True)
         )
         assert np.array_equal(result.parts, expected.parts)
 

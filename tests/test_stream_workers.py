@@ -27,12 +27,10 @@ from repro.graph.generators import chung_lu
 from repro.parallel import ParallelHepPartitioner, bsp_hdrf_stream
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
+from repro.runtime import make_job, run_job
 from repro.stream import (
-    MultiWorkerHep,
     MultiWorkerReport,
-    MultiWorkerStreamingDriver,
     PersistentWorkerPool,
-    StreamingPartitionerDriver,
     plan_worker_segments,
     run_bsp_shared,
     write_sharded_edges,
@@ -167,21 +165,19 @@ class TestReport:
 
 
 class TestValidation:
-    def test_driver_rejects_bad_params(self):
+    def test_driver_rejects_bad_params(self, manifest):
         with pytest.raises(ConfigurationError):
-            MultiWorkerStreamingDriver(workers=0)
-        with pytest.raises(ConfigurationError):
-            MultiWorkerStreamingDriver(batch=0)
+            run_job(make_job("HDRF", manifest.path, 4, workers=2, batch=0))
 
     def test_driver_rejects_k_one(self, manifest):
         with pytest.raises(ConfigurationError):
-            MultiWorkerStreamingDriver(workers=2).partition(manifest.path, 1)
+            run_job(make_job("HDRF", manifest.path, 1, workers=2))
 
     def test_empty_stream_rejected(self, tmp_path):
         path = tmp_path / "empty.bin"
         path.write_bytes(b"")
         with pytest.raises(PartitioningError, match="empty"):
-            MultiWorkerStreamingDriver(workers=2).partition(path, 4)
+            run_job(make_job("HDRF", path, 4, workers=2))
 
     def test_pool_requires_start(self, manifest):
         segments, _, _, _ = plan_worker_segments(manifest.path, 2)
@@ -201,11 +197,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_bsp_shared(pool, [[]], state, parts, batch=0)
 
-    def test_hep_rejects_buffer_size(self):
+    def test_hep_rejects_buffer_size(self, manifest):
         with pytest.raises(ConfigurationError, match="buffer_size"):
-            MultiWorkerHep(workers=2, buffer_size=64)
-        with pytest.raises(ConfigurationError):
-            MultiWorkerHep(workers=0)
+            run_job(
+                make_job("HEP", manifest.path, 4, workers=2, buffer_size=64)
+            )
 
 
 @pytest.mark.slow
@@ -215,8 +211,9 @@ class TestEquivalence:
         self, graph, manifest, workers, batch
     ):
         """The acceptance property, pinned on the fixture graph."""
-        driver = MultiWorkerStreamingDriver(workers=workers, batch=batch)
-        result = driver.partition(manifest.path, 8)
+        result = run_job(
+            make_job("HDRF", manifest.path, 8, workers=workers, batch=batch)
+        )
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
         oracle, state, report = _oracle_parts(graph, workers, batch, streams)
         assert np.array_equal(result.parts, oracle)
@@ -227,29 +224,26 @@ class TestEquivalence:
 
     def test_single_worker_batch_one_is_sequential_hdrf(self, manifest):
         """workers=1, batch=1 must equal sequential informed HDRF."""
-        result = MultiWorkerStreamingDriver(workers=1, batch=1).partition(
-            manifest.path, 8
+        result = run_job(
+            make_job("HDRF", manifest.path, 8, workers=1, batch=1)
         )
-        sequential = StreamingPartitionerDriver(
-            "HDRF", exact_degrees=True
-        ).partition(manifest.path, 8)
+        sequential = run_job(
+            make_job(
+                "HDRF", manifest.path, 8,
+                algo_params={"exact_degrees": True},
+            )
+        )
         assert np.array_equal(result.parts, sequential.parts)
 
     def test_deterministic_across_runs(self, manifest):
-        a = MultiWorkerStreamingDriver(workers=4, batch=8).partition(
-            manifest.path, 8
-        )
-        b = MultiWorkerStreamingDriver(workers=4, batch=8).partition(
-            manifest.path, 8
-        )
+        a = run_job(make_job("HDRF", manifest.path, 8, workers=4, batch=8))
+        b = run_job(make_job("HDRF", manifest.path, 8, workers=4, batch=8))
         assert np.array_equal(a.parts, b.parts)
 
     def test_flat_file_matches_contiguous_streams(self, graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        result = MultiWorkerStreamingDriver(workers=3, batch=4).partition(
-            path, 8
-        )
+        result = run_job(make_job("HDRF", path, 8, workers=3, batch=4))
         _, streams, _, _ = plan_worker_segments(path, 3)
         oracle, _, _ = _oracle_parts(graph, 3, 4, streams)
         assert np.array_equal(result.parts, oracle)
@@ -262,12 +256,8 @@ class TestEquivalence:
             graph, tmp_path / "z.manifest.json", num_shards=3,
             compression="zlib",
         )
-        a = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            plain.path, 8
-        )
-        b = MultiWorkerStreamingDriver(workers=2, batch=4).partition(
-            packed.path, 8
-        )
+        a = run_job(make_job("HDRF", plain.path, 8, workers=2, batch=4))
+        b = run_job(make_job("HDRF", packed.path, 8, workers=2, batch=4))
         assert np.array_equal(a.parts, b.parts)
 
     def test_no_orphan_processes_after_runs(self):
@@ -282,34 +272,35 @@ class TestMultiWorkerHep:
     ):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        hep = MultiWorkerHep(workers=workers, batch=batch, tau=1.0)
-        result = hep.partition(path, 8)
+        result = run_job(
+            make_job("HEP", path, 8, workers=workers, batch=batch, tau=1.0)
+        )
         oracle = ParallelHepPartitioner(
             tau=1.0, workers=workers, batch=batch
         ).partition(graph, 8)
         assert np.array_equal(result.parts, oracle.parts)
         assert result.num_unassigned == 0
-        assert hep.last_report is not None
-        assert hep.last_report.workers == workers
+        assert result.report is not None
+        assert result.report.workers == workers
 
     def test_temp_segments_cleaned_up(self, graph, tmp_path):
         spill_dir = tmp_path / "spill"
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        hep = MultiWorkerHep(
-            workers=2, tau=1.0, spill_dir=str(spill_dir)
+        run_job(
+            make_job(
+                "HEP", path, 4, workers=2, tau=1.0, spill_dir=str(spill_dir)
+            )
         )
-        hep.partition(path, 4)
         leftovers = list(spill_dir.glob("mw-h2h-*"))
         assert leftovers == []
 
     def test_no_h2h_edges_skips_pool(self, graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
-        hep = MultiWorkerHep(workers=2, tau=1e9)
-        result = hep.partition(path, 4)
+        result = run_job(make_job("HEP", path, 4, workers=2, tau=1e9))
         assert result.num_unassigned == 0
-        assert hep.last_report is None
+        assert result.report is None
 
 
 @pytest.mark.slow
@@ -325,10 +316,12 @@ def test_multi_worker_equivalence_property(graph, schedule):
         manifest = write_sharded_edges(
             graph, Path(tmp) / "g.manifest.json", num_shards=num_shards
         )
-        driver = MultiWorkerStreamingDriver(
-            workers=workers, batch=batch, chunk_size=32
+        result = run_job(
+            make_job(
+                "HDRF", manifest.path, k, workers=workers, batch=batch,
+                chunk_size=32,
+            )
         )
-        result = driver.partition(manifest.path, k)
         _, streams, _, _ = plan_worker_segments(manifest.path, workers)
     oracle, state, _ = _oracle_parts(graph, workers, batch, streams, k=k)
     assert np.array_equal(result.parts, oracle)
