@@ -1,8 +1,12 @@
 """Scoring functions for stateful streaming partitioning (Algorithm 4).
 
-Each scorer rates the placement of one edge on *all* ``k`` partitions at
-once (a numpy vector), so the per-edge cost is a handful of vectorized
-operations instead of a Python loop over partitions.
+Each scorer here rates the placement of one edge on *all* ``k``
+partitions at once, as a numpy vector.  That is the reference form of
+the score: ADWISE and the buffered window's ranking use it directly.
+The sequential HDRF stream (:func:`~repro.partition.hdrf.hdrf_stream`)
+does not: it is a scalar kernel that scores only a few partitions per
+edge with :func:`hdrf_scores`' float operations in the same order, and
+places every edge exactly where ``np.argmax(hdrf_scores(...))`` would.
 
 The HDRF score follows Petroni et al. (CIKM'15), the configuration the
 paper uses for both the standalone HDRF baseline and HEP's streaming
@@ -21,13 +25,45 @@ honored.
 
 from __future__ import annotations
 
+import math
+from numbers import Real
+
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.partition.state import StreamingState
 
-__all__ = ["hdrf_scores", "hdrf_best_scores", "greedy_choose", "NEG_INF"]
+__all__ = [
+    "hdrf_scores", "hdrf_best_scores", "check_hdrf_params", "greedy_choose",
+    "NEG_INF",
+]
 
 NEG_INF = -np.inf
+
+
+def check_hdrf_params(lam: float, eps: float) -> None:
+    """Reject a balance weight or smoothing term the HDRF score cannot use.
+
+    ``lam`` must be finite and ``>= 0`` (``0`` ignores balance), ``eps``
+    finite and ``> 0``: with ``eps <= 0`` equal loads score ``0/0``.
+    Raises :class:`~repro.errors.ConfigurationError`.
+    """
+    if not (_is_finite(lam) and lam >= 0):
+        raise ConfigurationError(
+            f"lam must be a finite number >= 0, got {lam!r}"
+        )
+    if not (_is_finite(eps) and eps > 0):
+        raise ConfigurationError(
+            f"eps must be a finite number > 0, got {eps!r}"
+        )
+
+
+def _is_finite(value) -> bool:
+    """Whether ``value`` is a real number a float holds finitely."""
+    try:
+        return isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def hdrf_scores(

@@ -120,6 +120,11 @@ class StreamingState:
         state.loads = loads.copy()
         return state
 
+    @property
+    def partial_degrees(self) -> bool:
+        """Whether ``degrees`` count only the edges streamed so far."""
+        return self._partial
+
     # -- stream operations -------------------------------------------------------
 
     def observe_edge(self, u: int, v: int) -> None:

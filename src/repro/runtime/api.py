@@ -19,6 +19,7 @@ import time
 
 from repro.errors import ConfigurationError, JobCancelledError
 from repro.obs.tracer import get_tracer
+from repro.partition.scoring import check_hdrf_params
 from repro.runtime.plan import pipeline_kind, plan_job
 from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
@@ -35,8 +36,9 @@ def validate_spec(spec: JobSpec) -> None:
     submit time, so the CLI, ``run_job`` and ``POST /jobs`` reject the
     same specs with the same messages — before any input is hashed or
     any stage runs.  Beyond the numeric ranges, ``algo`` must be HEP
-    or a registered streaming algorithm, and every ``algo_params``
-    name must be one that algorithm declares.
+    or a registered streaming algorithm, every ``algo_params`` name
+    must be one that algorithm declares, and a declared ``lam``/``eps``
+    must pass :func:`~repro.partition.scoring.check_hdrf_params`.
     """
     hep = pipeline_kind(spec) == "hep"
     if spec.tau is not None and spec.tau <= 0:
@@ -81,6 +83,9 @@ def validate_spec(spec: JobSpec) -> None:
             f"{', '.join(map(repr, undeclared))} "
             f"(declared: {', '.join(declared) or 'none'})"
         )
+    if {"lam", "eps"} <= declared.keys():
+        # HEP, HDRF and Restreaming score with HDRF's balance term.
+        check_hdrf_params(spec.params["lam"], spec.params["eps"])
     if spec.k < 2:
         if hep:
             raise ConfigurationError(

@@ -318,6 +318,36 @@ class TestSpecValidation:
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+    @pytest.mark.parametrize(
+        "algo,params,match",
+        [
+            ("HDRF", {"eps": 0.0}, "eps must be a finite number > 0"),
+            ("HDRF", {"eps": -1.0}, "eps must be a finite number > 0"),
+            ("HDRF", {"lam": -2.0}, "lam must be a finite number >= 0"),
+            ("HEP", {"lam": float("nan")}, "lam must be a finite number"),
+            ("HEP", {"eps": float("inf")}, "eps must be a finite number"),
+            ("Restreaming", {"eps": 0.0}, "eps must be a finite number"),
+        ],
+        ids=["HDRF-eps0", "HDRF-eps-neg", "HDRF-lam-neg", "HEP-lam-nan",
+             "HEP-eps-inf", "Restreaming-eps0"],
+    )
+    def test_out_of_range_balance_params_are_rejected(
+        self, edge_file, tmp_path, algo, params, match
+    ):
+        """``eps <= 0`` scored NaNs (0/0) and a negative ``lam`` rewards
+        load; both are rejected before the input is hashed."""
+        store = ArtifactStore(tmp_path / "cache")
+        spec = make_job(algo, edge_file, 8, algo_params=params)
+        with pytest.raises(ConfigurationError, match=match):
+            run_job(spec, store=store)
+        assert (store.hits, store.misses) == (0, 0)
+
+    def test_lambda_zero_is_a_valid_spec(self, edge_file):
+        result = run_job(make_job("HDRF", edge_file, 4,
+                                  algo_params={"lam": 0.0}))
+        assert result.num_edges > 0
+
+
 class TestJobCli:
     def test_job_describe_prints_canonical_json_and_hash(self, capsys):
         rc = main(["job", "describe", "OK", "--k", "4", "--method", "HDRF"])

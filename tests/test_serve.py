@@ -180,6 +180,14 @@ class TestSubmitValidation:
                     _payload(edge_file, algo="Greedy",
                              algo_params={"passes": 2})
                 )
+            for params, name in (({"eps": 0.0}, "eps"), ({"eps": -1.0}, "eps"),
+                                 ({"lam": -2.0}, "lam")):
+                with pytest.raises(
+                    SubmitError, match=f"{name} must be a finite number"
+                ):
+                    await manager.submit(
+                        _payload(edge_file, algo_params=params)
+                    )
             with pytest.raises(SubmitError, match="JSON object"):
                 await manager.submit(["not", "a", "dict"])
             await manager.shutdown()
