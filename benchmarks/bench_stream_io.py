@@ -6,19 +6,13 @@ file-backed R-MAT graph: wall-clock through pytest-benchmark, and a
 peak-RSS proxy via ``tracemalloc`` (pure-Python heap peaks — interpreter
 overhead cancels out of the comparison since both sides pay it).
 
-It also reports the two new I/O knobs:
+It also reports:
 
-* **prefetch on/off** — the background reader thread can only buy back
-  the GIL-*free* fraction of each pass (file reads, fsync waits); the
-  comparison runs the binary reader cold (``posix_fadvise DONTNEED``
-  where available) against the spill-writing split pass, the pipeline
-  stage where reads genuinely overlap writes.  On a warm page cache the
-  gain shrinks toward zero — the assertion is therefore "identical
-  results, bounded overhead", with the measured times printed.
 * **compressed vs raw spill** — bytes on disk vs round-trip time for
   the zlib-framed spill format.
-* **single-file vs sharded(K=4) vs mmap** — read throughput of the
-  three reader families over identical edge content, written as a
+* **single-file vs sharded(K=4)** — read throughput of the two reader
+  families over identical edge content, cold cache
+  (``posix_fadvise DONTNEED`` where available), written as a
   ``BENCH_stream_io.json`` record under ``results/``.
 
 Like every ``bench_*`` module here, functions use the ``bench_`` prefix
@@ -42,11 +36,8 @@ from repro.graph import generators, read_binary_edgelist, write_binary_edgelist
 from repro.runtime import make_job, run_job
 from repro.stream import (
     BinaryFileEdgeSource,
-    MmapEdgeSource,
-    PrefetchingEdgeSource,
     ShardedEdgeSource,
     SpillFile,
-    scan_source,
     write_sharded_edges,
 )
 
@@ -143,54 +134,10 @@ def bench_spill_format_comparison(benchmark, edge_file, capsys):
     assert rows["zlib"][1] < rows[None][1]
 
 
-def bench_prefetch_comparison(benchmark, edge_file, capsys):
-    """Prefetch on/off over the binary reader, cold cache, split-pass load.
-
-    The consumer is the durable spill-writing split pass — the stage
-    where the reader's I/O can genuinely overlap the writer's.  Chunk
-    content must be bit-identical either way; the wall-clock comparison
-    is printed (improvement tracks how slow the underlying storage is).
-    """
-    plain = BinaryFileEdgeSource(edge_file, _CHUNK)
-    prefetched = PrefetchingEdgeSource(plain, depth=4)
-
-    def durable_split(src):
-        with SpillFile() as spill:
-            for chunk in src:
-                spill.append(chunk.pairs, chunk.eids)
-                spill.sync()
-            return len(spill)
-
-    def timed(src, rounds=3):
-        best = float("inf")
-        for _ in range(rounds):
-            _drop_page_cache(edge_file)
-            start = time.perf_counter()
-            count = durable_split(src)
-            best = min(best, time.perf_counter() - start)
-        return best, count
-
-    def measure():
-        return {"plain": timed(plain), "prefetch": timed(prefetched)}
-
-    rows = benchmark.pedantic(measure, rounds=1, iterations=1)
-    with capsys.disabled():
-        print("\nbinary reader + durable split pass (cold cache, best of 3):")
-        for name, (elapsed, count) in rows.items():
-            print(f"  {name:<9} {elapsed * 1000:8.1f} ms  {count:,} edges")
-        speedup = rows["plain"][0] / rows["prefetch"][0]
-        print(f"  speedup   {speedup:8.3f}x")
-    # Identical edge count and — checked cheaply here — identical stats.
-    # No timing assertion: fsync/IO latency is environment-dependent, so
-    # the printed ratio is the artifact (it trends > 1x as storage slows).
-    assert rows["plain"][1] == rows["prefetch"][1]
-    assert scan_source(plain).num_edges == scan_source(prefetched).num_edges
-
-
 def bench_reader_throughput_comparison(benchmark, edge_file, capsys):
-    """Single-file vs sharded(K=4) vs mmap read throughput.
+    """Single-file vs sharded(K=4) read throughput.
 
-    All three readers deliver the identical chunk stream (asserted); the
+    Both readers deliver the identical chunk stream (asserted); the
     comparison is pure I/O + decode.  The measured rows land in
     ``results/BENCH_stream_io.json`` so CI and later sessions can track
     reader throughput as a machine-readable record.
@@ -203,18 +150,16 @@ def bench_reader_throughput_comparison(benchmark, edge_file, capsys):
         edge_file, edge_file.parent / "rmat.manifest.json", num_shards=4,
         chunk_size=chunk,
     )
-    # Fresh source per round (a reused MmapEdgeSource would keep its
-    # mapping resident) and cache eviction for *every* file a reader
-    # touches, so all three families start equally cold.
+    # Fresh source per round and cache eviction for *every* file a
+    # reader touches, so both families start equally cold.
     readers = {
         "single-file": lambda: BinaryFileEdgeSource(edge_file, chunk),
         "sharded-k4": lambda: ShardedEdgeSource(manifest, chunk),
-        "mmap": lambda: MmapEdgeSource(edge_file, chunk),
     }
     cold_paths = [edge_file, manifest.path, *manifest.shard_paths]
 
     def sweep(src):
-        # Consume every chunk; touch the data so mmap actually pages in.
+        # Consume every chunk and touch its data.
         edges = 0
         checksum = 0
         for c in src:
@@ -262,12 +207,11 @@ def bench_reader_throughput_comparison(benchmark, edge_file, capsys):
         for name, (elapsed, _) in rows.items():
             print(f"  {name:<12} {elapsed * 1000:8.1f} ms  "
                   f"{num_edges / elapsed / 1e6:8.2f} Medges/s")
-    # Identical content across all three reader families.
+    # Identical content across both reader families.
     assert len({result for _, result in rows.values()}) == 1
-    # The new readers must at least keep pace with the buffered
-    # single-file reader (generous slack: CI storage is noisy).
-    best_new = min(rows["sharded-k4"][0], rows["mmap"][0])
-    assert best_new <= rows["single-file"][0] * 1.5
+    # The sharded reader must keep pace with the single-file reader
+    # (generous slack: CI storage is noisy).
+    assert rows["sharded-k4"][0] <= rows["single-file"][0] * 1.5
 
 
 def bench_peak_heap_comparison(benchmark, edge_file, capsys):

@@ -94,16 +94,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                          "runtime job results)")
     if args.passes is not None and args.method.lower() != "restreaming":
         raise ReproError("--passes applies only to the Restreaming method")
-    if args.tau is not None and args.method.upper() != "HEP":
-        # HEP-<x> spellings carry their tau in the name; only plain HEP
-        # takes the flag.
-        raise ReproError("--tau applies only to the HEP method "
-                         "(HEP-<tau> names carry their own)")
-    if args.tau is not None and args.memory_budget is not None:
-        raise ReproError("--tau and --memory-budget conflict: the budget "
-                         "exists to select tau (drop one of them)")
-    if args.prefetch < 0:
-        raise ReproError(f"--prefetch must be >= 0, got {args.prefetch}")
     if args.metrics_workers < 0:
         raise ReproError(
             f"--metrics-workers must be >= 0, got {args.metrics_workers}"
@@ -119,15 +109,14 @@ def _cmd_partition(args: argparse.Namespace) -> int:
                          "requires --workers")
     if args.out_of_core:
         return _partition_out_of_core(args)
+    if args.tau is not None and args.method.upper() != "HEP":
+        # HEP-<x> spellings carry their tau in the name; only plain HEP
+        # takes the flag.
+        raise ReproError("--tau applies only to the HEP method "
+                         "(HEP-<tau> names carry their own)")
     if args.memory_budget is not None:
         raise ReproError("--memory-budget requires --out-of-core (the "
                          "in-memory path cannot honor a byte budget)")
-    if args.prefetch:
-        raise ReproError("--prefetch requires --out-of-core (the in-memory "
-                         "path loads the file in one read)")
-    if args.mmap:
-        raise ReproError("--mmap requires --out-of-core (the in-memory "
-                         "path loads the file in one read)")
     if args.spill_compression is not None:
         raise ReproError("--spill-compression requires --out-of-core")
     graph = _load_graph(args.graph)
@@ -177,24 +166,25 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _job_spec_from_args(args: argparse.Namespace):
     """Lower the ``partition`` flag set to a runtime JobSpec.
 
-    A ``--workers`` run scans with the worker count unless
+    Every flag is lowered as given, HEP's knobs on any algorithm, so
+    :func:`~repro.runtime.api.validate_spec` judges the combination.  A
+    ``--workers`` run scans with the worker count unless
     ``--metrics-workers`` says otherwise, and ``--batch`` falls back to
     the BSP default.
     """
     from repro.runtime.spec import make_job
     from repro.stream.workers import DEFAULT_WORKER_BATCH
 
-    options: dict = {}
+    options: dict = dict(
+        tau=args.tau,
+        memory_budget=args.memory_budget,
+        buffer_size=args.buffer_size,
+        spill_dir=args.spill_dir,
+        spill_compression=args.spill_compression,
+    )
     algo_params: dict = {}
     if args.method.upper() == "HEP":
         algo = "HEP"
-        options.update(
-            tau=args.tau,
-            memory_budget=args.memory_budget,
-            buffer_size=args.buffer_size,
-            spill_dir=args.spill_dir,
-            spill_compression=args.spill_compression,
-        )
     else:
         algo = args.method
         if args.passes is not None:
@@ -212,8 +202,6 @@ def _job_spec_from_args(args: argparse.Namespace):
     return make_job(
         algo, args.graph, args.k,
         chunk_size=args.chunk_size,
-        prefetch=args.prefetch,
-        mmap=args.mmap,
         algo_params=algo_params,
         **options,
     )
@@ -246,39 +234,12 @@ def _partition_out_of_core(args: argparse.Namespace) -> int:
     if args.batch is not None and args.batch < 1:
         raise ReproError(f"--batch must be >= 1, got {args.batch}")
     spec = _job_spec_from_args(args)
-    # The runtime's rules first: the CLI, run_job and POST /jobs then
-    # reject an unknown algorithm or parameter with the same message.
+    # The CLI, run_job and POST /jobs reject a spec with one message.
     validate_spec(spec)
-    if spec.algo.upper() != "HEP":
-        _reject_hep_only_flags(args)
     store = _make_store(args)
     result = run_job(spec, store=store)
     _print_report(result, args.graph, store, args.output)
     return 0
-
-
-def _reject_hep_only_flags(args: argparse.Namespace) -> None:
-    """HEP's knobs on a streaming-baseline run are errors, not no-ops."""
-    multi = args.workers is not None
-    if args.memory_budget is not None:
-        raise ReproError(
-            "--memory-budget tunes HEP's tau; "
-            + ("multi-worker HDRF has no such knob" if multi else
-               "the streaming baselines have no such knob (their state "
-               "is O(n + k) by construction)")
-        )
-    if args.buffer_size is not None:
-        raise ReproError("--buffer-size applies to HEP's streaming phase")
-    if args.spill_dir is not None or args.spill_compression is not None:
-        raise ReproError(
-            "--spill-dir/--spill-compression apply to HEP's h2h spill; "
-            + ("multi-worker HDRF never spills" if multi else
-               "the baselines never spill")
-        )
-    if multi and args.mmap:
-        raise ReproError("--mmap applies to the single-reader drivers; "
-                         "workers stream their shard slices with buffered "
-                         "reads, so it has no effect here")
 
 
 def _print_report(result, source: str, store, output: str | None) -> None:
@@ -297,8 +258,6 @@ def _print_report(result, source: str, store, output: str | None) -> None:
     print(f"source             : {source} "
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
     print(f"chunk size         : {result.chunk_size:,} edges")
-    if spec.input.prefetch:
-        print(f"prefetch depth     : {spec.input.prefetch} chunks")
     if result.buffer_size:
         print(f"buffer size        : {result.buffer_size:,} edges")
     if result.passes > 1:
@@ -433,7 +392,7 @@ def _cmd_extsort(args: argparse.Namespace) -> int:
     """External-sort an edge stream into a degree-ordered edge file.
 
     With ``--shards K`` the sorted stream lands pre-sharded: a manifest
-    plus K shard files the concurrent reader consumes directly.
+    plus K shard files the sharded reader consumes directly.
     """
     from repro.stream import external_sort_edges
 
@@ -626,13 +585,6 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
                    help="directory for the h2h spill file (default: temp dir)")
     p.add_argument("--spill-compression", choices=("zlib",), default=None,
                    help="compress the h2h spill file (zlib frames)")
-    p.add_argument("--prefetch", type=int, default=0, metavar="DEPTH",
-                   help="background-prefetch this many decoded chunks "
-                        "ahead of the consumer (0 = off)")
-    p.add_argument("--mmap", action="store_true",
-                   help="serve chunks zero-copy from an np.memmap "
-                        "(uncompressed binary edge files, with "
-                        "--out-of-core)")
     p.add_argument("--passes", type=int, default=None,
                    help="stream passes for --algo Restreaming (default 3)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
@@ -648,11 +600,14 @@ def _cmd_job_describe(args: argparse.Namespace) -> int:
 
     Prints exactly what the runtime would hash and cache-key for this
     flag set — the canonical one-line JSON, the sha256 content hash,
-    and the stage pipeline the planner would run.
+    and the stage pipeline the planner would run.  A spec ``run_job``
+    would reject is rejected here with the same message.
     """
+    from repro.runtime.api import validate_spec
     from repro.runtime.plan import plan_job
 
     spec = _job_spec_from_args(args)
+    validate_spec(spec)
     print(spec.canonical_json())
     print(f"content hash       : {spec.content_hash()}")
     print(f"pipeline           : {plan_job(spec).describe()}")

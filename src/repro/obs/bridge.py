@@ -29,7 +29,7 @@ __all__ = ["SpanEventBridge", "progress_event"]
 PROGRESS_SPANS = frozenset({
     "partition", "cache_hit", "count_pass", "select_tau", "split_pass",
     "phase_one", "stream_pass", "finalize", "metrics_pass", "pool_spawn",
-    "pool_run", "shm_attach", "split_spill", "source_read",
+    "pool_run", "shm_attach", "split_spill",
 })
 
 

@@ -14,7 +14,6 @@ from repro.parallel.bsp_streaming import (
     bsp_hdrf_stream,
 )
 from repro.parallel.kernel import (
-    FusedBatchScorer,
     apply_batch,
     apply_delta,
     contiguous_streams,
@@ -32,7 +31,6 @@ __all__ = [
     "BspStreamReport",
     "SharedArray",
     "SharedState",
-    "FusedBatchScorer",
     "score_batch_on_snapshot",
     "superstep_is_safe",
     "place_batch_serialized",

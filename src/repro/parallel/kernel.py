@@ -42,7 +42,6 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.partition.state import StreamingState
 
 __all__ = [
-    "FusedBatchScorer",
     "score_batch_on_snapshot",
     "superstep_is_safe",
     "place_batch_serialized",
@@ -89,73 +88,6 @@ def score_batch_on_snapshot(
     minload = loads.min()
     bal = lam * (maxload - loads) / (eps + maxload - minload)
     return scores + bal[None, :]
-
-
-class FusedBatchScorer:
-    """Allocation-free HDRF batch scorer for a worker's hot loop.
-
-    :func:`score_batch_on_snapshot` allocates a handful of temporaries
-    per call; at one call per superstep across millions of supersteps
-    that is most of a worker's allocator traffic.  This scorer owns two
-    preallocated ``(max_batch, k)`` output buffers and evaluates the
-    same expression with explicit ``out=`` ufunc calls.
-
-    Every elementwise operation — the gathers, the two broadcast
-    multiplies, the two adds, the balance term — is performed in the
-    same order on the same operands as the reference, so the results
-    are **bitwise identical** (the equivalence property
-    ``tests/test_shared_memory_equivalence.py`` pins).  Returned rows
-    alias the internal buffer: consume (or copy) them before the next
-    :meth:`scores` call.
-    """
-
-    def __init__(self, k: int, max_batch: int, lam: float, eps: float
-                 ) -> None:
-        """Size the score buffers for batches up to ``max_batch``."""
-        if k < 1 or max_batch < 1:
-            raise ConfigurationError(
-                f"scorer needs k/max_batch >= 1, got {k}/{max_batch}"
-            )
-        self.k = int(k)
-        self.max_batch = int(max_batch)
-        self.lam = float(lam)
-        self.eps = float(eps)
-        self._out = np.empty((self.max_batch, self.k), dtype=np.float64)
-        self._tmp = np.empty((self.max_batch, self.k), dtype=np.float64)
-
-    def scores(
-        self,
-        replicas: np.ndarray,
-        loads: np.ndarray,
-        degrees: np.ndarray,
-        us: np.ndarray,
-        vs: np.ndarray,
-    ) -> np.ndarray:
-        """Score one batch against a frozen snapshot — a ``(b, k)`` view.
-
-        Bitwise equal to :func:`score_batch_on_snapshot` with this
-        scorer's ``lam``/``eps``; the returned array is a view into the
-        reusable buffer.
-        """
-        b = us.shape[0]
-        out = self._out[:b]
-        tmp = self._tmp[:b]
-        du = degrees[us]
-        dv = degrees[vs]
-        total = du + dv
-        safe_total = np.where(total > 0, total, 1)
-        theta_u = np.where(total > 0, du / safe_total, 0.5)
-        theta_v = 1.0 - theta_u
-        coeff_u = 2.0 - theta_u
-        coeff_v = 2.0 - theta_v
-        np.multiply(replicas[:, us].T, coeff_u[:, None], out=out)
-        np.multiply(replicas[:, vs].T, coeff_v[:, None], out=tmp)
-        np.add(out, tmp, out=out)
-        maxload = loads.max()
-        minload = loads.min()
-        bal = self.lam * (maxload - loads) / (self.eps + maxload - minload)
-        np.add(out, bal[None, :], out=out)
-        return out
 
 
 def superstep_is_safe(

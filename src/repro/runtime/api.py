@@ -25,8 +25,18 @@ from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec, declared_params
 from repro.runtime.stages import RunContext
+from repro.stream.reader import _check_chunk_size
 
 __all__ = ["run_job", "validate_spec"]
+
+#: HEP-only spec fields and what each one is for.  ``spill_dir`` is not
+#: listed: it only places temp files, so any spec may set it.
+_HEP_ONLY = (
+    ("tau", "tau is HEP's degree threshold"),
+    ("memory_budget", "a memory budget tunes HEP's tau"),
+    ("buffer_size", "buffer_size sizes HEP's phase-two scoring window"),
+    ("spill_compression", "spill_compression applies to HEP's h2h spill"),
+)
 
 
 def validate_spec(spec: JobSpec) -> None:
@@ -39,8 +49,11 @@ def validate_spec(spec: JobSpec) -> None:
     or a registered streaming algorithm, every ``algo_params`` name
     must be one that algorithm declares, and a declared ``lam``/``eps``
     must pass :func:`~repro.partition.scoring.check_hdrf_params`.
+    HEP's own knobs (:data:`_HEP_ONLY`) are errors on any other
+    algorithm, and a fixed ``tau`` excludes a ``memory_budget``.
     """
     hep = pipeline_kind(spec) == "hep"
+    _check_chunk_size(spec.chunk_size)
     if spec.tau is not None and spec.tau <= 0:
         raise ConfigurationError(f"tau must be positive, got {spec.tau}")
     if spec.memory_budget is not None and spec.memory_budget < 1:
@@ -53,7 +66,7 @@ def validate_spec(spec: JobSpec) -> None:
         )
     if spec.workers < 0:
         raise ConfigurationError(
-            f"workers must be >= 1, got {spec.workers}"
+            f"workers must be >= 0, got {spec.workers}"
         )
     if spec.workers >= 1:
         if spec.batch < 1:
@@ -83,6 +96,17 @@ def validate_spec(spec: JobSpec) -> None:
             f"{', '.join(map(repr, undeclared))} "
             f"(declared: {', '.join(declared) or 'none'})"
         )
+    if hep and spec.tau is not None and spec.memory_budget is not None:
+        raise ConfigurationError(
+            "a fixed tau and a memory budget conflict: the budget exists "
+            "to select tau (drop one of them)"
+        )
+    if not hep:
+        for name, what in _HEP_ONLY:
+            if getattr(spec, name) is not None:
+                raise ConfigurationError(
+                    f"{what}; {spec.algo!r} has no such knob"
+                )
     if {"lam", "eps"} <= declared.keys():
         # HEP, HDRF and Restreaming score with HDRF's balance term.
         check_hdrf_params(spec.params["lam"], spec.params["eps"])
@@ -134,7 +158,7 @@ def _check_cancel(cancel, spec: JobSpec, where: str) -> None:
 def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
     """Run the planned stages under the ``partition`` root span."""
     from repro.runtime.executor import select_executor
-    from repro.stream.reader import PrefetchingEdgeSource, open_edge_source
+    from repro.stream.reader import open_edge_source
 
     kind = pipeline_kind(spec)
     algo = None
@@ -164,13 +188,10 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
             # the try guarantees finish() reaps that pool even when an
             # interrupt lands mid-prepare.
             executor.prepare(spec, ctx)
-            src = open_edge_source(
+            ctx.src = open_edge_source(
                 source, spec.chunk_size, order=spec.input.order,
-                seed=spec.input.seed, mmap=spec.input.mmap,
+                seed=spec.input.seed,
             )
-            if spec.input.prefetch > 0:
-                src = PrefetchingEdgeSource(src, depth=spec.input.prefetch)
-            ctx.src = src
             executor.start(spec, ctx)
             for stage in plan.stages:
                 _check_cancel(cancel, spec, f"stage {stage.name!r}")
@@ -179,12 +200,6 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
         finally:
             executor.finish(spec, ctx)
             ctx.close()
-        source_stats = ctx.src.stats() if ctx.src is not None else None
-        if tracer.enabled and source_stats:
-            tracer.event(
-                "source_read", counters=source_stats,
-                source=ctx.src.describe(),
-            )
     return PartitionResult(
         spec=spec,
         algorithm=result_name,

@@ -13,10 +13,9 @@ substrate for the content-addressed artifact store
   defaults at construction, so keyword order and elided defaults never
   produce distinct spellings of the same job, and
 * **a stable content hash** — :meth:`JobSpec.content_hash` digests only
-  the *semantic* fields (those that can change the assignment).  Pure
-  I/O knobs (``prefetch``, ``mmap``), scan parallelism
-  (``metrics_workers`` — bit-identical by the equivalence suites),
-  spill placement, and pool plumbing
+  the *semantic* fields (those that can change the assignment).  Scan
+  parallelism (``metrics_workers`` — bit-identical by the equivalence
+  suites), spill placement, and pool plumbing
   (``mp_context``, ``timeout``) are excluded, so equivalent runs share
   a cache entry.  ``workers``/``batch`` *are* semantic: the BSP
   schedule's staleness window changes assignments.
@@ -81,8 +80,6 @@ class InputSpec:
     chunk_size: int = DEFAULT_CHUNK_SIZE
     order: str = "natural"
     seed: int = 0
-    prefetch: int = 0
-    mmap: bool = False
 
     @classmethod
     def from_source(
@@ -91,14 +88,9 @@ class InputSpec:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         order: str = "natural",
         seed: int = 0,
-        prefetch: int = 0,
-        mmap: bool = False,
     ) -> "InputSpec":
         """Classify anything ``open_edge_source`` accepts into a spec."""
-        common = dict(
-            chunk_size=int(chunk_size), order=order, seed=int(seed),
-            prefetch=int(prefetch), mmap=bool(mmap),
-        )
+        common = dict(chunk_size=int(chunk_size), order=order, seed=int(seed))
         if isinstance(source, (str, Path)):
             text = str(source)
             from repro.graph import datasets
@@ -120,12 +112,10 @@ class InputSpec:
             "chunk_size": int(self.chunk_size),
             "order": self.order,
             "seed": int(self.seed),
-            "prefetch": int(self.prefetch),
-            "mmap": bool(self.mmap),
         }
 
     def semantic_dict(self) -> dict:
-        """The result-determining subset (no path, no I/O-only knobs)."""
+        """The result-determining subset (everything but the path)."""
         return {
             "kind": self.kind,
             "chunk_size": int(self.chunk_size),
@@ -165,7 +155,8 @@ class JobSpec:
     algo_params: tuple[tuple[str, object], ...] = ()
     alpha: float = 1.0
     seed: int = 0
-    # HEP knobs (ignored by the streaming pipeline)
+    # HEP knobs (validate_spec rejects tau, memory_budget, buffer_size
+    # and spill_compression on any other algorithm)
     tau: float | None = None
     memory_budget: int | None = None
     tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
@@ -251,8 +242,8 @@ class JobSpec:
         """The subset of fields that can change the assignment.
 
         Everything excluded here is pinned bit-identical by the
-        equivalence suites (scan parallelism, prefetch/mmap I/O, spill
-        placement, pool plumbing, tracing).
+        equivalence suites (scan parallelism, spill placement, pool
+        plumbing, tracing).
         """
         return {
             "version": SPEC_VERSION,
@@ -304,8 +295,6 @@ def make_job(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     order: str = "natural",
     seed: int = 0,
-    prefetch: int = 0,
-    mmap: bool = False,
     algo_params=(),
     **options,
 ) -> JobSpec:
@@ -318,8 +307,7 @@ def make_job(
     given (the scan passes use the streaming phase's parallelism).
     """
     input_spec = InputSpec.from_source(
-        source, chunk_size=chunk_size, order=order, seed=seed,
-        prefetch=prefetch, mmap=mmap,
+        source, chunk_size=chunk_size, order=order, seed=seed
     )
     if isinstance(algo_params, dict):
         params = tuple(algo_params.items())

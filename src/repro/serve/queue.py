@@ -72,7 +72,7 @@ class QueueFullError(ReproError):
 
 #: payload keys forwarded to :func:`~repro.runtime.spec.make_job`
 _SPEC_KEYS = frozenset({
-    "chunk_size", "order", "seed", "prefetch", "mmap", "algo_params",
+    "chunk_size", "order", "seed", "algo_params",
     "alpha", "tau", "memory_budget", "tau_grid", "id_bytes",
     "buffer_size", "spill_dir", "spill_compression", "workers", "batch",
     "metrics_workers", "mp_context", "timeout",

@@ -6,9 +6,7 @@ the constraint real, for HEP *and* for every streaming baseline the
 paper compares against:
 
 * :mod:`repro.stream.reader` — chunked :class:`EdgeChunkSource` blocks
-  from text/binary edge files, dataset names or in-memory graphs, with
-  an optional background-thread :class:`PrefetchingEdgeSource` wrapper
-  so decode overlaps scoring,
+  from text/binary edge files, dataset names or in-memory graphs,
 * :mod:`repro.stream.scan` — the shared counting and metrics passes
   (``O(n)`` state instead of the ``O(m)`` edge list; the metrics cover
   is bit-packed — ``k x n`` true bits — with a budget-aware
@@ -28,9 +26,9 @@ paper compares against:
 * :mod:`repro.stream.extsort` — an external merge sort producing
   degree-ordered edge *files* in bounded memory,
 * :mod:`repro.stream.shard` — the sharded edge-file format (JSON
-  manifest + N flat or zlib-framed shard files) with a concurrent
-  :class:`ShardedEdgeSource` reader and a zero-copy
-  :class:`MmapEdgeSource` for uncompressed single files,
+  manifest + N flat or zlib-framed shard files), the
+  :class:`ShardedEdgeSource` reader, and the :class:`EdgeSegment`
+  reader it shares with the worker processes,
 * :mod:`repro.stream.workers` — multi-*worker* partitioning: ``N``
   OS processes each stream their shard assignment against a shared
   replica/load snapshot under the BSP schedule, bit-identical to the
@@ -56,12 +54,10 @@ from repro.stream.parallel_scan import (
 )
 from repro.stream.reader import (
     DEFAULT_CHUNK_SIZE,
-    DEFAULT_PREFETCH_DEPTH,
     BinaryFileEdgeSource,
     EdgeChunk,
     EdgeChunkSource,
     InMemoryEdgeSource,
-    PrefetchingEdgeSource,
     TextFileEdgeSource,
     open_edge_source,
     sniff_edge_format,
@@ -75,7 +71,7 @@ from repro.stream.scan import (
 )
 from repro.stream.shard import (
     MANIFEST_SUFFIX,
-    MmapEdgeSource,
+    EdgeSegment,
     ShardedEdgeSource,
     ShardManifest,
     ShardWriter,
@@ -85,7 +81,6 @@ from repro.stream.shard import (
 from repro.stream.spill import SpillFile, read_spill_chunks, read_spill_header
 from repro.stream.workers import (
     DEFAULT_WORKER_BATCH,
-    EdgeSegment,
     MultiWorkerReport,
     PersistentWorkerPool,
     StateService,
@@ -100,10 +95,8 @@ __all__ = [
     "InMemoryEdgeSource",
     "BinaryFileEdgeSource",
     "TextFileEdgeSource",
-    "PrefetchingEdgeSource",
     "open_edge_source",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_PREFETCH_DEPTH",
     "SourceStats",
     "scan_source",
     "chunked_quality",
@@ -133,7 +126,6 @@ __all__ = [
     "ShardManifest",
     "ShardWriter",
     "ShardedEdgeSource",
-    "MmapEdgeSource",
     "write_sharded_edges",
     "read_shard_manifest",
     "MANIFEST_SUFFIX",

@@ -281,7 +281,7 @@ def external_sort_edges(
     out-of-core drivers.  With ``num_shards`` the sorted stream is split
     into a sharded edge-file set instead (``out_path`` becomes the
     manifest; ``compression="zlib"`` selects framed shards), so
-    degree-ordered files are produced pre-sharded for the concurrent
+    degree-ordered files are produced pre-sharded for the
     :class:`~repro.stream.shard.ShardedEdgeSource` reader.  Peak memory
     is ``O(n + chunk_size + runs * merge_buffer)``; the full edge list
     is never resident.  With ``scan_workers > 1`` the counting pass

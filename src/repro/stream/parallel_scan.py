@@ -58,7 +58,6 @@ from repro.stream.reader import (
     BINARY_SUFFIXES,
     DEFAULT_CHUNK_SIZE,
     EdgeChunkSource,
-    _validate_chunk,
 )
 from repro.stream.scan import (
     PackedCover,
@@ -69,9 +68,8 @@ from repro.stream.scan import (
     plan_cover_blocks,
     scan_source,
 )
-from repro.stream.shard import is_manifest_path
+from repro.stream.shard import _iter_segment, is_manifest_path
 from repro.stream.workers import (
-    _iter_segment,
     _MSG_ERROR,
     _pack_message,
     _unpack_message,
@@ -161,9 +159,7 @@ def _count_job(context, *, segments, chunk_size: int) -> None:
         degrees = np.zeros(0, dtype=np.int64)
         num_edges = 0
         for segment in segments:
-            path = Path(segment.path)
             for pairs, _eids in _iter_segment(segment, chunk_size):
-                _validate_chunk(pairs, path)
                 num_edges += pairs.shape[0]
                 degrees = accumulate_degrees(degrees, pairs)
         busy_s = perf() - t0
@@ -216,9 +212,7 @@ def _cover_job(
                 t0 = perf()
                 cover = PackedCover(k, lo, hi)
                 for segment in segments:
-                    path = Path(segment.path)
                     for pairs, eids in _iter_segment(segment, chunk_size):
-                        _validate_chunk(pairs, path)
                         cover.mark_assignment(parts, pairs, eids)
                         edges += pairs.shape[0]
                 busy_s += perf() - t0
@@ -451,10 +445,10 @@ def scan_stats(
 
     ``source`` is the caller's original source argument (used to plan
     worker segments when it is segmentable), ``opened`` the chunk
-    source already opened from it (used for the sequential fallback, so
-    prefetch/mmap wrappers keep serving the sequential path).  A warm
-    ``pool`` reuses already-spawned workers; without one the parallel
-    pass starts a pool for this call (same result, bit for bit).
+    source already opened from it (used for the sequential fallback).
+    A warm ``pool`` reuses already-spawned workers; without one the
+    parallel pass starts a pool for this call (same result, bit for
+    bit).
     """
     parallel = effective_scan_workers(source, workers)
     with get_tracer().span("count_pass", workers=parallel) as span:

@@ -28,9 +28,6 @@ from __future__ import annotations
 
 import abc
 import os
-import queue
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -47,12 +44,10 @@ __all__ = [
     "InMemoryEdgeSource",
     "BinaryFileEdgeSource",
     "TextFileEdgeSource",
-    "PrefetchingEdgeSource",
     "open_edge_source",
     "sniff_edge_format",
     "require_edge_format",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_PREFETCH_DEPTH",
 ]
 
 #: default number of edges per chunk (1 MiB of binary uint32 pairs)
@@ -68,8 +63,7 @@ BINARY_SUFFIXES = (".bin", ".edges", ".bel")
 class EdgeChunk:
     """One bounded block of an edge stream."""
 
-    pairs: np.ndarray  # (c, 2) integer oriented endpoints (int64, or
-                       # read-only uint32 views from an mmap source)
+    pairs: np.ndarray  # (c, 2) int64 oriented endpoints
     eids: np.ndarray   # (c,) int64 canonical edge ids
 
     @property
@@ -107,31 +101,6 @@ class EdgeChunkSource(abc.ABC):
     def describe(self) -> str:
         """Human-readable one-line description of the source."""
         return type(self).__name__
-
-    def stats(self) -> dict[str, float] | None:
-        """Cumulative read counters, or ``None`` when the source keeps none.
-
-        Sources with background reader machinery
-        (:class:`PrefetchingEdgeSource`,
-        :class:`~repro.stream.shard.ShardedEdgeSource`) return a dict of
-        numeric counters — chunks/edges/bytes served and ``stall_s``,
-        the consumer-side seconds spent waiting on reader threads —
-        which drivers fold into trace output as a ``source_read`` event.
-        Counters accumulate across iterations until ``close()``.
-        """
-        return None
-
-    def close(self) -> None:
-        """Release any live resources (threads, handles, maps).
-
-        The base implementation is a no-op: plain file sources open and
-        close their handle inside each ``__iter__`` call.  Sources that
-        keep background threads or maps alive between ``next()`` calls
-        (:class:`PrefetchingEdgeSource`,
-        :class:`~repro.stream.shard.ShardedEdgeSource`,
-        :class:`~repro.stream.shard.MmapEdgeSource`) override this; it
-        must be idempotent and safe to call mid-iteration.
-        """
 
 
 def _check_chunk_size(chunk_size: int) -> int:
@@ -330,173 +299,6 @@ class TextFileEdgeSource(EdgeChunkSource):
         return f"text file {self.path}"
 
 
-#: default number of decoded chunks held ahead of the consumer
-#: (2 = classic double-buffering: one being consumed, one in flight)
-DEFAULT_PREFETCH_DEPTH = 2
-
-#: queue sentinel marking the clean end of a prefetched stream
-_STREAM_END = object()
-
-
-class _PrefetchError:
-    """Envelope carrying a worker-thread exception to the consumer."""
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
-
-
-class PrefetchingEdgeSource(EdgeChunkSource):
-    """Background-thread prefetch wrapper around any edge source.
-
-    A reader thread iterates the inner source and pushes decoded
-    :class:`EdgeChunk` blocks into a bounded queue of ``depth`` entries,
-    so file I/O and decoding overlap with downstream scoring.  Chunk
-    *content and order* are exactly the inner source's — prefetching is
-    a pure latency optimization and never changes results.
-
-    Each ``__iter__`` call spawns a fresh worker (the wrapper stays
-    restartable, so multi-pass algorithms re-read through it freely).
-    Worker exceptions are re-raised in the consumer; abandoning the
-    iterator mid-stream stops and joins the worker.
-    """
-
-    def __init__(
-        self,
-        inner: EdgeChunkSource,
-        depth: int = DEFAULT_PREFETCH_DEPTH,
-    ) -> None:
-        if depth < 1:
-            raise ConfigurationError(f"prefetch depth must be >= 1, got {depth}")
-        self.inner = inner
-        self.depth = int(depth)
-        self.chunk_size = inner.chunk_size
-        self._live: list[tuple[threading.Event, queue.Queue, threading.Thread]] = []
-        self._chunks_served = 0
-        self._edges_served = 0
-        self._bytes_served = 0
-        self._stall_s = 0.0
-
-    @staticmethod
-    def _shut_down(
-        stop: threading.Event, chunks: queue.Queue, worker: threading.Thread
-    ) -> None:
-        """Stop and reap one iteration's reader thread. Idempotent."""
-        stop.set()
-        # Drain so a blocked _put wakes up, then reap the worker.
-        while worker.is_alive():
-            try:
-                chunks.get_nowait()
-            except queue.Empty:
-                pass
-            worker.join(timeout=0.05)
-
-    def __iter__(self) -> Iterator[EdgeChunk]:
-        chunks: queue.Queue = queue.Queue(maxsize=self.depth)
-        stop = threading.Event()
-
-        def _put(item) -> bool:
-            """Enqueue, polling for consumer abandonment; False = stop."""
-            while not stop.is_set():
-                try:
-                    chunks.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _worker() -> None:
-            try:
-                for chunk in self.inner:
-                    if not _put(chunk):
-                        return
-                _put(_STREAM_END)
-            except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-                _put(_PrefetchError(exc))
-
-        worker = threading.Thread(
-            target=_worker, name="edge-chunk-prefetch", daemon=True
-        )
-        live = (stop, chunks, worker)
-        self._live.append(live)
-        worker.start()
-        try:
-            while True:
-                stall_start = time.perf_counter()
-                while True:
-                    try:
-                        item = chunks.get(timeout=0.05)
-                        break
-                    except queue.Empty:
-                        # Poll so an external close() surfaces instead of
-                        # blocking on a queue no reader feeds anymore.
-                        if stop.is_set():
-                            raise ValueError(
-                                f"{self.describe()}: closed during iteration"
-                            ) from None
-                        continue
-                self._stall_s += time.perf_counter() - stall_start
-                if item is _STREAM_END:
-                    return
-                if isinstance(item, _PrefetchError):
-                    raise item.exc
-                self._chunks_served += 1
-                self._edges_served += item.num_edges
-                self._bytes_served += item.pairs.nbytes + item.eids.nbytes
-                yield item
-        finally:
-            self._shut_down(*live)
-            if live in self._live:
-                self._live.remove(live)
-
-    def close(self) -> None:
-        """Stop every in-flight iteration: join the reader, release fds.
-
-        Safe mid-iteration; resuming a closed iterator raises
-        ``ValueError`` while fresh ``__iter__`` calls keep working.
-        Also closes the wrapped inner source.  Idempotent.
-        """
-        for live in list(self._live):
-            self._shut_down(*live)
-            # Drop queued chunks and the iteration state now rather than
-            # waiting for the abandoned generator to be finalized (its
-            # own finally guards against the double removal).
-            while True:
-                try:
-                    live[1].get_nowait()
-                except queue.Empty:
-                    break
-        self._live.clear()
-        self.inner.close()
-
-    @property
-    def num_edges(self) -> int | None:
-        """Edge count of the wrapped source (``None`` if unknown)."""
-        return self.inner.num_edges
-
-    @property
-    def num_vertices(self) -> int | None:
-        """Vertex universe of the wrapped source (``None`` if unknown)."""
-        return self.inner.num_vertices
-
-    def describe(self) -> str:
-        """Human-readable description including the prefetch depth."""
-        return f"{self.inner.describe()} [prefetch x{self.depth}]"
-
-    def stats(self) -> dict[str, float]:
-        """Chunks/edges/bytes served and consumer stall seconds.
-
-        ``stall_s`` is the time the consumer spent blocked on the
-        prefetch queue — near zero when the reader thread keeps ahead,
-        approaching the read time of the inner source when it cannot.
-        """
-        return {
-            "chunks": self._chunks_served,
-            "edges": self._edges_served,
-            "bytes": self._bytes_served,
-            "stall_s": self._stall_s,
-        }
-
-
 def _validate_chunk(pairs: np.ndarray, path: Path) -> None:
     """Per-chunk stream validation shared by every file-backed source.
 
@@ -570,18 +372,16 @@ def open_edge_source(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     order: str = "natural",
     seed: int = 0,
-    mmap: bool = False,
 ) -> EdgeChunkSource:
     """One front door for every edge-stream shape.
 
     * an :class:`EdgeChunkSource` passes through unchanged,
     * a :class:`Graph` becomes an :class:`InMemoryEdgeSource`,
     * a Table 3 dataset name is generated then wrapped in-memory,
-    * a ``*.manifest.json`` path becomes a concurrent
+    * a ``*.manifest.json`` path becomes a
       :class:`~repro.stream.shard.ShardedEdgeSource`,
     * a ``.bin``/``.edges``/``.bel`` path becomes a
-      :class:`BinaryFileEdgeSource` — or, with ``mmap=True``, a
-      zero-copy :class:`~repro.stream.shard.MmapEdgeSource`,
+      :class:`BinaryFileEdgeSource`,
     * any other existing path a :class:`TextFileEdgeSource`.
 
     File contents are sniffed against the suffix's declared format
@@ -605,38 +405,18 @@ def open_edge_source(
             f"{text!r} is neither a dataset name "
             f"({', '.join(datasets.available())}) nor a file"
         )
-    from repro.stream.shard import (
-        MmapEdgeSource,
-        ShardedEdgeSource,
-        is_manifest_path,
-    )
+    from repro.stream.shard import ShardedEdgeSource, is_manifest_path
 
     if is_manifest_path(path):
         if order != "natural":
             raise ConfigurationError(
                 "sharded sources are sequential-only (order='natural')"
             )
-        if mmap:
-            raise ConfigurationError(
-                "mmap=True applies to single uncompressed binary edge "
-                "files, not shard manifests"
-            )
         return ShardedEdgeSource(path, chunk_size)
     if path.suffix in BINARY_SUFFIXES:
         require_edge_format(path, "binary")
-        if mmap:
-            if order != "natural":
-                raise ConfigurationError(
-                    "mmap sources are sequential-only (order='natural')"
-                )
-            return MmapEdgeSource(path, chunk_size)
         return BinaryFileEdgeSource(path, chunk_size, order=order, seed=seed)
     require_edge_format(path, "text")
-    if mmap:
-        raise ConfigurationError(
-            "mmap=True requires a flat binary edge file "
-            f"({', '.join(BINARY_SUFFIXES)})"
-        )
     if order != "natural":
         raise ConfigurationError(
             "text file sources are sequential-only (order='natural')"

@@ -1,4 +1,4 @@
-"""Sharded edge files: a manifest plus N shard files, read concurrently.
+"""Sharded edge files: a manifest plus N shard files, read in order.
 
 The ROADMAP's next storage step after the single-file chunked readers:
 an edge list split into ``N`` contiguous *shards* described by a small
@@ -13,13 +13,15 @@ Three public pieces:
 
 * :class:`ShardWriter` / :func:`write_sharded_edges` — split any edge
   stream into shards + manifest with bounded memory,
-* :class:`ShardedEdgeSource` — reads the shards **concurrently** (one
-  reader thread per in-flight shard, bounded read-ahead per shard) and
-  re-chunks through a bounded reorder buffer so the emitted chunk/eid
-  sequence is *bit-identical* to reading one concatenated file,
-* :class:`MmapEdgeSource` — serves zero-copy chunks straight out of an
-  ``np.memmap`` window for the uncompressed single-file case (also
-  usable on any uncompressed shard).
+* :class:`EdgeSegment` / :func:`iter_segments` — the one segment
+  reader: decode and validate a run of shards (or worker spill
+  segments) and re-slice it into fixed-size blocks.  The worker
+  processes (:mod:`repro.stream.workers`) read their shard assignment
+  through it,
+* :class:`ShardedEdgeSource` — reads the shards one after another
+  through :func:`iter_segments`, re-sliced to ``chunk_size``, so the
+  emitted chunk/eid sequence is *bit-identical* to reading one
+  concatenated file.
 
 Because shards partition the canonical edge stream contiguously, edge
 ids are still the global stream positions — the out-of-core drivers
@@ -31,13 +33,10 @@ from __future__ import annotations
 
 import json
 import os
-import queue
-import threading
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,13 +51,21 @@ from repro.stream.reader import (
 
 # Reuse the SpillFile frame encoding (header/frame structs and codec
 # table) for the compressed shard variant — one framing format on disk.
-from repro.stream.spill import _CODEC_NAMES, _CODECS, _FRAME, _HEADER
+from repro.stream.spill import (
+    _CODEC_NAMES,
+    _CODECS,
+    _FRAME,
+    _HEADER,
+    read_spill_chunks,
+)
 
 __all__ = [
     "ShardManifest",
     "ShardWriter",
     "ShardedEdgeSource",
-    "MmapEdgeSource",
+    "EdgeSegment",
+    "iter_segments",
+    "manifest_segments",
     "write_sharded_edges",
     "read_shard_manifest",
     "read_flat_edge_blocks",
@@ -81,12 +88,6 @@ SHARD_VERSION = 1
 
 #: magic bytes opening a framed (compressed) shard file
 SHARD_MAGIC = b"RSHD"
-
-#: decoded blocks each shard reader may hold ahead of the consumer
-DEFAULT_SHARD_READ_AHEAD = 2
-
-#: shards read concurrently (read-ahead beyond the one being consumed)
-DEFAULT_SHARD_WORKERS = 4
 
 _PAIR_DTYPE = np.dtype("<u4")  # shard payload: same as binary edge lists
 
@@ -130,6 +131,10 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
     Raises :class:`~repro.errors.GraphFormatError` on anything that is
     not a well-formed ``repro-sharded-edges`` manifest whose shard files
     all exist and whose per-shard edge counts sum to the declared total.
+    An uncompressed shard must also hold exactly ``8 * num_edges``
+    bytes: every reader (the sharded source, the worker processes and
+    the parallel scans) opens the manifest here, so a shard that grew
+    or shrank fails the same way on every path.
     """
     path = Path(path)
     try:
@@ -171,8 +176,14 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
         shard = (path.parent / entry["path"]).resolve()
         if not shard.exists():
             raise GraphFormatError(f"{path}: missing shard file {shard}")
+        expected = entry["num_edges"]
+        if compression is None and shard.stat().st_size != expected * 8:
+            raise GraphFormatError(
+                f"{shard}: shard holds {shard.stat().st_size} bytes, "
+                f"expected {expected * 8} ({expected} edges per manifest)"
+            )
         shard_paths.append(shard)
-        shard_edges.append(entry["num_edges"])
+        shard_edges.append(expected)
     num_edges = data.get("num_edges")
     if not isinstance(num_edges, int) or num_edges != sum(shard_edges):
         raise GraphFormatError(
@@ -449,9 +460,8 @@ def read_flat_edge_blocks(
     contiguous *slice* of a flat file can serve as a virtual shard).
     Validates the on-disk length upfront and every read against the
     requested count — truncation raises
-    :class:`~repro.errors.GraphFormatError` naming the file.  Shared by
-    :class:`ShardedEdgeSource` readers and the multi-worker processes
-    (:mod:`repro.stream.workers`).
+    :class:`~repro.errors.GraphFormatError` naming the file.  The
+    ``"flat"`` decoding of :func:`iter_segments`.
     """
     path = Path(path)
     size = path.stat().st_size
@@ -488,8 +498,8 @@ def read_framed_edge_blocks(
 
     Yields validated int64 ``(c, 2)`` blocks, one per frame; any header
     mismatch or truncation raises
-    :class:`~repro.errors.GraphFormatError` naming the file.  Shared by
-    :class:`ShardedEdgeSource` readers and the multi-worker processes.
+    :class:`~repro.errors.GraphFormatError` naming the file.  The
+    ``"framed"`` decoding of :func:`iter_segments`.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -539,243 +549,164 @@ def read_framed_edge_blocks(
             )
 
 
-#: queue sentinel marking the clean end of one shard's block stream
-_SHARD_END = object()
+@dataclass(frozen=True)
+class EdgeSegment:
+    """One contiguous run of globally-identified edges on disk.
 
+    ``kind`` selects the on-disk decoding:
 
-class _ShardError:
-    """Envelope carrying a shard-reader exception to the consumer."""
-
-    def __init__(self, exc: BaseException) -> None:
-        self.exc = exc
-
-
-class _LiveIteration:
-    """Teardown handle for one in-flight concurrent iteration.
-
-    Holds the stop event, per-shard queues and reader threads of a
-    single ``__iter__`` call, so the iteration can be shut down both
-    from the generator's ``finally`` block *and* from
-    :meth:`ShardedEdgeSource.close` / :meth:`PrefetchingEdgeSource.
-    close` while the generator is suspended mid-stream.
+    * ``"flat"`` — ``count`` flat ``<u4`` pairs starting at edge
+      ``start_edge`` of ``path`` (a whole uncompressed shard, or a
+      virtual shard of a single flat edge file); edge ids are
+      ``eid_start + position``,
+    * ``"framed"`` — a whole zlib-framed shard file; edge ids are
+      ``eid_start + position``,
+    * ``"spill"`` — spill-format ``(u, v, eid)`` triples (the per-worker
+      h2h segments of :func:`~repro.stream.workers.
+      split_spill_round_robin`); edge ids travel in the records and
+      ``eid_start`` is unused.
     """
 
-    def __init__(self) -> None:
-        self.stop = threading.Event()
-        self.queues: dict[int, queue.Queue] = {}
-        self.workers: dict[int, threading.Thread] = {}
+    path: str
+    count: int
+    eid_start: int = 0
+    kind: str = "flat"
+    start_edge: int = 0
+    compression: str | None = None
 
-    def shut_down(self) -> None:
-        """Stop and join every reader thread; drain queues. Idempotent.
+    def describe(self) -> str:
+        """Short human-readable form used in failure messages."""
+        if self.kind == "flat" and self.start_edge:
+            return (
+                f"{self.path}[{self.start_edge}:"
+                f"{self.start_edge + self.count}]"
+            )
+        return self.path
 
-        Joining the readers closes their file handles (each thread owns
-        its ``open``), so no fds outlive the call.
-        """
-        self.stop.set()
-        for index, thread in list(self.workers.items()):
-            q = self.queues[index]
-            while thread.is_alive():
-                try:
-                    q.get_nowait()
-                except queue.Empty:
-                    pass
-                thread.join(timeout=0.05)
+
+def manifest_segments(manifest: ShardManifest) -> list[EdgeSegment]:
+    """One :class:`EdgeSegment` per shard, in manifest order."""
+    kind = "flat" if manifest.compression is None else "framed"
+    segments = []
+    eid_start = 0
+    for path, count in zip(manifest.shard_paths, manifest.shard_edges):
+        segments.append(
+            EdgeSegment(
+                path=str(path), count=count, eid_start=eid_start,
+                kind=kind, compression=manifest.compression,
+            )
+        )
+        eid_start += count
+    return segments
+
+
+def _iter_segment(
+    segment: EdgeSegment, chunk_size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the ``(pairs, eids)`` blocks of one segment, in order."""
+    if segment.kind == "spill":
+        yield from read_spill_chunks(
+            segment.path, segment.count, segment.compression, chunk_size
+        )
+        return
+    if segment.kind == "flat":
+        blocks = read_flat_edge_blocks(
+            segment.path, segment.count, chunk_size, segment.start_edge
+        )
+    elif segment.kind == "framed":
+        blocks = read_framed_edge_blocks(
+            segment.path, segment.count, segment.compression
+        )
+    else:
+        raise ConfigurationError(f"unknown segment kind {segment.kind!r}")
+    eid = segment.eid_start
+    for pairs in blocks:
+        eids = np.arange(eid, eid + pairs.shape[0], dtype=np.int64)
+        eid += pairs.shape[0]
+        yield pairs, eids
+
+
+def iter_segments(
+    segments: Sequence[EdgeSegment],
+    size: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Read ``segments`` in order, re-sliced into ``size``-edge blocks.
+
+    Each segment is decoded in blocks of at most ``chunk_size`` edges;
+    every emitted ``(pairs, eids)`` pair holds exactly ``size`` edges
+    (the final one may be short) and may span segment boundaries.
+    ``pairs`` is ``(c, 2)`` int64, ``eids`` int64.
+    """
+    pairs_buf: list[np.ndarray] = []
+    eids_buf: list[np.ndarray] = []
+    have = 0
+
+    def _take(count: int) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal have
+        taken_p: list[np.ndarray] = []
+        taken_e: list[np.ndarray] = []
+        need = count
+        while need:
+            head_p, head_e = pairs_buf[0], eids_buf[0]
+            if head_p.shape[0] <= need:
+                taken_p.append(head_p)
+                taken_e.append(head_e)
+                pairs_buf.pop(0)
+                eids_buf.pop(0)
+                need -= head_p.shape[0]
+            else:
+                taken_p.append(head_p[:need])
+                taken_e.append(head_e[:need])
+                pairs_buf[0] = head_p[need:]
+                eids_buf[0] = head_e[need:]
+                need = 0
+        have -= count
+        pairs = taken_p[0] if len(taken_p) == 1 else np.vstack(taken_p)
+        eids = taken_e[0] if len(taken_e) == 1 else np.concatenate(taken_e)
+        return pairs, eids
+
+    for segment in segments:
+        for pairs, eids in _iter_segment(segment, chunk_size):
+            if pairs.shape[0] == 0:
+                continue
+            pairs_buf.append(pairs)
+            eids_buf.append(eids)
+            have += pairs.shape[0]
+            while have >= size:
+                yield _take(size)
+    if have:
+        yield _take(have)
 
 
 class ShardedEdgeSource(EdgeChunkSource):
-    """Concurrent chunked reader over a sharded edge-file set.
+    """Chunked reader over a sharded edge-file set, one shard at a time.
 
-    One reader thread per in-flight shard decodes blocks into a bounded
-    per-shard queue (``read_ahead`` blocks deep); at most ``max_workers``
-    shards are in flight at once, so the reorder buffer holds at most
-    ``max_workers * read_ahead`` decoded blocks.  The consumer drains
-    shards strictly in manifest order and re-slices the stream to global
-    ``chunk_size`` boundaries, so the emitted chunk/eid sequence is
-    bit-identical to a single-file
+    The shards are read in manifest order through :func:`iter_segments`
+    (the segment reader the worker processes use) and re-sliced to
+    global ``chunk_size`` boundaries, so the emitted chunk/eid sequence
+    is bit-identical to a single-file
     :class:`~repro.stream.reader.BinaryFileEdgeSource` read of the
-    concatenated shards — concurrency is a pure throughput optimization.
-
-    Each ``__iter__`` call spawns fresh workers (restartable, so
-    multi-pass algorithms re-read freely); abandoning the iterator stops
-    and joins them.
+    concatenated shards.  Restartable: every ``__iter__`` call starts
+    again at the first shard.
     """
 
     def __init__(
         self,
         manifest: "str | os.PathLike | ShardManifest",
         chunk_size: int = DEFAULT_CHUNK_SIZE,
-        read_ahead: int = DEFAULT_SHARD_READ_AHEAD,
-        max_workers: int = DEFAULT_SHARD_WORKERS,
     ) -> None:
         if not isinstance(manifest, ShardManifest):
             manifest = read_shard_manifest(manifest)
-        if read_ahead < 1:
-            raise ConfigurationError(
-                f"read_ahead must be >= 1, got {read_ahead}"
-            )
-        if max_workers < 1:
-            raise ConfigurationError(
-                f"max_workers must be >= 1, got {max_workers}"
-            )
         self.manifest = manifest
         self.chunk_size = _check_chunk_size(chunk_size)
-        self.read_ahead = int(read_ahead)
-        self.max_workers = int(max_workers)
-        self._live: list[_LiveIteration] = []
-        self._chunks_served = 0
-        self._edges_served = 0
-        self._bytes_served = 0
-        self._stall_s = 0.0
-
-    # -- shard decoding (worker side) --------------------------------------
-
-    def _read_shard(self, index: int) -> Iterator[np.ndarray]:
-        """Yield validated int64 ``(c, 2)`` blocks of one shard."""
-        path = self.manifest.shard_paths[index]
-        expected = self.manifest.shard_edges[index]
-        if self.manifest.compression is None:
-            yield from self._read_flat(path, expected)
-        else:
-            yield from self._read_framed(path, expected)
-
-    def _read_flat(self, path: Path, expected: int) -> Iterator[np.ndarray]:
-        """Decode a flat ``<u4`` shard in bounded blocks."""
-        size = path.stat().st_size
-        if size != expected * 8:
-            raise GraphFormatError(
-                f"{path}: shard holds {size} bytes, expected "
-                f"{expected * 8} ({expected} edges per manifest)"
-            )
-        yield from read_flat_edge_blocks(path, expected, self.chunk_size)
-
-    def _read_framed(self, path: Path, expected: int) -> Iterator[np.ndarray]:
-        """Inflate a zlib-framed shard frame by frame."""
-        yield from read_framed_edge_blocks(
-            path, expected, self.manifest.compression
-        )
-
-    # -- concurrent iteration (consumer side) ------------------------------
 
     def __iter__(self) -> Iterator[EdgeChunk]:
-        live = _LiveIteration()
-        self._live.append(live)
-
-        def _put(q: queue.Queue, item) -> bool:
-            while not live.stop.is_set():
-                try:
-                    q.put(item, timeout=0.05)
-                    return True
-                except queue.Full:
-                    continue
-            return False
-
-        def _worker(index: int, q: queue.Queue) -> None:
-            try:
-                for block in self._read_shard(index):
-                    if not _put(q, block):
-                        return
-                _put(q, _SHARD_END)
-            except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
-                _put(q, _ShardError(exc))
-
-        def _launch(index: int) -> None:
-            if index in live.workers or index >= self.manifest.num_shards:
-                return
-            q: queue.Queue = queue.Queue(maxsize=self.read_ahead)
-            t = threading.Thread(
-                target=_worker, args=(index, q),
-                name=f"shard-reader-{index}", daemon=True,
-            )
-            live.queues[index], live.workers[index] = q, t
-            t.start()
-
-        def _get(q: queue.Queue):
-            # Poll so an external close() (stop set from another frame)
-            # surfaces instead of blocking on a queue no reader feeds.
-            stall_start = time.perf_counter()
-            while True:
-                try:
-                    item = q.get(timeout=0.05)
-                except queue.Empty:
-                    if live.stop.is_set():
-                        raise ValueError(
-                            f"{self.describe()}: closed during iteration"
-                        ) from None
-                    continue
-                self._stall_s += time.perf_counter() - stall_start
-                return item
-
-        buffers: list[np.ndarray] = []
-        buffered = 0
-        next_eid = 0
-
-        def _emit(count: int) -> EdgeChunk:
-            nonlocal buffers, buffered, next_eid
-            taken: list[np.ndarray] = []
-            need = count
-            while need:
-                head = buffers[0]
-                if head.shape[0] <= need:
-                    taken.append(head)
-                    buffers.pop(0)
-                    need -= head.shape[0]
-                else:
-                    taken.append(head[:need])
-                    buffers[0] = head[need:]
-                    need = 0
-            buffered -= count
-            pairs = taken[0] if len(taken) == 1 else np.vstack(taken)
-            eids = np.arange(next_eid, next_eid + count, dtype=np.int64)
-            next_eid += count
-            self._chunks_served += 1
-            self._edges_served += count
-            self._bytes_served += pairs.nbytes + eids.nbytes
-            return EdgeChunk(pairs=pairs, eids=eids)
-
-        try:
-            for index in range(self.manifest.num_shards):
-                for ahead in range(index, index + self.max_workers):
-                    _launch(ahead)
-                q = live.queues[index]
-                while True:
-                    item = _get(q)
-                    if item is _SHARD_END:
-                        break
-                    if isinstance(item, _ShardError):
-                        raise item.exc
-                    buffers.append(item)
-                    buffered += item.shape[0]
-                    while buffered >= self.chunk_size:
-                        yield _emit(self.chunk_size)
-                live.workers[index].join()
-            if buffered:
-                yield _emit(buffered)
-        finally:
-            live.shut_down()
-            if live in self._live:
-                self._live.remove(live)
-
-    def close(self) -> None:
-        """Stop every in-flight iteration: join reader threads, free fds.
-
-        Safe to call mid-iteration (the regression this pins: abandoning
-        a concurrent read used to rely on generator finalization to reap
-        reader threads).  Resuming a closed iterator raises
-        ``ValueError``; fresh ``__iter__`` calls work normally.
-        Idempotent.
-        """
-        for live in list(self._live):
-            live.shut_down()
-            # Drop queued chunks and the iteration state now rather than
-            # waiting for the abandoned generator to be finalized (its
-            # own finally guards against the double removal).
-            for q in live.queues.values():
-                while True:
-                    try:
-                        q.get_nowait()
-                    except queue.Empty:
-                        break
-        self._live.clear()
+        segments = manifest_segments(self.manifest)
+        for pairs, eids in iter_segments(
+            segments, self.chunk_size, self.chunk_size
+        ):
+            yield EdgeChunk(pairs=pairs, eids=eids)
 
     @property
     def num_edges(self) -> int:
@@ -792,89 +723,5 @@ class ShardedEdgeSource(EdgeChunkSource):
         codec = self.manifest.compression or "raw"
         return (
             f"sharded {self.manifest.path} "
-            f"({self.manifest.num_shards} shards, {codec}, "
-            f"<= {self.max_workers} readers)"
+            f"({self.manifest.num_shards} shards, {codec})"
         )
-
-    def stats(self) -> dict[str, float]:
-        """Chunks/edges/bytes served and consumer stall seconds.
-
-        ``stall_s`` measures how long the consumer sat on the per-shard
-        reorder queues — the visible cost of reader threads not keeping
-        ahead of the stream.
-        """
-        return {
-            "chunks": self._chunks_served,
-            "edges": self._edges_served,
-            "bytes": self._bytes_served,
-            "stall_s": self._stall_s,
-        }
-
-
-class MmapEdgeSource(EdgeChunkSource):
-    """Zero-copy chunked reader over a flat ``<u4`` binary edge list.
-
-    Chunks are read-only uint32 *views* into an ``np.memmap`` — no
-    per-chunk allocation or copy; the kernel pages data in on access.
-    Every downstream consumer (scan, spill, kernels, CSR build)
-    normalizes dtype per element or per block, so results are
-    bit-identical to :class:`~repro.stream.reader.BinaryFileEdgeSource`
-    — pinned by the equivalence tests.  Sequential (natural) order only.
-    """
-
-    def __init__(
-        self, path: "str | os.PathLike", chunk_size: int = DEFAULT_CHUNK_SIZE
-    ) -> None:
-        self.path = Path(path)
-        self.chunk_size = _check_chunk_size(chunk_size)
-        size = self.path.stat().st_size
-        if size % 8 != 0:
-            raise GraphFormatError(
-                f"{self.path}: binary edge list length {size} is not a "
-                f"multiple of 8"
-            )
-        self._num_edges = size // 8
-        self._mm: np.memmap | None = None
-
-    def _window(self) -> np.ndarray:
-        """The whole file as a read-only ``(m, 2)`` uint32 view."""
-        if self._mm is None:
-            # np.memmap rejects empty files; the caller never reaches
-            # here with zero edges (the iterator returns early).
-            self._mm = np.memmap(self.path, dtype=_PAIR_DTYPE, mode="r")
-        if self._mm.size != self._num_edges * 2:
-            raise GraphFormatError(
-                f"{self.path}: file size changed under the mmap "
-                f"({self._mm.size} values mapped, "
-                f"{self._num_edges * 2} expected)"
-            )
-        return self._mm.reshape(-1, 2)
-
-    def __iter__(self) -> Iterator[EdgeChunk]:
-        if self._num_edges == 0:
-            return
-        pairs = self._window()
-        for start in range(0, self._num_edges, self.chunk_size):
-            block = pairs[start : start + self.chunk_size]
-            _validate_chunk(block, self.path)
-            eids = np.arange(
-                start, start + block.shape[0], dtype=np.int64
-            )
-            yield EdgeChunk(pairs=block, eids=eids)
-
-    @property
-    def num_edges(self) -> int:
-        """Edge count derived from the file size (pairs of uint32)."""
-        return self._num_edges
-
-    def close(self) -> None:
-        """Drop the memmap so the mapping (and its fd) can be released.
-
-        Chunks already handed out keep the map alive through their own
-        references; the next ``__iter__`` re-maps lazily.  Idempotent.
-        """
-        self._mm = None
-
-    def describe(self) -> str:
-        """Human-readable one-line description of the source."""
-        return f"mmap file {self.path}"

@@ -20,9 +20,9 @@ runs pickled jobs, and a BSP run's state lives in one
 * **Workers** (:func:`_stream_shared_job`) map the segment and read the
   published replica/load snapshot.  Per superstep a worker reads the
   next ``batch`` edges of its stream, scores them against the snapshot
-  with a kernel bitwise equal to the in-process schedule's
-  (:class:`~repro.parallel.kernel.FusedBatchScorer`), and writes the
-  batch to its scratch lane of the segment.
+  with the in-process schedule's own kernel
+  (:func:`~repro.parallel.kernel.score_batch_on_snapshot`), and writes
+  the batch to its scratch lane of the segment.
 * **The coordinator** (:class:`StateService` inside
   :func:`run_bsp_shared`) owns the live state.  It merges worker
   batches in worker order — replica marks OR-ed, loads summed — exactly
@@ -67,10 +67,10 @@ import numpy as np
 from repro.errors import ConfigurationError, WorkerFailureError
 from repro.obs.tracer import get_tracer, install_collecting_tracer
 from repro.parallel.kernel import (
-    FusedBatchScorer,
     apply_batch,
     contiguous_streams,
     place_batch_serialized,
+    score_batch_on_snapshot,
     shard_round_robin_streams,
     superstep_is_safe,
 )
@@ -78,17 +78,17 @@ from repro.parallel.shm import SharedState
 from repro.partition.state import StreamingState
 from repro.stream.reader import DEFAULT_CHUNK_SIZE
 from repro.stream.shard import (
+    EdgeSegment,
     is_manifest_path,
-    read_flat_edge_blocks,
-    read_framed_edge_blocks,
+    iter_segments,
+    manifest_segments,
     read_shard_manifest,
 )
 
 # Control frames reuse the spill file's frame struct (repro.stream.spill).
-from repro.stream.spill import _FRAME, SpillFile, read_spill_chunks
+from repro.stream.spill import _FRAME, SpillFile
 
 __all__ = [
-    "EdgeSegment",
     "PersistentWorkerPool",
     "StateService",
     "MultiWorkerReport",
@@ -122,68 +122,6 @@ _DONE_TIMINGS = np.dtype("<f8")
 _DONE_TIMING_FIELDS = 3  # busy_s, wait_s, send_s
 
 
-@dataclass(frozen=True)
-class EdgeSegment:
-    """One contiguous run of globally-identified edges a worker streams.
-
-    ``kind`` selects the on-disk decoding:
-
-    * ``"flat"`` — ``count`` flat ``<u4`` pairs starting at edge
-      ``start_edge`` of ``path`` (a whole uncompressed shard, or a
-      virtual shard of a single flat edge file); edge ids are
-      ``eid_start + position``,
-    * ``"framed"`` — a whole zlib-framed shard file; edge ids are
-      ``eid_start + position``,
-    * ``"spill"`` — spill-format ``(u, v, eid)`` triples (h2h segments
-      written by :func:`split_spill_round_robin`); edge ids travel in
-      the records and ``eid_start`` is unused.
-    """
-
-    path: str
-    count: int
-    eid_start: int = 0
-    kind: str = "flat"
-    start_edge: int = 0
-    compression: str | None = None
-
-    def describe(self) -> str:
-        """Short human-readable form used in failure messages."""
-        if self.kind == "flat" and self.start_edge:
-            return (
-                f"{self.path}[{self.start_edge}:"
-                f"{self.start_edge + self.count}]"
-            )
-        return self.path
-
-
-def _iter_segment(
-    segment: EdgeSegment, chunk_size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(pairs, eids)`` blocks of one segment, bounded by chunks."""
-    if segment.kind == "flat":
-        eid = segment.eid_start
-        for pairs in read_flat_edge_blocks(
-            segment.path, segment.count, chunk_size, segment.start_edge
-        ):
-            eids = np.arange(eid, eid + pairs.shape[0], dtype=np.int64)
-            eid += pairs.shape[0]
-            yield pairs, eids
-    elif segment.kind == "framed":
-        eid = segment.eid_start
-        for pairs in read_framed_edge_blocks(
-            segment.path, segment.count, segment.compression
-        ):
-            eids = np.arange(eid, eid + pairs.shape[0], dtype=np.int64)
-            eid += pairs.shape[0]
-            yield pairs, eids
-    elif segment.kind == "spill":
-        yield from read_spill_chunks(
-            segment.path, segment.count, segment.compression, chunk_size
-        )
-    else:
-        raise ConfigurationError(f"unknown segment kind {segment.kind!r}")
-
-
 def _iter_batches(
     segments: Sequence[EdgeSegment], batch: int, chunk_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -193,45 +131,8 @@ def _iter_batches(
     crossing segment boundaries — the worker-process equivalent of
     ``streams[w][cursor : cursor + batch]`` in the in-process schedule.
     """
-    pairs_buf: list[np.ndarray] = []
-    eids_buf: list[np.ndarray] = []
-    have = 0
-
-    def _emit(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        nonlocal have
-        taken_p: list[np.ndarray] = []
-        taken_e: list[np.ndarray] = []
-        need = count
-        while need:
-            head_p, head_e = pairs_buf[0], eids_buf[0]
-            if head_p.shape[0] <= need:
-                taken_p.append(head_p)
-                taken_e.append(head_e)
-                pairs_buf.pop(0)
-                eids_buf.pop(0)
-                need -= head_p.shape[0]
-            else:
-                taken_p.append(head_p[:need])
-                taken_e.append(head_e[:need])
-                pairs_buf[0] = head_p[need:]
-                eids_buf[0] = head_e[need:]
-                need = 0
-        have -= count
-        pairs = taken_p[0] if len(taken_p) == 1 else np.vstack(taken_p)
-        eids = taken_e[0] if len(taken_e) == 1 else np.concatenate(taken_e)
-        return pairs[:, 0], pairs[:, 1], eids
-
-    for segment in segments:
-        for pairs, eids in _iter_segment(segment, chunk_size):
-            if pairs.shape[0] == 0:
-                continue
-            pairs_buf.append(np.asarray(pairs, dtype=np.int64))
-            eids_buf.append(np.asarray(eids, dtype=np.int64))
-            have += pairs.shape[0]
-            while have >= batch:
-                yield _emit(batch)
-    if have:
-        yield _emit(have)
+    for pairs, eids in iter_segments(segments, batch, chunk_size):
+        yield pairs[:, 0], pairs[:, 1], eids
 
 
 # -- wire format ------------------------------------------------------------
@@ -356,9 +257,9 @@ def _stream_shared_job(
     published snapshot each superstep — the commit frame's count field
     names the buffer that is current.  Batches are written to this
     worker's scratch lane; the pipe carries only empty ``BATCH``/
-    ``SCORES`` control frames.  Scoring runs through the fused
-    :class:`~repro.parallel.kernel.FusedBatchScorer` (bitwise equal to
-    the reference kernel).
+    ``SCORES`` control frames.  Scoring runs through
+    :func:`~repro.parallel.kernel.score_batch_on_snapshot`, the kernel
+    the in-process schedule calls.
     """
     conn = context.conn
     perf = time.perf_counter
@@ -372,7 +273,6 @@ def _stream_shared_job(
                 shm_name, num_vertices, k, workers, batch
             )
             span.add("shm_bytes", shared.nbytes)
-        scorer = FusedBatchScorer(k, batch, lam, eps)
         degrees = shared.degrees
         published = 0
         read_s = score_s = encode_s = send_s = wait_s = 0.0
@@ -391,7 +291,9 @@ def _stream_shared_job(
                 t0 = perf()
                 replicas, loads = shared.snapshot(published)
                 safe = superstep_is_safe(loads, workers, batch, capacity)
-                scores = scorer.scores(replicas, loads, degrees, us, vs)
+                scores = score_batch_on_snapshot(
+                    replicas, loads, degrees, us, vs, lam, eps
+                )
                 score_s += perf() - t0
                 # Lane writes are this transport's encode step.
                 t0 = perf()
@@ -1111,23 +1013,8 @@ def plan_worker_segments(
         raise ConfigurationError(f"{path}: no such edge file or manifest")
     if is_manifest_path(path):
         manifest = read_shard_manifest(path)
-        offsets = [0]
-        for count in manifest.shard_edges:
-            offsets.append(offsets[-1] + count)
-        kind = "flat" if manifest.compression is None else "framed"
-        segments: list[list[EdgeSegment]] = []
-        for w in range(workers):
-            segs = [
-                EdgeSegment(
-                    path=str(manifest.shard_paths[i]),
-                    count=manifest.shard_edges[i],
-                    eid_start=offsets[i],
-                    kind=kind,
-                    compression=manifest.compression,
-                )
-                for i in range(w, manifest.num_shards, workers)
-            ]
-            segments.append(segs)
+        shards = manifest_segments(manifest)
+        segments = [shards[w::workers] for w in range(workers)]
         streams = shard_round_robin_streams(manifest.shard_edges, workers)
         return segments, streams, manifest.num_edges, manifest.num_vertices
     from repro.stream.reader import BINARY_SUFFIXES, require_edge_format

@@ -29,13 +29,17 @@ class TestParser:
         assert args.tau is None  # resolved to 10.0 on the HEP paths
 
     def test_tau_rejected_for_non_hep(self, small_graph_file, capsys):
-        for extra in ([], ["--out-of-core"]):
+        # Out of core, the runtime's spec validation words the error.
+        for extra, message in (
+            ([], "--tau applies only"),
+            (["--out-of-core"], "tau is HEP's degree threshold"),
+        ):
             rc = main(
                 ["partition", str(small_graph_file), "--k", "2",
                  "--algo", "HDRF", "--tau", "2.0", *extra]
             )
             assert rc == 1
-            assert "--tau applies only" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
 
 class TestPartitionCommand:
@@ -177,17 +181,14 @@ class TestOutOfCoreBaselines:
         out = capsys.readouterr().out
         assert "out-of-core" in out and "replication factor" in out
 
-    def test_restreaming_with_passes_and_prefetch(
-        self, small_graph_file, capsys
-    ):
+    def test_restreaming_with_passes(self, small_graph_file, capsys):
         rc = main(
             ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
-             "--algo", "restreaming", "--passes", "2", "--prefetch", "2"]
+             "--algo", "restreaming", "--passes", "2"]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "stream passes      : 2" in out
-        assert "prefetch depth" in out
 
     def test_baseline_matches_in_memory(self, small_graph_file, tmp_path):
         in_mem = tmp_path / "a.txt"
@@ -220,28 +221,13 @@ class TestOutOfCoreBaselines:
         assert rc == 1
         assert "spill" in capsys.readouterr().err
 
-    def test_hep_spill_compression_and_prefetch(self, small_graph_file, capsys):
+    def test_hep_spill_compression(self, small_graph_file, capsys):
         rc = main(
             ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
-             "--tau", "0.5", "--spill-compression", "zlib", "--prefetch", "2"]
+             "--tau", "0.5", "--spill-compression", "zlib"]
         )
         assert rc == 0
         assert "zlib" in capsys.readouterr().out
-
-    def test_prefetch_requires_out_of_core(self, small_graph_file, capsys):
-        rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--prefetch", "2"]
-        )
-        assert rc == 1
-        assert "--out-of-core" in capsys.readouterr().err
-
-    def test_negative_prefetch_rejected(self, small_graph_file, capsys):
-        rc = main(
-            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
-             "--prefetch", "-2"]
-        )
-        assert rc == 1
-        assert ">= 0" in capsys.readouterr().err
 
 
 class TestExtsortCommand:
@@ -274,7 +260,7 @@ class TestExtsortCommand:
 
 
 class TestShardedCli:
-    """datasets --format sharded, extsort --shards, partition --mmap."""
+    """datasets --format sharded, extsort --shards."""
 
     def test_sharded_export_then_partition(self, tmp_path, capsys):
         manifest = tmp_path / "lj.manifest.json"
@@ -324,20 +310,6 @@ class TestShardedCli:
                    "--compress", "zlib"])
         assert rc == 1
         assert "--shards" in capsys.readouterr().err
-
-    def test_mmap_partition(self, tmp_path, capsys):
-        src = tmp_path / "lj.bin"
-        assert main(["datasets", "--export", "LJ", "--format", "binary",
-                     "--output", str(src)]) == 0
-        rc = main(["partition", str(src), "--k", "4", "--out-of-core",
-                   "--algo", "HDRF", "--mmap"])
-        assert rc == 0
-        assert "replication factor" in capsys.readouterr().out
-
-    def test_mmap_requires_out_of_core(self, small_graph_file, capsys):
-        rc = main(["partition", str(small_graph_file), "--k", "2", "--mmap"])
-        assert rc == 1
-        assert "--out-of-core" in capsys.readouterr().err
 
     def test_text_named_edges_errors(self, tmp_path, capsys):
         """Regression: a text edge list named *.edges used to be parsed

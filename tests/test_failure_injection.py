@@ -192,12 +192,15 @@ class TestWarmPoolFailures:
             return None
         return {p.name for p in shm_dir.glob("psm_*")}
 
-    def _shared_run(self, graph, manifest, pool, workers=2, batch=2):
+    def _shared_run(
+        self, graph, manifest, pool, workers=2, batch=2, segments=None
+    ):
         from repro.partition.base import capacity_bound
         from repro.partition.state import StreamingState
         from repro.stream import plan_worker_segments, run_bsp_shared
 
-        segments, _, _, _ = plan_worker_segments(manifest.path, workers)
+        if segments is None:
+            segments, _, _, _ = plan_worker_segments(manifest.path, workers)
         capacity = capacity_bound(graph.num_edges, 4, 1.0)
         state = StreamingState(
             graph.num_vertices, 4, capacity, exact_degrees=graph.degrees
@@ -223,9 +226,10 @@ class TestWarmPoolFailures:
             assert self._psm_segments() - before == set()
 
     def test_truncated_shard_names_worker_and_shard(self, sharded):
-        from repro.stream import PersistentWorkerPool
+        from repro.stream import PersistentWorkerPool, plan_worker_segments
 
         graph, manifest = sharded
+        segments, _, _, _ = plan_worker_segments(manifest.path, 2)
         # Truncate shard 2 (owned by worker 0) *after* planning — the
         # worker hits it mid-stream, exactly like disk corruption or a
         # concurrent truncation during a long run.
@@ -237,7 +241,7 @@ class TestWarmPoolFailures:
         try:
             pool.start()
             with pytest.raises(WorkerFailureError) as excinfo:
-                self._shared_run(graph, manifest, pool)
+                self._shared_run(graph, manifest, pool, segments=segments)
         finally:
             pool.shutdown()
         message = str(excinfo.value)

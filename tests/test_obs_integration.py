@@ -6,8 +6,7 @@ The load-bearing properties:
   the coordinator's ``pool_run`` span — one coherent tree per run,
 * enabling tracing never changes partition assignments (bit-identity,
   pinned as a Hypothesis property over graphs and BSP schedules),
-* per-worker busy/wait timings are reported even *without* tracing,
-* edge sources expose read counters that surface in the trace.
+* per-worker busy/wait timings are reported even *without* tracing.
 """
 
 import numpy as np
@@ -20,8 +19,6 @@ from repro.graph.generators import chung_lu
 from repro.obs import Tracer, phase_breakdown, read_trace, set_tracer, tracing
 from repro.runtime import make_job, run_job
 from repro.stream import write_sharded_edges
-from repro.stream.reader import PrefetchingEdgeSource, open_edge_source
-from repro.stream.shard import ShardedEdgeSource
 from repro.stream.workers import WorkerTimings
 
 
@@ -221,45 +218,3 @@ class TestWorkerTimingsWithoutTrace:
             coordinator_send_s=0.0,
         )
         assert skewed.skew == pytest.approx(1.5)
-
-
-class TestSourceReadCounters:
-    def test_sharded_source_stats(self, manifest):
-        src = ShardedEdgeSource(manifest.path)
-        assert src.stats()["chunks"] == 0
-        total = sum(chunk.num_edges for chunk in src)
-        stats = src.stats()
-        assert stats["edges"] == total
-        assert stats["chunks"] > 0
-        assert stats["bytes"] > 0
-        assert stats["stall_s"] >= 0.0
-
-    def test_prefetching_source_stats(self, manifest):
-        inner = open_edge_source(manifest.path, 4096)
-        src = PrefetchingEdgeSource(inner, depth=2)
-        total = sum(chunk.num_edges for chunk in src)
-        stats = src.stats()
-        assert stats["edges"] == total
-        assert stats["chunks"] > 0
-        assert stats["stall_s"] >= 0.0
-
-    def test_plain_source_stats_is_none(self, graph, tmp_path):
-        from repro.graph.edgelist import write_binary_edgelist
-
-        path = tmp_path / "plain.bin"
-        write_binary_edgelist(graph, path)
-        src = open_edge_source(path, 4096)
-        assert not isinstance(src, ShardedEdgeSource)
-        assert src.stats() is None
-
-    def test_source_read_event_lands_in_trace(self, manifest, tmp_path):
-        trace_path = tmp_path / "src.trace.jsonl"
-        with tracing(trace_path):
-            run_job(make_job("HDRF", manifest.path, 8, prefetch=2))
-        events = [
-            r for r in read_trace(trace_path)
-            if r.get("type") == "span" and r["name"] == "source_read"
-        ]
-        assert len(events) == 1
-        assert events[0]["counters"]["edges"] > 0
-        assert events[0]["counters"]["chunks"] > 0

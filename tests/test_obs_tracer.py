@@ -100,9 +100,9 @@ class TestSpanMechanics:
 
     def test_event_is_zero_duration_span_with_counters(self):
         tracer = Tracer(None)
-        tracer.event("source_read", counters={"chunks": 3}, source="x")
+        tracer.event("checkpoint", counters={"chunks": 3}, source="x")
         (record,) = tracer.drain()
-        assert record["name"] == "source_read"
+        assert record["name"] == "checkpoint"
         assert record["counters"] == {"chunks": 3}
         assert record["attrs"]["source"] == "x"
 

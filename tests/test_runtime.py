@@ -109,8 +109,6 @@ class TestContentHash:
     def test_io_and_scan_knobs_do_not_split_the_hash(self, tmp_path):
         base = make_job("HDRF", "OK", 4)
         for variant in (
-            make_job("HDRF", "OK", 4, prefetch=4),
-            make_job("HDRF", "OK", 4, mmap=True),
             make_job("HDRF", "OK", 4, metrics_workers=2),
             make_job("HDRF", "OK", 4, spill_dir=str(tmp_path)),
             make_job("HDRF", "OK", 4, trace_path="t.jsonl"),
@@ -342,6 +340,41 @@ class TestSpecValidation:
             run_job(spec, store=store)
         assert (store.hits, store.misses) == (0, 0)
 
+    @pytest.mark.parametrize(
+        "algo,options,flags,match",
+        [
+            ("HEP", {"tau": 2.0, "memory_budget": 400000},
+             ["--tau", "2.0", "--memory-budget", "400000"], "conflict"),
+            ("HDRF", {"workers": 2, "memory_budget": 1000},
+             ["--workers", "2", "--memory-budget", "1000"],
+             "tunes HEP's tau"),
+            ("DBH", {"tau": 3.0}, ["--tau", "3.0"], "degree threshold"),
+            ("HDRF", {"buffer_size": 64}, ["--buffer-size", "64"],
+             "scoring window"),
+            ("Greedy", {"spill_compression": "zlib"},
+             ["--spill-compression", "zlib"], "h2h spill"),
+        ],
+        ids=["HEP-tau-budget", "HDRF-mw2-budget", "DBH-tau", "HDRF-buffer",
+             "Greedy-spill-compression"],
+    )
+    def test_hep_only_knobs_are_rejected(
+        self, edge_file, tmp_path, capsys, algo, options, flags, match
+    ):
+        """Each of these used to run with the knob ignored, under a hash
+        of its own; now it is rejected before the input is hashed, and
+        the CLI prints the same message."""
+        store = ArtifactStore(tmp_path / "cache")
+        spec = make_job(algo, edge_file, 8, **options)
+        with pytest.raises(ConfigurationError, match=match) as excinfo:
+            run_job(spec, store=store)
+        assert (store.hits, store.misses) == (0, 0)
+        message = str(excinfo.value)
+        assert "--" not in message
+        rc = main(["partition", str(edge_file), "--k", "8", "--out-of-core",
+                   "--algo", algo, *flags])
+        assert rc == 1
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
     def test_lambda_zero_is_a_valid_spec(self, edge_file):
         result = run_job(make_job("HDRF", edge_file, 4,
                                   algo_params={"lam": 0.0}))
@@ -378,8 +411,7 @@ class TestJobCli:
         "flags,shape_line",
         [
             (["--memory-budget", "400000"], "memory budget"),
-            (["--algo", "Restreaming", "--passes", "2", "--prefetch", "2"],
-             "stream passes"),
+            (["--algo", "Restreaming", "--passes", "2"], "stream passes"),
             (["--algo", "HDRF", "--workers", "2"], "bsp schedule"),
             (["--workers", "2", "--tau", "1.0"], "h2h edges spilled"),
         ],

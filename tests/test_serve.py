@@ -188,6 +188,18 @@ class TestSubmitValidation:
                     await manager.submit(
                         _payload(edge_file, algo_params=params)
                     )
+            for extra, match in (
+                ({"algo": "HEP", "tau": 2.0, "memory_budget": 400000},
+                 "conflict"),
+                ({"workers": 2, "memory_budget": 1000}, "tunes HEP's tau"),
+                ({"algo": "DBH", "tau": 3.0}, "degree threshold"),
+                ({"buffer_size": 64}, "scoring window"),
+                ({"chunk_size": 0}, "chunk_size must be >= 1"),
+                ({"prefetch": 2}, "unknown submit key"),
+                ({"mmap": True}, "unknown submit key"),
+            ):
+                with pytest.raises(SubmitError, match=match):
+                    await manager.submit(_payload(edge_file, **extra))
             with pytest.raises(SubmitError, match="JSON object"):
                 await manager.submit(["not", "a", "dict"])
             await manager.shutdown()

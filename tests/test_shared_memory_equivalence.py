@@ -6,9 +6,8 @@ end-to-end property — a shared-memory run is **bit-identical** to the
 in-process ``bsp_hdrf_stream`` oracle for any graph × workers × batch —
 is pinned in ``tests/test_stream_workers.py``.  This file pins the
 pieces underneath it: the commit/aging contract of
-:class:`~repro.parallel.shm.SharedState`, the bitwise equality of
-:class:`~repro.parallel.kernel.FusedBatchScorer` against the reference
-scorer, warm-pool reuse across jobs (against the oracle), HEP's
+:class:`~repro.parallel.shm.SharedState`, warm-pool reuse across jobs
+(against the oracle), HEP's
 single-worker phase two against sequential HEP, and the
 no-leaked-segments invariant the CI gate also enforces.
 """
@@ -21,12 +20,11 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph.generators import chung_lu
 from repro.parallel import (
-    FusedBatchScorer,
     SharedArray,
     SharedState,
     bsp_hdrf_stream,
 )
-from repro.parallel.kernel import apply_delta, score_batch_on_snapshot
+from repro.parallel.kernel import apply_delta
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
@@ -241,56 +239,6 @@ class TestSharedState:
         shared.close()
         shared.unlink()
         shared.unlink()
-
-
-class TestFusedBatchScorer:
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_bitwise_equal_to_reference(self, seed):
-        rng = np.random.default_rng(seed)
-        n, k, b = 50, 6, 16
-        replicas = rng.random((k, n)) < 0.3
-        loads = rng.integers(0, 100, size=k).astype(np.int64)
-        # Keep zero-degree vertices so the theta = 0.5 branch is hit.
-        degrees = rng.integers(0, 12, size=n).astype(np.int64)
-        us = rng.integers(0, n, size=b)
-        vs = rng.integers(0, n, size=b)
-        scorer = FusedBatchScorer(k, b, lam=1.1, eps=1.0)
-        got = scorer.scores(replicas, loads, degrees, us, vs)
-        want = score_batch_on_snapshot(
-            replicas, loads, degrees, us, vs, 1.1, 1.0
-        )
-        np.testing.assert_array_equal(
-            got.view(np.uint64), want.view(np.uint64)
-        )
-
-    def test_short_batches_reuse_the_buffer(self):
-        rng = np.random.default_rng(9)
-        n, k = 20, 4
-        replicas = rng.random((k, n)) < 0.5
-        loads = rng.integers(0, 10, size=k).astype(np.int64)
-        degrees = rng.integers(1, 5, size=n).astype(np.int64)
-        scorer = FusedBatchScorer(k, max_batch=8, lam=1.1, eps=1.0)
-        us = rng.integers(0, n, size=3)
-        vs = rng.integers(0, n, size=3)
-        first = scorer.scores(replicas, loads, degrees, us, vs)
-        assert first.shape == (3, k)
-        kept = first.copy()
-        # The next call overwrites the shared buffer in place — callers
-        # must consume or copy rows first (the documented contract).
-        scorer.scores(replicas, loads, degrees, vs, us)
-        assert first.base is not None
-        np.testing.assert_array_equal(
-            kept,
-            score_batch_on_snapshot(
-                replicas, loads, degrees, us, vs, 1.1, 1.0
-            ),
-        )
-
-    def test_dimensions_validated(self):
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            FusedBatchScorer(0, 8, lam=1.1, eps=1.0)
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            FusedBatchScorer(4, 0, lam=1.1, eps=1.0)
 
 
 class TestHdrfDifferential:

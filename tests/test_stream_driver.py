@@ -76,21 +76,6 @@ class TestEquivalence:
         result = run_job(make_job("HDRF", path, 4, chunk_size=64))
         assert np.array_equal(result.parts, expected.parts)
 
-    def test_prefetch_does_not_change_results(self, skewed_graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        for name, _, kwargs in _CASES:
-            plain = run_job(
-                make_job(name, path, 4, chunk_size=97, algo_params=kwargs)
-            )
-            prefetched = run_job(
-                make_job(
-                    name, path, 4, chunk_size=97, prefetch=3,
-                    algo_params=kwargs,
-                )
-            )
-            assert np.array_equal(plain.parts, prefetched.parts), name
-
 
 class TestResult:
     def test_result_fields_and_validity(self, skewed_graph):

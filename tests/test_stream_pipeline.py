@@ -112,17 +112,6 @@ class TestSpillBehavior:
         assert np.array_equal(raw.parts, zlibbed.parts)
         assert zlibbed.spill_bytes < raw.spill_bytes
 
-    def test_prefetch_identical_parts(self, skewed_graph, tmp_path):
-        from repro.graph import write_binary_edgelist
-
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        plain = run_job(make_job("HEP", path, 4, tau=1.0, chunk_size=91))
-        prefetched = run_job(
-            make_job("HEP", path, 4, tau=1.0, chunk_size=91, prefetch=3)
-        )
-        assert np.array_equal(plain.parts, prefetched.parts)
-
     def test_spill_chunks_bounded(self, skewed_graph, tmp_path):
         """No spill read-back block may exceed the chunk size."""
         with SpillFile(dir=tmp_path) as spill:
@@ -168,13 +157,6 @@ class TestBudget:
                 make_job("HEP", skewed_graph, 4, memory_budget=16),
                 skewed_graph,
             )
-
-    def test_explicit_tau_wins_over_budget(self, skewed_graph):
-        result = run_job(
-            make_job("HEP", skewed_graph, 4, tau=1.0, memory_budget=10**9),
-            skewed_graph,
-        )
-        assert result.tau == 1.0
 
 
 class TestBuffered:

@@ -1,4 +1,4 @@
-"""Chunked edge sources: bounded blocks, restartability, orderings, prefetch."""
+"""Chunked edge sources: bounded blocks, restartability, orderings."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.graph import Graph, write_binary_edgelist, write_text_edgelist
 from repro.stream import (
     BinaryFileEdgeSource,
     InMemoryEdgeSource,
-    PrefetchingEdgeSource,
     TextFileEdgeSource,
     open_edge_source,
 )
@@ -181,12 +180,6 @@ class TestMultiPassReiteration:
     def test_in_memory_source_three_passes(self, graph):
         self._assert_all_equal(self._passes(InMemoryEdgeSource(graph, 3)))
 
-    def test_prefetching_source_three_passes(self, graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(graph, path)
-        src = PrefetchingEdgeSource(BinaryFileEdgeSource(path, 2), depth=2)
-        self._assert_all_equal(self._passes(src))
-
     def test_interleaved_iterators_do_not_corrupt(self, graph, tmp_path):
         """Two concurrent sweeps over one source must stay independent."""
         path = tmp_path / "g.bin"
@@ -197,53 +190,6 @@ class TestMultiPassReiteration:
         got_b = [c.pairs for c in b]
         assert np.array_equal(np.vstack(got_b), graph.edges)
         assert np.array_equal(np.vstack(got_a), graph.edges[:4])
-
-
-class TestPrefetchingSource:
-    def test_matches_inner_source(self, graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(graph, path)
-        inner = BinaryFileEdgeSource(path, 2)
-        pairs, eids = _collect(PrefetchingEdgeSource(inner, depth=3))
-        assert np.array_equal(pairs, graph.edges)
-        assert np.array_equal(eids, np.arange(graph.num_edges))
-
-    def test_wraps_any_source(self, graph):
-        src = PrefetchingEdgeSource(InMemoryEdgeSource(graph, 3), depth=1)
-        pairs, _ = _collect(src)
-        assert np.array_equal(pairs, graph.edges)
-
-    def test_metadata_delegates(self, graph):
-        inner = InMemoryEdgeSource(graph, 4)
-        src = PrefetchingEdgeSource(inner, depth=2)
-        assert src.num_edges == inner.num_edges
-        assert src.num_vertices == inner.num_vertices
-        assert src.chunk_size == inner.chunk_size
-        assert "prefetch" in src.describe()
-
-    def test_propagates_worker_errors(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("0 1\n2 2\n")  # self-loop -> GraphFormatError
-        src = PrefetchingEdgeSource(TextFileEdgeSource(path, 1), depth=2)
-        with pytest.raises(GraphFormatError):
-            _collect(src)
-
-    def test_abandoned_iteration_stops_worker(self, graph, tmp_path):
-        """Breaking out mid-stream must not leak a blocked thread."""
-        import threading
-
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(graph, path)
-        src = PrefetchingEdgeSource(BinaryFileEdgeSource(path, 1), depth=1)
-        before = threading.active_count()
-        for _ in range(5):
-            for chunk in src:
-                break  # abandon immediately
-        assert threading.active_count() <= before + 1
-
-    def test_bad_depth_rejected(self, graph):
-        with pytest.raises(ConfigurationError):
-            PrefetchingEdgeSource(InMemoryEdgeSource(graph, 4), depth=0)
 
 
 class TestOpenEdgeSource:
@@ -323,66 +269,3 @@ class TestFormatSniffing:
         write_text_edgelist(graph, path)
         with pytest.raises(GraphFormatError):
             run_job(make_job("HDRF", path, 2, chunk_size=4))
-
-
-class TestPrefetchClose:
-    """Regression: PrefetchingEdgeSource.close() mid-iteration must join
-    the reader thread (which releases the inner source's handles)."""
-
-    @pytest.fixture()
-    def big_file(self, tmp_path):
-        n = 600
-        g = Graph.from_edges(
-            [(i, i + 1) for i in range(n - 1)], num_vertices=n
-        )
-        path = tmp_path / "chain.bin"
-        write_binary_edgelist(g, path)
-        return path
-
-    def test_close_joins_reader_thread(self, big_file):
-        import threading
-
-        before = set(threading.enumerate())
-        src = PrefetchingEdgeSource(
-            BinaryFileEdgeSource(big_file, 32), depth=2
-        )
-        it = iter(src)
-        next(it)
-        assert any(
-            t.name == "edge-chunk-prefetch" for t in threading.enumerate()
-        )
-        src.close()
-        assert set(threading.enumerate()) == before
-
-    def test_resuming_closed_iterator_raises(self, big_file):
-        src = PrefetchingEdgeSource(
-            BinaryFileEdgeSource(big_file, 16), depth=1
-        )
-        it = iter(src)
-        next(it)
-        src.close()
-        with pytest.raises(ValueError, match="closed during iteration"):
-            for _ in it:
-                pass
-
-    def test_fresh_iteration_after_close(self, big_file):
-        src = PrefetchingEdgeSource(
-            BinaryFileEdgeSource(big_file, 64), depth=2
-        )
-        expected_pairs, expected_eids = _collect(src)
-        it = iter(src)
-        next(it)
-        src.close()
-        pairs, eids = _collect(src)
-        assert np.array_equal(pairs, expected_pairs)
-        assert np.array_equal(eids, expected_eids)
-
-    def test_close_idempotent_and_base_noop(self, big_file, graph):
-        src = PrefetchingEdgeSource(
-            BinaryFileEdgeSource(big_file, 16), depth=1
-        )
-        src.close()
-        src.close()
-        # Base sources expose close() as a safe no-op.
-        InMemoryEdgeSource(graph, 4).close()
-        BinaryFileEdgeSource(big_file, 16).close()

@@ -1,6 +1,7 @@
-"""Sharded edge files: manifest IO, concurrent reorder, mmap, equivalence."""
+"""Sharded edge files: manifest IO, the sequential reader, equivalence."""
 
 import json
+import os
 import tempfile
 import threading
 from pathlib import Path
@@ -17,8 +18,6 @@ from repro.runtime import make_job, run_job
 from repro.stream import (
     BinaryFileEdgeSource,
     InMemoryEdgeSource,
-    MmapEdgeSource,
-    PrefetchingEdgeSource,
     ShardedEdgeSource,
     ShardWriter,
     open_edge_source,
@@ -100,6 +99,25 @@ class TestManifestIO:
         manifest.shard_paths[1].unlink()
         with pytest.raises(GraphFormatError, match="missing shard"):
             read_shard_manifest(manifest.path)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_shard_length_mismatch_fails_every_path(
+        self, skewed_graph, tmp_path, workers
+    ):
+        """A shard longer than its manifest entry is one GraphFormatError,
+        on the sequential reader and on the worker processes alike."""
+        manifest = write_sharded_edges(
+            skewed_graph, tmp_path / "g.manifest.json", num_shards=4
+        )
+        shard = manifest.shard_paths[0]
+        with open(shard, "ab") as fh:
+            fh.write(np.array([[0, 1]], dtype="<u4").tobytes())
+        size = shard.stat().st_size
+        with pytest.raises(
+            GraphFormatError,
+            match=f"shard holds {size} bytes, expected {size - 8}",
+        ):
+            run_job(make_job("HDRF", str(manifest.path), 4, workers=workers))
 
     def test_count_mismatch_rejected(self, small_graph, tmp_path):
         manifest = write_sharded_edges(
@@ -201,14 +219,6 @@ class TestShardedEdgeSource:
         assert src.num_vertices == skewed_graph.num_vertices
         assert "shards" in src.describe()
 
-    def test_worker_cap_still_identical(self, skewed_graph, tmp_path):
-        manifest = write_sharded_edges(
-            skewed_graph, tmp_path / "g.manifest.json", num_shards=6
-        )
-        narrow = _chunks(ShardedEdgeSource(manifest, 64, max_workers=1))
-        wide = _chunks(ShardedEdgeSource(manifest, 64, max_workers=6))
-        _assert_same_stream(narrow, wide)
-
     def test_truncated_shard_raises(self, skewed_graph, tmp_path):
         manifest = write_sharded_edges(
             skewed_graph, tmp_path / "g.manifest.json", num_shards=2
@@ -229,15 +239,18 @@ class TestShardedEdgeSource:
             _chunks(ShardedEdgeSource(manifest, 64))
 
     def test_abandoned_iteration_reaps_workers(self, skewed_graph, tmp_path):
+        """Abandoning a read mid-shard leaves no thread or shard handle."""
         manifest = write_sharded_edges(
             skewed_graph, tmp_path / "g.manifest.json", num_shards=4
         )
         src = ShardedEdgeSource(manifest, 8)
         before = threading.active_count()
+        fds_before = len(os.listdir("/proc/self/fd"))
         for _ in range(5):
             for chunk in src:
                 break  # abandon immediately
         assert threading.active_count() <= before + 1
+        assert len(os.listdir("/proc/self/fd")) == fds_before
 
     def test_self_loop_in_shard_rejected(self, tmp_path):
         with ShardWriter(
@@ -247,71 +260,16 @@ class TestShardedEdgeSource:
         with pytest.raises(GraphFormatError, match="self-loop"):
             _chunks(ShardedEdgeSource(writer.close(), 10))
 
-    def test_prefetch_wrapper_composes(self, skewed_graph, tmp_path):
-        manifest = write_sharded_edges(
-            skewed_graph, tmp_path / "g.manifest.json", num_shards=3
-        )
-        plain = _chunks(ShardedEdgeSource(manifest, 64))
-        wrapped = _chunks(
-            PrefetchingEdgeSource(ShardedEdgeSource(manifest, 64), depth=2)
-        )
-        _assert_same_stream(wrapped, plain)
-
     def test_bad_configs_rejected(self, small_graph, tmp_path):
         manifest = write_sharded_edges(
             small_graph, tmp_path / "g.manifest.json", num_shards=2
         )
         with pytest.raises(ConfigurationError):
-            ShardedEdgeSource(manifest, 64, read_ahead=0)
-        with pytest.raises(ConfigurationError):
-            ShardedEdgeSource(manifest, 64, max_workers=0)
-        with pytest.raises(ConfigurationError):
             ShardedEdgeSource(manifest, 0)
 
 
-class TestMmapEdgeSource:
-    @pytest.mark.parametrize("chunk_size", [1, 3, 1000])
-    def test_matches_binary_reader(self, skewed_graph, tmp_path, chunk_size):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        expected = _chunks(BinaryFileEdgeSource(path, chunk_size))
-        got = _chunks(MmapEdgeSource(path, chunk_size))
-        _assert_same_stream(got, expected)
-
-    def test_chunks_are_zero_copy_views(self, skewed_graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        for chunk in MmapEdgeSource(path, 64):
-            assert chunk.pairs.base is not None  # a view, not a copy
-            assert chunk.pairs.dtype == np.dtype("<u4")
-            break
-
-    def test_restartable(self, skewed_graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        src = MmapEdgeSource(path, 77)
-        _assert_same_stream(_chunks(src), _chunks(src))
-
-    def test_odd_length_rejected(self, tmp_path):
-        path = tmp_path / "g.bin"
-        path.write_bytes(b"\x00" * 12)
-        with pytest.raises(GraphFormatError):
-            MmapEdgeSource(path, 10)
-
-    def test_empty_file_yields_nothing(self, tmp_path):
-        path = tmp_path / "g.bin"
-        path.write_bytes(b"")
-        assert _chunks(MmapEdgeSource(path, 10)) == []
-
-    def test_self_loop_rejected(self, tmp_path):
-        path = tmp_path / "g.bin"
-        np.array([[0, 1], [2, 2]], dtype="<u4").tofile(path)
-        with pytest.raises(GraphFormatError, match="self-loop"):
-            _chunks(MmapEdgeSource(path, 10))
-
-
 class TestRoundTripProperty:
-    """Hypothesis: export → sharded/compressed/mmap ≡ in-memory stream."""
+    """Hypothesis: export → sharded/compressed ≡ in-memory stream."""
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -330,19 +288,6 @@ class TestRoundTripProperty:
             )
             got = _chunks(ShardedEdgeSource(manifest, chunk_size))
         _assert_same_stream(got, expected)
-
-    @settings(max_examples=20, deadline=None)
-    @given(
-        graph=graphs(min_edges=1, max_edges=60, max_vertices=16),
-        chunk_size=st.integers(min_value=1, max_value=64),
-    )
-    def test_mmap_roundtrip(self, graph, chunk_size):
-        expected = _chunks(InMemoryEdgeSource(graph, chunk_size))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "g.bin"
-            write_binary_edgelist(graph, path)
-            got = _chunks(MmapEdgeSource(path, chunk_size))
-            _assert_same_stream(got, expected)
 
 
 class TestDriverEquivalence:
@@ -368,13 +313,6 @@ class TestDriverEquivalence:
             )
         assert np.array_equal(result.parts, expected.parts)
 
-    def test_hdrf_mmap_identical(self, skewed_graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        expected = HdrfPartitioner().partition(skewed_graph, 4)
-        result = run_job(make_job("HDRF", path, 4, chunk_size=97, mmap=True))
-        assert np.array_equal(result.parts, expected.parts)
-
     @pytest.mark.parametrize("compression", [None, "zlib"])
     def test_hep_over_manifest_identical(
         self, skewed_graph, tmp_path, compression
@@ -391,17 +329,6 @@ class TestDriverEquivalence:
         )
         assert np.array_equal(result.parts, expected.parts)
 
-    def test_hep_mmap_identical(self, skewed_graph, tmp_path):
-        from repro.core import HepPartitioner
-
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        expected = HepPartitioner(tau=1.0).partition(skewed_graph, 4)
-        result = run_job(
-            make_job("HEP", path, 4, tau=1.0, chunk_size=101, mmap=True)
-        )
-        assert np.array_equal(result.parts, expected.parts)
-
 
 class TestOpenEdgeSource:
     def test_manifest_routing(self, small_graph, tmp_path):
@@ -412,108 +339,9 @@ class TestOpenEdgeSource:
         assert isinstance(src, ShardedEdgeSource)
         assert src.num_edges == small_graph.num_edges
 
-    def test_mmap_routing(self, small_graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(small_graph, path)
-        assert isinstance(open_edge_source(path, 4, mmap=True), MmapEdgeSource)
-        assert isinstance(
-            open_edge_source(path, 4, mmap=False), BinaryFileEdgeSource
-        )
-
-    def test_mmap_rejected_for_manifest(self, small_graph, tmp_path):
-        manifest = write_sharded_edges(
-            small_graph, tmp_path / "g.manifest.json", num_shards=2
-        )
-        with pytest.raises(ConfigurationError):
-            open_edge_source(manifest.path, 4, mmap=True)
-
-    def test_mmap_rejected_for_text(self, small_graph, tmp_path):
-        from repro.graph import write_text_edgelist
-
-        path = tmp_path / "g.txt"
-        write_text_edgelist(small_graph, path)
-        with pytest.raises(ConfigurationError):
-            open_edge_source(path, 4, mmap=True)
-
     def test_sharded_reorder_rejected(self, small_graph, tmp_path):
         manifest = write_sharded_edges(
             small_graph, tmp_path / "g.manifest.json", num_shards=2
         )
         with pytest.raises(ConfigurationError):
             open_edge_source(manifest.path, 4, order="shuffled")
-
-
-class TestCloseMidIteration:
-    """Regression: close() mid-iteration must join reader threads and
-    release file handles — abandoning a concurrent read used to rely on
-    generator finalization alone."""
-
-    @staticmethod
-    def _fd_count():
-        import os
-
-        return len(os.listdir("/proc/self/fd"))
-
-    def test_close_joins_reader_threads(self, skewed_graph, tmp_path):
-        manifest = write_sharded_edges(
-            skewed_graph, tmp_path / "g.manifest.json", num_shards=4
-        )
-        before_threads = set(threading.enumerate())
-        before_fds = self._fd_count()
-        src = ShardedEdgeSource(manifest, chunk_size=16)
-        it = iter(src)
-        next(it)  # reader threads now live, shard handles open
-        assert any(
-            t.name.startswith("shard-reader") for t in threading.enumerate()
-        )
-        src.close()
-        assert set(threading.enumerate()) == before_threads
-        assert self._fd_count() == before_fds
-
-    def test_resuming_closed_iterator_raises(self, skewed_graph, tmp_path):
-        manifest = write_sharded_edges(
-            skewed_graph, tmp_path / "g.manifest.json", num_shards=2
-        )
-        src = ShardedEdgeSource(manifest, chunk_size=16)
-        it = iter(src)
-        next(it)
-        src.close()
-        with pytest.raises(ValueError, match="closed during iteration"):
-            for _ in it:
-                pass
-
-    def test_fresh_iteration_after_close_works(self, skewed_graph, tmp_path):
-        manifest = write_sharded_edges(
-            skewed_graph, tmp_path / "g.manifest.json", num_shards=3
-        )
-        src = ShardedEdgeSource(manifest, chunk_size=32)
-        expected = _chunks(src)
-        it = iter(src)
-        next(it)
-        src.close()
-        _assert_same_stream(_chunks(src), expected)
-
-    def test_close_without_iteration_and_idempotent(
-        self, skewed_graph, tmp_path
-    ):
-        manifest = write_sharded_edges(
-            skewed_graph, tmp_path / "g.manifest.json", num_shards=2
-        )
-        src = ShardedEdgeSource(manifest)
-        src.close()
-        src.close()
-        it = iter(src)
-        next(it)
-        src.close()
-        src.close()
-
-    def test_mmap_close_releases_mapping(self, skewed_graph, tmp_path):
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(skewed_graph, path)
-        src = MmapEdgeSource(path, chunk_size=64)
-        next(iter(src))
-        assert src._mm is not None
-        src.close()
-        assert src._mm is None
-        # Still restartable after close.
-        assert sum(c.num_edges for c in src) == skewed_graph.num_edges

@@ -29,6 +29,7 @@ from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
 from repro.stream import (
+    EdgeSegment,
     MultiWorkerReport,
     PersistentWorkerPool,
     plan_worker_segments,
@@ -36,7 +37,6 @@ from repro.stream import (
     write_sharded_edges,
 )
 from repro.stream.workers import (
-    EdgeSegment,
     _iter_batches,
     _pack_message,
     _unpack_message,
