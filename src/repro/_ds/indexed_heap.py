@@ -9,6 +9,14 @@ structure.
 Keys are integers (external degrees); items are vertex ids.  All
 operations are ``O(log n)`` except ``__contains__``/``priority`` which are
 ``O(1)``.
+
+Sifting moves a *hole* rather than swapping: the moving entry is held
+aside while the entries it passes shift one level, and it is written
+once where it stops.  The comparisons are those of the textbook
+swap-based sift (strict ``<``, left child before right on a tie), so
+every operation leaves the same arrangement.  That arrangement is a
+contract: NE++ cores the heap's top next, so it decides which of two
+vertices with equal ``d_ext`` is cored first.
 """
 
 from __future__ import annotations
@@ -83,16 +91,18 @@ class IndexedMinHeap:
 
     def pop_min(self) -> tuple[int, int]:
         """Remove and return ``(item, priority)`` with the smallest
-        priority; ties broken arbitrarily."""
-        if not self._items:
+        priority; ties broken by the heap's arrangement."""
+        items, prios = self._items, self._prios
+        if not items:
             raise IndexError("pop from empty heap")
-        top_item = self._items[0]
-        top_prio = self._prios[0]
-        self._swap(0, len(self._items) - 1)
-        self._items.pop()
-        self._prios.pop()
+        top_item = items[0]
+        top_prio = prios[0]
+        last_item = items.pop()
+        last_prio = prios.pop()
         del self._pos[top_item]
-        if self._items:
+        if items:
+            items[0] = last_item
+            prios[0] = last_prio
             self._sift_down(0)
         return top_item, top_prio
 
@@ -104,14 +114,14 @@ class IndexedMinHeap:
 
     def remove(self, item: int) -> None:
         """Delete ``item`` from the heap; raises ``KeyError`` if absent."""
-        slot = self._pos[item]
-        last = len(self._items) - 1
-        self._swap(slot, last)
-        self._items.pop()
-        self._prios.pop()
-        del self._pos[item]
-        if slot <= last - 1 and self._items:
-            # Restore heap order at the vacated slot.
+        items, prios = self._items, self._prios
+        slot = self._pos.pop(item)
+        last_item = items.pop()
+        last_prio = prios.pop()
+        if slot < len(items):
+            # The last entry fills the vacated slot; restore heap order.
+            items[slot] = last_item
+            prios[slot] = last_prio
             self._sift_up(slot)
             self._sift_down(slot)
 
@@ -128,38 +138,47 @@ class IndexedMinHeap:
 
     # -- internal sifting --------------------------------------------------
 
-    def _swap(self, a: int, b: int) -> None:
-        items, prios, pos = self._items, self._prios, self._pos
-        items[a], items[b] = items[b], items[a]
-        prios[a], prios[b] = prios[b], prios[a]
-        pos[items[a]] = a
-        pos[items[b]] = b
-
     def _sift_up(self, slot: int) -> None:
-        prios = self._prios
+        items, prios, pos = self._items, self._prios, self._pos
+        item = items[slot]
+        prio = prios[slot]
         while slot > 0:
             parent = (slot - 1) >> 1
-            if prios[slot] < prios[parent]:
-                self._swap(slot, parent)
+            if prio < prios[parent]:
+                moved = items[parent]
+                items[slot] = moved
+                prios[slot] = prios[parent]
+                pos[moved] = slot
                 slot = parent
             else:
                 break
+        items[slot] = item
+        prios[slot] = prio
+        pos[item] = slot
 
     def _sift_down(self, slot: int) -> None:
-        prios = self._prios
+        items, prios, pos = self._items, self._prios, self._pos
         n = len(prios)
+        item = items[slot]
+        prio = prios[slot]
         while True:
-            left = 2 * slot + 1
-            right = left + 1
-            smallest = slot
-            if left < n and prios[left] < prios[smallest]:
-                smallest = left
-            if right < n and prios[right] < prios[smallest]:
-                smallest = right
-            if smallest == slot:
-                return
-            self._swap(slot, smallest)
-            slot = smallest
+            child = 2 * slot + 1
+            if child >= n:
+                break
+            right = child + 1
+            if right < n and prios[right] < prios[child]:
+                child = right
+            if prios[child] < prio:
+                moved = items[child]
+                items[slot] = moved
+                prios[slot] = prios[child]
+                pos[moved] = slot
+                slot = child
+            else:
+                break
+        items[slot] = item
+        prios[slot] = prio
+        pos[item] = slot
 
     def _check_invariants(self) -> None:
         """Validate heap order and position table (used by tests)."""

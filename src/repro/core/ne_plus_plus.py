@@ -37,6 +37,33 @@ arrays exist for exactly this single-owner rule.
 The run returns everything HEP's streaming phase needs: the per-edge
 assignment (h2h edges still unassigned), the secondary-set matrix (the
 replica state), and partition loads.
+
+**The kernel.**  Phase one is one function, :func:`_phase_one`, over
+zero-copy views: a ``memoryview`` of each of the CSR's ``col``,
+``eid``, ``out_start``, ``out_size``, ``in_start`` and ``in_size``
+arrays and of ``parts``, which it writes in place; ``uint8`` rows for the
+high-degree, core and ``S_i`` flags, whose ``(k, n)`` matrix becomes
+the bool ``secondary`` result without a copy; and the current
+partition's load in a local int.  Items come out as plain Python ints,
+so no numpy call is made per edge and no copy of the column array is
+held.  The spill cascade (:func:`_spill`) is the only call made out of
+line.  The clean-up after each partition is one
+:meth:`CsrGraph.remove_marked` call over all of ``S_i``'s members.
+
+**Tie order.**  When several vertices in the heap share the smallest
+``d_ext``, the one cored next is the top of
+:class:`~repro._ds.IndexedMinHeap`'s arrangement, which follows from
+the exact sequence of pushes, decrements and pops.  That sequence is
+part of the output: another queue (``heapq``, buckets) or another walk
+order changes the parts.  The heap's hole-based sifts keep the
+arrangement of textbook swap-based sifts.
+
+**Canonical input.**  The kernel assumes the input is canonical — no
+self-loops and no duplicate edges, as :meth:`Graph.from_edges`
+produces.  Chunked file sources keep duplicates
+(:mod:`repro.stream.reader`).  On such input every edge id is still
+assigned once: a seed skips an edge its neighbour's walk has already
+assigned, so ``loads`` match the parts.
 """
 
 from __future__ import annotations
@@ -192,258 +219,222 @@ def run_ne_plus_plus_on_csr(
         raise ConfigurationError(f"NE++ requires k >= 2, got {k}")
     if seed_order not in ("sequential", "random"):
         raise ConfigurationError(f"unknown seed_order {seed_order!r}")
-    run = _NePlusPlusRun(
-        graph, csr, k, tau, record_degrees, trace_walk, seed_order, seed
+    n = csr.num_vertices
+    if seed_order == "sequential":
+        seeds = range(n)
+    else:
+        seeds = memoryview(np.random.default_rng(seed).permutation(n))
+    parts, secondary, loads, stats = _phase_one(
+        csr, k, seeds, record_degrees, trace_walk
     )
-    return run.execute()
+    return NePlusPlusResult(
+        graph=graph,
+        k=k,
+        tau=tau,
+        parts=parts,
+        secondary=secondary,
+        loads=loads,
+        high_mask=csr.high_mask,
+        h2h=csr.h2h_edges,
+        stats=stats,
+    )
 
 
-class _NePlusPlusRun:
-    def __init__(
-        self,
-        graph: Graph | None,
-        csr: CsrGraph,
-        k: int,
-        tau: float,
-        record_degrees: bool,
-        trace_walk: Callable[[int], None] | None,
-        seed_order: str = "sequential",
-        seed: int = 0,
-    ) -> None:
-        self.graph = graph
-        self.csr = csr
-        self.k = k
-        self.tau = tau
-        self.n = csr.num_vertices
-        self.degrees = csr.degrees
-        self.high = csr.high_mask
-        self.m_inmem = csr.num_csr_edges
-        # Adapted capacity bound: only in-memory edges count here.
-        self.capacity = capacity_bound(max(self.m_inmem, 1), k)
-        self.parts = np.full(csr.num_edges_total, -1, dtype=np.int32)
-        self.loads = np.zeros(k, dtype=np.int64)
-        self.in_core = np.zeros(self.n, dtype=bool)
-        self.secondary = np.zeros((k, self.n), dtype=bool)
-        self.heap = IndexedMinHeap()
-        self.current = 0
-        self.seed_cursor = 0  # position in the seed scan sequence
-        if seed_order == "sequential":
-            self.seed_sequence = np.arange(self.n, dtype=np.int64)
-        else:
-            self.seed_sequence = np.random.default_rng(seed).permutation(self.n)
-        self.assigned_inmem = 0
-        self.record_degrees = record_degrees
-        self.trace_walk = trace_walk
-        self.stats = NePlusPlusStats(initial_column_entries=int(csr.col.size))
+def _phase_one(
+    csr: CsrGraph,
+    k: int,
+    seeds,
+    record_degrees: bool,
+    trace_walk: Callable[[int], None] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, NePlusPlusStats]:
+    """Expansion, clean-up and final sweep; returns parts, secondary,
+    loads and stats.  ``seeds`` is the seed scan order (indexable)."""
+    n = csr.num_vertices
+    m_inmem = csr.num_csr_edges
+    # Adapted capacity bound: only in-memory edges count here.
+    capacity = capacity_bound(max(m_inmem, 1), k)
+    parts_arr = np.full(csr.num_edges_total, -1, dtype=np.int32)
+    flags = np.zeros((k, n), dtype=np.uint8)
+    secondary = flags.view(bool)
+    core_arr = np.zeros(n, dtype=np.uint8)
+    in_core = core_arr.view(bool)
+    high_mask = np.asarray(csr.high_mask, dtype=bool)
+    degrees = csr.degrees
+    stats = NePlusPlusStats(initial_column_entries=int(csr.col.size))
+    core_degrees = stats.core_degrees
 
-    # -- driver ------------------------------------------------------------
+    # Zero-copy views: items read and written as plain Python ints.
+    col = memoryview(csr.col)
+    eid = memoryview(csr.eid)
+    out_start = memoryview(csr.out_start)
+    out_size = memoryview(csr.out_size)
+    in_start = memoryview(csr.in_start)
+    in_size = memoryview(csr.in_size)
+    parts = memoryview(parts_arr)
+    rows = [memoryview(row) for row in flags]
+    core = memoryview(core_arr)
+    high = memoryview(high_mask.view(np.uint8))
+    loads = [0] * k
 
-    def execute(self) -> NePlusPlusResult:
-        last = self.k - 1
-        for i in range(last):
-            self.current = i
-            self.heap.clear()
-            exhausted = not self._expand_partition()
-            if self.record_degrees:
-                members = np.flatnonzero(
-                    self.secondary[i] & ~self.in_core & ~self.high
-                )
-                self.stats.secondary_end_degrees.extend(
-                    self.degrees[members].tolist()
-                )
-            self._cleanup(i)
-            if exhausted or self.assigned_inmem >= self.m_inmem:
-                break
-        self._final_sweep()
-        return NePlusPlusResult(
-            graph=self.graph,
-            k=self.k,
-            tau=self.tau,
-            parts=self.parts,
-            secondary=self.secondary,
-            loads=self.loads,
-            high_mask=self.high,
-            h2h=self.csr.h2h_edges,
-            stats=self.stats,
+    heap = IndexedMinHeap()
+    push, pop_min, decrement = heap.push, heap.pop_min, heap.decrement
+    cursor = assigned = seeded = cored = spilled = 0
+    for i in range(k - 1):
+        heap.clear()
+        sec = rows[i]
+        load = loads[i]
+        exhausted = False
+        while load < capacity and assigned < m_inmem:
+            if heap:
+                v = pop_min()[0]
+                fresh = False
+            else:
+                # Sequential-scan seed search (Section 3.2.3): every
+                # rejection is permanent for this partition — cored and
+                # high-degree are immutable, valid sizes only shrink, and
+                # a spill-marked vertex (in S_i, never walked) has its
+                # edges picked up later.
+                while cursor < n:
+                    v = seeds[cursor]
+                    cursor += 1
+                    if core[v] or high[v] or sec[v]:
+                        continue
+                    if out_size[v] + in_size[v]:
+                        break
+                else:
+                    exhausted = True
+                    break
+                seeded += 1
+                sec[v] = 1
+                fresh = True
+            core[v] = 1
+            cored += 1
+            if record_degrees:
+                core_degrees.append(int(degrees[v]))
+            if trace_walk is not None:
+                trace_walk(v)
+            a = out_start[v]
+            c = in_start[v]
+            for lo, hi in ((a, a + out_size[v]), (c, c + in_size[v])):
+                for w, e in zip(col[lo:hi], eid[lo:hi]):
+                    if high[w] or core[w] or sec[w]:
+                        # A popped vertex had these edges assigned when
+                        # their later endpoint entered C ∪ S_i; a seed
+                        # enters the region only now, so it assigns them
+                        # itself (high-degree vertices being a-priori
+                        # members).  An edge already assigned is a
+                        # duplicate that w's walk just placed.
+                        if fresh and parts[e] < 0:
+                            if load < capacity:
+                                parts[e] = i
+                                load += 1
+                            else:
+                                spilled += 1
+                                _spill(e, v, w, i, loads, capacity, rows, parts)
+                            assigned += 1
+                            if high[w]:
+                                sec[w] = 1
+                            elif w in heap:
+                                decrement(w)
+                        continue
+                    # w enters S_i: assign its edges into the region and
+                    # count the rest as its external degree.
+                    sec[w] = 1
+                    if trace_walk is not None:
+                        trace_walk(w)
+                    dext = 0
+                    wa = out_start[w]
+                    wc = in_start[w]
+                    for wlo, whi in ((wa, wa + out_size[w]), (wc, wc + in_size[w])):
+                        for x, f in zip(col[wlo:whi], eid[wlo:whi]):
+                            if high[x] or core[x] or sec[x]:
+                                if load < capacity:
+                                    parts[f] = i
+                                    load += 1
+                                else:
+                                    spilled += 1
+                                    _spill(f, w, x, i, loads, capacity, rows, parts)
+                                assigned += 1
+                                if high[x]:
+                                    sec[x] = 1
+                                elif x in heap:
+                                    decrement(x)
+                            else:
+                                dext += 1
+                    push(w, dext)
+        loads[i] = load
+        # Lazy edge removal (Algorithm 2): only vertices still in the
+        # secondary set can be visited again.
+        members = np.flatnonzero(secondary[i] & ~in_core & ~high_mask)
+        if record_degrees:
+            stats.secondary_end_degrees.extend(degrees[members].tolist())
+        if trace_walk is not None:
+            for v in members.tolist():
+                trace_walk(v)
+        stats.cleanup_removed_entries += csr.remove_marked(
+            members, in_core | secondary[i]
         )
+        if exhausted or assigned >= m_inmem:
+            break
 
-    def _expand_partition(self) -> bool:
-        """Grow partition ``current`` to capacity.
-
-        Returns ``False`` once the seed scan is exhausted (no further
-        partition can be grown by expansion).
-        """
-        i = self.current
-        while self.loads[i] < self.capacity and self.assigned_inmem < self.m_inmem:
-            if self.heap:
-                v, _ = self.heap.pop_min()
-                self._move_to_core(v)
-            elif not self._initialize():
-                return False
-        return True
-
-    def _initialize(self) -> bool:
-        """Sequential-scan seed search (Section 3.2.3).
-
-        Every rejection is permanent for this partition: cored and
-        high-degree are immutable, valid adjacency sizes only shrink, and
-        spill-marked vertices (already in ``S_i`` without having been
-        walked) are skipped — their remaining edges are picked up by a
-        later partition or the final sweep.
-        """
-        csr = self.csr
-        sec = self.secondary[self.current]
-        while self.seed_cursor < self.n:
-            v = int(self.seed_sequence[self.seed_cursor])
-            self.seed_cursor += 1
-            if self.in_core[v] or self.high[v] or sec[v]:
-                continue
-            if csr.out_size[v] + csr.in_size[v] == 0:
-                continue
-            self.stats.num_seeds += 1
-            self._move_to_core(v, fresh=True)
-            return True
-        return False
-
-    # -- expansion ---------------------------------------------------------------
-
-    def _move_to_core(self, v: int, fresh: bool = False) -> None:
-        """Core ``v``; with ``fresh=True`` (a seed) ``v`` enters the region
-        right now, so its edges *into* the region are assigned here.
-
-        A vertex cored from the heap had those edges assigned when the
-        later endpoint entered ``C ∪ S_i`` (Algorithm 1's invariant); a
-        seed was outside the region until this moment, so edges to
-        secondary members — including the a-priori high-degree members —
-        would otherwise be missed and later destroyed by clean-up.
-        """
-        i = self.current
-        sec = self.secondary[i]
-        self.in_core[v] = True
-        if fresh:
-            sec[v] = True
-        self.stats.num_cored += 1
-        if self.record_degrees:
-            self.stats.core_degrees.append(int(self.degrees[v]))
-        if self.trace_walk is not None:
-            self.trace_walk(v)
-        nbrs, eids = self.csr.adjacency(v)
-        high = self.high
-        in_core = self.in_core
-        heap = self.heap
-        for w, eid in zip(nbrs.tolist(), eids.tolist()):
+    # Last partition by linear sweep (Algorithm 3), filling partitions
+    # from the one after the last expanded partition ``i`` onward.  If
+    # the seed scan ran out, nothing remains and the sweep is a no-op.
+    i = min(i + 1, k - 1)
+    sec = rows[i]
+    load = loads[i]
+    for v in range(n):
+        if core[v] or high[v]:
+            continue
+        a = out_start[v]
+        b = a + out_size[v]
+        c = in_start[v]
+        d = c + in_size[v]
+        if a == b and c == d:
+            continue
+        if trace_walk is not None:
+            trace_walk(v)
+        # Out-entries are assigned from the left side; in-entries only
+        # when the source is pruned.
+        touched = a < b
+        for w, e in zip(col[a:b], eid[a:b]):
+            parts[e] = i
+            sec[w] = 1
+        load += b - a
+        for w, e in zip(col[c:d], eid[c:d]):
             if high[w]:
-                if fresh:
-                    # A-priori secondary membership of high-degree vertices.
-                    self._assign(eid, v, w)
-                    sec[w] = True
-                # else: assigned at v's own secondary walk already.
-            elif in_core[w] or sec[w]:
-                if fresh:
-                    self._assign(eid, v, w)
-                    if w in heap:
-                        heap.decrement(w)
-                # else: assigned when the later endpoint entered the region.
-            else:
-                self._move_to_secondary(w)
-
-    def _move_to_secondary(self, v: int) -> None:
-        i = self.current
-        sec = self.secondary[i]
-        sec[v] = True
-        if self.trace_walk is not None:
-            self.trace_walk(v)
-        dext = 0
-        nbrs, eids = self.csr.adjacency(v)
-        high = self.high
-        in_core = self.in_core
-        heap = self.heap
-        for w, eid in zip(nbrs.tolist(), eids.tolist()):
-            if high[w]:
-                self._assign(eid, v, w)
-                sec[w] = True
-            elif in_core[w] or sec[w]:
-                self._assign(eid, v, w)
-                if w in heap:
-                    heap.decrement(w)
-            else:
-                dext += 1
-        heap.push(v, dext)
-
-    def _assign(self, eid: int, u: int, w: int) -> None:
-        i = self.current
-        if self.loads[i] >= self.capacity and i + 1 < self.k:
-            # Spill-over: endpoints become replicas of the receiving
-            # partition.  A single expansion step can overshoot by more
-            # than one partition's headroom, so cascade forward.
-            while self.loads[i] >= self.capacity and i + 1 < self.k:
-                i += 1
-            self.secondary[i, u] = True
-            self.secondary[i, w] = True
-            self.stats.spilled_edges += 1
-        self.parts[eid] = i
-        self.loads[i] += 1
-        self.assigned_inmem += 1
-
-    # -- lazy edge removal ---------------------------------------------------------
-
-    def _cleanup(self, i: int) -> None:
-        """Algorithm 2: remove assigned entries from lists that may be
-        visited again (only vertices still in the secondary set)."""
-        region = self.in_core | self.secondary[i]
-        members = np.flatnonzero(self.secondary[i] & ~self.in_core & ~self.high)
-        removed = 0
-        csr = self.csr
-        for v in members.tolist():
-            if self.trace_walk is not None:
-                self.trace_walk(v)
-            removed += csr.remove_marked(v, region)
-        self.stats.cleanup_removed_entries += removed
-
-    # -- last partition (Algorithm 3) ---------------------------------------------
-
-    def _final_sweep(self) -> None:
-        """Assign every remaining in-memory edge, filling partitions from
-        the first unfilled one onward under the capacity bound."""
-        # The expansion loop filled partitions 0 .. current; the sweep
-        # builds the next one (normally the last).  If expansion ended
-        # early because the seed scan was exhausted, nothing remains and
-        # the sweep is a no-op.
-        i = min(self.current + 1, self.k - 1)
-        csr = self.csr
-        high = self.high
-        parts = self.parts
-        loads = self.loads
-        for v in range(self.n):
-            if self.in_core[v] or high[v]:
-                continue
-            out_n, out_e = csr.out_view(v)
-            in_n, in_e = csr.in_view(v)
-            if out_e.size == 0 and in_e.size == 0:
-                continue
-            if self.trace_walk is not None:
-                self.trace_walk(v)
-            touched = False
-            sec = self.secondary[i]
-            # Low/low and low/high out-edges: assigned from the left side.
-            for w, eid in zip(out_n.tolist(), out_e.tolist()):
-                parts[eid] = i
-                loads[i] += 1
-                self.assigned_inmem += 1
-                sec[w] = True
+                parts[e] = i
+                sec[w] = 1
+                load += 1
                 touched = True
-            # In-edges are assigned here only when the source is pruned.
-            for w, eid in zip(in_n.tolist(), in_e.tolist()):
-                if high[w]:
-                    parts[eid] = i
-                    loads[i] += 1
-                    self.assigned_inmem += 1
-                    sec[w] = True
-                    touched = True
-            if touched:
-                sec[v] = True
-            if loads[i] >= self.capacity and i + 1 < self.k:
-                i = i + 1
+        if touched:
+            sec[v] = 1
+        if load >= capacity and i + 1 < k:
+            loads[i] = load
+            i += 1
+            sec = rows[i]
+            load = loads[i]
+    loads[i] = load
+
+    stats.num_seeds = seeded
+    stats.num_cored = cored
+    stats.spilled_edges = spilled
+    return parts_arr, secondary, np.asarray(loads, dtype=np.int64), stats
+
+
+def _spill(e, u, w, i, loads, capacity, rows, parts) -> None:
+    """Spill-over: partition ``i`` is full, so edge ``e`` goes to the
+    first later partition with room (or the last), whose secondary set
+    gains both endpoints.  One expansion step can overshoot by more
+    than one partition's headroom, hence the cascade."""
+    j = i + 1
+    last = len(loads) - 1
+    while loads[j] >= capacity and j < last:
+        j += 1
+    rows[j][u] = 1
+    rows[j][w] = 1
+    parts[e] = j
+    loads[j] += 1
 
 
 class NePlusPlusPartitioner(Partitioner):

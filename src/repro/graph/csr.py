@@ -284,32 +284,47 @@ class CsrGraph:
 
     # -- lazy removal ----------------------------------------------------------
 
-    def remove_marked(self, v: int, marked: np.ndarray) -> int:
-        """Remove every entry of ``v`` whose neighbor is flagged in ``marked``.
+    def remove_marked(self, vertices, marked: np.ndarray) -> int:
+        """Remove every entry of ``vertices`` whose neighbor is flagged in
+        ``marked``; returns the number of removed entries.
 
-        This is the inner operation of the clean-up pass (Algorithm 2):
-        ``marked`` is the ``C ∪ S_i`` membership mask.  Both sub-lists are
-        compacted in place; returns the number of removed entries.
+        This is the clean-up pass of Algorithm 2: ``marked`` is the
+        ``C ∪ S_i`` membership mask and ``vertices`` are the members of
+        ``S_i`` that stay outside the core — one vertex id or an array of
+        them (a repeated id is compacted once).  Their out and in
+        sub-lists form one segmented list: one mask picks the surviving
+        entries and one stable scatter packs each sub-list's survivors to
+        its front, in their original order.  Slots past a sub-list's new
+        size keep stale values.  The result equals one call per vertex in
+        any order.  The transient arrays hold a few words per valid entry
+        of the given vertices, plus one byte per vertex.
         """
-        removed = 0
-        for start_arr, size_arr in (
-            (self.out_start, self.out_size),
-            (self.in_start, self.in_size),
-        ):
-            s = start_arr[v]
-            size = size_arr[v]
-            if size == 0:
-                continue
-            window = slice(s, s + size)
-            entries = self.col[window]
-            keep = ~marked[entries]
-            kept = int(keep.sum())
-            if kept != size:
-                self.col[s : s + kept] = entries[keep]
-                self.eid[s : s + kept] = self.eid[window][keep]
-                size_arr[v] = kept
-                removed += size - kept
-        return removed
+        chosen = np.zeros(self.num_vertices, dtype=bool)
+        chosen[vertices] = True
+        vs = np.flatnonzero(chosen)
+        starts = np.concatenate([self.out_start[vs], self.in_start[vs]])
+        sizes = np.concatenate([self.out_size[vs], self.in_size[vs]])
+        total = int(sizes.sum())
+        if total == 0:
+            return 0
+        # Flat list of every valid entry, sub-list by sub-list.
+        flat_begin = np.cumsum(sizes) - sizes
+        pos = np.arange(total) + np.repeat(starts - flat_begin, sizes)
+        keep = ~marked[self.col[pos]]
+        kept_before = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        num_kept = int(kept_before[-1])
+        if num_kept == total:
+            return 0
+        seg_kept_before = kept_before[flat_begin]
+        kept = kept_before[flat_begin + sizes] - seg_kept_before
+        dest = np.arange(num_kept) + np.repeat(starts - seg_kept_before, kept)
+        src = pos[keep]
+        self.col[dest] = self.col[src]
+        self.eid[dest] = self.eid[src]
+        self.out_size[vs] = kept[: vs.size]
+        self.in_size[vs] = kept[vs.size :]
+        return total - num_kept
 
     def remove_edge_entry(self, v: int, neighbor: int, edge_id: int) -> bool:
         """Swap-remove the entry for ``edge_id`` from ``v``'s lists.

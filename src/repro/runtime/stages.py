@@ -129,8 +129,13 @@ def stage_split(spec: JobSpec, ctx: RunContext, executor) -> None:
 def stage_phase_one(spec: JobSpec, ctx: RunContext, executor) -> None:
     """Phase one: NE++ on the chunk-built pruned CSR."""
     tracer = get_tracer()
-    with tracer.span("phase_one", k=spec.k):
+    with tracer.span("phase_one", k=spec.k) as span:
         ctx.phase_one = run_ne_plus_plus_on_csr(ctx.csr, spec.k, tau=ctx.tau)
+        stats = ctx.phase_one.stats
+        span.add("seeds", stats.num_seeds)
+        span.add("cored", stats.num_cored)
+        span.add("spilled_edges", stats.spilled_edges)
+        span.add("cleanup_removed", stats.cleanup_removed_entries)
     ctx.parts = ctx.phase_one.parts
     ctx.loads = ctx.phase_one.loads.copy()
 
@@ -176,23 +181,11 @@ def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
 def _select_tau_from_budget(
     spec: JobSpec, src, stats, k: int
 ) -> tuple[float, int]:
-    """Largest grid ``tau`` whose projected footprint fits the budget.
-
-    The per-tau column-entry counts (2 per low/low edge, 1 per mixed
-    edge) are accumulated chunk by chunk — the streaming equivalent
-    of :func:`~repro.core.memory_model.pruned_column_entries`.
-    """
+    """Largest grid ``tau`` whose projected footprint fits the budget."""
     taus = np.asarray(sorted(spec.tau_grid), dtype=np.float64)
-    thresholds = taus * stats.mean_degree
-    # (t, n) high-degree masks: one row per candidate tau.
-    high = stats.degrees[None, :] > thresholds[:, None]
-    entries = np.zeros(taus.size, dtype=np.int64)
-    for chunk in src:
-        hu = high[:, chunk.pairs[:, 0]]
-        hv = high[:, chunk.pairs[:, 1]]
-        low_low = (~hu & ~hv).sum(axis=1)
-        mixed = (hu ^ hv).sum(axis=1)
-        entries += 2 * low_low + mixed
+    entries = _grid_column_entries(
+        src, stats.degrees, taus * stats.mean_degree
+    )
     footprints = [
         hep_memory_bytes_from_entries(
             count, stats.num_vertices, k, spec.id_bytes
@@ -202,6 +195,32 @@ def _select_tau_from_budget(
     return select_from_footprints(
         taus.tolist(), footprints, spec.memory_budget
     )
+
+
+def _grid_column_entries(
+    src, degrees: np.ndarray, thresholds: np.ndarray
+) -> np.ndarray:
+    """Pruned-CSR column entries at each of the ascending ``thresholds``.
+
+    The streaming equivalent of
+    :func:`~repro.core.memory_model.pruned_column_entries`: 2 entries
+    per low/low edge and 1 per mixed edge, counted chunk by chunk.  A
+    vertex's *level* is the number of thresholds below its degree, so
+    it is high at grid step ``t`` exactly when ``t < level``.  An edge
+    then holds one entry at every step from the larger of its
+    endpoints' levels on and one more from the smaller, so one
+    ``bincount`` of each per chunk and a final cumulative sum give every
+    step's count.  Its working memory is O(n + chunk).
+    """
+    steps = thresholds.size
+    level = np.searchsorted(thresholds, degrees, side="left")
+    counts = np.zeros(steps + 1, dtype=np.int64)
+    for chunk in src:
+        lu = level[chunk.pairs[:, 0]]
+        lv = level[chunk.pairs[:, 1]]
+        counts += np.bincount(np.maximum(lu, lv), minlength=steps + 1)
+        counts += np.bincount(np.minimum(lu, lv), minlength=steps + 1)
+    return np.cumsum(counts)[:steps]
 
 
 def _split_and_build(src, stats, high: np.ndarray, spill) -> CsrGraph:

@@ -1,7 +1,7 @@
 """Unit and property tests for repro._ds.indexed_heap."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._ds import IndexedMinHeap
@@ -171,3 +171,124 @@ def test_heap_matches_reference_model(ops):
         item, prio = heap.pop_min()
         drained[item] = prio
     assert drained == model
+
+
+class SwapIndexedMinHeap(IndexedMinHeap):
+    """The swap-based sifts that the hole-based ones replaced.
+
+    Kept as the reference for the heap's arrangement: NE++ cores the
+    top of the heap next, so the arrangement decides which of two
+    vertices with equal ``d_ext`` is cored first.
+    """
+
+    __slots__ = ()
+
+    def pop_min(self) -> tuple[int, int]:
+        if not self._items:
+            raise IndexError("pop from empty heap")
+        top_item = self._items[0]
+        top_prio = self._prios[0]
+        self._swap(0, len(self._items) - 1)
+        self._items.pop()
+        self._prios.pop()
+        del self._pos[top_item]
+        if self._items:
+            self._sift_down(0)
+        return top_item, top_prio
+
+    def remove(self, item: int) -> None:
+        slot = self._pos[item]
+        last = len(self._items) - 1
+        self._swap(slot, last)
+        self._items.pop()
+        self._prios.pop()
+        del self._pos[item]
+        if slot <= last - 1 and self._items:
+            # Restore heap order at the vacated slot.
+            self._sift_up(slot)
+            self._sift_down(slot)
+
+    def _swap(self, a: int, b: int) -> None:
+        items, prios, pos = self._items, self._prios, self._pos
+        items[a], items[b] = items[b], items[a]
+        prios[a], prios[b] = prios[b], prios[a]
+        pos[items[a]] = a
+        pos[items[b]] = b
+
+    def _sift_up(self, slot: int) -> None:
+        prios = self._prios
+        while slot > 0:
+            parent = (slot - 1) >> 1
+            if prios[slot] < prios[parent]:
+                self._swap(slot, parent)
+                slot = parent
+            else:
+                break
+
+    def _sift_down(self, slot: int) -> None:
+        prios = self._prios
+        n = len(prios)
+        while True:
+            left = 2 * slot + 1
+            right = left + 1
+            smallest = slot
+            if left < n and prios[left] < prios[smallest]:
+                smallest = left
+            if right < n and prios[right] < prios[smallest]:
+                smallest = right
+            if smallest == slot:
+                return
+            self._swap(slot, smallest)
+            slot = smallest
+
+
+def _apply(heap, op, item, value):
+    """Run one operation; its return value or the type it raised."""
+    calls = {
+        "push": lambda: heap.push(item, value),
+        "pop_min": heap.pop_min,
+        "update": lambda: heap.update(item, value),
+        "decrement": lambda: heap.decrement(item, value),
+        "remove": lambda: heap.remove(item),
+        "discard": lambda: heap.discard(item),
+        "clear": heap.clear,
+    }
+    try:
+        return calls[op]()
+    except (IndexError, KeyError, ValueError) as exc:
+        return type(exc)
+
+
+# push weighted up so the heap grows; a narrow priority range forces ties
+_HEAP_OPS = ["push"] * 6 + [
+    "pop_min", "pop_min", "update", "decrement", "decrement", "remove",
+    "discard",
+]
+
+
+@settings(max_examples=150)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(_HEAP_OPS + ["clear"]),
+            st.integers(0, 40),
+            st.integers(-3, 3),
+        ),
+        min_size=60,
+        max_size=400,
+    )
+)
+def test_hole_sifts_keep_the_swap_arrangement(ops):
+    """Property: every operation returns what the swap-based heap returns
+    and leaves identical ``_items``, ``_prios`` and ``_pos``.  Long
+    sequences over a narrow priority range make the heap deep enough for
+    children that tie."""
+    heap = IndexedMinHeap()
+    reference = SwapIndexedMinHeap()
+    for op, item, value in ops:
+        assert _apply(heap, op, item, value) == _apply(
+            reference, op, item, value
+        )
+        assert heap._items == reference._items
+        assert heap._prios == reference._prios
+        assert heap._pos == reference._pos

@@ -236,3 +236,52 @@ def test_remove_marked_property(g, data):
     assert removed == sum(1 for u in before if marked[u])
     assert sorted(after) == sorted(u for u in before if not marked[u])
     csr.check_invariants()
+
+
+def reference_remove_marked(csr, v, marked):
+    """The per-vertex clean-up step the segmented compaction replaced."""
+    removed = 0
+    for start_arr, size_arr in (
+        (csr.out_start, csr.out_size),
+        (csr.in_start, csr.in_size),
+    ):
+        s = start_arr[v]
+        size = size_arr[v]
+        if size == 0:
+            continue
+        window = slice(s, s + size)
+        entries = csr.col[window]
+        keep = ~marked[entries]
+        kept = int(keep.sum())
+        if kept != size:
+            csr.col[s : s + kept] = entries[keep]
+            csr.eid[s : s + kept] = csr.eid[window][keep]
+            size_arr[v] = kept
+            removed += size - kept
+    return removed
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=random_graph(), tau=st.floats(0.25, 8.0), data=st.data())
+def test_remove_marked_batch_equals_per_vertex_calls(g, tau, data):
+    """Property: one call over an array of vertices (repeats and any
+    order allowed) leaves the CSR exactly as the per-vertex calls made in
+    order do, stale tails included, and removes as many entries.
+    Successive rounds compact already-compacted lists."""
+    n = g.num_vertices
+    expected = build_pruned_csr(g, tau)
+    actual = build_pruned_csr(g, tau)
+    for _round in range(data.draw(st.integers(1, 3), label="rounds")):
+        vertices = data.draw(
+            st.lists(st.integers(0, n - 1), max_size=2 * n), label="vertices"
+        )
+        flags = data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="marked"
+        )
+        marked = np.asarray(flags, dtype=bool)
+        want = sum(reference_remove_marked(expected, v, marked) for v in vertices)
+        got = actual.remove_marked(np.asarray(vertices, dtype=np.int64), marked)
+        assert got == want
+        for name in ("col", "eid", "out_start", "out_size", "in_start", "in_size"):
+            assert np.array_equal(getattr(actual, name), getattr(expected, name))
+    actual.check_invariants()

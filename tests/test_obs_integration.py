@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from strategies import bsp_schedules, power_law_graphs
 
+from repro.core.ne_plus_plus import run_ne_plus_plus
 from repro.graph.generators import chung_lu
 from repro.obs import Tracer, phase_breakdown, read_trace, set_tracer, tracing
 from repro.runtime import make_job, run_job
@@ -187,6 +188,31 @@ class TestTracingNeverChangesResults:
         with tracing(tmp_path / "seq.trace.jsonl"):
             traced = run_job(spec)
         np.testing.assert_array_equal(plain.parts, traced.parts)
+
+
+class TestPhaseOneCounters:
+    def test_phase_one_span_carries_the_ne_plus_plus_stats(self, graph, manifest):
+        """The ``phase_one`` span counts seeds, cored vertices, spilled
+        edges and clean-up removals; they equal the stats of the
+        in-memory NE++ run at the same tau, and tracing leaves the parts
+        alone."""
+        spec = make_job("HEP", manifest.path, 8, tau=2.0)
+        plain = run_job(spec)
+        traced, spans = _collected_run(spec)
+        np.testing.assert_array_equal(plain.parts, traced.parts)
+        (phase_one,) = [s for s in spans if s["name"] == "phase_one"]
+        stats = run_ne_plus_plus(graph, 8, tau=2.0).stats
+        assert phase_one["counters"] == {
+            "seeds": stats.num_seeds,
+            "cored": stats.num_cored,
+            "spilled_edges": stats.spilled_edges,
+            "cleanup_removed": stats.cleanup_removed_entries,
+        }
+        assert traced.breakdown.spilled_edges == stats.spilled_edges
+        assert (
+            traced.breakdown.cleanup_removed_fraction
+            == stats.cleanup_removed_fraction
+        )
 
 
 class TestWorkerTimingsWithoutTrace:

@@ -10,6 +10,7 @@ from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph, generators, write_binary_edgelist
 from repro.metrics import assert_valid
 from repro.runtime import make_job, run_job
+from repro.runtime.stages import _grid_column_entries
 from repro.stream import InMemoryEdgeSource, SpillFile, scan_source
 from strategies import graphs, power_law_graphs
 
@@ -157,6 +158,42 @@ class TestBudget:
                 make_job("HEP", skewed_graph, 4, memory_budget=16),
                 skewed_graph,
             )
+
+
+def mask_column_entries(src, degrees, thresholds):
+    """The ``(len(grid), chunk)`` mask formula the level counts replaced."""
+    high = degrees[None, :] > thresholds[:, None]
+    entries = np.zeros(thresholds.size, dtype=np.int64)
+    for chunk in src:
+        hu = high[:, chunk.pairs[:, 0]]
+        hv = high[:, chunk.pairs[:, 1]]
+        low_low = (~hu & ~hv).sum(axis=1)
+        mixed = (hu ^ hv).sum(axis=1)
+        entries += 2 * low_low + mixed
+    return entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=power_law_graphs(), chunk_size=st.integers(1, 300), data=st.data())
+def test_level_counts_equal_the_mask_formula(graph, chunk_size, data):
+    """Property: per-vertex levels and two bincounts per chunk count the
+    same column entries as one high-degree mask row per grid step, for
+    grids with repeated thresholds and thresholds equal to a degree."""
+    src = InMemoryEdgeSource(graph, chunk_size)
+    stats = scan_source(src)
+    top = int(stats.degrees.max()) + 1
+    grid = data.draw(
+        st.lists(
+            st.integers(0, top).map(float) | st.floats(0, top),
+            min_size=1,
+            max_size=20,
+        ),
+        label="thresholds",
+    )
+    thresholds = np.asarray(sorted(grid), dtype=np.float64)
+    got = _grid_column_entries(src, stats.degrees, thresholds)
+    want = mask_column_entries(src, stats.degrees, thresholds)
+    assert np.array_equal(got, want)
 
 
 class TestBuffered:
