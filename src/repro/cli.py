@@ -3,9 +3,9 @@
 Subcommands mirror the workflows a user of the original C++ system has:
 
 * ``partition`` — partition an edge-list file (or a named stand-in
-  dataset) and write one partition id per edge; ``--out-of-core`` runs
-  HEP *or any streaming baseline* (``--algo``) through the chunked
-  pipeline so edge files are never fully loaded,
+  dataset) and write one partition id per edge; HEP, ``HEP-<tau>`` and
+  the registered streaming algorithms run as runtime jobs, and
+  ``--out-of-core`` streams the file in chunks instead of loading it,
 * ``scan``      — the counting/metrics passes alone: stream statistics
   and, with ``--parts``, replication factor and balance for a saved
   assignment (``--metrics-workers`` fans both sweeps out over worker
@@ -33,18 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import HepPartitioner, precompute_profile, select_tau
+from repro.core import precompute_profile, select_tau
+from repro.core.hep import hep_tau_from_name
 from repro.errors import ReproError
 from repro.experiments import REGISTRY
 from repro.experiments.common import PARTITIONER_FACTORIES, run_partitioner
 from repro.graph import datasets, read_binary_edgelist, read_text_edgelist
 from repro.graph.edgelist import Graph
-from repro.metrics import (
-    edge_balance,
-    format_table,
-    replication_factor,
-    vertex_balance,
-)
+from repro.metrics import edge_balance, format_table, replication_factor
 from repro.obs.summary import format_summary, read_trace
 from repro.obs.tracer import MEMORY_MODES, tracing
 from repro.stream.extsort import EXTSORT_ORDERS
@@ -83,84 +79,110 @@ def _load_graph(source: str) -> Graph:
     return read_text_edgelist(path, name=path.stem)
 
 
+#: ``partition`` flags that configure a job; the in-memory-only
+#: baselines take none of them
+_JOB_FLAGS = ("tau", "memory_budget", "buffer_size", "spill_dir",
+              "spill_compression", "passes", "workers", "batch")
+
+
+def _is_job_algorithm(method: str) -> bool:
+    """HEP, ``HEP-<tau>`` or a registered streaming algorithm."""
+    from repro.runtime.spec import declared_params
+
+    return (hep_tau_from_name(method) is not None
+            or declared_params(method) is not None)
+
+
 def _cmd_partition(args: argparse.Namespace) -> int:
+    """Partition a graph's edges; report, and optionally write, the result.
+
+    A job algorithm (HEP, ``HEP-<tau>`` or a registered streaming
+    algorithm) and every ``--out-of-core`` run go through
+    :func:`repro.runtime.api.run_job`: ``--out-of-core`` streams the
+    path, otherwise the job gets the loaded Graph.  The in-memory-only
+    baselines (NE, METIS, ...) run their Partitioner class.
+    """
     if args.method.lower() == "help":
         from repro.runtime.registry import algorithm_catalog
 
         print(algorithm_catalog())
         return 0
     if args.cache is not None and not args.out_of_core:
-        raise ReproError("--cache requires --out-of-core (the cache stores "
-                         "runtime job results)")
-    if args.passes is not None and args.method.lower() != "restreaming":
-        raise ReproError("--passes applies only to the Restreaming method")
-    if args.metrics_workers < 0:
-        raise ReproError(
-            f"--metrics-workers must be >= 0, got {args.metrics_workers}"
-        )
-    if args.metrics_workers and not args.out_of_core:
-        raise ReproError("--metrics-workers requires --out-of-core (the "
-                         "in-memory path scores its Graph directly)")
-    if args.workers is not None and not args.out_of_core:
-        raise ReproError("--workers requires --out-of-core (worker "
-                         "processes stream shard files, not RAM)")
-    if args.batch is not None and args.workers is None:
-        raise ReproError("--batch sizes the per-worker superstep; it "
-                         "requires --workers")
-    if args.out_of_core:
-        return _partition_out_of_core(args)
-    if args.tau is not None and args.method.upper() != "HEP":
-        # HEP-<x> spellings carry their tau in the name; only plain HEP
-        # takes the flag.
-        raise ReproError("--tau applies only to the HEP method "
-                         "(HEP-<tau> names carry their own)")
-    if args.memory_budget is not None:
-        raise ReproError("--memory-budget requires --out-of-core (the "
-                         "in-memory path cannot honor a byte budget)")
-    if args.spill_compression is not None:
-        raise ReproError("--spill-compression requires --out-of-core")
-    graph = _load_graph(args.graph)
-    if args.method.upper() == "HEP":
-        partitioner = HepPartitioner(
-            tau=10.0 if args.tau is None else args.tau,
-            spill_dir=args.spill_dir,
-            buffer_size=args.buffer_size,
-            chunk_size=args.chunk_size,
-        )
-    elif args.spill_dir is not None or args.buffer_size is not None:
-        raise ReproError("--spill-dir/--buffer-size apply only to HEP")
-    elif args.method.lower() == "restreaming":
-        from repro.partition import RestreamingHdrfPartitioner
-
-        # Only forward --passes when given, so the class default is the
-        # single source of truth.
-        kwargs = {} if args.passes is None else {"passes": args.passes}
-        partitioner = RestreamingHdrfPartitioner(**kwargs)
+        raise ReproError("--cache requires --out-of-core (the store keys "
+                         "on the streamed input)")
+    if args.shards_dir and args.out_of_core:
+        raise ReproError("--shards-dir needs the edge list in memory; "
+                         "rerun without --out-of-core to write shards")
+    store = _make_store(args)
+    if args.out_of_core or _is_job_algorithm(args.method):
+        graph, result = _partition_job(args, store)
     else:
-        from repro.experiments.common import make_partitioner
-
-        partitioner = make_partitioner(args.method)
-    start = time.perf_counter()
-    assignment = partitioner.partition(graph, args.k)
-    elapsed = time.perf_counter() - start
-    print(f"partitioner        : {partitioner.name}")
-    print(f"graph              : {graph!r}")
-    print(f"replication factor : {replication_factor(assignment):.4f}")
-    print(f"edge balance alpha : {edge_balance(assignment):.4f}")
-    print(f"vertex balance     : {vertex_balance(assignment):.4f}")
-    print(f"run-time           : {elapsed:.3f}s")
+        graph, result = _partition_baseline(args)
+    _print_report(result, args.graph, store)
     if args.output:
         from repro.graph.partition_io import write_assignment
 
-        write_assignment(assignment, args.output)
+        write_assignment(result, args.output)
         print(f"assignment written : {args.output} (+ .meta.json sidecar)")
     if args.shards_dir:
         from repro.graph.partition_io import write_partition_edgelists
 
-        paths = write_partition_edgelists(assignment, args.shards_dir)
+        paths = write_partition_edgelists(
+            result.to_assignment(graph), args.shards_dir
+        )
         print(f"shards written     : {len(paths)} binary edge lists in "
               f"{args.shards_dir}")
     return 0
+
+
+def _partition_job(args: argparse.Namespace, store):
+    """``(graph or None, result)`` of the flag set run by ``run_job``."""
+    from repro.runtime.api import run_job, validate_spec
+
+    spec = _job_spec_from_args(args)
+    if not args.out_of_core:
+        # The file is loaded (and canonicalized) below; the job gets
+        # the Graph.
+        spec = spec.with_input(kind="graph", path=None)
+    # The flags are judged before the file is read.
+    validate_spec(spec)
+    graph = None if args.out_of_core else _load_graph(args.graph)
+    return graph, run_job(spec, graph, store=store)
+
+
+def _partition_baseline(args: argparse.Namespace):
+    """``(graph, result)`` of an in-memory-only baseline (NE, METIS, ...)."""
+    from repro.experiments.common import make_partitioner
+    from repro.runtime import PartitionResult, make_job
+
+    partitioner = make_partitioner(args.method)
+    given = [f"--{dest.replace('_', '-')}" for dest in _JOB_FLAGS
+             if getattr(args, dest) is not None]
+    if args.metrics_workers:
+        given.append("--metrics-workers")
+    if given:
+        raise ReproError(
+            f"{', '.join(given)}: job flags for HEP and the streaming "
+            f"algorithms; {args.method!r} partitions in memory only"
+        )
+    graph = _load_graph(args.graph)
+    start = time.perf_counter()
+    assignment = partitioner.partition(graph, args.k)
+    elapsed = time.perf_counter() - start
+    return graph, PartitionResult(
+        # Describes the run for the report; validate_spec would reject it.
+        spec=make_job(args.method, graph, args.k),
+        algorithm=partitioner.name,
+        parts=assignment.parts,
+        k=args.k,
+        num_vertices=graph.num_vertices,
+        num_edges=graph.num_edges,
+        chunk_size=args.chunk_size,
+        loads=assignment.partition_sizes(),
+        replication_factor=replication_factor(assignment),
+        edge_balance=edge_balance(assignment),
+        runtime_s=elapsed,
+    )
 
 
 def _job_spec_from_args(args: argparse.Namespace):
@@ -168,41 +190,37 @@ def _job_spec_from_args(args: argparse.Namespace):
 
     Every flag is lowered as given, HEP's knobs on any algorithm, so
     :func:`~repro.runtime.api.validate_spec` judges the combination.  A
-    ``--workers`` run scans with the worker count unless
-    ``--metrics-workers`` says otherwise, and ``--batch`` falls back to
-    the BSP default.
+    ``HEP-<tau>`` name lowers to HEP at that tau.  Unset execution
+    flags keep :func:`~repro.runtime.spec.make_job`'s defaults: the BSP
+    batch, and a ``--workers`` run scanning with its worker count.
     """
     from repro.runtime.spec import make_job
-    from repro.stream.workers import DEFAULT_WORKER_BATCH
 
+    named_tau = hep_tau_from_name(args.method)
+    if named_tau is not None and args.tau is not None:
+        raise ReproError(f"--tau cannot be combined with {args.method!r}, "
+                         f"whose name carries its own tau")
+    if args.batch is not None and args.workers is None:
+        raise ReproError("--batch sizes the per-worker superstep; it "
+                         "requires --workers")
     options: dict = dict(
-        tau=args.tau,
+        tau=args.tau if named_tau is None else named_tau,
         memory_budget=args.memory_budget,
         buffer_size=args.buffer_size,
         spill_dir=args.spill_dir,
         spill_compression=args.spill_compression,
     )
-    algo_params: dict = {}
-    if args.method.upper() == "HEP":
-        algo = "HEP"
-    else:
-        algo = args.method
-        if args.passes is not None:
-            algo_params["passes"] = args.passes
     if args.workers is not None:
-        options.update(
-            workers=args.workers,
-            batch=(DEFAULT_WORKER_BATCH if args.batch is None
-                   else args.batch),
-            # 0 = "not set": scan with the worker count.
-            metrics_workers=args.metrics_workers or args.workers,
-        )
-    else:
-        options.update(metrics_workers=args.metrics_workers)
+        options["workers"] = args.workers
+    if args.batch is not None:
+        options["batch"] = args.batch
+    if args.metrics_workers:  # 0 is also argparse's "not set"
+        options["metrics_workers"] = args.metrics_workers
+    hep = named_tau is not None or args.method.upper() == "HEP"
     return make_job(
-        algo, args.graph, args.k,
+        "HEP" if hep else args.method, args.graph, args.k,
         chunk_size=args.chunk_size,
-        algo_params=algo_params,
+        algo_params={} if args.passes is None else {"passes": args.passes},
         **options,
     )
 
@@ -216,34 +234,8 @@ def _make_store(args: argparse.Namespace):
     return ArtifactStore(args.cache)
 
 
-def _partition_out_of_core(args: argparse.Namespace) -> int:
-    """Chunked out-of-core partitioning (``--out-of-core``): the flag
-    set is lowered to a :class:`~repro.runtime.spec.JobSpec` and run by
-    :func:`repro.runtime.api.run_job`, so on-disk edge files are never
-    fully loaded.  ``--algo HEP`` (the default) plans the budgeted HEP
-    pipeline; any registered streaming baseline name plans the
-    three-stage streaming pipeline; ``--workers N`` executes on BSP
-    worker processes."""
-    from repro.runtime.api import run_job, validate_spec
-
-    if args.shards_dir:
-        raise ReproError("--shards-dir needs the edge list in memory; "
-                         "rerun without --out-of-core to write shards")
-    if args.workers is not None and args.workers < 1:
-        raise ReproError(f"--workers must be >= 1, got {args.workers}")
-    if args.batch is not None and args.batch < 1:
-        raise ReproError(f"--batch must be >= 1, got {args.batch}")
-    spec = _job_spec_from_args(args)
-    # The CLI, run_job and POST /jobs reject a spec with one message.
-    validate_spec(spec)
-    store = _make_store(args)
-    result = run_job(spec, store=store)
-    _print_report(result, args.graph, store, args.output)
-    return 0
-
-
-def _print_report(result, source: str, store, output: str | None) -> None:
-    """The out-of-core report, rendered from the job's result.
+def _print_report(result, source: str, store) -> None:
+    """The ``partition`` report, rendered from the result alone.
 
     Every optional line keys off a field the artifact store round-trips,
     so a cache hit prints the cold run's report line for line (bar the
@@ -251,13 +243,15 @@ def _print_report(result, source: str, store, output: str | None) -> None:
     """
     spec = result.spec
     name = result.algorithm if result.tau is None else f"HEP-{result.tau:g}"
-    shape = "out-of-core"
+    in_memory = spec.input.kind == "graph"
+    shape = "in memory" if in_memory else "out-of-core"
     if spec.workers:
         shape += f", {spec.workers} worker processes"
     print(f"partitioner        : {name} ({shape})")
     print(f"source             : {source} "
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
-    print(f"chunk size         : {result.chunk_size:,} edges")
+    if not in_memory:
+        print(f"chunk size         : {result.chunk_size:,} edges")
     if result.buffer_size:
         print(f"buffer size        : {result.buffer_size:,} edges")
     if result.passes > 1:
@@ -292,9 +286,6 @@ def _print_report(result, source: str, store, output: str | None) -> None:
     print(f"replication factor : {result.replication_factor:.4f}")
     print(f"edge balance alpha : {result.edge_balance:.4f}")
     print(f"run-time           : {result.runtime_s:.3f}s")
-    if output:
-        np.savetxt(output, result.parts, fmt="%d")
-        print(f"assignment written : {output}")
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
@@ -559,11 +550,12 @@ def _partition_parents() -> list[argparse.ArgumentParser]:
         ),
         _budget_parent(
             "byte budget for HEP's in-memory structures; "
-            "selects tau from the §4.4 grid (overrides --tau)"
+            "selects tau from the §4.4 grid (excludes --tau)"
         ),
         _worker_parent(
             "run the counting/metrics passes on N worker "
-            "processes (--out-of-core; bit-identical results; "
+            "processes when --out-of-core streams a shard manifest "
+            "or flat binary file (bit-identical results; "
             "0 = sequential, or the --workers count for "
             "--workers runs)",
         ),
@@ -574,9 +566,12 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     """The algorithm/pipeline flags ``partition`` and ``job describe`` share."""
     p.add_argument("--k", type=int, default=32, help="number of partitions")
     p.add_argument("--method", "--algo", dest="method", default="HEP",
-                   help=f"HEP or one of {', '.join(PARTITIONER_FACTORIES)}; "
-                        "with --out-of-core: HEP or any registered "
-                        "streaming baseline (`--algo help` lists them)")
+                   help=f"HEP, HEP-<tau> or one of "
+                        f"{', '.join(PARTITIONER_FACTORIES)}; HEP, "
+                        "HEP-<tau> and the registered streaming "
+                        "algorithms (`--algo help` lists them) run as "
+                        "jobs, in memory or --out-of-core; the rest "
+                        "partition in memory only"),
     p.add_argument("--tau", type=float, default=None,
                    help="HEP degree threshold factor (default 10.0)")
     p.add_argument("--buffer-size", type=int, default=None,
@@ -588,8 +583,9 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--passes", type=int, default=None,
                    help="stream passes for --algo Restreaming (default 3)")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="partition with N worker processes, one per shard "
-                        "assignment (--out-of-core; --algo HEP or HDRF)")
+                   help="partition with N worker processes (HEP, or HDRF "
+                        "streaming a file with --out-of-core; 0 = "
+                        "sequential)")
     p.add_argument("--batch", type=int, default=None, metavar="B",
                    help="edges each worker scores per BSP superstep "
                         "(default 8; requires --workers)")
@@ -627,8 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="write per-edge partition ids here")
     p.add_argument("--shards-dir", help="write one binary edge list per partition")
     p.add_argument("--out-of-core", action="store_true",
-                   help="partition through the chunked streaming subsystem "
-                        "(repro.stream); edge files are never fully loaded")
+                   help="stream the edge file in chunks (repro.stream) "
+                        "instead of loading it first; it picks the "
+                        "source, not the algorithm")
     p.add_argument("--cache", default=None, metavar="DIR",
                    help="content-addressed result cache: identical "
                         "out-of-core jobs are served from DIR without "

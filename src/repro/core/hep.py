@@ -31,7 +31,29 @@ from repro.partition.random_stream import random_stream
 from repro.partition.scoring import greedy_choose
 from repro.partition.state import StreamingState
 
-__all__ = ["HepPartitioner", "HepPhaseBreakdown", "phase_two_capacity"]
+__all__ = [
+    "HepPartitioner", "HepPhaseBreakdown", "hep_tau_from_name",
+    "phase_two_capacity",
+]
+
+
+def hep_tau_from_name(name: str) -> float | None:
+    """The tau a ``HEP-<tau>`` table name carries; ``None`` for any other name.
+
+    The inverse of :attr:`HepPartitioner.name` (``HEP-10``, ``HEP-inf``;
+    case-insensitive).  Plain ``HEP`` is not a ``HEP-<tau>`` name: it
+    leaves tau to the caller's default or budget.
+    """
+    head, dash, suffix = name.partition("-")
+    if not dash or head.upper() != "HEP":
+        return None
+    try:
+        return float(suffix)
+    except ValueError:
+        raise ConfigurationError(
+            f"{name!r}: a HEP-<tau> name needs a number or inf after "
+            f"'HEP-' (HEP-10, HEP-1.5, HEP-inf)"
+        ) from None
 
 
 def phase_two_capacity(
@@ -96,17 +118,9 @@ class HepPartitioner(Partitioner):
         instead of the NE++ hand-over — the ablation isolating the value
         of Section 3.3's informed streaming (loads still carry over so
         the balance constraint stays sound).
-    spill_dir:
-        When set (and streaming is HDRF), the h2h edges are written to a
-        disk-backed :class:`~repro.stream.spill.SpillFile` in this
-        directory and phase two reads them back in bounded chunks — the
-        paper's "external memory edge file" made literal.
-    buffer_size:
-        Buffered scoring window for the HDRF streaming phase
-        (:mod:`repro.stream.buffered`); ``None`` keeps the classic
-        per-edge stream order.
-    chunk_size:
-        Spill read-back chunk size (only meaningful with ``spill_dir``).
+
+    The disk spill, the buffered scoring window and the byte budget are
+    knobs of the job pipeline: ``run_job(make_job("HEP", ...))``.
     """
 
     def __init__(
@@ -118,18 +132,11 @@ class HepPartitioner(Partitioner):
         streaming: str = "hdrf",
         informed: bool = True,
         seed: int = 0,
-        spill_dir: str | None = None,
-        buffer_size: int | None = None,
-        chunk_size: int = 1 << 16,
     ) -> None:
-        if tau <= 0:
+        if not tau > 0:
             raise ConfigurationError(f"tau must be positive, got {tau}")
         if streaming not in ("hdrf", "greedy", "random"):
             raise ConfigurationError(f"unknown streaming strategy {streaming!r}")
-        if (spill_dir is not None or buffer_size is not None) and streaming != "hdrf":
-            raise ConfigurationError(
-                "spill_dir/buffer_size require the HDRF streaming phase"
-            )
         self.tau = tau
         self.alpha = alpha
         self.lam = lam
@@ -137,9 +144,6 @@ class HepPartitioner(Partitioner):
         self.streaming = streaming
         self.informed = informed
         self.seed = seed
-        self.spill_dir = spill_dir
-        self.buffer_size = buffer_size
-        self.chunk_size = chunk_size
         self.last_breakdown: HepPhaseBreakdown | None = None
         label = "inf" if np.isinf(tau) else f"{tau:g}"
         self.name = f"HEP-{label}"
@@ -168,25 +172,18 @@ class HepPartitioner(Partitioner):
             return parts
         capacity = phase_two_capacity(graph.num_edges, k, self.alpha, phase_one.loads)
         if self.streaming == "hdrf":
-            if self.informed:
-                state = StreamingState.informed(
-                    graph,
-                    k,
-                    capacity,
-                    replicas=phase_one.secondary,
-                    loads=phase_one.loads,
-                )
-            else:
-                # Uninformed ablation: forget the replica state but keep
-                # the loads (the capacity constraint must see them).
-                state = StreamingState.informed(
-                    graph,
-                    k,
-                    capacity,
-                    replicas=np.zeros_like(phase_one.secondary),
-                    loads=phase_one.loads,
-                )
-            self._hdrf_phase(state, h2h, parts)
+            # The uninformed ablation forgets the replica state but keeps
+            # the loads (the capacity constraint must see them).
+            replicas = (
+                phase_one.secondary if self.informed
+                else np.zeros_like(phase_one.secondary)
+            )
+            state = StreamingState.informed(
+                graph, k, capacity, replicas=replicas, loads=phase_one.loads
+            )
+            hdrf_stream(
+                state, h2h.pairs, h2h.eids, parts, lam=self.lam, eps=self.eps
+            )
         elif self.streaming == "greedy":
             state = StreamingState.informed(
                 graph, k, capacity,
@@ -205,37 +202,6 @@ class HepPartitioner(Partitioner):
                 seed=self.seed,
             )
         return parts
-
-    def _hdrf_phase(self, state: StreamingState, h2h, parts: np.ndarray) -> None:
-        """HDRF streaming, optionally disk-spilled and/or buffered."""
-        if self.spill_dir is None and self.buffer_size is None:
-            hdrf_stream(
-                state, h2h.pairs, h2h.eids, parts, lam=self.lam, eps=self.eps
-            )
-            return
-        from repro.stream.buffered import stream_chunks_through_hdrf
-        from repro.stream.spill import SpillFile
-
-        if self.spill_dir is not None:
-            with SpillFile(dir=self.spill_dir) as spill:
-                spill.append(h2h.pairs, h2h.eids)
-                stream_chunks_through_hdrf(
-                    state,
-                    spill.chunks(self.chunk_size),
-                    parts,
-                    lam=self.lam,
-                    eps=self.eps,
-                    buffer_size=self.buffer_size,
-                )
-        else:
-            stream_chunks_through_hdrf(
-                state,
-                [(h2h.pairs, h2h.eids)],
-                parts,
-                lam=self.lam,
-                eps=self.eps,
-                buffer_size=self.buffer_size,
-            )
 
     @staticmethod
     def _greedy_stream(graph, state: StreamingState, h2h, parts: np.ndarray) -> None:

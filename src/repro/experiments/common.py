@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import os
 import time
-import tracemalloc
 from dataclasses import dataclass, field
 
 from repro.core import memory_model_for
+from repro.core.hep import hep_tau_from_name
+from repro.errors import ConfigurationError
 from repro.graph import datasets
 from repro.graph.edgelist import Graph
 from repro.metrics import format_table, summarize
@@ -98,44 +99,29 @@ PARTITIONER_FACTORIES: dict[str, type | None] = {
 
 def make_partitioner(name: str) -> Partitioner:
     """Instantiate a partitioner from its table name (``HEP-10`` etc.)."""
-    if name.upper().startswith("HEP-"):
-        suffix = name.split("-", 1)[1]
-        tau = float("inf") if suffix.lower() == "inf" else float(suffix)
+    tau = hep_tau_from_name(name)
+    if tau is not None:
         return HepPartitioner(tau=tau)
     try:
         factory = PARTITIONER_FACTORIES[name]
     except KeyError:
-        raise KeyError(
+        raise ConfigurationError(
             f"unknown partitioner {name!r}; known: "
-            f"{sorted(PARTITIONER_FACTORIES)} and HEP-<tau>"
+            f"{', '.join(sorted(PARTITIONER_FACTORIES))} and HEP-<tau>"
         ) from None
     return factory()
 
 
-def run_partitioner(
-    name: str,
-    graph: Graph,
-    k: int,
-    measure_python_peak: bool = False,
-) -> PartitionReport:
+def run_partitioner(name: str, graph: Graph, k: int) -> PartitionReport:
     """Run one partitioner and reduce the outcome to a report row.
 
     ``memory_bytes`` is the Section 4.2-style analytic model (see
-    DESIGN.md for why RSS is not meaningful in Python); with
-    ``measure_python_peak`` the tracemalloc peak is stored in the report's
-    runtime-independent extra column instead.
+    DESIGN.md for why RSS is not meaningful in Python).
     """
     partitioner = make_partitioner(name)
-    if measure_python_peak:
-        tracemalloc.start()
     start = time.perf_counter()
     assignment = partitioner.partition(graph, k)
     elapsed = time.perf_counter() - start
-    if measure_python_peak:
-        _, peak = tracemalloc.get_traced_memory()
-        tracemalloc.stop()
-    else:
-        peak = None
     from repro.partition.base import TimedResult
 
     result = TimedResult(
@@ -144,19 +130,7 @@ def run_partitioner(
         partitioner.name,
         memory_bytes=memory_model_for(partitioner.name, graph, k),
     )
-    report = summarize(result)
-    if peak is not None:
-        report = PartitionReport(
-            partitioner=report.partitioner,
-            graph=report.graph,
-            k=report.k,
-            replication_factor=report.replication_factor,
-            alpha=report.alpha,
-            vertex_balance=report.vertex_balance,
-            runtime_s=report.runtime_s,
-            memory_bytes=report.memory_bytes,
-        )
-    return report
+    return summarize(result)
 
 
 def load_dataset(name: str) -> Graph:

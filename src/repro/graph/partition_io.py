@@ -25,12 +25,13 @@ __all__ = [
 ]
 
 
-def write_assignment(
-    assignment: PartitionAssignment, path: str | os.PathLike
-) -> None:
+def write_assignment(assignment, path: str | os.PathLike) -> None:
     """Write ``parts`` plus a JSON sidecar describing the run.
 
-    The vector file has one ascii partition id per line, aligned with the
+    ``assignment`` is a :class:`PartitionAssignment` or a runtime
+    :class:`~repro.runtime.result.PartitionResult`: anything with
+    ``parts``, ``k``, ``num_edges`` and ``num_vertices``.  The vector
+    file has one ascii partition id per line, aligned with the
     canonical edge order; the ``.meta.json`` sidecar carries ``k``, edge
     and vertex counts so a reader can validate alignment.
     """
@@ -41,9 +42,8 @@ def write_assignment(
         json.dumps(
             {
                 "k": assignment.k,
-                "num_edges": assignment.graph.num_edges,
-                "num_vertices": assignment.graph.num_vertices,
-                "graph_name": assignment.graph.name,
+                "num_edges": assignment.num_edges,
+                "num_vertices": assignment.num_vertices,
             },
             indent=2,
         ),

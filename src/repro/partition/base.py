@@ -65,6 +65,16 @@ class PartitionAssignment:
     # -- bookkeeping -----------------------------------------------------------
 
     @property
+    def num_edges(self) -> int:
+        """Number of edges assigned (the graph's edge count)."""
+        return self.graph.num_edges
+
+    @property
+    def num_vertices(self) -> int:
+        """Size of the graph's vertex universe."""
+        return self.graph.num_vertices
+
+    @property
     def num_unassigned(self) -> int:
         """Number of edges still carrying the UNASSIGNED marker."""
         return int((self.parts == UNASSIGNED).sum())

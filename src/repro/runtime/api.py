@@ -47,18 +47,23 @@ def validate_spec(spec: JobSpec) -> None:
     same specs with the same messages — before any input is hashed or
     any stage runs.  Beyond the numeric ranges, ``algo`` must be HEP
     or a registered streaming algorithm, every ``algo_params`` name
-    must be one that algorithm declares, and a declared ``lam``/``eps``
-    must pass :func:`~repro.partition.scoring.check_hdrf_params`.
+    must be one that algorithm declares, a declared ``lam``/``eps``
+    must pass :func:`~repro.partition.scoring.check_hdrf_params`, and
+    a streaming algorithm's adapter must accept its parameters.
     HEP's own knobs (:data:`_HEP_ONLY`) are errors on any other
     algorithm, and a fixed ``tau`` excludes a ``memory_budget``.
     """
     hep = pipeline_kind(spec) == "hep"
     _check_chunk_size(spec.chunk_size)
-    if spec.tau is not None and spec.tau <= 0:
+    if spec.tau is not None and not spec.tau > 0:
         raise ConfigurationError(f"tau must be positive, got {spec.tau}")
     if spec.memory_budget is not None and spec.memory_budget < 1:
         raise ConfigurationError(
             f"memory_budget must be positive, got {spec.memory_budget}"
+        )
+    if spec.buffer_size is not None and spec.buffer_size < 1:
+        raise ConfigurationError(
+            f"buffer_size must be >= 1, got {spec.buffer_size}"
         )
     if spec.metrics_workers < 0:
         raise ConfigurationError(
@@ -78,6 +83,13 @@ def validate_spec(spec: JobSpec) -> None:
                 f"multi-worker partitioning supports HEP or HDRF (the "
                 f"BSP-parallelizable streaming kernels); got {spec.algo!r}"
             )
+        # Multi-worker HDRF deals shard files to its workers; HEP's
+        # workers read the h2h spill, so any input serves them.
+        if not hep and spec.input.kind != "path":
+            raise ConfigurationError(
+                f"multi-worker HDRF reads its shards from an edge file or "
+                f"shard manifest on disk; got a {spec.input.kind!r} input"
+            )
         if hep and spec.buffer_size is not None:
             raise ConfigurationError(
                 "buffer_size is a sequential scoring window; it cannot "
@@ -86,8 +98,8 @@ def validate_spec(spec: JobSpec) -> None:
     declared = declared_params(spec.algo)
     if declared is None:
         raise ConfigurationError(
-            f"out-of-core partitioning supports HEP or a streaming "
-            f"baseline ({', '.join(algorithm_names())}); got {spec.algo!r}"
+            f"a partitioning job runs HEP or a streaming baseline "
+            f"({', '.join(algorithm_names())}); got {spec.algo!r}"
         )
     undeclared = sorted(set(spec.params) - set(declared))
     if undeclared:
@@ -110,11 +122,12 @@ def validate_spec(spec: JobSpec) -> None:
     if {"lam", "eps"} <= declared.keys():
         # HEP, HDRF and Restreaming score with HDRF's balance term.
         check_hdrf_params(spec.params["lam"], spec.params["eps"])
+    if not hep:
+        # The adapter's own parameter checks (e.g. Restreaming's passes).
+        create_algorithm(spec.algo, **spec.params)
     if spec.k < 2:
         if hep:
-            raise ConfigurationError(
-                f"out-of-core HEP requires k >= 2, got {spec.k}"
-            )
+            raise ConfigurationError(f"HEP requires k >= 2, got {spec.k}")
         if spec.workers >= 1:
             raise ConfigurationError(
                 f"multi-worker partitioning requires k >= 2, got {spec.k}"
@@ -168,7 +181,7 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
 
     ctx = RunContext(spec, source, algorithm=algo)
     if kind == "hep":
-        ctx.empty_message = "out-of-core HEP: edge stream is empty"
+        ctx.empty_message = "HEP: edge stream is empty"
     elif spec.workers >= 1:
         ctx.empty_message = "multi-worker HDRF: edge stream is empty"
     else:

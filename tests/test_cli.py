@@ -29,17 +29,15 @@ class TestParser:
         assert args.tau is None  # resolved to 10.0 on the HEP paths
 
     def test_tau_rejected_for_non_hep(self, small_graph_file, capsys):
-        # Out of core, the runtime's spec validation words the error.
-        for extra, message in (
-            ([], "--tau applies only"),
-            (["--out-of-core"], "tau is HEP's degree threshold"),
-        ):
+        # Both paths run the job, so the runtime's spec validation words
+        # the error.
+        for extra in ([], ["--out-of-core"]):
             rc = main(
                 ["partition", str(small_graph_file), "--k", "2",
                  "--algo", "HDRF", "--tau", "2.0", *extra]
             )
             assert rc == 1
-            assert message in capsys.readouterr().err
+            assert "tau is HEP's degree threshold" in capsys.readouterr().err
 
 
 class TestPartitionCommand:
@@ -230,6 +228,125 @@ class TestOutOfCoreBaselines:
         assert "zlib" in capsys.readouterr().out
 
 
+class TestOnePartitionPath:
+    """HEP, HEP-<tau> and the registered streaming algorithms run through
+    run_job whether or not --out-of-core streams the file; the
+    in-memory-only baselines keep their Partitioner classes."""
+
+    @pytest.fixture()
+    def power_law_file(self, tmp_path):
+        from repro.graph import read_binary_edgelist
+        from repro.graph.generators import chung_lu
+
+        path = tmp_path / "pl.bin"
+        write_binary_edgelist(
+            chung_lu(200, mean_degree=6, exponent=2.2, seed=3), path
+        )
+        return path, read_binary_edgelist(path)
+
+    def test_hep_name_equals_tau_flag(self, power_law_file, tmp_path, capsys):
+        path, _ = power_law_file
+        runs = {
+            "tau": ["--tau", "1"],
+            "tau-ooc": ["--tau", "1", "--out-of-core"],
+            "name": ["--method", "HEP-1"],
+            "name-ooc": ["--method", "HEP-1", "--out-of-core"],
+        }
+        ids = {}
+        for label, flags in runs.items():
+            out = tmp_path / f"{label}.txt"
+            assert main(["partition", str(path), "--k", "4",
+                         "--output", str(out), *flags]) == 0
+            assert "HEP-1" in capsys.readouterr().out
+            ids[label] = np.loadtxt(out, dtype=int)
+        for label, parts in ids.items():
+            assert np.array_equal(parts, ids["tau"]), label
+
+    def test_job_describe_hep_name(self, power_law_file, capsys):
+        path, _ = power_law_file
+        assert main(["job", "describe", str(path), "--k", "4",
+                     "--method", "HEP-10"]) == 0
+        named = capsys.readouterr().out
+        assert main(["job", "describe", str(path), "--k", "4",
+                     "--tau", "10"]) == 0
+        assert named == capsys.readouterr().out
+
+    def test_hep_name_and_tau_flag_conflict(self, power_law_file, capsys):
+        path, _ = power_law_file
+        rc = main(["partition", str(path), "--k", "4", "--method", "HEP-10",
+                   "--tau", "2"])
+        assert rc == 1
+        assert "carries its own tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["HEP", "NE"])
+    def test_shards_dir_covers_the_graph(
+        self, power_law_file, tmp_path, capsys, method
+    ):
+        from repro.graph import read_binary_edgelist
+
+        path, graph = power_law_file
+        shards = tmp_path / "shards"
+        assert main(["partition", str(path), "--k", "4", "--method", method,
+                     "--shards-dir", str(shards)]) == 0
+        files = sorted(shards.glob("part-*.bin"))
+        assert len(files) == 4
+        edges = np.vstack([
+            read_binary_edgelist(f, num_vertices=graph.num_vertices).edges
+            for f in files
+        ])
+        assert sorted(map(tuple, edges.tolist())) == sorted(
+            map(tuple, graph.edges.tolist())
+        )
+
+    def test_output_sidecar_round_trips(
+        self, power_law_file, tmp_path, capsys
+    ):
+        """--output writes the sidecar read_assignment needs, on both
+        paths."""
+        from repro.graph import read_assignment
+
+        path, graph = power_law_file
+        for label, extra in (("mem", []), ("ooc", ["--out-of-core"])):
+            out = tmp_path / f"{label}.txt"
+            assert main(["partition", str(path), "--k", "4", "--algo", "HDRF",
+                         "--output", str(out), *extra]) == 0
+            back = read_assignment(graph, out)
+            assert back.k == 4 and back.num_unassigned == 0
+
+    def test_text_with_self_loop_and_duplicate(self, tmp_path, capsys):
+        """Loading canonicalizes the file, so only the chunked reader
+        needs canonical input."""
+        path = tmp_path / "raw.txt"
+        path.write_text("0 1\n1 1\n1 2\n2 0\n0 1\n2 3\n")
+        out = tmp_path / "parts.txt"
+        assert main(["partition", str(path), "--k", "2",
+                     "--output", str(out)]) == 0
+        assert "m=4" in capsys.readouterr().out
+        assert np.loadtxt(out, dtype=int).shape == (4,)
+
+    def test_baseline_names_every_job_flag(self, small_graph_file, capsys):
+        rc = main(["partition", str(small_graph_file), "--k", "2",
+                   "--method", "NE", "--tau", "2", "--workers", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "--tau, --workers" in err and "'NE'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["partition", "{g}", "--method", "FOO"],
+            ["partition", "{g}", "--method", "HEP-abc"],
+            ["compare", "{g}", "--partitioners", "FOO"],
+        ],
+        ids=["partition-unknown", "partition-malformed", "compare-unknown"],
+    )
+    def test_unknown_or_malformed_method(self, small_graph_file, capsys, argv):
+        rc = main([arg.format(g=small_graph_file) for arg in argv])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestExtsortCommand:
     def test_extsort_then_partition(self, tmp_path, capsys):
         src = tmp_path / "wi.bin"
@@ -340,7 +457,8 @@ class TestInMemoryRestreaming:
                  "--algo", "HDRF", "--passes", "5", *extra]
             )
             assert rc == 1
-            assert "Restreaming" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "'HDRF' takes no parameter 'passes'" in err
 
 
 class TestDatasetsExport:
@@ -367,13 +485,21 @@ class TestDatasetsExport:
         rc = main(["datasets", "--export", "NOPE"])
         assert rc == 1
 
-    def test_memory_budget_requires_out_of_core(self, small_graph_file, capsys):
-        rc = main(
-            ["partition", str(small_graph_file), "--k", "2",
-             "--memory-budget", "1000000"]
-        )
-        assert rc == 1
-        assert "--out-of-core" in capsys.readouterr().err
+    def test_memory_budget_runs_in_memory(
+        self, small_graph_file, tmp_path, capsys
+    ):
+        """The budget is a job knob, so the loaded graph honors it too."""
+        outputs = []
+        for extra in ([], ["--out-of-core"]):
+            out = tmp_path / f"parts{len(outputs)}.txt"
+            rc = main(
+                ["partition", str(small_graph_file), "--k", "2",
+                 "--memory-budget", "1000000", "--output", str(out), *extra]
+            )
+            assert rc == 0
+            assert "memory budget" in capsys.readouterr().out
+            outputs.append(np.loadtxt(out, dtype=int))
+        assert np.array_equal(*outputs)
 
     def test_shards_dir_rejected_out_of_core(
         self, small_graph_file, tmp_path, capsys
@@ -457,10 +583,26 @@ class TestMultiWorkerCli:
         assert parts.min() >= 0 and parts.max() < 4
 
     def test_workers_requires_out_of_core(self, binary_file, capsys):
+        """Multi-worker HDRF deals shard files to its workers, so the
+        loaded graph is rejected with the runtime's message."""
         rc = main(["partition", str(binary_file), "--k", "4",
-                   "--workers", "2"])
+                   "--algo", "HDRF", "--workers", "2"])
         assert rc == 1
-        assert "--workers requires --out-of-core" in capsys.readouterr().err
+        assert "edge file or shard manifest" in capsys.readouterr().err
+
+    def test_hep_workers_run_in_memory(self, binary_file, tmp_path, capsys):
+        """HEP's workers read the h2h spill, so the loaded graph serves
+        them, with the out-of-core run's ids."""
+        outputs = []
+        for extra in ([], ["--out-of-core"]):
+            out = tmp_path / f"parts{len(outputs)}.txt"
+            rc = main(["partition", str(binary_file), "--k", "4",
+                       "--workers", "2", "--tau", "1", "--output", str(out),
+                       *extra])
+            assert rc == 0
+            assert "2 worker processes" in capsys.readouterr().out
+            outputs.append(np.loadtxt(out, dtype=int))
+        assert np.array_equal(*outputs)
 
     def test_batch_requires_workers(self, binary_file, capsys):
         rc = main(["partition", str(binary_file), "--k", "4",
@@ -571,15 +713,19 @@ class TestScanCommand:
         assert rc == 1
         assert "--metrics-workers" in capsys.readouterr().err
 
-    def test_metrics_workers_requires_out_of_core(
-        self, small_graph_file, capsys
+    def test_metrics_workers_run_in_memory(
+        self, small_graph_file, tmp_path, capsys
     ):
-        rc = main(
-            ["partition", str(small_graph_file), "--k", "2",
-             "--metrics-workers", "2"]
-        )
-        assert rc == 1
-        assert "--metrics-workers requires" in capsys.readouterr().err
+        """A loaded graph scans sequentially, with the same ids."""
+        outputs = []
+        for extra in ([], ["--metrics-workers", "2"]):
+            out = tmp_path / f"parts{len(outputs)}.txt"
+            rc = main(["partition", str(small_graph_file), "--k", "2",
+                       "--output", str(out), *extra])
+            assert rc == 0
+            capsys.readouterr()
+            outputs.append(np.loadtxt(out, dtype=int))
+        assert np.array_equal(*outputs)
 
     def test_partition_metrics_workers_matches_sequential(
         self, tmp_path, capsys

@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.core import run_ne_plus_plus
 from repro.core.memory_model import pruned_column_entries
+from repro.errors import ConfigurationError
 from repro.experiments.common import make_partitioner, run_partitioner
 from repro.graph import build_pruned_csr
 from repro.graph.generators import chung_lu
@@ -98,8 +99,10 @@ class TestCrossModuleConsistency:
             assert partitioner.name.upper().startswith(name.split("-")[0].upper())
 
     def test_make_partitioner_unknown(self, graph):
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="unknown partitioner"):
             make_partitioner("NOPE")
+        with pytest.raises(ConfigurationError, match="HEP-<tau> name"):
+            make_partitioner("HEP-abc")
 
 
 class TestFullEvaluationSlice:

@@ -37,6 +37,7 @@ from repro.runtime import (
     plan_job,
     register_streaming_algorithm,
     run_job,
+    validate_spec,
 )
 
 #: pins the canonical hash of ``make_job("HDRF", "OK", 4)``.  If this
@@ -290,8 +291,10 @@ class TestSpecValidation:
             ("NE", {}, "streaming baseline"),
             ("Greedy", {"passes": 2}, "takes no parameter 'passes'"),
             ("HEP", {"passes": 2}, "takes no parameter 'passes'"),
+            ("Restreaming", {"passes": 0}, "passes must be >= 1"),
         ],
-        ids=["NoSuch", "NE", "Greedy-passes", "HEP-passes"],
+        ids=["NoSuch", "NE", "Greedy-passes", "HEP-passes",
+             "Restreaming-passes0"],
     )
     def test_unknown_algorithm_or_parameter_is_rejected(
         self, edge_file, tmp_path, capsys, algo, params, match
@@ -315,6 +318,20 @@ class TestSpecValidation:
         assert rc == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
+    def test_multi_worker_hdrf_needs_a_file(self, graph, tmp_path):
+        """Multi-worker HDRF deals shard files to its workers: a Graph
+        input (a TypeError mid-run) or a dataset name (a missing-file
+        error mid-run) is rejected before anything is hashed.  HEP's
+        workers read the h2h spill, so a Graph still serves them."""
+        store = ArtifactStore(tmp_path / "cache")
+        for source in (graph, "OK"):
+            spec = make_job("HDRF", source, 8, workers=2)
+            with pytest.raises(
+                ConfigurationError, match="edge file or shard manifest"
+            ):
+                run_job(spec, source, store=store)
+        assert (store.hits, store.misses) == (0, 0)
+        validate_spec(make_job("HEP", graph, 8, tau=1.0, workers=2))
 
     @pytest.mark.parametrize(
         "algo,params,match",

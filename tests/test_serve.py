@@ -215,6 +215,16 @@ class TestSubmitValidation:
             assert status == 400 and "bogus" in doc["error"]
             status, doc = await _asgi_json(app, "POST", "/jobs")
             assert status == 400
+            # Specs that could only fail once running.
+            for payload, match in (
+                (_payload(edge_file, algo="Restreaming",
+                          algo_params={"passes": 0}), "passes must be >= 1"),
+                (_payload("OK", workers=2), "edge file or shard manifest"),
+            ):
+                status, doc = await _asgi_json(app, "POST", "/jobs", payload)
+                assert status == 400 and match in doc["error"]
+                assert doc["error"].startswith("invalid job spec: ")
+            assert manager.jobs == {}
             await manager.shutdown()
 
         asyncio.run(scenario())

@@ -9,7 +9,7 @@ from repro.core.hep import HepPartitioner
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph, generators, write_binary_edgelist
 from repro.metrics import assert_valid
-from repro.runtime import make_job, run_job
+from repro.runtime import make_job, run_job, validate_spec
 from repro.runtime.stages import _grid_column_entries
 from repro.stream import InMemoryEdgeSource, SpillFile, scan_source
 from strategies import graphs, power_law_graphs
@@ -223,20 +223,13 @@ class TestBuffered:
         )
         assert np.array_equal(plain.parts, one.parts)
 
-    def test_hep_partitioner_spill_and_buffer_params(self, skewed_graph, tmp_path):
-        base = HepPartitioner(tau=1.0).partition(skewed_graph, 4)
-        spilled = HepPartitioner(
-            tau=1.0, spill_dir=str(tmp_path), chunk_size=91
-        ).partition(skewed_graph, 4)
-        assert np.array_equal(base.parts, spilled.parts)
-        buffered = HepPartitioner(tau=1.0, buffer_size=32).partition(
-            skewed_graph, 4
-        )
-        assert buffered.num_unassigned == 0
-
     def test_bad_buffer_config_rejected(self, skewed_graph):
-        with pytest.raises(ConfigurationError):
-            HepPartitioner(streaming="greedy", buffer_size=8)
+        """An empty window, or a window with worker processes, is
+        rejected by validate_spec, before the input is read."""
+        for options in ({"buffer_size": 0}, {"buffer_size": 8, "workers": 2}):
+            spec = make_job("HEP", skewed_graph, 4, tau=1.0, **options)
+            with pytest.raises(ConfigurationError, match="buffer_size"):
+                validate_spec(spec)
 
 
 class TestErrors:
