@@ -179,9 +179,6 @@ class NullTracer:
         """Return the shared no-op span handle."""
         return _NULL_SPAN
 
-    def event(self, name: str, counters: dict | None = None, **attrs: Any) -> None:
-        """Discard the event."""
-
     def adopt(self, records: list[dict], **attrs: Any) -> None:
         """Discard foreign records."""
 
@@ -312,13 +309,6 @@ class Tracer:
     def span(self, name: str, **attrs: Any) -> Span:
         """Return a new span; enter it with ``with`` to time a region."""
         return Span(self, name, attrs)
-
-    def event(self, name: str, counters: dict | None = None,
-              **attrs: Any) -> None:
-        """Record a zero-duration span (a point event with counters)."""
-        with self.span(name, **attrs) as span:
-            for key, value in (counters or {}).items():
-                span.add(key, value)
 
     def add(self, counter: str, value: float) -> None:
         """Add to the innermost open span's counter (tracer-level if none)."""

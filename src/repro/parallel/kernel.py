@@ -12,7 +12,11 @@ bitwise equal to a per-edge loop:
 
 * :func:`score_batch_on_snapshot` — HDRF scores of a batch of edges
   against an immutable replica/load snapshot (no capacity mask; that is
-  live state and belongs to the serialized owner),
+  live state and belongs to the serialized owner).  It is the
+  composition of :func:`batch_coefficients` (the degree-only half,
+  which a worker computes for its next batch before it blocks at the
+  barrier) and :func:`score_on_snapshot` (the half that reads the
+  snapshot),
 * :func:`superstep_is_safe` — the deterministic fast-path predicate: if
   no partition can reach capacity within one superstep, the capacity
   mask never binds and placements are pure argmaxes over the snapshot
@@ -22,8 +26,8 @@ bitwise equal to a per-edge loop:
   serialized partition owner does near the balance bound),
 * :func:`apply_batch` / :func:`apply_delta` — the barrier merge:
   replica marks OR-ed, loads summed (order-independent, so a merged
-  delta can be applied vectorized — the shared snapshot buffers replay
-  deltas this way at commit).
+  delta can be applied vectorized — the shared snapshot buffers take
+  deltas this way at commit and catch-up).
 
 Stream construction is also shared, so the in-process oracle and the
 multi-process driver agree on who owns which edges:
@@ -42,6 +46,8 @@ from repro.errors import CapacityError, ConfigurationError
 from repro.partition.state import StreamingState
 
 __all__ = [
+    "batch_coefficients",
+    "score_on_snapshot",
     "score_batch_on_snapshot",
     "superstep_is_safe",
     "place_batch_serialized",
@@ -51,6 +57,52 @@ __all__ = [
     "contiguous_streams",
     "shard_round_robin_streams",
 ]
+
+
+def batch_coefficients(
+    degrees: np.ndarray, us: np.ndarray, vs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-only half of HDRF scoring: ``(coeff_u, coeff_v)``.
+
+    ``coeff_u[i] = 2 - theta_u`` weighs a replica of ``us[i]``; degrees
+    never change during a stream, so the coefficients of a batch can be
+    computed before its snapshot exists.
+    """
+    du = degrees[us]
+    dv = degrees[vs]
+    total = du + dv
+    # Mirror the scalar reference: theta_u = du / total if total else 0.5.
+    safe_total = np.where(total > 0, total, 1)
+    theta_u = np.where(total > 0, du / safe_total, 0.5)
+    theta_v = 1.0 - theta_u
+    coeff_u = 2.0 - theta_u
+    coeff_v = 2.0 - theta_v
+    return coeff_u, coeff_v
+
+
+def score_on_snapshot(
+    replicas: np.ndarray,
+    loads: np.ndarray,
+    us: np.ndarray,
+    vs: np.ndarray,
+    coeff_u: np.ndarray,
+    coeff_v: np.ndarray,
+    lam: float,
+    eps: float,
+) -> np.ndarray:
+    """The snapshot half of HDRF scoring — ``(b, k)`` floats.
+
+    The replica gather times :func:`batch_coefficients`' coefficients,
+    plus the balance term of the snapshot ``loads``.
+    """
+    scores = (
+        replicas[:, us].T * coeff_u[:, None]
+        + replicas[:, vs].T * coeff_v[:, None]
+    )
+    maxload = loads.max()
+    minload = loads.min()
+    bal = lam * (maxload - loads) / (eps + maxload - minload)
+    return scores + bal[None, :]
 
 
 def score_batch_on_snapshot(
@@ -71,23 +123,10 @@ def score_batch_on_snapshot(
     the snapshot.  Each row is bitwise equal to the scalar
     ``hdrf_scores`` reference evaluated on the same snapshot.
     """
-    du = degrees[us]
-    dv = degrees[vs]
-    total = du + dv
-    # Mirror the scalar reference: theta_u = du / total if total else 0.5.
-    safe_total = np.where(total > 0, total, 1)
-    theta_u = np.where(total > 0, du / safe_total, 0.5)
-    theta_v = 1.0 - theta_u
-    coeff_u = 2.0 - theta_u
-    coeff_v = 2.0 - theta_v
-    scores = (
-        replicas[:, us].T * coeff_u[:, None]
-        + replicas[:, vs].T * coeff_v[:, None]
+    coeff_u, coeff_v = batch_coefficients(degrees, us, vs)
+    return score_on_snapshot(
+        replicas, loads, us, vs, coeff_u, coeff_v, lam, eps
     )
-    maxload = loads.max()
-    minload = loads.min()
-    bal = lam * (maxload - loads) / (eps + maxload - minload)
-    return scores + bal[None, :]
 
 
 def superstep_is_safe(
@@ -158,11 +197,11 @@ def apply_delta(
     vs: np.ndarray,
     ps: np.ndarray,
 ) -> None:
-    """Merge one superstep's placements into a snapshot copy (the barrier).
+    """Merge one superstep's placements into a snapshot buffer (the barrier).
 
-    This is the worker-side half of :func:`apply_batch`, expressed on
-    bare arrays because workers hold plain snapshot copies rather than a
-    :class:`~repro.partition.state.StreamingState`.
+    :func:`apply_batch` on bare arrays: the shared-memory snapshot
+    buffers (:class:`~repro.parallel.shm.SharedState`) are plain arrays,
+    not a :class:`~repro.partition.state.StreamingState`.
     """
     replicas[ps, us] = True
     replicas[ps, vs] = True

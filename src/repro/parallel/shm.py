@@ -14,14 +14,16 @@ make the shared segment bit-identical to the in-process
   replica cover and per-partition loads exist twice in the segment.
   Workers only ever read the *published* buffer — by the BSP invariant
   it equals the live state at the start of the superstep they are
-  scoring.  The coordinator merges batches into its private live state
-  exactly as the in-process schedule does, then
-  :meth:`SharedState.commit` folds the last two
-  superstep deltas into the *staging* buffer (each buffer is two
-  supersteps stale, so replaying both pending deltas catches it up in
-  ``O(batch)``) and flips the published index.  The flip
-  happens-before the ``COMMIT`` control frame that releases the
-  workers, so no worker can observe a torn snapshot.
+  scoring.  Once every lane of a superstep is in, no worker reads
+  either buffer, so :meth:`SharedState.commit` applies the superstep's
+  merged delta to the *staging* buffer and flips the published index.
+  The flip happens-before the ``COMMIT`` control frame that releases
+  the workers, so no worker can observe a torn snapshot.  The buffer
+  that was just unpublished now lacks that one delta;
+  :meth:`SharedState.catch_up` replays it there while the workers
+  score the next superstep, in ``O(batch)`` — no full-state copy.
+  ``commit`` runs a pending catch-up itself, so a caller that never
+  calls ``catch_up`` still sees a current snapshot after each commit.
 * **Per-worker scratch lanes**: each worker owns a fixed slice of the
   segment where it writes its batch (edge ids, endpoints, and either
   chosen partitions or the full score matrix near capacity).  The
@@ -249,9 +251,10 @@ class SharedState:
 
     Workers read snapshots (:meth:`snapshot`) and write lanes
     (:meth:`write_batch`); the coordinator reads lanes
-    (:meth:`read_batch`) and advances the published snapshot
-    (:meth:`commit`).  The commit/flip ordering contract is the module
-    docstring's.
+    (:meth:`read_batch`), advances the published snapshot
+    (:meth:`commit`) and brings the other buffer level with it
+    (:meth:`catch_up`).  The commit/flip ordering contract is the
+    module docstring's.
     """
 
     def __init__(
@@ -324,10 +327,9 @@ class SharedState:
     ) -> "SharedState":
         """Allocate a segment seeded with the superstep-0 snapshot.
 
-        Both buffers start equal to the initial state (they are zero
-        and one commits behind a published buffer that has seen zero
-        commits), so the first two :meth:`commit` calls find correctly
-        aged staging buffers.
+        Both buffers start equal to the initial state, so the first
+        :meth:`commit` finds a current staging buffer with no delta
+        pending.
         """
         if workers < 1 or batch < 1:
             raise ConfigurationError(
@@ -442,21 +444,34 @@ class SharedState:
     ) -> int:
         """Fold one superstep's merged delta in; flip; return the new index.
 
-        The staging buffer last published two supersteps ago, so it is
-        exactly the previous pending delta plus this one behind the
-        live state — replay both and it is current.  ``us``/``vs``/
-        ``ps`` are kept by reference until the superstep after next:
-        pass arrays that no worker lane backs (the drivers pass
-        freshly concatenated copies).
+        Applies the delta to the staging buffer — after first running
+        :meth:`catch_up` if the previous delta is still pending there —
+        and publishes it.  ``us``/``vs``/``ps`` are kept by reference
+        until the catch-up: pass arrays that no worker lane backs (the
+        driver passes freshly concatenated copies).
         """
+        if self._pending is not None:
+            self.catch_up()
         staging = 1 - self.published
         replicas, loads = self.snapshot(staging)
-        if self._pending is not None:
-            apply_delta(replicas, loads, *self._pending)
         apply_delta(replicas, loads, us, vs, ps)
         self._pending = (us, vs, ps)
         self.published = staging
         return staging
+
+    def catch_up(self) -> None:
+        """Replay the last committed delta into the unpublished buffer.
+
+        After it both buffers are equal.  Workers read only the
+        published buffer, so the driver calls this after releasing
+        them, while they score the next superstep.  A no-op when no
+        delta is pending.
+        """
+        if self._pending is None:
+            return
+        replicas, loads = self.snapshot(1 - self.published)
+        apply_delta(replicas, loads, *self._pending)
+        self._pending = None
 
     # -- lifetime ------------------------------------------------------------
 

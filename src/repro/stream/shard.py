@@ -497,7 +497,7 @@ def read_framed_edge_blocks(
     """Inflate a framed (compressed) shard file frame by frame.
 
     Yields validated int64 ``(c, 2)`` blocks, one per frame; any header
-    mismatch or truncation raises
+    mismatch, truncation or byte past the ``expected`` edges raises
     :class:`~repro.errors.GraphFormatError` naming the file.  The
     ``"framed"`` decoding of :func:`iter_segments`.
     """
@@ -546,6 +546,11 @@ def read_framed_edge_blocks(
         if done != expected:
             raise GraphFormatError(
                 f"{path}: shard delivered {done} of {expected} edges"
+            )
+        if fh.read(1):
+            raise GraphFormatError(
+                f"{path}: shard holds bytes past its {expected} "
+                f"declared edges"
             )
 
 

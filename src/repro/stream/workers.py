@@ -18,17 +18,22 @@ runs pickled jobs, and a BSP run's state lives in one
 :class:`~repro.parallel.shm.SharedState` segment.
 
 * **Workers** (:func:`_stream_shared_job`) map the segment and read the
-  published replica/load snapshot.  Per superstep a worker reads the
-  next ``batch`` edges of its stream, scores them against the snapshot
-  with the in-process schedule's own kernel
-  (:func:`~repro.parallel.kernel.score_batch_on_snapshot`), and writes
-  the batch to its scratch lane of the segment.
+  published replica/load snapshot.  Per superstep a worker scores its
+  batch against the snapshot with the in-process schedule's own
+  kernel, split in its degree-only half
+  (:func:`~repro.parallel.kernel.batch_coefficients`) and its snapshot
+  half (:func:`~repro.parallel.kernel.score_on_snapshot`), and writes
+  the batch to its scratch lane of the segment.  After sending the
+  lane it reads its next batch and computes that batch's coefficients,
+  and only then blocks for ``COMMIT``.
 * **The coordinator** (:class:`StateService` inside
   :func:`run_bsp_shared`) owns the live state.  It merges worker
   batches in worker order — replica marks OR-ed, loads summed — exactly
   as :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream` specifies,
-  folds the merged delta into the double-buffered snapshot and releases
-  the workers with a ``COMMIT`` control frame.
+  commits the merged delta to the double-buffered snapshot and
+  releases the workers with a ``COMMIT`` control frame.  While they
+  score, it replays the delta into the other buffer and takes the
+  published loads into its live state.
 * **The capacity fast path**: when no partition can reach capacity
   within one superstep (:func:`~repro.parallel.kernel.
   superstep_is_safe` — a pure function of superstep-start loads, so
@@ -56,6 +61,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+import select
 import time
 import weakref
 from dataclasses import dataclass
@@ -67,10 +73,10 @@ import numpy as np
 from repro.errors import ConfigurationError, WorkerFailureError
 from repro.obs.tracer import get_tracer, install_collecting_tracer
 from repro.parallel.kernel import (
-    apply_batch,
+    batch_coefficients,
     contiguous_streams,
     place_batch_serialized,
-    score_batch_on_snapshot,
+    score_on_snapshot,
     shard_round_robin_streams,
     superstep_is_safe,
 )
@@ -257,9 +263,15 @@ def _stream_shared_job(
     published snapshot each superstep — the commit frame's count field
     names the buffer that is current.  Batches are written to this
     worker's scratch lane; the pipe carries only empty ``BATCH``/
-    ``SCORES`` control frames.  Scoring runs through
-    :func:`~repro.parallel.kernel.score_batch_on_snapshot`, the kernel
-    the in-process schedule calls.
+    ``SCORES`` control frames.  Scoring is the in-process schedule's
+    kernel, split in its two halves: after sending a lane the worker
+    reads its next batch and computes that batch's
+    :func:`~repro.parallel.kernel.batch_coefficients` before it blocks
+    for ``COMMIT``, so only :func:`~repro.parallel.kernel.
+    score_on_snapshot` and the lane write sit between the barrier and
+    the next lane.  An error from that read-ahead is raised only once
+    the ``COMMIT`` frame has arrived, so the coordinator receives
+    ``ERROR`` in place of the next lane.
     """
     conn = context.conn
     perf = time.perf_counter
@@ -281,18 +293,28 @@ def _stream_shared_job(
             "worker_stream", worker=context.worker_id, protocol="shm"
         ) as span:
             batches = _iter_batches(segments, batch, chunk_size)
-            while True:
+
+            def read_ahead():
+                """The next batch and its coefficients, or ``None``."""
+                nonlocal read_s, score_s
                 t0 = perf()
                 step = next(batches, None)
-                read_s += perf() - t0
+                t1 = perf()
+                read_s += t1 - t0
                 if step is None:
-                    break
-                us, vs, eids = step
+                    return None
+                coeffs = batch_coefficients(degrees, step[0], step[1])
+                score_s += perf() - t1
+                return step, coeffs
+
+            ahead = read_ahead()
+            while ahead is not None:
+                (us, vs, eids), (coeff_u, coeff_v) = ahead
                 t0 = perf()
                 replicas, loads = shared.snapshot(published)
                 safe = superstep_is_safe(loads, workers, batch, capacity)
-                scores = score_batch_on_snapshot(
-                    replicas, loads, degrees, us, vs, lam, eps
+                scores = score_on_snapshot(
+                    replicas, loads, us, vs, coeff_u, coeff_v, lam, eps
                 )
                 score_s += perf() - t0
                 # Lane writes are this transport's encode step.
@@ -312,6 +334,11 @@ def _stream_shared_job(
                 t0 = perf()
                 conn.send_bytes(message)
                 send_s += perf() - t0
+                held = None
+                try:
+                    ahead = read_ahead()
+                except Exception as exc:  # noqa: BLE001 — re-raised below
+                    held = exc
                 t0 = perf()
                 blob = conn.recv_bytes()
                 wait_s += perf() - t0
@@ -321,6 +348,8 @@ def _stream_shared_job(
                         f"worker {context.worker_id}: expected a commit, "
                         f"got {tag!r}"
                     )
+                if held is not None:
+                    raise held
                 published = count
                 edges += us.shape[0]
                 frames += 1
@@ -405,11 +434,14 @@ class MultiWorkerReport:
 class StateService:
     """Coordinator side of the shared state: live merge + protocol checks.
 
-    Owns the single live :class:`~repro.partition.state.StreamingState`
-    and applies every worker batch to it in worker order, exactly as the
-    in-process schedule does.  Workers never mutate shared state — they
-    propose placements (fast path) or scores (near capacity), and this
-    service is the serialized owner that commits them.
+    Owns the single live :class:`~repro.partition.state.StreamingState`.
+    Workers never mutate shared state — they propose placements (fast
+    path) or scores (near capacity), and this service is the serialized
+    owner that commits them.  Near capacity it places every batch edge
+    by edge into the live state, in worker order, exactly as the
+    in-process schedule does.  In a fast superstep it only records the
+    placements; :func:`run_bsp_shared` commits them to the shared
+    snapshot and copies the published loads back into the live state.
     """
 
     def __init__(
@@ -445,7 +477,8 @@ class StateService:
 
         ``extra`` is the chosen-partition vector (:data:`_MSG_BATCH`) or
         the ``count × k`` score matrix (:data:`_MSG_SCORES`), both views
-        of the worker's shared-memory lane.
+        of the worker's shared-memory lane.  Only the slow path writes
+        the live state here.
         """
         if tag == _MSG_BATCH:
             if not safe:
@@ -454,7 +487,6 @@ class StateService:
                     f"fast path in a near-capacity superstep"
                 )
             ps = extra
-            apply_batch(self.state, us, vs, ps)
         else:
             if safe:
                 raise WorkerFailureError(
@@ -534,6 +566,9 @@ class PersistentWorkerPool:
         self.timeout = float(timeout)
         self._procs: list = []
         self._conns: list = []
+        # One registered select.poll object per pipe: Connection.poll
+        # builds and closes a selector on every call.
+        self._pollers: list = []
         # Always-on receive accounting (coordinator-side): seconds spent
         # blocked on worker frames, and frames/bytes drained.
         self.recv_wait_s = 0.0
@@ -580,6 +615,9 @@ class PersistentWorkerPool:
             for parent_end, child_end in pipes:
                 child_end.close()
                 self._conns.append(parent_end)
+                poller = select.poll()
+                poller.register(parent_end.fileno(), select.POLLIN)
+                self._pollers.append(poller)
         _LIVE_POOLS.add(self)
 
     @property
@@ -612,6 +650,7 @@ class PersistentWorkerPool:
             except OSError:
                 pass
         self._conns = []
+        self._pollers = []
         for proc in self._procs:
             if proc.is_alive():
                 proc.terminate()
@@ -705,19 +744,20 @@ class PersistentWorkerPool:
         :attr:`recv_wait_s` / :attr:`frames_recv` / :attr:`bytes_recv`.
         """
         conn = self._conns[w]
+        poller = self._pollers[w]
         proc = self._procs[w]
         started = time.perf_counter()
         deadline = time.monotonic() + self.timeout
         while True:
             try:
-                if conn.poll(0.05):
+                if poller.poll(50):
                     return self._account_recv(conn.recv_bytes(), started)
             except (EOFError, OSError):
                 raise self._worker_died(w) from None
             if not proc.is_alive():
                 # Drain a final message that raced with the exit.
                 try:
-                    if conn.poll(0.25):
+                    if poller.poll(250):
                         return self._account_recv(conn.recv_bytes(), started)
                 except (EOFError, OSError):
                     pass
@@ -788,11 +828,19 @@ def run_bsp_shared(
 
     Worker batches land in per-worker scratch lanes of one
     :class:`~repro.parallel.shm.SharedState` segment and the merged
-    delta is never broadcast — the coordinator folds it into the
-    double-buffered snapshot
-    (:meth:`~repro.parallel.shm.SharedState.commit`) and releases the
-    workers with an empty ``COMMIT`` frame naming the published buffer.
-    Workers apply no deltas, and pipes carry only control frames.
+    delta is never broadcast.  Between the last lane and the ``COMMIT``
+    frame the coordinator does only what the workers need: the
+    protocol checks, the ``parts`` writes, one copy of the merged delta
+    out of the lanes, and its
+    :meth:`~repro.parallel.shm.SharedState.commit` into the staging
+    buffer with the flip (near capacity, also the serialized
+    placement).  The frame names the published buffer.  While the
+    workers score the next superstep, the coordinator replays the delta
+    into the other buffer (:meth:`~repro.parallel.shm.SharedState.
+    catch_up`) and copies the ``k`` published loads into the live
+    state; the live replica matrix is copied from the published buffer
+    once, when the run ends.  Workers apply no
+    deltas, and pipes carry only control frames.
 
     Mutates ``state`` and ``parts``; the segment is closed and unlinked
     on every exit path.  Worker failures surface as one
@@ -860,6 +908,7 @@ def run_bsp_shared(
                 segments=padded,
             )
             active = list(range(pool.workers))
+            published = shared.published
             while active:
                 safe = service.begin_superstep()
                 messages = []
@@ -930,6 +979,17 @@ def run_bsp_shared(
                 send_s += perf() - t0
                 frames_sent += len(senders)
                 bytes_sent += len(frame) * len(senders)
+                # The workers now score the next superstep; what follows
+                # reads the committed delta copy, never a lane.
+                t0 = perf()
+                shared.catch_up()
+                commit_s += perf() - t0
+                # The next predicate reads the live loads (a fast
+                # superstep left them to the snapshot).
+                state.loads[...] = shared.snapshot(published)[1]
+            # Fast supersteps never write the live replica matrix, and
+            # the slow path reads only the live loads.
+            state.replicas[...] = shared.snapshot(published)[0]
             pool.collect_worker_spans()
             if tracer.enabled and supersteps:
                 # One aggregate span (a per-superstep span per commit

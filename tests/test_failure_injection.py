@@ -6,6 +6,8 @@ mid-superstep."""
 import multiprocessing
 import os
 import signal
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -222,6 +224,51 @@ class TestWarmPoolFailures:
             self._shared_run(graph, manifest, pool)
         pool.shutdown()
         assert multiprocessing.active_children() == []
+        if before is not None:
+            assert self._psm_segments() - before == set()
+
+    def test_worker_killed_mid_run_raises_and_leaks_nothing(self, tmp_path):
+        """SIGKILL a worker once supersteps are in flight (the pool has
+        received 20 frames): one WorkerFailureError names it, and no
+        worker process or segment outlives the run."""
+        from repro.stream import PersistentWorkerPool, write_sharded_edges
+
+        # ~8k edges at batch 1 is thousands of supersteps: the run is
+        # still streaming long after the 20th frame.
+        graph = chung_lu(2000, mean_degree=8, exponent=2.2, seed=5, name="wk")
+        manifest = write_sharded_edges(
+            graph, tmp_path / "wk.manifest.json", num_shards=4
+        )
+        before = self._psm_segments()
+        pool = PersistentWorkerPool(2, timeout=30.0)
+        pool.start()
+        victim = pool.pids[1]
+        killed = threading.Event()
+
+        def kill_in_flight():
+            deadline = time.monotonic() + 30.0
+            while time.monotonic() < deadline:
+                if pool.frames_recv >= 20:
+                    os.kill(victim, signal.SIGKILL)
+                    killed.set()
+                    return
+                time.sleep(0.0005)
+
+        killer = threading.Thread(target=kill_in_flight, daemon=True)
+        killer.start()
+        try:
+            with pytest.raises(WorkerFailureError) as excinfo:
+                self._shared_run(graph, manifest, pool, batch=1)
+        finally:
+            killer.join()
+            pool.shutdown()
+        assert killed.is_set()
+        assert "worker 1 " in str(excinfo.value)
+        assert "died" in str(excinfo.value)
+        assert [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-worker")
+        ] == []
         if before is not None:
             assert self._psm_segments() - before == set()
 

@@ -98,14 +98,6 @@ class TestSpanMechanics:
         (record,) = tracer.drain()
         assert record["attrs"]["error"] == "ValueError"
 
-    def test_event_is_zero_duration_span_with_counters(self):
-        tracer = Tracer(None)
-        tracer.event("checkpoint", counters={"chunks": 3}, source="x")
-        (record,) = tracer.drain()
-        assert record["name"] == "checkpoint"
-        assert record["counters"] == {"chunks": 3}
-        assert record["attrs"]["source"] == "x"
-
     def test_duration_is_positive(self):
         tracer = Tracer(None)
         with tracer.span("s"):
@@ -177,7 +169,6 @@ class TestNoOpPath:
             span.set(z=2)
 
     def test_null_tracer_records_nothing(self):
-        NULL_TRACER.event("e", counters={"c": 1})
         NULL_TRACER.adopt([{"id": 1, "parent": None}])
         assert NULL_TRACER.drain() == []
         assert NULL_TRACER.num_spans == 0

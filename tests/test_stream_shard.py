@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,25 @@ class TestManifestIO:
             GraphFormatError,
             match=f"shard holds {size} bytes, expected {size - 8}",
         ):
+            run_job(make_job("HDRF", str(manifest.path), 4, workers=workers))
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_zlib_frame_past_count_fails_every_path(
+        self, skewed_graph, tmp_path, workers
+    ):
+        """A valid zlib frame past a shard's declared edge count is one
+        GraphFormatError naming the shard, sequential and in workers."""
+        from repro.stream.spill import _FRAME
+
+        manifest = write_sharded_edges(
+            skewed_graph, tmp_path / "z.manifest.json", num_shards=2,
+            compression="zlib",
+        )
+        shard = manifest.shard_paths[0]
+        payload = zlib.compress(np.array([[0, 1]], dtype="<u4").tobytes())
+        with open(shard, "ab") as fh:
+            fh.write(_FRAME.pack(len(payload), 1) + payload)
+        with pytest.raises(GraphFormatError, match=shard.name):
             run_job(make_job("HDRF", str(manifest.path), 4, workers=workers))
 
     def test_count_mismatch_rejected(self, small_graph, tmp_path):

@@ -9,6 +9,7 @@ framing, reports, validation) is pinned by unit tests.
 
 import multiprocessing
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +20,18 @@ from strategies import bsp_schedules, power_law_graphs
 
 from repro.errors import (
     ConfigurationError,
+    GraphFormatError,
     PartitioningError,
     WorkerFailureError,
 )
 from repro.graph.edgelist import write_binary_edgelist
 from repro.graph.generators import chung_lu
-from repro.parallel import ParallelHepPartitioner, bsp_hdrf_stream
+from repro.obs import NULL_TRACER
+from repro.parallel import (
+    ParallelHepPartitioner,
+    SharedState,
+    bsp_hdrf_stream,
+)
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
@@ -37,8 +44,12 @@ from repro.stream import (
     write_sharded_edges,
 )
 from repro.stream.workers import (
+    _MSG_BATCH,
+    _MSG_COMMIT,
+    _JobContext,
     _iter_batches,
     _pack_message,
+    _stream_shared_job,
     _unpack_message,
 )
 
@@ -222,6 +233,22 @@ class TestEquivalence:
         assert result.report.edges_streamed == graph.num_edges
         assert result.num_unassigned == 0
 
+    def test_fast_to_slow_handover_at_batch_16(self, graph, manifest):
+        """The benchmark's batch crosses from fast supersteps, whose
+        loads reach the live state only from the published snapshot,
+        into slow ones, which place under those live loads; the
+        assignment still equals the oracle's."""
+        result = run_job(
+            make_job("HDRF", manifest.path, 8, workers=2, batch=16)
+        )
+        _, streams, _, _ = plan_worker_segments(manifest.path, 2)
+        oracle, state, report = _oracle_parts(graph, 2, 16, streams)
+        assert result.report.fast_supersteps > 0
+        assert result.report.slow_supersteps > 0
+        assert result.report.supersteps == report.supersteps
+        assert np.array_equal(result.parts, oracle)
+        assert np.array_equal(result.loads, state.loads)
+
     def test_single_worker_batch_one_is_sequential_hdrf(self, manifest):
         """workers=1, batch=1 must equal sequential informed HDRF."""
         result = run_job(
@@ -262,6 +289,95 @@ class TestEquivalence:
 
     def test_no_orphan_processes_after_runs(self):
         assert multiprocessing.active_children() == []
+
+
+class TestReadAhead:
+    def test_read_ahead_error_waits_for_commit(self, graph, tmp_path):
+        """The worker reads its next batch before it blocks for COMMIT;
+        an error there is held until the COMMIT frame arrives, so the
+        coordinator never finds a closed pipe where it owes a COMMIT."""
+        path = tmp_path / "g.bin"
+        write_binary_edgelist(graph, path)
+        m, n = graph.num_edges, graph.num_vertices
+        segments = [
+            EdgeSegment(path=str(path), count=4, kind="flat"),
+            # Claims more edges than the file holds past edge 4.
+            EdgeSegment(
+                path=str(path), count=m, eid_start=4, kind="flat",
+                start_edge=4,
+            ),
+        ]
+        state = StreamingState(
+            n, 8, capacity_bound(m, 8, 1.0), exact_degrees=graph.degrees
+        )
+        shared = SharedState.create(
+            n, 8, 1, 4, state.degrees, state.replicas, state.loads
+        )
+        coordinator, worker_end = multiprocessing.Pipe(duplex=True)
+        raised = []
+
+        def worker():
+            try:
+                _stream_shared_job(
+                    _JobContext(0, worker_end, NULL_TRACER),
+                    segments=segments, shm_name=shared.name,
+                    num_vertices=n, k=8, capacity=state.capacity,
+                    workers=1, batch=4, lam=1.1, eps=1.0, chunk_size=64,
+                )
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                raised.append(exc)
+
+        thread = threading.Thread(target=worker, daemon=True)
+        try:
+            thread.start()
+            tag, count, _ = _unpack_message(coordinator.recv_bytes())
+            assert (tag, count) == (_MSG_BATCH, 4)
+            thread.join(0.3)
+            assert thread.is_alive() and raised == []
+            coordinator.send_bytes(_pack_message(_MSG_COMMIT, 0))
+            thread.join(10.0)
+        finally:
+            coordinator.close()
+            worker_end.close()
+            shared.close()
+            shared.unlink()
+        assert not thread.is_alive()
+        assert len(raised) == 1
+        assert isinstance(raised[0], GraphFormatError)
+        assert "g.bin" in str(raised[0])
+
+
+@pytest.mark.slow
+class TestLiveState:
+    @pytest.mark.parametrize("alpha", [1.0, 100.0])
+    def test_live_state_matches_oracle_after_run(
+        self, graph, manifest, alpha
+    ):
+        """The coordinator's live replicas and loads end equal to the
+        oracle's, whether the run ends slow (alpha 1) or never leaves
+        the fast path (alpha 100), which never writes them itself."""
+        segments, streams, m, _ = plan_worker_segments(manifest.path, 2)
+        capacity = capacity_bound(m, 8, alpha)
+
+        def fresh():
+            return StreamingState(
+                graph.num_vertices, 8, capacity, exact_degrees=graph.degrees
+            )
+
+        oracle = fresh()
+        oracle_parts = np.full(m, -1, dtype=np.int32)
+        bsp_hdrf_stream(
+            oracle, graph.edges, np.arange(m), oracle_parts, 2,
+            batch=16, streams=streams,
+        )
+        state = fresh()
+        parts = np.full(m, -1, dtype=np.int32)
+        with PersistentWorkerPool(2) as pool:
+            report = run_bsp_shared(pool, segments, state, parts, batch=16)
+        assert (report.slow_supersteps > 0) == (alpha == 1.0)
+        assert np.array_equal(parts, oracle_parts)
+        assert np.array_equal(state.replicas, oracle.replicas)
+        assert np.array_equal(state.loads, oracle.loads)
 
 
 @pytest.mark.slow
