@@ -20,7 +20,7 @@ the worker rows stack on top of that overhead:
   multi-core hosts.  On a single-core container (``cpu_count`` is
   recorded in the JSON) worker scaling is bounded by barrier
   amortization alone, so the 4-vs-1-worker gate falls back to the
-  work-split model — the same convention ``bench_scan.py`` uses.
+  work-split model.
 
 The measured rows land in ``results/BENCH_workers.json`` (validated by
 ``tools/check_bench_schema.py``) with 1/2/4-worker wall-clock and

@@ -1,17 +1,10 @@
-"""Dense bitset over vertex ids ``0 .. n-1``.
+"""Bit-packed set over vertex ids ``0 .. n-1``.
 
 The paper (Section 4.2) tracks the core set ``C`` and each secondary set
 ``S_i`` as dense bitsets: one bit per vertex, ``|V| * (k+1) / 8`` bytes in
-total.  This implementation is backed by a ``numpy`` boolean array, which
-keeps single-bit operations O(1) and gives vectorized bulk queries for
-free (``count``, ``to_indices``, boolean masking).
-
-A boolean array spends one byte per vertex rather than one bit; the
-analytic memory model in :mod:`repro.core.memory_model` reports the
-*paper's* bit-level footprint, which is what the C++ system would use.
-:class:`PackedBitset` is the bit-level sibling — one genuine bit per
-vertex — used where the 8x saving matters more than O(1) boolean-mask
-access (the out-of-core metrics pass's ``k`` per-partition covers).
+total.  :class:`PackedBitset` stores one genuine bit per vertex; the
+out-of-core metrics pass keeps its ``k`` per-partition vertex covers in
+them (:class:`~repro.stream.scan.PackedCover`).
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 
-__all__ = ["Bitset", "PackedBitset"]
+__all__ = ["PackedBitset"]
 
 #: set-bit count per byte value — one table lookup vectorizes popcounts
 _POPCOUNT = np.unpackbits(
@@ -30,113 +23,14 @@ _POPCOUNT = np.unpackbits(
 ).sum(axis=1).astype(np.int64)
 
 
-class Bitset:
-    """Fixed-universe set of integers in ``[0, size)``.
-
-    >>> s = Bitset(8)
-    >>> s.add(3); s.add(5)
-    >>> 3 in s, 4 in s
-    (True, False)
-    >>> s.count()
-    2
-    """
-
-    __slots__ = ("_bits", "_size")
-
-    def __init__(self, size: int, init: Iterable[int] | None = None) -> None:
-        if size < 0:
-            raise ConfigurationError(f"bitset size must be >= 0, got {size}")
-        self._size = size
-        self._bits = np.zeros(size, dtype=bool)
-        if init is not None:
-            for item in init:
-                self.add(item)
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray) -> "Bitset":
-        """Wrap an existing boolean mask (no copy)."""
-        if mask.dtype != bool or mask.ndim != 1:
-            raise ConfigurationError("mask must be a 1-D boolean array")
-        out = cls(0)
-        out._size = int(mask.shape[0])
-        out._bits = mask
-        return out
-
-    @property
-    def size(self) -> int:
-        """Universe size (number of addressable ids)."""
-        return self._size
-
-    @property
-    def mask(self) -> np.ndarray:
-        """The underlying boolean array (shared, not a copy)."""
-        return self._bits
-
-    def add(self, item: int) -> None:
-        """Insert ``item``; raises ``IndexError`` if out of universe."""
-        if not 0 <= item < self._size:
-            raise IndexError(f"id {item} outside universe [0, {self._size})")
-        self._bits[item] = True
-
-    def discard(self, item: int) -> None:
-        """Remove ``item`` if present; no-op otherwise."""
-        if 0 <= item < self._size:
-            self._bits[item] = False
-
-    def add_many(self, items: Iterable[int] | np.ndarray) -> None:
-        """Insert every id in ``items`` (vectorized for arrays)."""
-        idx = np.asarray(items, dtype=np.int64)
-        if idx.size == 0:
-            return
-        if idx.min() < 0 or idx.max() >= self._size:
-            raise IndexError("id outside universe")
-        self._bits[idx] = True
-
-    def __contains__(self, item: int) -> bool:
-        return 0 <= item < self._size and bool(self._bits[item])
-
-    def count(self) -> int:
-        """Number of set bits."""
-        return int(self._bits.sum())
-
-    def __len__(self) -> int:
-        return self.count()
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_indices().tolist())
-
-    def to_indices(self) -> np.ndarray:
-        """Sorted array of all ids currently in the set."""
-        return np.flatnonzero(self._bits)
-
-    def clear(self) -> None:
-        """Remove all elements."""
-        self._bits[:] = False
-
-    def nbytes_bitlevel(self) -> int:
-        """Footprint the paper's C++ bitset would use (one bit per id)."""
-        return (self._size + 7) // 8
-
-    def to_packed(self) -> "PackedBitset":
-        """Bit-packed copy of this set (1/8th the memory)."""
-        out = PackedBitset(self._size)
-        out.add_many(self.to_indices())
-        return out
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Bitset(size={self._size}, count={self.count()})"
-
-
 class PackedBitset:
     """Fixed-universe set of integers in ``[0, size)`` — one *bit* per id.
 
-    :class:`Bitset` trades memory for O(1) boolean-mask operations: one
-    byte per id.  This class is the paper-faithful footprint — id ``i``
-    lives in bit ``i & 7`` of word byte ``i >> 3`` (little bit order,
+    This is the paper-faithful footprint — id ``i`` lives in bit
+    ``i & 7`` of word byte ``i >> 3`` (little bit order,
     ``np.unpackbits(..., bitorder="little")`` compatible) — so ``k``
     per-partition vertex covers cost ``k * ceil(n / 8)`` bytes, 8x less
-    than boolean rows.  Bulk inserts and unions stay vectorized; the
-    membership/count API mirrors :class:`Bitset`.
+    than boolean rows.  Bulk inserts and unions stay vectorized.
 
     >>> s = PackedBitset(12)
     >>> s.add_many([3, 8, 11])
@@ -224,13 +118,6 @@ class PackedBitset:
             self._words, count=self._size, bitorder="little"
         ).astype(bool)
         return np.flatnonzero(mask)
-
-    def to_bitset(self) -> Bitset:
-        """Byte-per-id :class:`Bitset` copy (for boolean-mask consumers)."""
-        mask = np.unpackbits(
-            self._words, count=self._size, bitorder="little"
-        ).astype(bool)
-        return Bitset.from_mask(mask)
 
     def union_update(self, other: "PackedBitset | np.ndarray") -> None:
         """In-place union with another packed set over the same universe."""

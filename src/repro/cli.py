@@ -8,8 +8,7 @@ Subcommands mirror the workflows a user of the original C++ system has:
   ``--out-of-core`` streams the file in chunks instead of loading it,
 * ``scan``      — the counting/metrics passes alone: stream statistics
   and, with ``--parts``, replication factor and balance for a saved
-  assignment (``--metrics-workers`` fans both sweeps out over worker
-  processes),
+  assignment,
 * ``compare``   — run several partitioners on one graph side by side,
 * ``select-tau`` — pick the largest tau fitting a memory budget (§4.4),
 * ``extsort``   — rewrite an edge file in degree order with bounded
@@ -158,8 +157,6 @@ def _partition_baseline(args: argparse.Namespace):
     partitioner = make_partitioner(args.method)
     given = [f"--{dest.replace('_', '-')}" for dest in _JOB_FLAGS
              if getattr(args, dest) is not None]
-    if args.metrics_workers:
-        given.append("--metrics-workers")
     if given:
         raise ReproError(
             f"{', '.join(given)}: job flags for HEP and the streaming "
@@ -191,8 +188,7 @@ def _job_spec_from_args(args: argparse.Namespace):
     Every flag is lowered as given, HEP's knobs on any algorithm, so
     :func:`~repro.runtime.api.validate_spec` judges the combination.  A
     ``HEP-<tau>`` name lowers to HEP at that tau.  Unset execution
-    flags keep :func:`~repro.runtime.spec.make_job`'s defaults: the BSP
-    batch, and a ``--workers`` run scanning with its worker count.
+    flags keep :func:`~repro.runtime.spec.make_job`'s defaults.
     """
     from repro.runtime.spec import make_job
 
@@ -214,8 +210,6 @@ def _job_spec_from_args(args: argparse.Namespace):
         options["workers"] = args.workers
     if args.batch is not None:
         options["batch"] = args.batch
-    if args.metrics_workers:  # 0 is also argparse's "not set"
-        options["metrics_workers"] = args.metrics_workers
     hep = named_tau is not None or args.method.upper() == "HEP"
     return make_job(
         "HEP" if hep else args.method, args.graph, args.k,
@@ -294,63 +288,34 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     The counting pass reports ``n``, ``m`` and degree statistics for
     any edge source.  With ``--parts`` (a per-edge partition-id file as
     written by ``partition --output``), the metrics pass additionally
-    reports replication factor and edge balance.  ``--metrics-workers
-    N`` runs both sweeps on N worker processes when the source is a
-    shard manifest or flat binary edge file — bit-identical results.
+    reports replication factor and edge balance.
     """
-    if args.metrics_workers < 0:
-        raise ReproError(
-            f"--metrics-workers must be >= 0, got {args.metrics_workers}"
-        )
-    from repro.stream import open_edge_source, scan_stats
-    from repro.stream.parallel_scan import effective_scan_workers
+    from repro.stream import open_edge_source, scan_source
 
     opened = open_edge_source(args.graph, args.chunk_size)
-    # The same predicate scan_stats/scan_quality evaluate internally, so
-    # the printed path always matches the one that ran.
-    parallel = effective_scan_workers(args.graph, args.metrics_workers)
-    pool = None
-    if parallel:
-        from repro.stream import PersistentWorkerPool
+    stats = scan_source(opened)
+    print(f"source             : {opened.describe()}")
+    print(f"universe           : n={stats.num_vertices:,} "
+          f"m={stats.num_edges:,}")
+    max_degree = int(stats.degrees.max()) if stats.num_vertices else 0
+    isolated = int((stats.degrees == 0).sum())
+    print(f"degrees            : mean {stats.mean_degree:.3f}, "
+          f"max {max_degree:,}, isolated {isolated:,}")
+    print("scan passes        : sequential")
+    if args.parts is None:
+        return 0
+    from repro.metrics import streamed_quality_report
 
-        pool = PersistentWorkerPool(args.metrics_workers)
-        pool.start()
-    try:
-        stats = scan_stats(
-            args.graph, opened, args.metrics_workers, args.chunk_size,
-            pool=pool,
-        )
-        print(f"source             : {opened.describe()}")
-        print(f"universe           : n={stats.num_vertices:,} "
-              f"m={stats.num_edges:,}")
-        max_degree = int(stats.degrees.max()) if stats.num_vertices else 0
-        isolated = int((stats.degrees == 0).sum())
-        print(f"degrees            : mean {stats.mean_degree:.3f}, "
-              f"max {max_degree:,}, isolated {isolated:,}")
-        if parallel:
-            print(f"scan passes        : {parallel} worker processes "
-                  f"(one warm pool)")
-        else:
-            print("scan passes        : sequential")
-        if args.parts is None:
-            return 0
-        from repro.metrics import streamed_quality_report
-
-        parts = np.loadtxt(args.parts, dtype=np.int64, ndmin=1)
-        k = args.k if args.k is not None else int(max(parts.max(), 0)) + 1
-        report = streamed_quality_report(
-            args.graph,
-            parts,
-            k,
-            workers=args.metrics_workers,
-            chunk_size=args.chunk_size,
-            memory_budget=args.memory_budget,
-            stats=stats,  # the counting pass above; don't sweep twice
-            pool=pool,
-        )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    parts = np.loadtxt(args.parts, dtype=np.int64, ndmin=1)
+    k = args.k if args.k is not None else int(max(parts.max(), 0)) + 1
+    report = streamed_quality_report(
+        args.graph,
+        parts,
+        k,
+        chunk_size=args.chunk_size,
+        memory_budget=args.memory_budget,
+        stats=stats,  # the counting pass above; don't sweep twice
+    )
     print(f"assignment         : {args.parts} (k={k})")
     print(f"replication factor : {report.replication_factor:.4f}")
     print(f"edge balance alpha : {report.edge_balance:.4f}")
@@ -393,7 +358,7 @@ def _cmd_extsort(args: argparse.Namespace) -> int:
     result = external_sort_edges(
         args.graph, args.output, order=args.order,
         chunk_size=args.chunk_size, num_shards=args.shards,
-        compression=args.compress, scan_workers=args.scan_workers,
+        compression=args.compress,
     )
     print(f"sorted             : {args.graph} -> {result.path}")
     print(f"order              : {result.order}")
@@ -533,14 +498,6 @@ def _budget_parent(budget_help: str) -> argparse.ArgumentParser:
     return parent
 
 
-def _worker_parent(metrics_help: str) -> argparse.ArgumentParser:
-    """Parent parser: the scan-worker flag group."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--metrics-workers", type=int, default=0, metavar="N",
-                        help=metrics_help)
-    return parent
-
-
 def _partition_parents() -> list[argparse.ArgumentParser]:
     """The shared flag groups ``partition`` and ``job describe`` use."""
     return [
@@ -551,13 +508,6 @@ def _partition_parents() -> list[argparse.ArgumentParser]:
         _budget_parent(
             "byte budget for HEP's in-memory structures; "
             "selects tau from the §4.4 grid (excludes --tau)"
-        ),
-        _worker_parent(
-            "run the counting/metrics passes on N worker "
-            "processes when --out-of-core streams a shard manifest "
-            "or flat binary file (bit-identical results; "
-            "0 = sequential, or the --workers count for "
-            "--workers runs)",
         ),
     ]
 
@@ -578,7 +528,7 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
                    help="buffered-scoring window for the streaming phase")
     p.add_argument("--spill-dir", default=None,
                    help="directory for the h2h spill file (default: temp dir)")
-    p.add_argument("--spill-compression", choices=("zlib",), default=None,
+    p.add_argument("--spill-compression", default=None,
                    help="compress the h2h spill file (zlib frames)")
     p.add_argument("--passes", type=int, default=None,
                    help="stream passes for --algo Restreaming (default 3)")
@@ -658,11 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "byte bound for the metrics cover; larger covers "
                 "fall back to column-blocked sweeps"
             ),
-            _worker_parent(
-                "run both passes on N worker processes sharing one "
-                "warm pool (shard manifests and flat binary edge "
-                "files)",
-            ),
             _trace_parent(),
         ],
     )
@@ -708,9 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "a manifest (output becomes <out>.manifest.json)")
     p.add_argument("--compress", choices=("zlib",), default=None,
                    help="zlib-framed shard files (requires --shards)")
-    p.add_argument("--scan-workers", type=int, default=0, metavar="N",
-                   help="run the counting pass (which keys the sort) on "
-                        "N worker processes")
     p.set_defaults(func=_cmd_extsort)
 
     p = sub.add_parser(

@@ -29,13 +29,7 @@ from repro.parallel import ParallelHepPartitioner, bsp_hdrf_stream
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
-from repro.stream import (
-    open_edge_source,
-    plan_worker_segments,
-    scan_source,
-    scan_stats,
-    write_sharded_edges,
-)
+from repro.stream import plan_worker_segments, write_sharded_edges
 
 __all__ = ["run"]
 
@@ -54,23 +48,11 @@ def run(graphs: tuple[str, ...] | None = None, k: int = _K) -> ExperimentResult:
     names = list(graphs) if graphs else dataset_list(_DEFAULT, _FULL)
     rows: list[dict[str, object]] = []
     identical_everywhere = True
-    scan_identical = True
     with tempfile.TemporaryDirectory(prefix="mw-exp-") as tmp:
         for name in names:
             graph = load_dataset(name)
             manifest = Path(tmp) / f"{name}.manifest.json"
             write_sharded_edges(graph, manifest, num_shards=_SHARDS)
-            # The counting pass the drivers run on their worker count
-            # must equal the sequential sweep bit for bit.
-            seq_stats = scan_source(open_edge_source(manifest))
-            par_stats = scan_stats(
-                manifest, open_edge_source(manifest), workers=2
-            )
-            scan_identical &= (
-                seq_stats.num_vertices == par_stats.num_vertices
-                and seq_stats.num_edges == par_stats.num_edges
-                and bool(np.array_equal(seq_stats.degrees, par_stats.degrees))
-            )
             for workers in _WORKER_COUNTS:
                 result = run_job(make_job(
                     "HDRF", manifest, k, workers=workers, batch=_BATCH,
@@ -140,8 +122,5 @@ def run(graphs: tuple[str, ...] | None = None, k: int = _K) -> ExperimentResult:
     )
     result.notes.append(
         f"multi-process == in-process BSP everywhere: {identical_everywhere}"
-    )
-    result.notes.append(
-        f"worker-parallel counting pass == sequential scan: {scan_identical}"
     )
     return result

@@ -35,7 +35,6 @@ from repro.experiments.common import (
 )
 from repro.graph.edgelist import write_binary_edgelist
 from repro.runtime import make_job, run_job
-from repro.stream import chunked_quality, open_edge_source, scan_source
 
 __all__ = ["run"]
 
@@ -48,29 +47,20 @@ _BASELINES = ("HDRF", "Greedy", "DBH", "Grid", "Restreaming")
 _CHUNK = 1 << 14
 
 
-#: worker processes for the counting/metrics passes (bit-identical to
-#: the sequential sweeps — re-verified per run in the notes)
-_METRICS_WORKERS = 2
-
-
 def run(
     graphs: tuple[str, ...] | None = None,
     k: int = 32,
     budget_fraction: float = 0.5,
-    metrics_workers: int = _METRICS_WORKERS,
 ) -> ExperimentResult:
     """Compare every streaming baseline in-memory vs out-of-core.
 
     ``budget_fraction`` scales HEP's byte budget relative to the
     HEP-10 projected footprint, so the budgeted run genuinely has to
-    pick a smaller tau on skewed inputs.  ``metrics_workers`` fans the
-    counting/metrics sweeps out over worker processes (the reported
-    quality is bit-identical either way; the equality note checks it).
+    pick a smaller tau on skewed inputs.
     """
     names = list(graphs) if graphs else dataset_list(_DEFAULT, _FULL)
     rows: list[dict[str, object]] = []
     identical_everywhere = True
-    scan_identical = True
     with tempfile.TemporaryDirectory(prefix="ooc-exp-") as tmp:
         for name in names:
             graph = load_dataset(name)
@@ -78,10 +68,7 @@ def run(
             write_binary_edgelist(graph, path)
             for algo in _BASELINES:
                 in_mem = make_partitioner(algo).partition(graph, k)
-                ooc = run_job(make_job(
-                    algo, path, k, chunk_size=_CHUNK,
-                    metrics_workers=metrics_workers,
-                ))
+                ooc = run_job(make_job(algo, path, k, chunk_size=_CHUNK))
                 same = bool(np.array_equal(ooc.parts, in_mem.parts))
                 identical_everywhere &= same
                 rows.append(
@@ -100,20 +87,7 @@ def run(
             budget = max(1, int(footprint * budget_fraction))
             result = run_job(make_job(
                 "HEP", path, k, chunk_size=_CHUNK, memory_budget=budget,
-                metrics_workers=metrics_workers,
             ))
-            # One equality probe per graph: the worker-parallel metrics
-            # pass must match the sequential sweep bit for bit.
-            seq_rf, seq_alpha = chunked_quality(
-                open_edge_source(path, _CHUNK),
-                scan_source(open_edge_source(path, _CHUNK)),
-                k,
-                result.parts,
-            )
-            scan_identical &= (
-                result.replication_factor == seq_rf
-                and result.edge_balance == seq_alpha
-            )
             hep_in_mem = make_partitioner(f"HEP-{result.tau:g}").partition(
                 graph, k
             )
@@ -139,9 +113,5 @@ def run(
     )
     result.notes.append(
         f"streamed == in-memory for every baseline: {identical_everywhere}"
-    )
-    result.notes.append(
-        f"{metrics_workers}-worker metrics pass == sequential sweep: "
-        f"{scan_identical}"
     )
     return result

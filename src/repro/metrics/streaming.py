@@ -4,10 +4,8 @@ The Section 2 metrics in this package score an in-memory
 :class:`~repro.partition.base.PartitionAssignment`.  This module scores
 a finished per-edge assignment against an *on-disk* edge stream instead
 — the counting and metrics passes of :mod:`repro.stream.scan`, with the
-bit-packed ``k x n`` vertex cover, the budget-aware column-blocked
-fallback, and (``workers > 1`` on a shard manifest or flat binary edge
-file) the worker-parallel sweeps of :mod:`repro.stream.parallel_scan`.
-Results are bit-identical whichever path runs.
+bit-packed ``k x n`` vertex cover and the budget-aware column-blocked
+fallback.
 """
 
 from __future__ import annotations
@@ -17,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.stream.parallel_scan import scan_quality, scan_stats
 from repro.stream.reader import DEFAULT_CHUNK_SIZE, open_edge_source
-from repro.stream.scan import SourceStats
+from repro.stream.scan import SourceStats, chunked_quality, scan_source
 
 __all__ = ["StreamedQuality", "streamed_quality_report"]
 
@@ -52,33 +49,27 @@ def streamed_quality_report(
     source,
     parts: np.ndarray,
     k: int,
-    workers: int = 0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     memory_budget: int | None = None,
     stats: SourceStats | None = None,
-    pool=None,
 ) -> StreamedQuality:
     """Score an assignment against any edge source, out of core.
 
     ``source`` is anything :func:`~repro.stream.reader.open_edge_source`
     accepts; ``parts`` maps canonical edge id to partition (negative =
-    unassigned, excluded from both metrics).  ``workers > 1`` runs both
-    sweeps on worker processes when the source is segmentable;
-    ``memory_budget`` bounds the metrics cover's bytes via
-    column-blocked sweeps.  One counting pass plus one (or, blocked,
-    several) metrics passes — the edge list is never resident.  A
-    caller that already ran the counting pass hands its
-    :class:`~repro.stream.scan.SourceStats` in as ``stats`` and skips
-    the redundant sweep; one holding a warm
-    :class:`~repro.stream.workers.PersistentWorkerPool` hands it in as
-    ``pool`` so the sweeps reuse its processes.
+    unassigned, excluded from both metrics).  ``memory_budget`` bounds
+    the metrics cover's bytes via column-blocked sweeps.  One counting
+    pass plus one (or, blocked, several) metrics passes — the edge list
+    is never resident.  A caller that already ran the counting pass
+    hands its :class:`~repro.stream.scan.SourceStats` in as ``stats``
+    and skips the redundant sweep.
     """
     if k < 1:
         raise ConfigurationError(f"streamed quality requires k >= 1, got {k}")
     parts = np.asarray(parts)
     opened = open_edge_source(source, chunk_size)
     if stats is None:
-        stats = scan_stats(source, opened, workers, chunk_size, pool=pool)
+        stats = scan_source(opened)
     if parts.shape != (stats.num_edges,):
         raise ConfigurationError(
             f"parts has shape {parts.shape}, but the source streams "
@@ -88,10 +79,7 @@ def streamed_quality_report(
         raise ConfigurationError(
             f"parts references partition {int(parts.max())} but k={k}"
         )
-    rf, balance = scan_quality(
-        source, opened, stats, k, parts, workers, chunk_size,
-        memory_budget=memory_budget, pool=pool,
-    )
+    rf, balance = chunked_quality(opened, stats, k, parts, memory_budget)
     return StreamedQuality(
         replication_factor=rf,
         edge_balance=balance,

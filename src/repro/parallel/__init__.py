@@ -23,13 +23,12 @@ from repro.parallel.kernel import (
     shard_round_robin_streams,
     superstep_is_safe,
 )
-from repro.parallel.shm import SharedArray, SharedState
+from repro.parallel.shm import SharedState
 
 __all__ = [
     "ParallelHepPartitioner",
     "bsp_hdrf_stream",
     "BspStreamReport",
-    "SharedArray",
     "SharedState",
     "score_batch_on_snapshot",
     "superstep_is_safe",

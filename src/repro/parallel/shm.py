@@ -44,9 +44,6 @@ Python 3.13 grew ``track=False`` for exactly this; on 3.10–3.12 the
 register/unregister calls are suppressed instead
 (:func:`_tracker_paused`).  Leak safety is owned by the explicit
 ``finally`` unlinks plus the test-session and CI ``psm_*`` gates.
-
-:class:`SharedArray` is the one-array little sibling used to ship the
-read-only assignment to metrics workers without pickling it per job.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.parallel.kernel import apply_delta
 
-__all__ = ["SharedArray", "SharedState"]
+__all__ = ["SharedState"]
 
 _TRIPLE_FIELDS = 3  # eids, us, vs — one scratch column each
 
@@ -105,8 +102,8 @@ def _create_untracked(size: int) -> shared_memory.SharedMemory:
         raise ConfigurationError(
             f"cannot create a {size:,}-byte shared-memory segment ({exc}); "
             f"worker processes exchange state through shared memory, so "
-            f"this host cannot run them — a run with workers=0 and "
-            f"metrics_workers<=1 needs no shared memory"
+            f"this host cannot run them — a run with workers=0 needs no "
+            f"shared memory"
         ) from exc
 
 
@@ -145,92 +142,6 @@ def _close_quietly(shm: shared_memory.SharedMemory) -> None:
         if getattr(shm, "_fd", -1) >= 0:
             os.close(shm._fd)
             shm._fd = -1
-
-
-class SharedArray:
-    """One numpy array in a shared-memory segment (create or attach).
-
-    The creator calls :meth:`create` with the array to publish and owns
-    the segment name (``close`` + ``unlink``); readers call
-    :meth:`attach` with the shape/dtype they expect and get a view via
-    :attr:`array` (``close`` only).
-    """
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        shape: tuple[int, ...],
-        dtype: np.dtype,
-        owner: bool,
-    ) -> None:
-        """Wrap an already-open segment; use :meth:`create`/:meth:`attach`."""
-        self._shm = shm
-        self._owner = owner
-        self._array: np.ndarray | None = np.ndarray(
-            shape, dtype=dtype, buffer=shm.buf
-        )
-
-    @classmethod
-    def create(cls, array: np.ndarray) -> "SharedArray":
-        """Publish a copy of ``array`` in a fresh shared segment.
-
-        If anything — including an interrupt — lands between segment
-        creation and the return, the segment is closed and unlinked
-        before the exception propagates: a name the caller never saw
-        is a name the caller can never clean up.
-        """
-        array = np.ascontiguousarray(array)
-        shm = _create_untracked(max(int(array.nbytes), 1))
-        try:
-            shared = cls(shm, array.shape, array.dtype, owner=True)
-            shared.array[...] = array
-        except BaseException:
-            _close_quietly(shm)
-            _unlink_quietly(shm)
-            raise
-        return shared
-
-    @classmethod
-    def attach(
-        cls, name: str, shape: tuple[int, ...], dtype
-    ) -> "SharedArray":
-        """Map an existing segment as a ``shape``/``dtype`` view."""
-        shm = _attach_untracked(name)
-        expected = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        if shm.size < expected:
-            _close_quietly(shm)
-            raise ConfigurationError(
-                f"shared segment {name} holds {shm.size} bytes; "
-                f"{expected} expected for shape {shape}"
-            )
-        return cls(shm, tuple(shape), np.dtype(dtype), owner=False)
-
-    @property
-    def name(self) -> str:
-        """Segment name readers pass to :meth:`attach`."""
-        return self._shm.name
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the underlying segment in bytes."""
-        return self._shm.size
-
-    @property
-    def array(self) -> np.ndarray:
-        """The shared view (invalid after :meth:`close`)."""
-        if self._array is None:
-            raise ConfigurationError("shared array used after close()")
-        return self._array
-
-    def close(self) -> None:
-        """Drop the view and unmap the segment (both sides)."""
-        self._array = None
-        _close_quietly(self._shm)
-
-    def unlink(self) -> None:
-        """Remove the segment name (creator only; idempotent)."""
-        if self._owner:
-            _unlink_quietly(self._shm)
 
 
 class SharedState:

@@ -19,13 +19,14 @@ import time
 
 from repro.errors import ConfigurationError, JobCancelledError
 from repro.obs.tracer import get_tracer
-from repro.partition.scoring import check_hdrf_params
+from repro.partition.scoring import _is_finite, check_hdrf_params
 from repro.runtime.plan import pipeline_kind, plan_job
 from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec, declared_params
 from repro.runtime.stages import RunContext
 from repro.stream.reader import _check_chunk_size
+from repro.stream.spill import _check_compression
 
 __all__ = ["run_job", "validate_spec"]
 
@@ -45,7 +46,9 @@ def validate_spec(spec: JobSpec) -> None:
     :func:`run_job` calls this first, and ``repro serve`` calls it at
     submit time, so the CLI, ``run_job`` and ``POST /jobs`` reject the
     same specs with the same messages — before any input is hashed or
-    any stage runs.  Beyond the numeric ranges, ``algo`` must be HEP
+    any stage runs.  Beyond the numeric ranges (``alpha`` a finite
+    number >= 1, every ``tau_grid`` entry a finite tau > 0, ``id_bytes``
+    >= 1) and a spill codec the spill file knows, ``algo`` must be HEP
     or a registered streaming algorithm, every ``algo_params`` name
     must be one that algorithm declares, a declared ``lam``/``eps``
     must pass :func:`~repro.partition.scoring.check_hdrf_params`, and
@@ -55,8 +58,23 @@ def validate_spec(spec: JobSpec) -> None:
     """
     hep = pipeline_kind(spec) == "hep"
     _check_chunk_size(spec.chunk_size)
+    if not (_is_finite(spec.alpha) and spec.alpha >= 1.0):
+        # capacity_bound's wording; it lets a NaN through to int()
+        raise ConfigurationError(f"alpha must be >= 1.0, got {spec.alpha}")
     if spec.tau is not None and not spec.tau > 0:
         raise ConfigurationError(f"tau must be positive, got {spec.tau}")
+    if not spec.tau_grid or not all(
+        _is_finite(tau) and tau > 0 for tau in spec.tau_grid
+    ):
+        raise ConfigurationError(
+            f"tau_grid must hold at least one tau, each a finite number "
+            f"> 0, got {list(spec.tau_grid)}"
+        )
+    if spec.id_bytes < 1:
+        raise ConfigurationError(
+            f"id_bytes must be >= 1, got {spec.id_bytes}"
+        )
+    _check_compression(spec.spill_compression)
     if spec.memory_budget is not None and spec.memory_budget < 1:
         raise ConfigurationError(
             f"memory_budget must be positive, got {spec.memory_budget}"
@@ -64,10 +82,6 @@ def validate_spec(spec: JobSpec) -> None:
     if spec.buffer_size is not None and spec.buffer_size < 1:
         raise ConfigurationError(
             f"buffer_size must be >= 1, got {spec.buffer_size}"
-        )
-    if spec.metrics_workers < 0:
-        raise ConfigurationError(
-            f"metrics_workers must be >= 0, got {spec.metrics_workers}"
         )
     if spec.workers < 0:
         raise ConfigurationError(

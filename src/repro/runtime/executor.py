@@ -3,12 +3,14 @@
 Two strategies exist, selected from the spec's execution shape:
 
 * :class:`InProcessExecutor` (``workers == 0``) — sequential chunk
-  sweeps in the coordinator process; the counting/metrics passes may
-  still fan out over scan workers (``metrics_workers``), on one warm
-  :class:`~repro.stream.workers.PersistentWorkerPool`,
+  sweeps in the coordinator process,
 * :class:`PoolExecutor` (``workers >= 1``) — the streaming phase runs
-  on BSP worker processes over shared-memory state, reusing one warm
-  pool across the counting pass, the stream, and the metrics pass.
+  on BSP worker processes over shared-memory state, on one warm
+  :class:`~repro.stream.workers.PersistentWorkerPool`.
+
+The counting and metrics passes are not executor strategies: both
+executors run the same sequential sweeps of :mod:`repro.stream.scan`
+(the ``count`` and ``metrics`` stages call them directly).
 
 Both strategies are pinned bit-identical to each other and to the
 in-memory oracles by the equivalence/Hypothesis suites; the executor
@@ -37,10 +39,7 @@ class Executor:
     """Shared executor surface: lifecycle hooks plus the pass strategies.
 
     ``prepare`` runs before the source is opened, ``start`` just after,
-    ``finish`` in the run's ``finally``.  The scan passes are identical
-    across strategies (the front doors in
-    :mod:`repro.stream.parallel_scan` pick sequential or parallel
-    internally), so they live here.
+    ``finish`` in the run's ``finally``.
     """
 
     name = "base"
@@ -57,26 +56,6 @@ class Executor:
             ctx.pool.shutdown()
             ctx.pool = None
 
-    def scan_stats_pass(self, spec: JobSpec, ctx: RunContext):
-        """Counting pass through the parallel-scan front door."""
-        from repro.stream.parallel_scan import scan_stats
-
-        return scan_stats(
-            ctx.source, ctx.src, spec.metrics_workers, spec.chunk_size,
-            mp_context=spec.mp_context, pool=ctx.pool,
-        )
-
-    def scan_quality_pass(self, spec: JobSpec, ctx: RunContext):
-        """Metrics pass through the parallel-scan front door."""
-        from repro.stream.parallel_scan import scan_quality
-
-        return scan_quality(
-            ctx.source, ctx.src, ctx.stats, spec.k, ctx.parts,
-            spec.metrics_workers, spec.chunk_size,
-            memory_budget=spec.memory_budget,
-            mp_context=spec.mp_context, pool=ctx.pool,
-        )
-
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Streaming-pipeline stream stage (strategy-specific)."""
         raise NotImplementedError
@@ -90,23 +69,6 @@ class InProcessExecutor(Executor):
     """Sequential sweeps in the coordinator process (``workers == 0``)."""
 
     name = "in-process"
-
-    def start(self, spec: JobSpec, ctx: RunContext) -> None:
-        """Warm scan pool for the counting/metrics fan-outs, if any.
-
-        One warm pool serves both scan passes when the source supports
-        parallel scans and ``metrics_workers > 1``.
-        """
-        from repro.stream.parallel_scan import effective_scan_workers
-
-        if effective_scan_workers(ctx.source, spec.metrics_workers):
-            from repro.stream.workers import PersistentWorkerPool
-
-            # Registered on the context *before* start(): if an
-            # interrupt lands mid-spawn, finish() still reaps it.
-            pool = PersistentWorkerPool(spec.metrics_workers)
-            ctx.pool = pool
-            pool.start()
 
     def stream_source(self, spec: JobSpec, ctx: RunContext) -> None:
         """Chunked sweeps through the algorithm adapter (one per pass)."""
@@ -178,12 +140,10 @@ class PoolExecutor(Executor):
             self._spawn_warm_pool(spec, ctx)
 
     def _spawn_warm_pool(self, spec: JobSpec, ctx: RunContext) -> None:
-        """Start the warm pool every pass of this run shares."""
+        """Start the warm pool this run's BSP streaming phase runs on."""
         from repro.stream.workers import PersistentWorkerPool
 
-        pool = PersistentWorkerPool(
-            spec.workers, mp_context=spec.mp_context, timeout=spec.timeout
-        )
+        pool = PersistentWorkerPool(spec.workers)
         # Registered on the context *before* start(): if an interrupt
         # lands mid-spawn, finish() still reaps it.
         ctx.pool = pool

@@ -3,7 +3,7 @@
 A :class:`JobSpec` is the runtime's single description of "one
 partitioning job": what to read (:class:`InputSpec`), which algorithm
 with which parameters, ``k``, the memory budget, and the execution
-shape (workers/batch/scan workers).  Two properties make it the
+shape (workers/batch).  Two properties make it the
 substrate for the content-addressed artifact store
 (:mod:`repro.runtime.store`) and the future ``repro.serve`` job queue:
 
@@ -13,12 +13,10 @@ substrate for the content-addressed artifact store
   defaults at construction, so keyword order and elided defaults never
   produce distinct spellings of the same job, and
 * **a stable content hash** — :meth:`JobSpec.content_hash` digests only
-  the *semantic* fields (those that can change the assignment).  Scan
-  parallelism (``metrics_workers`` — bit-identical by the equivalence
-  suites), spill placement, and pool plumbing
-  (``mp_context``, ``timeout``) are excluded, so equivalent runs share
-  a cache entry.  ``workers``/``batch`` *are* semantic: the BSP
-  schedule's staleness window changes assignments.
+  the *semantic* fields (those that can change the assignment).  Spill
+  placement and tracing are excluded, so equivalent runs share a cache
+  entry.  ``workers``/``batch`` *are* semantic: the BSP schedule's
+  staleness window changes assignments.
 
 The input *path* is deliberately not hashed — the artifact store keys
 on ``content_hash + input digest``, so renaming a file never splits
@@ -36,7 +34,7 @@ from repro.core.tau import DEFAULT_TAU_GRID
 from repro.errors import ConfigurationError
 from repro.runtime.registry import algorithm_info
 from repro.stream.reader import DEFAULT_CHUNK_SIZE
-from repro.stream.workers import DEFAULT_WORKER_BATCH, DEFAULT_WORKER_TIMEOUT
+from repro.stream.workers import DEFAULT_WORKER_BATCH
 
 __all__ = [
     "InputSpec", "JobSpec", "SPEC_VERSION", "declared_params", "make_job",
@@ -167,9 +165,6 @@ class JobSpec:
     # execution shape
     workers: int = 0
     batch: int = DEFAULT_WORKER_BATCH
-    metrics_workers: int = 0
-    mp_context: str | None = None
-    timeout: float = DEFAULT_WORKER_TIMEOUT
     # trace options (observational only, never hashed)
     trace_path: str | None = None
     trace_memory: str | None = None
@@ -225,9 +220,6 @@ class JobSpec:
             "spill_compression": self.spill_compression,
             "workers": int(self.workers),
             "batch": int(self.batch),
-            "metrics_workers": int(self.metrics_workers),
-            "mp_context": self.mp_context,
-            "timeout": float(self.timeout),
             "trace_path": self.trace_path,
             "trace_memory": self.trace_memory,
         }
@@ -242,8 +234,7 @@ class JobSpec:
         """The subset of fields that can change the assignment.
 
         Everything excluded here is pinned bit-identical by the
-        equivalence suites (scan parallelism, spill placement, pool
-        plumbing, tracing).
+        equivalence suites (spill placement, tracing).
         """
         return {
             "version": SPEC_VERSION,
@@ -301,10 +292,8 @@ def make_job(
     """Build a :class:`JobSpec` from a source object plus keyword knobs.
 
     The ergonomic front door the CLI, experiments, and benches use:
-    ``source`` is classified by :meth:`InputSpec.from_source`,
-    ``algo_params`` accepts a dict or ``(name, value)`` pairs, and
-    ``metrics_workers`` defaults to ``workers`` when a worker count is
-    given (the scan passes use the streaming phase's parallelism).
+    ``source`` is classified by :meth:`InputSpec.from_source`, and
+    ``algo_params`` accepts a dict or ``(name, value)`` pairs.
     """
     input_spec = InputSpec.from_source(
         source, chunk_size=chunk_size, order=order, seed=seed
@@ -313,9 +302,6 @@ def make_job(
         params = tuple(algo_params.items())
     else:
         params = tuple(algo_params)
-    workers = int(options.get("workers", 0))
-    if workers >= 1 and "metrics_workers" not in options:
-        options["metrics_workers"] = workers
     return JobSpec(
         algo=algo, k=int(k), input=input_spec, algo_params=params, **options
     )

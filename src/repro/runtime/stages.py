@@ -28,6 +28,7 @@ from repro.graph.csr import CsrGraph
 from repro.obs.tracer import get_tracer
 from repro.runtime.plan import register_stage
 from repro.runtime.spec import JobSpec
+from repro.stream.scan import chunked_quality, scan_source
 
 __all__ = ["RunContext"]
 
@@ -88,7 +89,7 @@ class RunContext:
 @register_stage("count", provides=("stats",))
 def stage_count(spec: JobSpec, ctx: RunContext, executor) -> None:
     """Counting pass: exact degrees, vertex universe, edge count."""
-    ctx.stats = executor.scan_stats_pass(spec, ctx)
+    ctx.stats = scan_source(ctx.src)
     if ctx.stats.num_edges == 0:
         raise PartitioningError(ctx.empty_message)
 
@@ -170,8 +171,8 @@ def stage_stream(spec: JobSpec, ctx: RunContext, executor) -> None:
 @register_stage("metrics", provides=("replication_factor", "edge_balance"))
 def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
     """Metrics pass: replication factor and edge balance over the source."""
-    ctx.replication_factor, ctx.edge_balance = executor.scan_quality_pass(
-        spec, ctx
+    ctx.replication_factor, ctx.edge_balance = chunked_quality(
+        ctx.src, ctx.stats, spec.k, ctx.parts, spec.memory_budget
     )
 
 

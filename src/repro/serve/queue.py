@@ -75,7 +75,6 @@ _SPEC_KEYS = frozenset({
     "chunk_size", "order", "seed", "algo_params",
     "alpha", "tau", "memory_budget", "tau_grid", "id_bytes",
     "buffer_size", "spill_dir", "spill_compression", "workers", "batch",
-    "metrics_workers", "mp_context", "timeout",
 })
 
 

@@ -10,10 +10,8 @@ paper compares against:
 * :mod:`repro.stream.scan` — the shared counting and metrics passes
   (``O(n)`` state instead of the ``O(m)`` edge list; the metrics cover
   is bit-packed — ``k x n`` true bits — with a budget-aware
-  column-blocked fallback),
-* :mod:`repro.stream.parallel_scan` — the same two passes fanned out
-  as jobs on a warm worker pool (degrees summed, covers OR-ed),
-  bit-identical to the sequential sweeps (``--metrics-workers N``),
+  column-blocked fallback; both are sequential sweeps in the calling
+  process, whatever the job's worker count),
 * :mod:`repro.stream.spill` — the disk-backed h2h edge file NE++
   appends to instead of holding high/high edges in RAM (raw or
   zlib-framed on-disk format),
@@ -47,11 +45,6 @@ job with ``run_job(make_job(...))``.
 from repro.stream.buffered import buffered_hdrf_stream, stream_chunks_through_hdrf
 from repro.stream.driver import StreamingAlgorithm
 from repro.stream.extsort import EXTSORT_ORDERS, ExtSortResult, external_sort_edges
-from repro.stream.parallel_scan import (
-    scan_quality,
-    scan_stats,
-    supports_parallel_scan,
-)
 from repro.stream.reader import (
     DEFAULT_CHUNK_SIZE,
     BinaryFileEdgeSource,
@@ -102,9 +95,6 @@ __all__ = [
     "chunked_quality",
     "PackedCover",
     "plan_cover_blocks",
-    "scan_stats",
-    "scan_quality",
-    "supports_parallel_scan",
     "SpillFile",
     "read_spill_header",
     "read_spill_chunks",

@@ -40,9 +40,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.obs.tracer import get_tracer
-from repro.stream.parallel_scan import scan_stats
 from repro.stream.reader import DEFAULT_CHUNK_SIZE, open_edge_source
-from repro.stream.scan import SourceStats
+from repro.stream.scan import SourceStats, scan_source
 
 __all__ = ["external_sort_edges", "ExtSortResult", "EXTSORT_ORDERS"]
 
@@ -270,7 +269,6 @@ def external_sort_edges(
     merge_buffer: int = DEFAULT_MERGE_BUFFER,
     num_shards: int | None = None,
     compression: str | None = None,
-    scan_workers: int = 0,
 ) -> ExtSortResult:
     """Write ``source``'s edges to ``out_path`` in ``order``, out-of-core.
 
@@ -284,10 +282,7 @@ def external_sort_edges(
     degree-ordered files are produced pre-sharded for the
     :class:`~repro.stream.shard.ShardedEdgeSource` reader.  Peak memory
     is ``O(n + chunk_size + runs * merge_buffer)``; the full edge list
-    is never resident.  With ``scan_workers > 1`` the counting pass
-    (which keys the sort) runs on worker processes when the source is a
-    manifest or flat binary edge file — bit-identical degrees, less
-    wall-clock before the first run is written.
+    is never resident.
     """
     if order not in EXTSORT_ORDERS:
         raise ConfigurationError(
@@ -319,7 +314,7 @@ def external_sort_edges(
         "extsort", order=order, source=str(source), out=str(out_path)
     ):
         src = open_edge_source(source, chunk_size)
-        stats = scan_stats(source, src, scan_workers, chunk_size)
+        stats = scan_source(src)
         out_path.parent.mkdir(parents=True, exist_ok=True)
         if stats.num_vertices > 2**32:
             raise GraphFormatError(

@@ -19,14 +19,13 @@ sweeps: the vertex universe is cut into ranges whose per-range cover
 fits the budget and the source is re-read once per range (set-bit
 totals are exact either way, so the reported metrics are bit-identical).
 
-Both passes are pure order-independent reductions (degree counts are
-summed, cover bits are OR-ed), which is what makes the worker-parallel
-siblings in :mod:`repro.stream.parallel_scan` bit-identical to these
-sequential references.
+Each pass records one trace span (``count_pass``, ``metrics_pass``)
+with an ``edges_scanned`` counter, whoever calls it.
 
-Used by the runtime's count and metrics stages (both pipelines, in
-process or on workers: :mod:`repro.runtime.executor`) and by the
-external sort (:mod:`repro.stream.extsort`).
+Used by the runtime's count and metrics stages (both pipelines and
+both executors: :mod:`repro.runtime.stages`), by
+:func:`repro.metrics.streamed_quality_report` and by the external sort
+(:mod:`repro.stream.extsort`).
 """
 
 from __future__ import annotations
@@ -37,14 +36,13 @@ import numpy as np
 
 from repro._ds.bitset import PackedBitset
 from repro.errors import ConfigurationError, GraphFormatError
+from repro.obs.tracer import get_tracer
 from repro.stream.reader import EdgeChunkSource
 
 __all__ = [
     "SourceStats",
     "scan_source",
     "chunked_quality",
-    "accumulate_degrees",
-    "finalize_source_stats",
     "PackedCover",
     "plan_cover_blocks",
     "cover_nbytes",
@@ -68,64 +66,48 @@ class SourceStats:
         return 2.0 * self.num_edges / self.num_vertices
 
 
-def accumulate_degrees(degrees: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """Add one chunk's endpoint counts into a growable degree array.
+def scan_source(source: EdgeChunkSource) -> SourceStats:
+    """Counting pass: exact degrees, ``n`` and ``m`` in one chunked sweep.
 
-    Returns the (possibly reallocated) int64 degree array — the one
-    chunk-step of the counting pass, shared verbatim by the sequential
-    sweep and each parallel scan worker so their partial sums merge
-    bit-identically.
-    """
-    if pairs.shape[0] == 0:
-        return degrees
-    top = int(pairs.max()) + 1
-    if top > degrees.size:
-        grown = np.zeros(top, dtype=np.int64)
-        grown[: degrees.size] = degrees
-        degrees = grown
-    degrees += np.bincount(
-        pairs.ravel(), minlength=degrees.size
-    ).astype(np.int64)
-    return degrees
-
-
-def finalize_source_stats(
-    degrees: np.ndarray, num_edges: int, declared: int | None, what: str
-) -> SourceStats:
-    """Reconcile observed degrees with a source's declared universe.
-
-    A declared ``num_vertices`` larger than the observed ``max id + 1``
-    grows the degree array (trailing isolated vertices are legal and
-    keep the in-memory mean degree).  A declared universe *smaller* than
-    an observed id is a corrupt source — some edge references a vertex
-    the source claims not to have — and raises
+    The observed universe is reconciled with the source's declared
+    ``num_vertices``.  A declared universe larger than the observed
+    ``max id + 1`` grows the degree array (trailing isolated vertices
+    are legal and keep the in-memory mean degree).  A declared universe
+    *smaller* than an observed id is a corrupt source — some edge
+    references a vertex the source claims not to have — and raises
     :class:`~repro.errors.GraphFormatError` instead of being silently
     ignored.
     """
+    with get_tracer().span("count_pass") as span:
+        degrees = np.zeros(0, dtype=np.int64)
+        num_edges = 0
+        for chunk in source:
+            num_edges += chunk.num_edges
+            pairs = chunk.pairs
+            if pairs.shape[0] == 0:
+                continue
+            top = int(pairs.max()) + 1
+            if top > degrees.size:
+                grown = np.zeros(top, dtype=np.int64)
+                grown[: degrees.size] = degrees
+                degrees = grown
+            degrees += np.bincount(
+                pairs.ravel(), minlength=degrees.size
+            ).astype(np.int64)
+        span.add("edges_scanned", num_edges)
     n = degrees.size
+    declared = source.num_vertices
     if declared is not None and declared < n:
         raise GraphFormatError(
-            f"{what}: source declares num_vertices={declared} but the "
-            f"edge stream references vertex id {n - 1}; the declared "
-            f"universe is too small for its own edges"
+            f"{source.describe()}: source declares num_vertices={declared} "
+            f"but the edge stream references vertex id {n - 1}; the "
+            f"declared universe is too small for its own edges"
         )
     if declared is not None and declared > n:
         grown = np.zeros(declared, dtype=np.int64)
         grown[:n] = degrees
         degrees, n = grown, declared
     return SourceStats(num_vertices=n, num_edges=num_edges, degrees=degrees)
-
-
-def scan_source(source: EdgeChunkSource) -> SourceStats:
-    """Counting pass: exact degrees, ``n`` and ``m`` in one chunked sweep."""
-    degrees = np.zeros(0, dtype=np.int64)
-    num_edges = 0
-    for chunk in source:
-        num_edges += chunk.num_edges
-        degrees = accumulate_degrees(degrees, chunk.pairs)
-    return finalize_source_stats(
-        degrees, num_edges, source.num_vertices, source.describe()
-    )
 
 
 def cover_nbytes(num_vertices: int, k: int) -> int:
@@ -179,9 +161,7 @@ class PackedCover:
 
     One :class:`~repro._ds.bitset.PackedBitset` row per partition over
     the universe ``[lo, hi)`` — ``k * ceil((hi - lo) / 8)`` bytes, the
-    structure both the sequential metrics pass and each parallel scan
-    worker accumulate into.  Merging partial covers is a plain word-wise
-    OR (:meth:`union_update`), so the merge order never matters.
+    structure the metrics pass accumulates into.
     """
 
     __slots__ = ("k", "lo", "hi", "words")
@@ -237,11 +217,6 @@ class PackedCover:
                 if hit.size:
                     flat[hit] |= np.uint8(1 << b)
 
-    def union_update(self, words: "np.ndarray | bytes | memoryview") -> None:
-        """OR another cover's packed words (same ``k`` and range) in."""
-        other = np.frombuffer(words, dtype=np.uint8).reshape(self.words.shape)
-        np.bitwise_or(self.words, other, out=self.words)
-
     def count(self) -> int:
         """Total set bits — the replica count this cover witnesses."""
         return sum(self.part(p).count() for p in range(self.k))
@@ -263,16 +238,18 @@ def chunked_quality(
     an empty source reports ``(0.0, 1.0)`` — nothing is replicated and
     zero edges are perfectly balanced.
     """
-    sizes = np.bincount(parts[parts >= 0], minlength=k)
-    if stats.num_edges == 0:
-        return 0.0, 1.0
-    replicas = 0
-    for lo, hi in plan_cover_blocks(stats.num_vertices, k, memory_budget):
-        cover = PackedCover(k, lo, hi)
-        for chunk in source:
-            cover.mark_assignment(parts, chunk.pairs, chunk.eids)
-        replicas += cover.count()
-    covered = int((stats.degrees > 0).sum())
-    rf = float(replicas / covered) if covered else 0.0
-    balance = float(sizes.max() / (stats.num_edges / k))
-    return rf, balance
+    with get_tracer().span("metrics_pass") as span:
+        span.add("edges_scanned", stats.num_edges)
+        sizes = np.bincount(parts[parts >= 0], minlength=k)
+        if stats.num_edges == 0:
+            return 0.0, 1.0
+        replicas = 0
+        for lo, hi in plan_cover_blocks(stats.num_vertices, k, memory_budget):
+            cover = PackedCover(k, lo, hi)
+            for chunk in source:
+                cover.mark_assignment(parts, chunk.pairs, chunk.eids)
+            replicas += cover.count()
+        covered = int((stats.degrees > 0).sum())
+        rf = float(replicas / covered) if covered else 0.0
+        balance = float(sizes.max() / (stats.num_edges / k))
+        return rf, balance

@@ -132,9 +132,9 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
     not a well-formed ``repro-sharded-edges`` manifest whose shard files
     all exist and whose per-shard edge counts sum to the declared total.
     An uncompressed shard must also hold exactly ``8 * num_edges``
-    bytes: every reader (the sharded source, the worker processes and
-    the parallel scans) opens the manifest here, so a shard that grew
-    or shrank fails the same way on every path.
+    bytes: every reader (the sharded source and the worker processes)
+    opens the manifest here, so a shard that grew or shrank fails the
+    same way on every path.
     """
     path = Path(path)
     try:

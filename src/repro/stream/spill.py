@@ -209,6 +209,15 @@ def _read_framed_records(
             done += count
 
 
+def _check_compression(compression: str | None) -> None:
+    """Reject a spill codec the frame format does not know."""
+    if compression is not None and compression not in _CODECS:
+        raise ConfigurationError(
+            f"unknown spill compression {compression!r}; "
+            f"available: {', '.join(_CODECS)} (or None)"
+        )
+
+
 class SpillFile:
     """Append-only on-disk edge buffer with chunked read-back.
 
@@ -242,11 +251,7 @@ class SpillFile:
         delete: bool = True,
         compression: str | None = None,
     ) -> None:
-        if compression is not None and compression not in _CODECS:
-            raise ConfigurationError(
-                f"unknown spill compression {compression!r}; "
-                f"available: {', '.join(_CODECS)} (or None)"
-            )
+        _check_compression(compression)
         if path is not None:
             self.path = Path(path)
             self.path.parent.mkdir(parents=True, exist_ok=True)

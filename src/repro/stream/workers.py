@@ -198,7 +198,7 @@ def _job_worker_main(worker_id: int, pipes: list, trace: bool = False) -> None:
     The pool spawns these once and then :meth:`PersistentWorkerPool.
     submit`\\ s any number of jobs — a job is a pickled ``(handler,
     kwargs)`` pair, and the handler owns whatever pipe protocol it needs
-    (BSP supersteps, one-shot count/cover sweeps, ...).
+    (the BSP supersteps of :func:`_stream_shared_job`).
 
     After each successful job the worker ships its drained trace records
     (when tracing) so the coordinator can adopt them per job.  A failed
@@ -518,13 +518,11 @@ class PersistentWorkerPool:
     """Warm worker processes: spawn once, run many jobs, shut down once.
 
     The one way work reaches a worker process.  The pool keeps its
-    processes alive across jobs — the counting pass, the streaming
-    phase, and the metrics pass of one partition run (or many runs) all
-    reuse the same workers, so the spawn tax is paid once.  A job is a
-    module-level handler plus kwargs, pickled into one
-    :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
-    there (:func:`_stream_shared_job` drives BSP supersteps, the
-    handlers in :mod:`repro.stream.parallel_scan` run one-shot sweeps).
+    processes alive across jobs — the BSP runs of one partition run (or
+    of many runs) reuse the same workers, so the spawn tax is paid
+    once.  A job is a module-level handler plus kwargs, pickled into
+    one :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
+    there (:func:`_stream_shared_job` drives BSP supersteps).
 
     The pool owns the processes, pipes, liveness-watching receive loop
     and the single-:class:`~repro.errors.WorkerFailureError` failure
@@ -533,21 +531,16 @@ class PersistentWorkerPool:
     Parameters
     ----------
     workers:
-        Number of worker processes.
-    mp_context:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (cheap) and falls back to ``spawn``.
+        Number of worker processes, started with ``fork`` where the
+        platform has it (cheap) and ``spawn`` otherwise.
     timeout:
         Seconds the coordinator waits on a silent worker, per received
         frame, before raising :class:`~repro.errors.WorkerFailureError`.
-        Callers running long uninterrupted sweeps (the scan front doors)
-        temporarily widen it around their job.
     """
 
     def __init__(
         self,
         workers: int,
-        mp_context: str | None = None,
         timeout: float = DEFAULT_WORKER_TIMEOUT,
     ) -> None:
         """Size the pool; :meth:`start` spawns the processes."""
@@ -559,10 +552,8 @@ class PersistentWorkerPool:
         self.worker_segments: list[list[EdgeSegment]] = [
             [] for _ in range(self.workers)
         ]
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self.mp_context = mp_context
+        methods = multiprocessing.get_all_start_methods()
+        self.mp_context = "fork" if "fork" in methods else "spawn"
         self.timeout = float(timeout)
         self._procs: list = []
         self._conns: list = []

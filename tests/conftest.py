@@ -43,5 +43,5 @@ def shm_leak_gate():
     leaked = _psm_segments() - before
     assert not leaked, (
         f"tests leaked shared-memory segments: {sorted(leaked)} — some "
-        f"SharedState/SharedArray owner skipped its finally unlink"
+        f"SharedState owner skipped its finally unlink"
     )

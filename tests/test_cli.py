@@ -693,82 +693,18 @@ class TestScanCommand:
                 assert line in scan_out
         assert "unassigned edges   : 0" in scan_out
 
-    def test_scan_parallel_workers(self, binary_graph, tmp_path, capsys):
+    def test_scan_with_memory_budget(self, binary_graph, tmp_path, capsys):
         g, path = binary_graph
         parts_file = tmp_path / "parts.txt"
         np.savetxt(parts_file, np.zeros(g.num_edges, dtype=np.int64), fmt="%d")
         rc = main(
             ["scan", str(path), "--parts", str(parts_file),
-             "--metrics-workers", "2", "--memory-budget", "64"]
+             "--memory-budget", "64"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "2 worker processes" in out
         # k defaults to max id + 1 = 1; every covered vertex once.
         assert "replication factor : 1.0000" in out
-
-    def test_scan_rejects_negative_workers(self, binary_graph, capsys):
-        _, path = binary_graph
-        rc = main(["scan", str(path), "--metrics-workers", "-1"])
-        assert rc == 1
-        assert "--metrics-workers" in capsys.readouterr().err
-
-    def test_metrics_workers_run_in_memory(
-        self, small_graph_file, tmp_path, capsys
-    ):
-        """A loaded graph scans sequentially, with the same ids."""
-        outputs = []
-        for extra in ([], ["--metrics-workers", "2"]):
-            out = tmp_path / f"parts{len(outputs)}.txt"
-            rc = main(["partition", str(small_graph_file), "--k", "2",
-                       "--output", str(out), *extra])
-            assert rc == 0
-            capsys.readouterr()
-            outputs.append(np.loadtxt(out, dtype=int))
-        assert np.array_equal(*outputs)
-
-    def test_partition_metrics_workers_matches_sequential(
-        self, tmp_path, capsys
-    ):
-        g = Graph.from_edges(
-            [(i, (i + j) % 19) for i in range(19) for j in (1, 2, 3)],
-            num_vertices=19,
-        )
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(g, path)
-        rc = main(
-            ["partition", str(path), "--k", "2", "--algo", "HDRF",
-             "--out-of-core", "--metrics-workers", "2"]
-        )
-        assert rc == 0
-        fanned = capsys.readouterr().out
-        rc = main(
-            ["partition", str(path), "--k", "2", "--algo", "HDRF",
-             "--out-of-core"]
-        )
-        assert rc == 0
-        sequential = capsys.readouterr().out
-
-        def quality(text):
-            return [
-                line for line in text.splitlines()
-                if "replication factor" in line or "edge balance" in line
-            ]
-
-        assert quality(fanned) == quality(sequential)
-
-    def test_extsort_scan_workers(self, tmp_path, capsys):
-        g = Graph.from_edges(
-            [(i, (i + 1) % 12) for i in range(12)], num_vertices=12
-        )
-        path = tmp_path / "g.bin"
-        write_binary_edgelist(g, path)
-        rc = main(
-            ["extsort", str(path), str(tmp_path / "sorted.bin"),
-             "--order", "degree", "--scan-workers", "2"]
-        )
-        assert rc == 0
-        assert (tmp_path / "sorted.bin").stat().st_size == path.stat().st_size
 
 
 class TestTraceFlags:

@@ -5,138 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro._ds import Bitset
+from repro._ds import PackedBitset
 from repro.errors import ConfigurationError
-
-
-class TestBitsetBasics:
-    def test_empty_on_creation(self):
-        s = Bitset(10)
-        assert s.count() == 0
-        assert len(s) == 0
-        assert 0 not in s
-
-    def test_add_and_contains(self):
-        s = Bitset(10)
-        s.add(3)
-        assert 3 in s
-        assert 2 not in s
-
-    def test_add_idempotent(self):
-        s = Bitset(10)
-        s.add(3)
-        s.add(3)
-        assert s.count() == 1
-
-    def test_discard(self):
-        s = Bitset(10)
-        s.add(4)
-        s.discard(4)
-        assert 4 not in s
-
-    def test_discard_absent_is_noop(self):
-        s = Bitset(10)
-        s.discard(4)
-        s.discard(-1)
-        s.discard(99)
-        assert s.count() == 0
-
-    def test_add_out_of_range_raises(self):
-        s = Bitset(10)
-        with pytest.raises(IndexError):
-            s.add(10)
-        with pytest.raises(IndexError):
-            s.add(-1)
-
-    def test_negative_size_raises(self):
-        with pytest.raises(ConfigurationError):
-            Bitset(-1)
-
-    def test_zero_size_universe(self):
-        s = Bitset(0)
-        assert s.count() == 0
-        assert 0 not in s
-
-    def test_init_iterable(self):
-        s = Bitset(10, init=[1, 3, 5])
-        assert sorted(s) == [1, 3, 5]
-
-    def test_add_many(self):
-        s = Bitset(10)
-        s.add_many(np.array([2, 4, 6]))
-        assert sorted(s) == [2, 4, 6]
-
-    def test_add_many_empty(self):
-        s = Bitset(10)
-        s.add_many([])
-        assert s.count() == 0
-
-    def test_add_many_out_of_range(self):
-        s = Bitset(10)
-        with pytest.raises(IndexError):
-            s.add_many([5, 11])
-
-    def test_to_indices_sorted(self):
-        s = Bitset(10, init=[7, 1, 4])
-        assert s.to_indices().tolist() == [1, 4, 7]
-
-    def test_iter(self):
-        s = Bitset(5, init=[0, 2])
-        assert list(s) == [0, 2]
-
-    def test_clear(self):
-        s = Bitset(5, init=[0, 2])
-        s.clear()
-        assert s.count() == 0
-
-    def test_mask_is_shared(self):
-        s = Bitset(5)
-        s.mask[3] = True
-        assert 3 in s
-
-    def test_from_mask(self):
-        mask = np.array([True, False, True])
-        s = Bitset.from_mask(mask)
-        assert s.size == 3
-        assert sorted(s) == [0, 2]
-
-    def test_from_mask_rejects_non_bool(self):
-        with pytest.raises(ConfigurationError):
-            Bitset.from_mask(np.array([1, 0, 1]))
-
-    def test_nbytes_bitlevel(self):
-        assert Bitset(0).nbytes_bitlevel() == 0
-        assert Bitset(1).nbytes_bitlevel() == 1
-        assert Bitset(8).nbytes_bitlevel() == 1
-        assert Bitset(9).nbytes_bitlevel() == 2
-
-
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(["add", "discard"]), st.integers(0, 63)),
-        max_size=200,
-    )
-)
-def test_bitset_matches_python_set(ops):
-    """Property: a Bitset behaves exactly like a built-in set."""
-    bitset = Bitset(64)
-    model = set()
-    for op, value in ops:
-        if op == "add":
-            bitset.add(value)
-            model.add(value)
-        else:
-            bitset.discard(value)
-            model.discard(value)
-        assert (value in bitset) == (value in model)
-    assert bitset.count() == len(model)
-    assert sorted(bitset) == sorted(model)
 
 
 class TestPackedBitset:
     def test_empty_on_creation(self):
-        from repro._ds import PackedBitset
-
         s = PackedBitset(12)
         assert s.count() == 0
         assert len(s) == 0
@@ -144,8 +18,6 @@ class TestPackedBitset:
         assert s.nbytes == 2  # ceil(12 / 8)
 
     def test_add_and_contains(self):
-        from repro._ds import PackedBitset
-
         s = PackedBitset(12)
         s.add(3)
         s.add(11)
@@ -155,8 +27,6 @@ class TestPackedBitset:
         assert s.count() == 2
 
     def test_add_out_of_universe_raises(self):
-        from repro._ds import PackedBitset
-
         s = PackedBitset(8)
         with pytest.raises(IndexError):
             s.add(8)
@@ -164,26 +34,21 @@ class TestPackedBitset:
             s.add_many([0, 9])
 
     def test_add_many_duplicates_and_shared_bytes(self):
-        from repro._ds import PackedBitset
-
         # ids sharing a byte with different bit positions must all land.
         s = PackedBitset(32)
         s.add_many(np.array([0, 1, 2, 7, 7, 8, 15, 16, 31]))
         assert sorted(s) == [0, 1, 2, 7, 8, 15, 16, 31]
 
     def test_to_indices_and_bitset_round_trip(self):
-        from repro._ds import Bitset, PackedBitset
-
-        dense = Bitset(20, init=[1, 9, 19])
-        packed = dense.to_packed()
-        assert packed.nbytes == dense.nbytes_bitlevel()
-        assert np.array_equal(packed.to_indices(), dense.to_indices())
-        back = packed.to_bitset()
-        assert sorted(back) == sorted(dense)
+        model = {19, 1, 9}
+        packed = PackedBitset(20)
+        packed.add_many(sorted(model, reverse=True))
+        assert packed.nbytes == 3  # ceil(20 / 8)
+        assert packed.to_indices().tolist() == sorted(model)
+        back = PackedBitset(20, words=packed.words.copy())
+        assert set(back) == model
 
     def test_union_update(self):
-        from repro._ds import PackedBitset
-
         a = PackedBitset(16)
         b = PackedBitset(16)
         a.add_many([0, 5])
@@ -194,8 +59,6 @@ class TestPackedBitset:
             a.union_update(PackedBitset(32))
 
     def test_words_validation(self):
-        from repro._ds import PackedBitset
-
         with pytest.raises(ConfigurationError):
             PackedBitset(-1)
         with pytest.raises(ConfigurationError):
@@ -204,16 +67,12 @@ class TestPackedBitset:
             PackedBitset(16, words=np.zeros(2, dtype=np.int64))
 
     def test_words_are_views(self):
-        from repro._ds import PackedBitset
-
         words = np.zeros(4, dtype=np.uint8)
         s = PackedBitset(32, words=words)
         s.add(9)
         assert words[1] == 2  # bit 1 of byte 1 (little bit order)
 
     def test_clear(self):
-        from repro._ds import PackedBitset
-
         s = PackedBitset(10)
         s.add_many([1, 2, 3])
         s.clear()
@@ -223,15 +82,12 @@ class TestPackedBitset:
 @given(
     ids=st.lists(st.integers(0, 63), max_size=200),
 )
-def test_packed_bitset_matches_bitset(ids):
-    """Property: PackedBitset tracks Bitset exactly at 1/8th the bytes."""
-    from repro._ds import Bitset, PackedBitset
-
-    dense = Bitset(64)
+def test_packed_bitset_matches_python_set(ids):
+    """Property: PackedBitset tracks a built-in set exactly, one bit per id."""
+    model = set(ids)
     packed = PackedBitset(64)
-    for value in ids:
-        dense.add(value)
     packed.add_many(np.asarray(ids, dtype=np.int64))
-    assert packed.count() == dense.count()
-    assert np.array_equal(packed.to_indices(), dense.to_indices())
+    assert packed.count() == len(model)
+    assert packed.to_indices().tolist() == sorted(model)
+    assert all((value in packed) == (value in model) for value in range(64))
     assert packed.nbytes == 8

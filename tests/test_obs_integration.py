@@ -51,7 +51,7 @@ def _mw2(manifest):
 
 
 class TestWorkerSpanForwarding:
-    def test_two_worker_run_builds_one_tree(self, manifest):
+    def test_two_worker_run_builds_one_tree(self, graph, manifest):
         _, spans = _collected_run(_mw2(manifest))
         by_id = {s["id"]: s for s in spans}
         roots = [s for s in spans if s["parent"] is None]
@@ -77,9 +77,15 @@ class TestWorkerSpanForwarding:
             assert stream["counters"]["edges_scanned"] > 0
             assert stream["counters"]["busy_s"] >= 0.0
 
-        # The counting/metrics fan-outs forward their worker spans too.
-        assert sum(s["name"] == "worker_count" for s in spans) == 2
-        assert sum(s["name"] == "worker_cover" for s in spans) == 2
+        # The counting and metrics passes sweep once each in the
+        # coordinator; the BSP run is the only pool round.
+        for name in ("count_pass", "metrics_pass"):
+            passes = [s for s in spans if s["name"] == name]
+            assert len(passes) == 1
+            assert passes[0]["parent"] == root_id
+            assert passes[0]["counters"]["edges_scanned"] == graph.num_edges
+        pool_runs = [s for s in spans if s["name"] == "pool_run"]
+        assert [s["attrs"]["pool"] for s in pool_runs] == ["bsp-shm"]
 
     def test_shared_memory_run_records_shm_spans(self, manifest):
         _, spans = _collected_run(_mw2(manifest))

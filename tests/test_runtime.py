@@ -110,7 +110,6 @@ class TestContentHash:
     def test_io_and_scan_knobs_do_not_split_the_hash(self, tmp_path):
         base = make_job("HDRF", "OK", 4)
         for variant in (
-            make_job("HDRF", "OK", 4, metrics_workers=2),
             make_job("HDRF", "OK", 4, spill_dir=str(tmp_path)),
             make_job("HDRF", "OK", 4, trace_path="t.jsonl"),
         ):
@@ -391,6 +390,35 @@ class TestSpecValidation:
                    "--algo", algo, *flags])
         assert rc == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize(
+        "options,match",
+        [
+            ({"alpha": 0.0}, "alpha must be >= 1.0"),
+            ({"alpha": -1.0}, "alpha must be >= 1.0"),
+            ({"alpha": float("nan")}, "alpha must be >= 1.0"),
+            ({"tau_grid": ()}, "tau_grid must hold at least one tau"),
+            ({"tau_grid": (-1.0,)}, "each a finite number > 0"),
+            ({"tau_grid": (float("nan"),)}, "each a finite number > 0"),
+            ({"id_bytes": 0}, "id_bytes must be >= 1"),
+            ({"id_bytes": -4}, "id_bytes must be >= 1"),
+            ({"spill_compression": "lz4"}, "unknown spill compression"),
+        ],
+        ids=["alpha0", "alpha-neg", "alpha-nan", "tau_grid-empty",
+             "tau_grid-neg", "tau_grid-nan", "id_bytes0", "id_bytes-neg",
+             "codec-lz4"],
+    )
+    def test_unusable_values_are_rejected_up_front(
+        self, edge_file, tmp_path, options, match
+    ):
+        """Each of these used to pass validation and then fail mid-run,
+        after the input was hashed, or run under a meaningless tau or
+        budget; now it is rejected before the input is hashed."""
+        store = ArtifactStore(tmp_path / "cache")
+        spec = make_job("HEP", edge_file, 8, memory_budget=400_000, **options)
+        with pytest.raises(ConfigurationError, match=match):
+            run_job(spec, store=store)
+        assert (store.hits, store.misses) == (0, 0)
 
     def test_lambda_zero_is_a_valid_spec(self, edge_file):
         result = run_job(make_job("HDRF", edge_file, 4,

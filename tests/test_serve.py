@@ -229,6 +229,49 @@ class TestSubmitValidation:
 
         asyncio.run(scenario())
 
+    def test_removed_execution_keys_are_400(self, edge_file, tmp_path):
+        """The scan-worker and pool-plumbing knobs are gone from the
+        spec; a payload still naming one is refused, not ignored."""
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "c", start=False)
+            for key, value in (
+                ("metrics_workers", 2), ("mp_context", "fork"),
+                ("timeout", 30.0),
+            ):
+                status, doc = await _asgi_json(
+                    app, "POST", "/jobs", _payload(edge_file, **{key: value})
+                )
+                assert status == 400
+                assert doc["error"] == f"unknown submit key(s): {key}"
+            assert manager.jobs == {}
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_unusable_spec_values_are_400(self, edge_file, tmp_path):
+        """Values the run would fail on or misread are refused at submit."""
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "c", start=False)
+            for extra, match in (
+                ({"alpha": 0.0}, "alpha must be >= 1.0"),
+                ({"alpha": float("nan")}, "alpha must be >= 1.0"),
+                ({"tau_grid": []}, "tau_grid must hold at least one tau"),
+                ({"tau_grid": [-1.0]}, "each a finite number > 0"),
+                ({"id_bytes": 0}, "id_bytes must be >= 1"),
+                ({"spill_compression": "lz4"}, "unknown spill compression"),
+            ):
+                payload = _payload(
+                    edge_file, algo="HEP", memory_budget=400_000, **extra
+                )
+                status, doc = await _asgi_json(app, "POST", "/jobs", payload)
+                assert status == 400
+                assert doc["error"].startswith("invalid job spec: ")
+                assert match in doc["error"]
+            assert manager.jobs == {}
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+
     def test_queue_full_is_503(self, edge_file, tmp_path):
         async def scenario():
             _, manager, _, app = await _service(

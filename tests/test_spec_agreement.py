@@ -53,7 +53,7 @@ def job_options(draw):
         "tau": st.sampled_from([0.0, 0.5, 2.0]),
         "memory_budget": st.sampled_from([0, 400_000, 400_000]),
         "buffer_size": st.sampled_from([0, 64, 64]),
-        "spill_compression": st.just("zlib"),
+        "spill_compression": st.sampled_from(["zlib", "lz4"]),
         "passes": st.integers(0, 3),
         "workers": st.integers(-1, 2),
         "chunk_size": st.sampled_from([0, 1, 4096, 4096]),

@@ -1,26 +1,17 @@
-"""Tests for the scan layer: bugfixes, packed covers, parallel passes.
+"""Tests for the scan layer: bugfixes, packed covers, quality reports.
 
-Three load-bearing properties:
+Two load-bearing properties:
 
 * **masking** — ``chunked_quality`` must ignore ``UNASSIGNED`` (-1)
-  edges instead of wrapping them into partition ``k - 1``,
+  edges instead of wrapping them into partition ``k - 1``, and
 * **packed covers** — the bit-packed (optionally column-blocked) cover
-  reports exactly the metrics the dense sweep did, and
-* **parallel ≡ sequential** — any worker count over any shard layout
-  produces bit-identical :func:`scan_source` / :func:`chunked_quality`
-  results, including partial assignments and empty shards.
+  reports exactly the metrics the dense sweep did.
 """
 
 import json
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from strategies import graphs, power_law_graphs
 
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.edgelist import write_binary_edgelist
@@ -32,25 +23,16 @@ from repro.stream import (
     chunked_quality,
     open_edge_source,
     plan_cover_blocks,
-    scan_quality,
     scan_source,
-    scan_stats,
-    supports_parallel_scan,
     write_sharded_edges,
 )
 from repro.stream.reader import EdgeChunk, EdgeChunkSource
-from repro.stream.scan import SourceStats, cover_nbytes
+from repro.stream.scan import cover_nbytes
 
 
 @pytest.fixture(scope="module")
 def graph():
     return chung_lu(350, mean_degree=7, exponent=2.1, seed=11, name="scan")
-
-
-@pytest.fixture(scope="module")
-def manifest(graph, tmp_path_factory):
-    out = tmp_path_factory.mktemp("scan") / "g.manifest.json"
-    return write_sharded_edges(graph, out, num_shards=4)
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +138,6 @@ class TestScanBugfixes:
         manifest.path.write_text(json.dumps(data))
         with pytest.raises(GraphFormatError, match="too small"):
             scan_source(open_edge_source(manifest.path, 64))
-        with pytest.raises(GraphFormatError, match="too small"):
-            scan_stats(
-                manifest.path, open_edge_source(manifest.path, 64), 2, 64
-            )
 
 
 class TestPackedCover:
@@ -215,94 +193,10 @@ class TestPackedCover:
         assert blocks[0][0] == 0 and blocks[-1][1] == 10_000_000
 
 
-class TestSupportsParallelScan:
-    def test_paths(self, manifest, binary, tmp_path):
-        assert supports_parallel_scan(manifest.path)
-        assert supports_parallel_scan(str(binary))
-        text = tmp_path / "g.txt"
-        text.write_text("0 1\n")
-        assert not supports_parallel_scan(text)
-        assert not supports_parallel_scan(tmp_path / "missing.bin")
-        assert not supports_parallel_scan("WI")
-
-    def test_front_door_falls_back(self, graph):
-        """In-memory sources use the sequential sweep whatever workers says."""
-        src = open_edge_source(graph, 64)
-        stats = scan_stats(graph, src, workers=4)
-        seq = scan_source(open_edge_source(graph, 64))
-        assert stats.num_vertices == seq.num_vertices
-        assert np.array_equal(stats.degrees, seq.degrees)
-
-
-@pytest.mark.slow
-class TestParallelEquivalence:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 6])
-    def test_counting_pass_bit_identical(
-        self, graph, manifest, binary, workers
-    ):
-        for source in (manifest.path, binary):
-            seq = scan_source(open_edge_source(source, 64))
-            par = scan_stats(source, open_edge_source(source, 64), workers, 64)
-            assert par.num_vertices == seq.num_vertices
-            assert par.num_edges == seq.num_edges
-            assert par.degrees.dtype == seq.degrees.dtype
-            assert np.array_equal(par.degrees, seq.degrees)
-
-    @pytest.mark.parametrize("workers,budget", [(2, None), (4, None), (3, 32)])
-    def test_quality_pass_bit_identical(
-        self, graph, manifest, binary, workers, budget
-    ):
-        k = 4
-        rng = np.random.default_rng(workers)
-        parts = rng.integers(-1, k, size=graph.num_edges).astype(np.int32)
-        for source in (manifest.path, binary):
-            stats = scan_source(open_edge_source(source, 64))
-            seq = chunked_quality(
-                open_edge_source(source, 64), stats, k, parts,
-                memory_budget=budget,
-            )
-            par = scan_quality(
-                source, open_edge_source(source, 64), stats, k, parts,
-                workers, 64, memory_budget=budget,
-            )
-            assert par == seq  # bit-identical floats, not approx
-
-    def test_driver_metrics_workers_identical(self, binary):
-        a = run_job(make_job("HDRF", binary, 4, chunk_size=64))
-        b = run_job(
-            make_job("HDRF", binary, 4, chunk_size=64, metrics_workers=2)
-        )
-        assert np.array_equal(a.parts, b.parts)
-        assert a.replication_factor == b.replication_factor
-        assert a.edge_balance == b.edge_balance
-
-    def test_hep_metrics_workers_identical(self, binary):
-        a = run_job(make_job("HEP", binary, 4, tau=1.0, chunk_size=64))
-        b = run_job(
-            make_job(
-                "HEP", binary, 4, tau=1.0, chunk_size=64, metrics_workers=2
-            )
-        )
-        assert np.array_equal(a.parts, b.parts)
-        assert a.replication_factor == b.replication_factor
-        assert a.edge_balance == b.edge_balance
-
-    def test_truncated_shard_surfaces_format_error(self, graph, tmp_path):
-        manifest = write_sharded_edges(
-            graph, tmp_path / "t.manifest.json", num_shards=3
-        )
-        shard = manifest.shard_paths[1]
-        shard.write_bytes(shard.read_bytes()[:-8])
-        with pytest.raises(GraphFormatError, match="shard"):
-            scan_stats(
-                manifest.path, open_edge_source(manifest.path, 64), 2, 64
-            )
-
-
 class TestStreamedQualityReport:
     def test_matches_in_memory_metrics(self, graph, binary):
         result = run_job(make_job("HDRF", binary, 4, chunk_size=64))
-        report = streamed_quality_report(binary, result.parts, 4, workers=2)
+        report = streamed_quality_report(binary, result.parts, 4)
         assert report.replication_factor == result.replication_factor
         assert report.edge_balance == result.edge_balance
         assert report.num_edges == graph.num_edges
@@ -317,45 +211,3 @@ class TestStreamedQualityReport:
             streamed_quality_report(
                 binary, np.full(stats.num_edges, 7, np.int32), 4
             )
-
-
-@pytest.mark.slow
-@settings(max_examples=8, deadline=None)
-@given(
-    graph=power_law_graphs(max_vertices=60),
-    workers=st.sampled_from([1, 2, 3, 5]),
-    num_shards=st.integers(min_value=1, max_value=6),
-    budget=st.sampled_from([None, 8, 64]),
-    drop=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=2**16),
-)
-def test_parallel_scan_equivalence_property(
-    graph, workers, num_shards, budget, drop, seed
-):
-    """Property: any shard layout x worker count x partial assignment —
-    the parallel counting and metrics passes equal the sequential ones
-    bit for bit (workers may own zero shards; floats compare with ==)."""
-    k = 4
-    rng = np.random.default_rng(seed)
-    parts = rng.integers(0, k, size=graph.num_edges).astype(np.int32)
-    parts[rng.random(graph.num_edges) < drop] = -1
-    with tempfile.TemporaryDirectory(prefix="pscan-prop-") as tmp:
-        manifest = write_sharded_edges(
-            graph, Path(tmp) / "g.manifest.json", num_shards=num_shards
-        )
-        seq_stats = scan_source(open_edge_source(manifest.path, 16))
-        par_stats = scan_stats(
-            manifest.path, open_edge_source(manifest.path, 16), workers, 16
-        )
-        assert par_stats.num_vertices == seq_stats.num_vertices
-        assert par_stats.num_edges == seq_stats.num_edges
-        assert np.array_equal(par_stats.degrees, seq_stats.degrees)
-        seq_q = chunked_quality(
-            open_edge_source(manifest.path, 16), seq_stats, k, parts,
-            memory_budget=budget,
-        )
-        par_q = scan_quality(
-            manifest.path, open_edge_source(manifest.path, 16), seq_stats,
-            k, parts, workers, 16, memory_budget=budget,
-        )
-        assert par_q == seq_q

@@ -1,21 +1,18 @@
 #!/usr/bin/env python
-"""CI gate: validate the worker/scan bench artifacts' structure.
+"""CI gate: validate the worker bench artifact's structure.
 
-Checks ``results/BENCH_workers.json`` (``benchmarks/bench_workers.py``)
-and ``results/BENCH_scan.json`` (``benchmarks/bench_scan.py``), so a
-bench refactor that drops a row kind (the shared-memory worker rows,
-the PR 8 cached-vs-cold artifact-store pair, or the cold/warm scan
-rows), loses ``cpu_count``, or stops emitting the warm-pool
-configuration fails the build instead of
-silently degrading the artifacts the README points at.
+Checks ``results/BENCH_workers.json`` (``benchmarks/bench_workers.py``),
+so a bench refactor that drops a row kind (the shared-memory worker
+rows or the PR 8 cached-vs-cold artifact-store pair) or loses
+``cpu_count`` fails the build instead of silently degrading the
+artifact the README points at.
 
-Dispatches on each record's ``"bench"`` tag, so one invocation can take
-both files (or future bench outputs that reuse these two shapes).
+Dispatches on each record's ``"bench"`` tag, so future bench outputs
+that reuse this shape can join it.
 
 Usage::
 
-    python tools/check_bench_schema.py \
-        results/BENCH_workers.json results/BENCH_scan.json
+    python tools/check_bench_schema.py results/BENCH_workers.json
 """
 
 from __future__ import annotations
@@ -97,39 +94,8 @@ def validate_workers_record(record: dict) -> None:
         )
 
 
-def validate_scan_record(record: dict) -> None:
-    """Validate a ``parallel_scan_throughput`` record (bench_scan.py)."""
-    rows = _validate_common(record)
-    cover = _require(record, "cover_bytes", int, positive=True)
-    bound = _require(record, "cover_bound_bytes", int, positive=True)
-    if cover > bound:
-        raise SchemaError(
-            f"cover_bytes {cover} exceeds cover_bound_bytes {bound}"
-        )
-    _require(record, "metrics_pass_peak_heap_bytes", int, positive=True)
-    pools = set()
-    for i, row in enumerate(rows):
-        try:
-            pool = _require(row, "pool", str)
-            if pool not in ("none", "cold", "warm"):
-                raise SchemaError(f"unknown pool {pool!r}")
-            _require(row, "speedup_vs_sequential", float, positive=True)
-            modeled = _require(row, "modeled_speedup", float, positive=True)
-            if modeled < 1:
-                raise SchemaError(
-                    f"'modeled_speedup' must be >= 1, got {modeled}"
-                )
-        except SchemaError as exc:
-            raise SchemaError(f"rows[{i}]: {exc}") from None
-        pools.add(pool)
-    for needed in ("none", "cold", "warm"):
-        if needed not in pools:
-            raise SchemaError(f"no {needed!r}-pool row — a sweep was lost")
-
-
 _VALIDATORS = {
     "multi_worker_scaling": validate_workers_record,
-    "parallel_scan_throughput": validate_scan_record,
 }
 
 
@@ -137,8 +103,7 @@ def main(argv: list[str]) -> int:
     """Validate each bench JSON path given on the command line."""
     if not argv:
         print(
-            "usage: check_bench_schema.py BENCH_workers.json "
-            "[BENCH_scan.json ...]",
+            "usage: check_bench_schema.py BENCH_workers.json [...]",
             file=sys.stderr,
         )
         return 2
