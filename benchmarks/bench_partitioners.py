@@ -8,7 +8,7 @@ the paper's run-time panels.
 
 import pytest
 
-from repro.experiments.common import make_partitioner
+from repro.experiments.common import partition_graph
 from repro.graph import datasets
 
 _K = 32
@@ -22,9 +22,8 @@ def ok_graph():
 
 @pytest.mark.parametrize("name", _NAMES)
 def bench_partitioner(benchmark, ok_graph, name):
-    partitioner = make_partitioner(name)
-    assignment = benchmark.pedantic(
-        partitioner.partition, args=(ok_graph, _K), rounds=2, iterations=1,
+    _, assignment = benchmark.pedantic(
+        partition_graph, args=(name, ok_graph, _K), rounds=2, iterations=1,
         warmup_rounds=0,
     )
     assert assignment.num_unassigned == 0

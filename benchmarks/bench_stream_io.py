@@ -2,7 +2,8 @@
 
 The out-of-core pipeline trades extra passes over the edge file for a
 bounded working set.  This bench measures both sides of that trade on a
-file-backed R-MAT graph: wall-clock through pytest-benchmark, and a
+file-backed R-MAT graph — the same HEP job on the loaded Graph and on
+the streamed file: wall-clock through pytest-benchmark, and a
 peak-RSS proxy via ``tracemalloc`` (pure-Python heap peaks — interpreter
 overhead cancels out of the comparison since both sides pay it).
 
@@ -31,7 +32,6 @@ import tracemalloc
 
 import pytest
 
-from repro.core.hep import HepPartitioner
 from repro.graph import generators, read_binary_edgelist, write_binary_edgelist
 from repro.runtime import make_job, run_job
 from repro.stream import (
@@ -68,10 +68,10 @@ def edge_file(tmp_path_factory):
 def bench_in_memory_hep(benchmark, edge_file):
     def run():
         graph = read_binary_edgelist(edge_file)
-        return HepPartitioner(tau=_TAU).partition(graph, _K)
+        return run_job(make_job("HEP", graph, _K, tau=_TAU), graph)
 
-    assignment = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
-    assert assignment.num_unassigned == 0
+    result = benchmark.pedantic(run, rounds=2, iterations=1, warmup_rounds=0)
+    assert result.num_unassigned == 0
 
 
 def bench_out_of_core_hep(benchmark, edge_file):
@@ -221,10 +221,10 @@ def bench_peak_heap_comparison(benchmark, edge_file, capsys):
         rows = []
         tracemalloc.start()
         graph = read_binary_edgelist(edge_file)
-        in_mem = HepPartitioner(tau=_TAU).partition(graph, _K)
+        in_mem = run_job(make_job("HEP", graph, _K, tau=_TAU), graph)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        rows.append(("in-memory HEP", peak, in_mem.replication_factor()))
+        rows.append(("in-memory HEP", peak, in_mem.replication_factor))
         del graph, in_mem
 
         tracemalloc.start()

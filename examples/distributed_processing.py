@@ -11,19 +11,19 @@ Run:  python examples/distributed_processing.py
 
 import time
 
-from repro import DbhPartitioner, HepPartitioner, datasets, replication_factor
+from repro import datasets, make_job, run_job
 from repro.processing import VertexCutEngine, bfs, connected_components, pagerank
 
 
-def evaluate(name: str, partitioner, graph, k: int) -> dict:
+def evaluate(name: str, spec, graph) -> dict:
     start = time.perf_counter()
-    assignment = partitioner.partition(graph, k)
+    result = run_job(spec, graph)
     partition_time = time.perf_counter() - start
-    engine = VertexCutEngine(assignment)
+    engine = VertexCutEngine(result.to_assignment(graph))
     return {
         "partitioner": name,
         "partition_s": partition_time,
-        "RF": replication_factor(assignment),
+        "RF": result.replication_factor,
         "PageRank_s": pagerank(engine, iterations=100).sim_seconds,
         "BFS_s": bfs(engine, num_seeds=10, seed=7).sim_seconds,
         "CC_s": connected_components(engine).sim_seconds,
@@ -36,8 +36,8 @@ def main() -> None:
     print(f"graph: {graph!r}, k={k}\n")
 
     rows = [
-        evaluate("DBH", DbhPartitioner(), graph, k),
-        evaluate("HEP-10", HepPartitioner(tau=10.0), graph, k),
+        evaluate("DBH", make_job("DBH", graph, k), graph),
+        evaluate("HEP-10", make_job("HEP", graph, k, tau=10.0), graph),
     ]
     header = f"{'partitioner':>12} | {'part_s':>7} | {'RF':>5} | " \
              f"{'PageRank_s':>10} | {'BFS_s':>7} | {'CC_s':>6}"

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro import HepPartitioner, datasets, replication_factor
+from repro import datasets, make_job, run_job
 from repro.core import IncrementalHep
 
 
@@ -54,11 +54,11 @@ def main() -> None:
                 changed += 1
         update_time = time.perf_counter() - start
 
-        snapshot = inc.current_assignment()
-        scratch = HepPartitioner(tau=2.0).partition(snapshot.graph, k)
+        snapshot = inc.current_assignment().graph
+        scratch = run_job(make_job("HEP", snapshot, k, tau=2.0), snapshot)
         print(
             f"{rnd:>5} | {inc.num_edges:>7,} | {inc.replication_factor():>15.3f} |"
-            f" {replication_factor(scratch):>17.3f} |"
+            f" {scratch.replication_factor:>17.3f} |"
             f" {update_time / churn_per_round * 1000:>14.3f}"
         )
 

@@ -15,11 +15,11 @@ Run:  python examples/memory_budget.py [budget_kib]
 import sys
 
 from repro import (
-    HepPartitioner,
     datasets,
     hep_memory_bytes,
+    make_job,
     precompute_profile,
-    replication_factor,
+    run_job,
     select_tau,
 )
 
@@ -44,11 +44,10 @@ def main() -> None:
     tau, projected = select_tau(graph, budget, k)
     print(f"\nselected tau={tau:g} (projected {projected / 2**20:.2f} MiB)")
 
-    partitioner = HepPartitioner(tau=tau)
-    assignment = partitioner.partition(graph, k)
-    print(f"replication factor at that budget: {replication_factor(assignment):.3f}")
+    result = run_job(make_job("HEP", graph, k, tau=tau), graph)
+    print(f"replication factor at that budget: {result.replication_factor:.3f}")
     print(f"streamed edge share              : "
-          f"{partitioner.last_breakdown.h2h_fraction:.1%}")
+          f"{result.breakdown.h2h_fraction:.1%}")
 
 
 if __name__ == "__main__":

@@ -14,12 +14,11 @@ Run:  python examples/quickstart.py
 import time
 
 from repro import (
-    HepPartitioner,
     assert_valid,
     datasets,
-    edge_balance,
     hep_memory_bytes,
-    replication_factor,
+    make_job,
+    run_job,
 )
 
 
@@ -29,29 +28,27 @@ def main() -> None:
 
     k = 32
     print(f"\npartitioning into k={k} with HEP (tau=10) ...")
-    partitioner = HepPartitioner(tau=10.0)
     start = time.perf_counter()
-    assignment = partitioner.partition(graph, k)
+    result = run_job(make_job("HEP", graph, k, tau=10.0), graph)
     elapsed = time.perf_counter() - start
 
-    assert_valid(assignment, alpha=1.0)  # hard structural guarantees
-    print(f"  replication factor : {replication_factor(assignment):.3f}")
-    print(f"  edge balance alpha : {edge_balance(assignment):.3f}")
+    assert_valid(result.to_assignment(graph), alpha=1.0)  # hard guarantees
+    print(f"  replication factor : {result.replication_factor:.3f}")
+    print(f"  edge balance alpha : {result.edge_balance:.3f}")
     print(f"  run-time           : {elapsed:.2f}s")
-    breakdown = partitioner.last_breakdown
+    breakdown = result.breakdown
     print(f"  edges streamed     : {breakdown.num_h2h_edges:,} "
           f"({breakdown.h2h_fraction:.1%} of the graph)")
 
     print("\nthe tau knob (quality vs memory):")
     print(f"  {'tau':>6} | {'RF':>6} | {'model memory':>12} | {'streamed':>8}")
     for tau in (100.0, 10.0, 1.0):
-        p = HepPartitioner(tau=tau)
-        a = p.partition(graph, k)
+        r = run_job(make_job("HEP", graph, k, tau=tau), graph)
         memory = hep_memory_bytes(graph, tau, k)
         print(
-            f"  {tau:>6g} | {replication_factor(a):>6.3f} |"
+            f"  {tau:>6g} | {r.replication_factor:>6.3f} |"
             f" {memory / 2**20:>10.2f}Mi |"
-            f" {p.last_breakdown.h2h_fraction:>8.1%}"
+            f" {r.breakdown.h2h_fraction:>8.1%}"
         )
     print("\nlower tau -> less memory, more streaming, higher RF — the")
     print("trade-off Figure 8 of the paper sweeps.")

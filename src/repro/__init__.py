@@ -7,13 +7,15 @@ HDRF streaming), seven baseline partitioner families, and the evaluation
 substrates (synthetic Table 3 datasets, a Spark/GraphX-style processing
 simulator and a paging simulator).
 
-Quickstart::
+Quickstart — every job algorithm (HEP, ``HEP-<tau>``, HDRF, Greedy,
+DBH, Grid, Restreaming) runs through ``run_job``; an in-memory graph is
+passed as the job's source::
 
-    from repro import HepPartitioner, datasets, replication_factor
+    from repro import datasets, make_job, run_job
 
     graph = datasets.load("OK")
-    assignment = HepPartitioner(tau=10.0).partition(graph, k=32)
-    print(replication_factor(assignment), assignment.balance())
+    result = run_job(make_job("HEP", graph, 32, tau=10.0), graph)
+    print(result.replication_factor, result.edge_balance)
 
 Out of core — the edge file is streamed in chunks, never loaded whole::
 
@@ -24,7 +26,6 @@ Out of core — the edge file is streamed in chunks, never loaded whole::
 """
 
 from repro.core import (
-    HepPartitioner,
     NePlusPlusPartitioner,
     hep_memory_bytes,
     memory_model_for,
@@ -50,17 +51,12 @@ from repro.metrics import (
 )
 from repro.partition import (
     AdwisePartitioner,
-    DbhPartitioner,
     DnePartitioner,
-    GreedyPartitioner,
-    GridPartitioner,
-    HdrfPartitioner,
     MetisPartitioner,
     NePartitioner,
     PartitionAssignment,
     Partitioner,
     RandomStreamPartitioner,
-    RestreamingHdrfPartitioner,
     SimpleHybridPartitioner,
     SnePartitioner,
 )
@@ -72,7 +68,6 @@ __version__ = "1.0.0"
 __all__ = [
     "__version__",
     # core system
-    "HepPartitioner",
     "NePlusPlusPartitioner",
     "run_ne_plus_plus",
     "select_tau",
@@ -97,10 +92,6 @@ __all__ = [
     # partitioners
     "Partitioner",
     "PartitionAssignment",
-    "HdrfPartitioner",
-    "GreedyPartitioner",
-    "DbhPartitioner",
-    "GridPartitioner",
     "AdwisePartitioner",
     "RandomStreamPartitioner",
     "NePartitioner",
@@ -108,7 +99,6 @@ __all__ = [
     "DnePartitioner",
     "MetisPartitioner",
     "SimpleHybridPartitioner",
-    "RestreamingHdrfPartitioner",
     # out-of-core jobs
     "make_job",
     "run_job",

@@ -36,12 +36,17 @@ from repro.core import precompute_profile, select_tau
 from repro.core.hep import hep_tau_from_name
 from repro.errors import ReproError
 from repro.experiments import REGISTRY
-from repro.experiments.common import PARTITIONER_FACTORIES, run_partitioner
+from repro.experiments.common import (
+    PARTITIONER_FACTORIES,
+    is_job_algorithm,
+    run_partitioner,
+)
 from repro.graph import datasets, read_binary_edgelist, read_text_edgelist
 from repro.graph.edgelist import Graph
 from repro.metrics import edge_balance, format_table, replication_factor
 from repro.obs.summary import format_summary, read_trace
 from repro.obs.tracer import MEMORY_MODES, tracing
+from repro.runtime.registry import algorithm_names
 from repro.stream.extsort import EXTSORT_ORDERS
 from repro.stream.reader import DEFAULT_CHUNK_SIZE
 
@@ -84,14 +89,6 @@ _JOB_FLAGS = ("tau", "memory_budget", "buffer_size", "spill_dir",
               "spill_compression", "passes", "workers", "batch")
 
 
-def _is_job_algorithm(method: str) -> bool:
-    """HEP, ``HEP-<tau>`` or a registered streaming algorithm."""
-    from repro.runtime.spec import declared_params
-
-    return (hep_tau_from_name(method) is not None
-            or declared_params(method) is not None)
-
-
 def _cmd_partition(args: argparse.Namespace) -> int:
     """Partition a graph's edges; report, and optionally write, the result.
 
@@ -113,7 +110,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         raise ReproError("--shards-dir needs the edge list in memory; "
                          "rerun without --out-of-core to write shards")
     store = _make_store(args)
-    if args.out_of_core or _is_job_algorithm(args.method):
+    if args.out_of_core or is_job_algorithm(args.method):
         graph, result = _partition_job(args, store)
     else:
         graph, result = _partition_baseline(args)
@@ -498,6 +495,13 @@ def _budget_parent(budget_help: str) -> argparse.ArgumentParser:
     return parent
 
 
+#: the table names ``partition --method`` and ``compare`` accept
+_ALGORITHMS_HELP = (
+    f"jobs HEP, HEP-<tau>, {', '.join(algorithm_names())}, or the "
+    f"in-memory-only {', '.join(PARTITIONER_FACTORIES)}"
+)
+
+
 def _partition_parents() -> list[argparse.ArgumentParser]:
     """The shared flag groups ``partition`` and ``job describe`` use."""
     return [
@@ -516,12 +520,9 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     """The algorithm/pipeline flags ``partition`` and ``job describe`` share."""
     p.add_argument("--k", type=int, default=32, help="number of partitions")
     p.add_argument("--method", "--algo", dest="method", default="HEP",
-                   help=f"HEP, HEP-<tau> or one of "
-                        f"{', '.join(PARTITIONER_FACTORIES)}; HEP, "
-                        "HEP-<tau> and the registered streaming "
-                        "algorithms (`--algo help` lists them) run as "
-                        "jobs, in memory or --out-of-core; the rest "
-                        "partition in memory only"),
+                   help=f"{_ALGORITHMS_HELP}; the jobs run in memory "
+                        "or --out-of-core (`--algo help` lists their "
+                        "parameters)"),
     p.add_argument("--tau", type=float, default=None,
                    help="HEP degree threshold factor (default 10.0)")
     p.add_argument("--buffer-size", type=int, default=None,
@@ -625,6 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--partitioners",
         nargs="+",
         default=["HEP-100", "HEP-10", "HEP-1", "HDRF", "DBH", "NE"],
+        help=_ALGORITHMS_HELP,
     )
     p.set_defaults(func=_cmd_compare)
 

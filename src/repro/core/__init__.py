@@ -1,6 +1,6 @@
 """The paper's primary contribution: HEP, NE++, tau selection, memory model."""
 
-from repro.core.hep import HepPartitioner, HepPhaseBreakdown
+from repro.core.hep import HepPhaseBreakdown
 from repro.core.incremental import IncrementalHep
 from repro.core.memory_model import (
     hep_memory_bytes,
@@ -23,7 +23,6 @@ from repro.core.tau import (
 )
 
 __all__ = [
-    "HepPartitioner",
     "IncrementalHep",
     "HepPhaseBreakdown",
     "NePlusPlusPartitioner",

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.hep import HepPartitioner
 from repro.errors import CapacityError, ConfigurationError
 from repro.graph.edgelist import Graph, canonical_edges
 from repro.partition.base import PartitionAssignment, capacity_bound
-from repro.partition.scoring import NEG_INF
+from repro.partition.restreaming import _choose
+from repro.runtime.api import run_job
+from repro.runtime.spec import make_job
 
 __all__ = ["IncrementalHep"]
 
@@ -30,10 +31,10 @@ __all__ = ["IncrementalHep"]
 class IncrementalHep:
     """A HEP partitioning that absorbs edge insertions and deletions.
 
-    Parameters mirror :class:`~repro.core.hep.HepPartitioner`; ``slack``
-    is extra per-partition headroom reserved for future insertions
-    (a hard bound would reject the very first insert on a perfectly
-    balanced partitioning).
+    The base assignment is a HEP job at ``tau`` with phase-two HDRF
+    parameters ``lam`` and ``eps``; ``slack`` is extra per-partition
+    headroom reserved for future insertions (a hard bound would reject
+    the very first insert on a perfectly balanced partitioning).
     """
 
     def __init__(
@@ -54,8 +55,10 @@ class IncrementalHep:
         self.slack = slack
         self.num_vertices = graph.num_vertices
 
-        base = HepPartitioner(tau=tau, lam=lam, eps=eps)
-        assignment = base.partition(graph, k)
+        spec = make_job(
+            "HEP", graph, k, tau=tau, algo_params={"lam": lam, "eps": eps}
+        )
+        assignment = run_job(spec, graph).to_assignment(graph)
 
         # Live state.  Incidence counts (not booleans) so deletions can
         # retire replicas exactly.
@@ -159,18 +162,7 @@ class IncrementalHep:
 
     def _choose(self, u: int, v: int) -> int:
         """Informed HDRF over the live incidence state."""
-        du = self.degrees[u]
-        dv = self.degrees[v]
-        total = du + dv
-        theta_u = du / total if total else 0.5
-        theta_v = 1.0 - theta_u
-        rep_u = self.incidence[:, u] > 0
-        rep_v = self.incidence[:, v] > 0
-        score = rep_u * (2.0 - theta_u) + rep_v * (2.0 - theta_v)
-        loads = self.loads
-        maxload = loads.max()
-        minload = loads.min()
-        score = score + self.lam * (maxload - loads) / (self.eps + maxload - minload)
-        score = np.where(loads < self._capacity(), score, NEG_INF)
-        p = int(np.argmax(score))
-        return -1 if score[p] == NEG_INF else p
+        return _choose(
+            self.incidence, self.loads, self.degrees, u, v,
+            self._capacity(), self.lam, self.eps,
+        )

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.hep import hep_tau_from_name
 from repro.errors import ConfigurationError
 from repro.graph.edgelist import Graph
 from repro.graph.pruned import high_degree_mask
@@ -36,6 +37,7 @@ __all__ = [
     "dne_memory_bytes",
     "metis_memory_bytes",
     "streaming_memory_bytes",
+    "restreaming_memory_bytes",
     "stateless_memory_bytes",
     "memory_model_for",
 ]
@@ -141,6 +143,14 @@ def streaming_memory_bytes(graph: Graph, k: int, id_bytes: int = 4) -> int:
     return n * k // 8 + 1 + n * id_bytes + k * 8
 
 
+def restreaming_memory_bytes(graph: Graph, k: int, id_bytes: int = 4) -> int:
+    """Restreaming HDRF: what :func:`~repro.partition.restreaming.
+    restream_block` holds — a ``k x n`` incidence counter (counts, not
+    bits, so an edge can move between passes), degrees and loads."""
+    n = graph.num_vertices
+    return k * n * id_bytes + n * id_bytes + k * 8
+
+
 def stateless_memory_bytes(graph: Graph, k: int, id_bytes: int = 4) -> int:
     """Stateless streaming (DBH/Grid): degree array plus loads."""
     return graph.num_vertices * id_bytes + k * 8
@@ -151,14 +161,14 @@ def memory_model_for(
 ) -> int:
     """Dispatch a partitioner's table name to its memory model.
 
-    HEP entries encode their threshold: ``HEP-10`` -> ``tau = 10``.
+    ``HEP-<tau>`` names carry their threshold, read by
+    :func:`~repro.core.hep.hep_tau_from_name`: ``HEP-10`` -> ``tau =
+    10``, ``HEP-inf`` -> unpruned NE++.  A malformed ``HEP-<tau>`` name
+    raises its :class:`~repro.errors.ConfigurationError`; plain ``HEP``
+    names no tau, so like any other unknown name it has no model.
     """
-    name = partitioner_name.upper()
-    if name.startswith("HEP"):
-        tau = float("inf")
-        if "-" in name:
-            suffix = name.split("-", 1)[1]
-            tau = float("inf") if suffix == "INF" else float(suffix)
+    tau = hep_tau_from_name(partitioner_name)
+    if tau is not None:
         if np.isinf(tau):
             return ne_plus_plus_memory_bytes(graph, k, id_bytes)
         return hep_memory_bytes(graph, tau, k, id_bytes)
@@ -171,10 +181,12 @@ def memory_model_for(
         "HDRF": streaming_memory_bytes,
         "GREEDY": streaming_memory_bytes,
         "ADWISE": streaming_memory_bytes,
+        "RESTREAMING": restreaming_memory_bytes,
         "DBH": stateless_memory_bytes,
         "GRID": stateless_memory_bytes,
         "RANDOM": stateless_memory_bytes,
     }
+    name = partitioner_name.upper()
     if name not in dispatch:
         raise ConfigurationError(f"no memory model for partitioner {partitioner_name!r}")
     return dispatch[name](graph, k, id_bytes)

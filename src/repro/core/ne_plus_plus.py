@@ -442,8 +442,8 @@ class NePlusPlusPartitioner(Partitioner):
 
     With the default ``tau = inf`` there are no h2h edges, so the
     in-memory phase assigns every edge and this is a complete
-    partitioner.  A finite ``tau`` makes sense only inside HEP (use
-    :class:`repro.core.hep.HepPartitioner`).
+    partitioner.  A finite ``tau`` makes sense only inside HEP (a
+    ``HEP`` job: ``run_job(make_job("HEP", ...))``).
     """
 
     def __init__(self, record_degrees: bool = False) -> None:

@@ -17,11 +17,19 @@ from __future__ import annotations
 
 import time
 
-from repro.core import HepPartitioner, ne_memory_bytes, ne_plus_plus_memory_bytes
+import numpy as np
+
+from repro.core import ne_memory_bytes, ne_plus_plus_memory_bytes
+from repro.core.hep import phase_two_capacity
 from repro.core.ne_plus_plus import run_ne_plus_plus
-from repro.experiments.common import ExperimentResult, load_dataset
+from repro.experiments.common import (
+    ExperimentResult,
+    load_dataset,
+    partition_graph,
+)
 from repro.metrics import replication_factor
-from repro.partition import NePartitioner, PartitionAssignment
+from repro.partition import NePartitioner, PartitionAssignment, hdrf_stream
+from repro.partition.state import StreamingState
 
 __all__ = ["run"]
 
@@ -51,8 +59,10 @@ def _informed_ablation(graph, name: str, k: int) -> list[dict[str, object]]:
     rows = []
     for tau in (1.0, 0.5):
         for informed in (True, False):
-            partitioner = HepPartitioner(tau=tau, informed=informed)
-            assignment = partitioner.partition(graph, k)
+            if informed:
+                _, assignment = partition_graph(f"HEP-{tau:g}", graph, k)
+            else:
+                assignment = _uninformed_hep(graph, k, tau)
             rows.append(
                 {
                     "ablation": "A1-informed-streaming",
@@ -64,6 +74,23 @@ def _informed_ablation(graph, name: str, k: int) -> list[dict[str, object]]:
                 }
             )
     return rows
+
+
+def _uninformed_hep(graph, k: int, tau: float) -> PartitionAssignment:
+    """HEP whose phase two starts cold: HDRF forgets NE++'s replicas.
+
+    Phase one's loads carry over, so the capacity constraint stays
+    sound; only the replica hand-over of Section 3.3 is dropped.
+    """
+    phase_one = run_ne_plus_plus(graph, k, tau=tau)
+    capacity = phase_two_capacity(graph.num_edges, k, 1.0, phase_one.loads)
+    state = StreamingState.informed(
+        graph, k, capacity,
+        replicas=np.zeros_like(phase_one.secondary), loads=phase_one.loads,
+    )
+    h2h = phase_one.h2h
+    hdrf_stream(state, h2h.pairs, h2h.eids, phase_one.parts)
+    return PartitionAssignment(graph, k, phase_one.parts)
 
 
 def _bookkeeping_ablation(graph, name: str, k: int) -> list[dict[str, object]]:

@@ -13,7 +13,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.core import memory_model_for
+from repro.core import NePlusPlusPartitioner, memory_model_for
 from repro.core.hep import hep_tau_from_name
 from repro.errors import ConfigurationError
 from repro.graph import datasets
@@ -22,26 +22,26 @@ from repro.metrics import format_table, summarize
 from repro.metrics.report import PartitionReport
 from repro.partition import (
     AdwisePartitioner,
-    DbhPartitioner,
     DnePartitioner,
-    GreedyPartitioner,
-    GridPartitioner,
-    HdrfPartitioner,
     MetisPartitioner,
     NePartitioner,
+    PartitionAssignment,
     Partitioner,
     RandomStreamPartitioner,
-    RestreamingHdrfPartitioner,
     SnePartitioner,
 )
-from repro.core import HepPartitioner, NePlusPlusPartitioner
+from repro.runtime import make_job, run_job
+from repro.runtime.registry import algorithm_names
+from repro.runtime.spec import declared_params
 
 __all__ = [
     "ExperimentResult",
     "full_mode",
     "dataset_list",
     "k_values",
+    "is_job_algorithm",
     "make_partitioner",
+    "partition_graph",
     "run_partitioner",
     "PARTITIONER_FACTORIES",
 ]
@@ -80,15 +80,11 @@ def k_values() -> list[int]:
     return [4, 32, 128, 256] if full_mode() else [4, 32]
 
 
-#: factory per table name; HEP names carry their tau
-PARTITIONER_FACTORIES: dict[str, type | None] = {
-    "HDRF": HdrfPartitioner,
-    "Greedy": GreedyPartitioner,
-    "DBH": DbhPartitioner,
-    "Grid": GridPartitioner,
+#: the in-memory-only baselines, by table name; every other algorithm
+#: is a job algorithm (:func:`is_job_algorithm`)
+PARTITIONER_FACTORIES: dict[str, type] = {
     "ADWISE": AdwisePartitioner,
     "Random": RandomStreamPartitioner,
-    "Restreaming": RestreamingHdrfPartitioner,
     "NE": NePartitioner,
     "NE++": NePlusPlusPartitioner,
     "SNE": SnePartitioner,
@@ -97,40 +93,64 @@ PARTITIONER_FACTORIES: dict[str, type | None] = {
 }
 
 
+def is_job_algorithm(name: str) -> bool:
+    """HEP, ``HEP-<tau>`` or a registered streaming algorithm.
+
+    A malformed ``HEP-<tau>`` name raises its
+    :class:`~repro.errors.ConfigurationError`.
+    """
+    return (hep_tau_from_name(name) is not None
+            or declared_params(name) is not None)
+
+
 def make_partitioner(name: str) -> Partitioner:
-    """Instantiate a partitioner from its table name (``HEP-10`` etc.)."""
-    tau = hep_tau_from_name(name)
-    if tau is not None:
-        return HepPartitioner(tau=tau)
+    """Instantiate an in-memory-only baseline from its table name."""
     try:
         factory = PARTITIONER_FACTORIES[name]
     except KeyError:
         raise ConfigurationError(
-            f"unknown partitioner {name!r}; known: "
-            f"{', '.join(sorted(PARTITIONER_FACTORIES))} and HEP-<tau>"
+            f"unknown partitioner {name!r}; known: HEP, HEP-<tau>, "
+            f"{', '.join((*algorithm_names(), *PARTITIONER_FACTORIES))}"
         ) from None
     return factory()
+
+
+def partition_graph(
+    name: str, graph: Graph, k: int
+) -> tuple[str, PartitionAssignment]:
+    """Partition ``graph`` by table name: ``(row name, assignment)``.
+
+    A job algorithm runs as ``run_job(make_job(...), graph)`` — a
+    ``HEP-<tau>`` name as HEP at that tau — and its row is named like
+    the CLI's report (``HEP-10``, ``ReHDRF-3``, ``HDRF``).  An
+    in-memory-only baseline runs its :class:`Partitioner` class.
+    """
+    if is_job_algorithm(name):
+        tau = hep_tau_from_name(name)
+        algo = name if tau is None else "HEP"
+        result = run_job(make_job(algo, graph, k, tau=tau), graph)
+        row = result.algorithm if result.tau is None else f"HEP-{result.tau:g}"
+        return row, result.to_assignment(graph)
+    partitioner = make_partitioner(name)
+    return partitioner.name, partitioner.partition(graph, k)
 
 
 def run_partitioner(name: str, graph: Graph, k: int) -> PartitionReport:
     """Run one partitioner and reduce the outcome to a report row.
 
-    ``memory_bytes`` is the Section 4.2-style analytic model (see
-    DESIGN.md for why RSS is not meaningful in Python).
+    The run-time covers the whole call (a job's counting and metrics
+    sweeps included).  ``memory_bytes`` is the Section 4.2-style
+    analytic model (see DESIGN.md for why RSS is not meaningful in
+    Python), at the tau the job ran for HEP.
     """
-    partitioner = make_partitioner(name)
     start = time.perf_counter()
-    assignment = partitioner.partition(graph, k)
+    row, assignment = partition_graph(name, graph, k)
     elapsed = time.perf_counter() - start
-    from repro.partition.base import TimedResult
-
-    result = TimedResult(
-        assignment,
-        elapsed,
-        partitioner.name,
-        memory_bytes=memory_model_for(partitioner.name, graph, k),
+    # Plain HEP names no tau; its row names the default tau it ran.
+    modeled = row if name.upper() == "HEP" else name
+    return summarize(
+        assignment, row, elapsed, memory_model_for(modeled, graph, k)
     )
-    return summarize(result)
 
 
 def load_dataset(name: str) -> Graph:

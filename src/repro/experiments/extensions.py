@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 
-from repro.core import HepPartitioner
 from repro.experiments.common import ExperimentResult, load_dataset
 from repro.hypergraph import (
     HybridHypergraphPartitioner,
@@ -24,7 +23,7 @@ from repro.hypergraph import (
     powerlaw_hypergraph,
 )
 from repro.metrics import replication_factor
-from repro.partition import HdrfPartitioner, RestreamingHdrfPartitioner
+from repro.runtime import make_job, run_job
 
 __all__ = ["run"]
 
@@ -75,15 +74,17 @@ def _hypergraph_rows(k: int) -> list[dict[str, object]]:
 def _restreaming_rows(k: int) -> list[dict[str, object]]:
     rows = []
     graph = load_dataset("OK")
-    for label, partitioner in (
-        ("HDRF (1 pass)", HdrfPartitioner()),
-        ("ReHDRF-2", RestreamingHdrfPartitioner(passes=2)),
-        ("ReHDRF-3", RestreamingHdrfPartitioner(passes=3)),
-        ("HEP-10", HepPartitioner(tau=10.0)),
+    # ReHDRF-2's pass count is a job parameter no table name carries.
+    for label, algo, options in (
+        ("HDRF (1 pass)", "HDRF", {}),
+        ("ReHDRF-2", "Restreaming", {"algo_params": {"passes": 2}}),
+        ("ReHDRF-3", "Restreaming", {"algo_params": {"passes": 3}}),
+        ("HEP-10", "HEP", {"tau": 10.0}),
     ):
         start = time.perf_counter()
-        assignment = partitioner.partition(graph, k)
+        result = run_job(make_job(algo, graph, k, **options), graph)
         elapsed = time.perf_counter() - start
+        assignment = result.to_assignment(graph)
         rows.append(
             {
                 "experiment": "restreaming",

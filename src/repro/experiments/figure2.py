@@ -8,11 +8,14 @@ can afford to push high/high edges to the streaming phase.
 
 from __future__ import annotations
 
-from repro.experiments.common import ExperimentResult, load_dataset
+from repro.experiments.common import (
+    ExperimentResult,
+    load_dataset,
+    partition_graph,
+)
 from repro.experiments.paper_reference import SHAPES
 from repro.graph.stats import bucket_labels
 from repro.metrics import rf_by_degree_bucket
-from repro.partition import HdrfPartitioner, NePartitioner
 
 __all__ = ["run"]
 
@@ -21,11 +24,8 @@ def run(graphs: tuple[str, ...] = ("LJ", "WI"), k: int = 32) -> ExperimentResult
     rows: list[dict[str, object]] = []
     for name in graphs:
         graph = load_dataset(name)
-        for label, partitioner in (
-            ("HDRF", HdrfPartitioner()),
-            ("NE", NePartitioner()),
-        ):
-            assignment = partitioner.partition(graph, k)
+        for label in ("HDRF", "NE"):
+            _, assignment = partition_graph(label, graph, k)
             fractions, mean_rf, buckets = rf_by_degree_bucket(assignment)
             labels = bucket_labels(len(buckets))
             for b in buckets.tolist():

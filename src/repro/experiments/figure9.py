@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import time
 
-from repro.core import HepPartitioner, hep_memory_bytes, ne_memory_bytes
-from repro.experiments.common import ExperimentResult, dataset_list, load_dataset
+from repro.core import hep_memory_bytes, ne_memory_bytes
+from repro.experiments.common import (
+    ExperimentResult,
+    dataset_list,
+    load_dataset,
+    partition_graph,
+)
 from repro.experiments.paper_reference import SHAPES
 from repro.graph.pruned import split_edges
 from repro.metrics import replication_factor
@@ -35,7 +40,7 @@ def run(
         graph = load_dataset(name)
         for tau in taus:
             start = time.perf_counter()
-            hep = HepPartitioner(tau=tau).partition(graph, k)
+            _, hep = partition_graph(f"HEP-{tau:g}", graph, k)
             hep_time = time.perf_counter() - start
 
             start = time.perf_counter()

@@ -12,8 +12,8 @@ the in-process BSP schedule
 workers/batch and the same shard-derived streams — the executable
 oracle.  It also reports the replication-factor cost of staleness as
 ``workers x batch`` grows, and the HEP variant (``algo="HEP"`` with
-``workers``) against
-:class:`~repro.parallel.bsp_streaming.ParallelHepPartitioner`.
+``workers``) against NE++ followed by the same in-process schedule
+over the h2h edges.
 """
 
 from __future__ import annotations
@@ -23,9 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.hep import phase_two_capacity
+from repro.core.ne_plus_plus import run_ne_plus_plus
 from repro.experiments.common import ExperimentResult, dataset_list, load_dataset
 from repro.graph.edgelist import write_binary_edgelist
-from repro.parallel import ParallelHepPartitioner, bsp_hdrf_stream
+from repro.parallel import bsp_hdrf_stream
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
@@ -83,18 +85,15 @@ def run(graphs: tuple[str, ...] | None = None, k: int = _K) -> ExperimentResult:
                         "identical_to_bsp": same,
                     }
                 )
-            # HEP: the multi-process phase two vs ParallelHepPartitioner.
+            # HEP: the multi-process phase two vs its in-process schedule.
             binary = Path(tmp) / f"{name}.bin"
             write_binary_edgelist(graph, binary)
             hep_result = run_job(make_job(
                 "HEP", binary, k, workers=2, batch=_BATCH, tau=_TAU,
             ))
-            hep_oracle = ParallelHepPartitioner(
-                tau=_TAU, workers=2, batch=_BATCH
-            ).partition(graph, k)
-            hep_same = bool(
-                np.array_equal(hep_result.parts, hep_oracle.parts)
-            )
+            hep_same = bool(np.array_equal(
+                hep_result.parts, _bsp_hep_oracle(graph, k, 2, _BATCH)
+            ))
             identical_everywhere &= hep_same
             rows.append(
                 {
@@ -124,3 +123,18 @@ def run(graphs: tuple[str, ...] | None = None, k: int = _K) -> ExperimentResult:
         f"multi-process == in-process BSP everywhere: {identical_everywhere}"
     )
     return result
+
+
+def _bsp_hep_oracle(graph, k: int, workers: int, batch: int) -> np.ndarray:
+    """NE++ at ``_TAU``, then the h2h edges on the round-robin BSP schedule."""
+    phase_one = run_ne_plus_plus(graph, k, tau=_TAU)
+    capacity = phase_two_capacity(graph.num_edges, k, 1.0, phase_one.loads)
+    state = StreamingState.informed(
+        graph, k, capacity,
+        replicas=phase_one.secondary, loads=phase_one.loads,
+    )
+    h2h = phase_one.h2h
+    bsp_hdrf_stream(
+        state, h2h.pairs, h2h.eids, phase_one.parts, workers, batch=batch
+    )
+    return phase_one.parts

@@ -6,7 +6,8 @@ reading, disk spill, a real byte budget); this experiment makes the
 *baselines'* side honest too.  Every streaming baseline is run twice on
 the same dataset:
 
-* **in-memory** — the seed path, full edge list resident, and
+* **in-memory** — the same job on the loaded Graph, full edge list
+  resident (:func:`~repro.experiments.common.partition_graph`), and
 * **out-of-core** — from a binary edge *file* through the runtime
   layer (:func:`~repro.runtime.spec.make_job` →
   :func:`~repro.runtime.api.run_job`), with only ``O(n + k)`` state
@@ -31,7 +32,7 @@ from repro.experiments.common import (
     ExperimentResult,
     dataset_list,
     load_dataset,
-    make_partitioner,
+    partition_graph,
 )
 from repro.graph.edgelist import write_binary_edgelist
 from repro.runtime import make_job, run_job
@@ -67,7 +68,7 @@ def run(
             path = Path(tmp) / f"{name}.bin"
             write_binary_edgelist(graph, path)
             for algo in _BASELINES:
-                in_mem = make_partitioner(algo).partition(graph, k)
+                _, in_mem = partition_graph(algo, graph, k)
                 ooc = run_job(make_job(algo, path, k, chunk_size=_CHUNK))
                 same = bool(np.array_equal(ooc.parts, in_mem.parts))
                 identical_everywhere &= same
@@ -88,9 +89,7 @@ def run(
             result = run_job(make_job(
                 "HEP", path, k, chunk_size=_CHUNK, memory_budget=budget,
             ))
-            hep_in_mem = make_partitioner(f"HEP-{result.tau:g}").partition(
-                graph, k
-            )
+            _, hep_in_mem = partition_graph(f"HEP-{result.tau:g}", graph, k)
             hep_same = bool(np.array_equal(result.parts, hep_in_mem.parts))
             identical_everywhere &= hep_same
             rows.append(

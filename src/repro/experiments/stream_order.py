@@ -9,30 +9,28 @@ the robustness argument behind hybrid partitioning.
 
 from __future__ import annotations
 
-from repro.core import HepPartitioner
-from repro.experiments.common import ExperimentResult, load_dataset
+from repro.experiments.common import (
+    ExperimentResult,
+    load_dataset,
+    partition_graph,
+)
 from repro.graph.ordering import ORDERINGS, edge_order, reorder_edges
 from repro.metrics import replication_factor
-from repro.partition import GreedyPartitioner, HdrfPartitioner
 
 __all__ = ["run"]
 
 
 def run(graph_name: str = "OK", k: int = 32) -> ExperimentResult:
     graph = load_dataset(graph_name)
-    partitioners = {
-        "HDRF": lambda: HdrfPartitioner(),
-        "Greedy": lambda: GreedyPartitioner(),
-        "HEP-1": lambda: HepPartitioner(tau=1.0),
-    }
+    partitioners = ("HDRF", "Greedy", "HEP-1")
     rows: list[dict[str, object]] = []
     spread: dict[str, list[float]] = {name: [] for name in partitioners}
     for strategy in ORDERINGS:
         permutation = edge_order(graph, strategy, seed=7)
         reordered = reorder_edges(graph, permutation)
         row: dict[str, object] = {"ordering": strategy}
-        for name, factory in partitioners.items():
-            assignment = factory().partition(reordered, k)
+        for name in partitioners:
+            _, assignment = partition_graph(name, reordered, k)
             rf = replication_factor(assignment)
             row[name] = round(rf, 3)
             spread[name].append(rf)

@@ -9,13 +9,17 @@ representative of each family, confirming:
 * stateful streaming (HDRF): ~linear in |E| and in k,
 * neighborhood expansion (NE++/HEP): near-linear in |E|, mildly
   k-dependent (heap log factor plus per-partition clean-up).
+
+DBH, HDRF and HEP-10 run as jobs (``run_job``), so their times — and
+the scaling ratios and the "Nx DBH" note — include the job's counting
+and metrics sweeps over the edges; NE++ runs its in-memory class alone.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.experiments.common import ExperimentResult, make_partitioner
+from repro.experiments.common import ExperimentResult, partition_graph
 from repro.experiments.paper_reference import SHAPES
 from repro.graph.generators import chung_lu
 
@@ -31,11 +35,10 @@ _COMPLEXITY = {
 
 def _timed(name: str, graph, k: int, repeats: int = 3) -> float:
     """Best-of-N wall time (sub-millisecond runs are noise-dominated)."""
-    partitioner = make_partitioner(name)
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        partitioner.partition(graph, k)
+        partition_graph(name, graph, k)
         best = min(best, time.perf_counter() - start)
     return best
 

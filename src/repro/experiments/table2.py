@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import time
 
-from repro.core import HepPartitioner, precompute_profile
-from repro.experiments.common import ExperimentResult, dataset_list, load_dataset
+from repro.core import precompute_profile
+from repro.experiments.common import (
+    ExperimentResult,
+    dataset_list,
+    load_dataset,
+    partition_graph,
+)
 from repro.experiments.paper_reference import TABLE2_PRECOMPUTE_S
 
 __all__ = ["run"]
@@ -26,7 +31,7 @@ def run(graphs: tuple[str, ...] | None = None, k: int = 32) -> ExperimentResult:
         graph = load_dataset(name)
         profile = precompute_profile(graph, k)
         start = time.perf_counter()
-        HepPartitioner(tau=10.0).partition(graph, k)
+        partition_graph("HEP-10", graph, k)
         partition_time = time.perf_counter() - start
         rows.append(
             {

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import time
 
-from repro.experiments.common import ExperimentResult, load_dataset, make_partitioner
+from repro.experiments.common import (
+    ExperimentResult,
+    load_dataset,
+    partition_graph,
+)
 from repro.experiments.paper_reference import (
     SHAPES,
     TABLE4_CC_S,
@@ -39,9 +43,8 @@ def run(
     for graph_name in graphs:
         graph = load_dataset(graph_name)
         for name in partitioners:
-            partitioner = make_partitioner(name)
             start = time.perf_counter()
-            assignment = partitioner.partition(graph, k)
+            _, assignment = partition_graph(name, graph, k)
             partition_time = time.perf_counter() - start
             engine = VertexCutEngine(assignment)
             pr = pagerank(engine, iterations=pagerank_iterations)

@@ -8,8 +8,11 @@ partitioners handle well.
 
 from __future__ import annotations
 
-from repro.core import HepPartitioner
-from repro.experiments.common import ExperimentResult, load_dataset
+from repro.experiments.common import (
+    ExperimentResult,
+    load_dataset,
+    partition_graph,
+)
 from repro.experiments.paper_reference import SHAPES, TABLE5_VERTEX_BALANCE
 from repro.metrics import vertex_balance
 
@@ -30,7 +33,7 @@ def run(
         row: dict[str, object] = {"partitioner": name}
         for graph_name in graphs:
             graph = load_dataset(graph_name)
-            assignment = HepPartitioner(tau=tau).partition(graph, k)
+            _, assignment = partition_graph(name, graph, k)
             row[graph_name] = round(vertex_balance(assignment), 3)
             paper = TABLE5_VERTEX_BALANCE.get(name, {}).get(graph_name)
             row[f"paper_{graph_name}"] = paper if paper is not None else "-"

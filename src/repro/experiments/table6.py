@@ -9,8 +9,12 @@ OS paging (at the cost of a worse replication factor, also shown).
 
 from __future__ import annotations
 
-from repro.core import HepPartitioner, hep_memory_bytes
-from repro.experiments.common import ExperimentResult, load_dataset
+from repro.core import hep_memory_bytes
+from repro.experiments.common import (
+    ExperimentResult,
+    load_dataset,
+    partition_graph,
+)
 from repro.experiments.paper_reference import SHAPES, TABLE6_PAGING
 from repro.memsim import PAGE_BYTES, run_paged_ne_plus_plus
 from repro.metrics import replication_factor
@@ -41,8 +45,7 @@ def run(graph_name: str = "OK", k: int = 32) -> ExperimentResult:
         )
 
     # The alternative: HEP at tau=1 in comparable memory, zero faults.
-    hep = HepPartitioner(tau=1.0)
-    assignment = hep.partition(graph, k)
+    _, assignment = partition_graph("HEP-1", graph, k)
     hep_bytes = hep_memory_bytes(graph, 1.0, k)
     rows.append(
         {

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from repro.metrics.balance import edge_balance, vertex_balance
 from repro.metrics.replication import replication_factor
-from repro.partition.base import PartitionAssignment, TimedResult
+from repro.partition.base import PartitionAssignment
 
 __all__ = ["PartitionReport", "summarize", "format_table"]
 
@@ -44,18 +44,22 @@ class PartitionReport:
         return row
 
 
-def summarize(result: TimedResult) -> PartitionReport:
-    """Reduce a timed partitioning run to a :class:`PartitionReport`."""
-    assignment: PartitionAssignment = result.assignment
+def summarize(
+    assignment: PartitionAssignment,
+    partitioner: str,
+    runtime_s: float,
+    memory_bytes: int | None = None,
+) -> PartitionReport:
+    """Reduce one timed partitioning run to a :class:`PartitionReport`."""
     return PartitionReport(
-        partitioner=result.partitioner,
+        partitioner=partitioner,
         graph=assignment.graph.name,
         k=assignment.k,
         replication_factor=replication_factor(assignment),
         alpha=edge_balance(assignment),
         vertex_balance=vertex_balance(assignment),
-        runtime_s=result.runtime_s,
-        memory_bytes=result.memory_bytes,
+        runtime_s=runtime_s,
+        memory_bytes=memory_bytes,
     )
 
 

@@ -1,7 +1,9 @@
 """Parallel HEP — the paper's future-work direction on parallelism.
 
 See :mod:`repro.parallel.bsp_streaming` for the bulk-synchronous
-parallel streaming phase and :class:`ParallelHepPartitioner`;
+parallel streaming phase, :func:`bsp_hdrf_stream` — the in-process
+oracle that multi-worker HEP and HDRF jobs
+(``run_job(make_job(..., workers=N))``) equal bit for bit;
 :mod:`repro.parallel.kernel` holds the snapshot-scoring / delta-merge
 kernels shared with the multi-process driver
 (:mod:`repro.stream.workers`); :mod:`repro.parallel.shm` holds the
@@ -10,7 +12,6 @@ shared-memory state the warm worker pools snapshot and commit against.
 
 from repro.parallel.bsp_streaming import (
     BspStreamReport,
-    ParallelHepPartitioner,
     bsp_hdrf_stream,
 )
 from repro.parallel.kernel import (
@@ -26,7 +27,6 @@ from repro.parallel.kernel import (
 from repro.parallel.shm import SharedState
 
 __all__ = [
-    "ParallelHepPartitioner",
     "bsp_hdrf_stream",
     "BspStreamReport",
     "SharedState",

@@ -28,9 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.ne_plus_plus import run_ne_plus_plus
 from repro.errors import ConfigurationError
-from repro.graph.edgelist import Graph
 from repro.parallel.kernel import (
     apply_batch,
     place_batch_serialized,
@@ -38,10 +36,9 @@ from repro.parallel.kernel import (
     score_batch_on_snapshot,
     superstep_is_safe,
 )
-from repro.partition.base import PartitionAssignment, Partitioner, capacity_bound
 from repro.partition.state import StreamingState
 
-__all__ = ["bsp_hdrf_stream", "ParallelHepPartitioner", "BspStreamReport"]
+__all__ = ["bsp_hdrf_stream", "BspStreamReport"]
 
 
 @dataclass(frozen=True)
@@ -134,57 +131,3 @@ def bsp_hdrf_stream(
                 ps = place_batch_serialized(state, us, vs, scores)
             parts_out[eids[take]] = ps
     return BspStreamReport(workers, batch, supersteps, streamed)
-
-
-class ParallelHepPartitioner(Partitioner):
-    """HEP with a BSP-parallel streaming phase.
-
-    Phase one (NE++) is unchanged; phase two streams the h2h edges with
-    ``workers`` BSP workers and per-superstep batches of ``batch``.
-    ``workers=1, batch=1`` reproduces sequential HEP exactly.
-    """
-
-    def __init__(
-        self,
-        tau: float = 10.0,
-        workers: int = 4,
-        batch: int = 8,
-        alpha: float = 1.0,
-        lam: float = 1.1,
-        eps: float = 1.0,
-    ) -> None:
-        if tau <= 0:
-            raise ConfigurationError(f"tau must be positive, got {tau}")
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.tau = tau
-        self.workers = workers
-        self.batch = batch
-        self.alpha = alpha
-        self.lam = lam
-        self.eps = eps
-        self.last_report: BspStreamReport | None = None
-        self.name = f"HEP-BSP-{tau:g}x{workers}"
-
-    def partition(self, graph: Graph, k: int) -> PartitionAssignment:
-        """Run NE++, then stream the h2h edges on the BSP schedule."""
-        self._require_k(graph, k)
-        phase_one = run_ne_plus_plus(graph, k, tau=self.tau)
-        parts = phase_one.parts
-        h2h = phase_one.h2h
-        if h2h.num_edges:
-            capacity = capacity_bound(graph.num_edges, k, self.alpha)
-            capacity = max(capacity, int(phase_one.loads.max()) + 1)
-            state = StreamingState.informed(
-                graph, k, capacity,
-                replicas=phase_one.secondary,
-                loads=phase_one.loads,
-            )
-            self.last_report = bsp_hdrf_stream(
-                state, h2h.pairs, h2h.eids, parts,
-                workers=self.workers, batch=self.batch,
-                lam=self.lam, eps=self.eps,
-            )
-        else:
-            self.last_report = BspStreamReport(self.workers, self.batch, 0, 0)
-        return PartitionAssignment(graph, k, parts)

@@ -1,26 +1,28 @@
-"""Edge partitioners: framework plus all baseline algorithms.
+"""Edge partitioners: framework, streaming kernels and in-memory baselines.
 
-The hybrid system itself (HEP / NE++) lives in :mod:`repro.core`; this
-package provides the common framework and the seven baseline families the
-paper compares against.
+The hybrid system itself (HEP / NE++) lives in :mod:`repro.core`.  Of
+the seven baseline families the paper compares against, the streaming
+ones (HDRF, Greedy, DBH, Grid, plus restreaming) are kernels here —
+:func:`hdrf_stream`, :func:`~repro.partition.greedy.greedy_stream`,
+:func:`~repro.partition.dbh.dbh_assign`,
+:func:`~repro.partition.grid.grid_stream`,
+:func:`~repro.partition.restreaming.restream_block` — that the
+registered adapters in :mod:`repro.stream.driver` run as jobs through
+:func:`repro.runtime.api.run_job`.  The in-memory-only baselines are
+:class:`Partitioner` classes.
 """
 
 from repro.partition.adwise import AdwisePartitioner
 from repro.partition.base import (
     PartitionAssignment,
     Partitioner,
-    TimedResult,
     capacity_bound,
 )
-from repro.partition.dbh import DbhPartitioner
 from repro.partition.dne import DnePartitioner
-from repro.partition.greedy import GreedyPartitioner
-from repro.partition.grid import GridPartitioner
-from repro.partition.hdrf import HdrfPartitioner, hdrf_stream
+from repro.partition.hdrf import hdrf_stream
 from repro.partition.metis import MetisPartitioner
 from repro.partition.ne import NePartitioner
 from repro.partition.random_stream import RandomStreamPartitioner, random_stream
-from repro.partition.restreaming import RestreamingHdrfPartitioner
 from repro.partition.simple_hybrid import SimpleHybridPartitioner
 from repro.partition.sne import SnePartitioner
 from repro.partition.state import StreamingState
@@ -28,14 +30,9 @@ from repro.partition.state import StreamingState
 __all__ = [
     "Partitioner",
     "PartitionAssignment",
-    "TimedResult",
     "capacity_bound",
     "StreamingState",
-    "HdrfPartitioner",
     "hdrf_stream",
-    "GreedyPartitioner",
-    "DbhPartitioner",
-    "GridPartitioner",
     "RandomStreamPartitioner",
     "random_stream",
     "AdwisePartitioner",
@@ -44,5 +41,4 @@ __all__ = [
     "DnePartitioner",
     "MetisPartitioner",
     "SimpleHybridPartitioner",
-    "RestreamingHdrfPartitioner",
 ]

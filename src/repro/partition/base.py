@@ -1,7 +1,9 @@
-"""Partitioner framework: configuration, result container, base class.
+"""Partitioner framework: the assignment container and the base class.
 
-Every partitioner in this library — streaming, in-memory, or hybrid —
-consumes a :class:`~repro.graph.edgelist.Graph` and produces a
+Every partitioning of an in-memory :class:`~repro.graph.edgelist.Graph`
+— a job's parts
+(:meth:`~repro.runtime.result.PartitionResult.to_assignment`) or an
+in-memory-only baseline's :class:`Partitioner` output — is a
 :class:`PartitionAssignment`: one partition id per canonical edge.  All
 quality metrics (replication factor, balance) are derived from that
 single array, so results from very different algorithms are directly
@@ -11,15 +13,13 @@ comparable and checkable.
 from __future__ import annotations
 
 import abc
-import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.edgelist import Graph
 
-__all__ = ["PartitionAssignment", "Partitioner", "capacity_bound", "TimedResult"]
+__all__ = ["PartitionAssignment", "Partitioner", "capacity_bound"]
 
 UNASSIGNED = -1
 
@@ -118,17 +118,6 @@ class PartitionAssignment:
         )
 
 
-@dataclass
-class TimedResult:
-    """A partitioning run together with its measured cost."""
-
-    assignment: PartitionAssignment
-    runtime_s: float
-    partitioner: str
-    memory_bytes: int | None = None
-    extra: dict = field(default_factory=dict)
-
-
 class Partitioner(abc.ABC):
     """Base class: a named algorithm mapping ``(graph, k)`` to an assignment.
 
@@ -138,19 +127,12 @@ class Partitioner(abc.ABC):
     harness sweeps them.
     """
 
-    #: short identifier used in tables ("HDRF", "NE", "HEP-10", ...)
+    #: short identifier used in tables ("NE", "SNE", "METIS", ...)
     name: str = "base"
 
     @abc.abstractmethod
     def partition(self, graph: Graph, k: int) -> PartitionAssignment:
         """Partition the edges of ``graph`` into ``k`` parts."""
-
-    def partition_timed(self, graph: Graph, k: int) -> TimedResult:
-        """Run :meth:`partition` under a wall-clock timer."""
-        start = time.perf_counter()
-        assignment = self.partition(graph, k)
-        elapsed = time.perf_counter() - start
-        return TimedResult(assignment, elapsed, self.name)
 
     def _require_k(self, graph: Graph, k: int) -> None:
         if k < 2:

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.edgelist import Graph
-from repro.partition.base import PartitionAssignment, Partitioner, capacity_bound
-
-__all__ = ["DbhPartitioner", "hash_vertices", "dbh_assign", "repair_overflow"]
+__all__ = ["hash_vertices", "dbh_assign", "repair_overflow"]
 
 _KNUTH = np.uint64(2654435761)
 _MASK = np.uint64(0xFFFFFFFF)
@@ -51,23 +48,6 @@ def dbh_assign(
     pick_u = (du < dv) | ((du == dv) & (u < v))
     chosen = np.where(pick_u, u, v)
     return (hash_vertices(chosen, salt) % np.uint64(k)).astype(np.int32)
-
-
-class DbhPartitioner(Partitioner):
-    """Degree-based hashing baseline."""
-
-    def __init__(self, alpha: float = 1.0, salt: int = 0) -> None:
-        self.alpha = alpha
-        self.salt = salt
-        self.name = "DBH"
-
-    def partition(self, graph: Graph, k: int) -> PartitionAssignment:
-        """Hash every edge to a partition; repair rare capacity overflow."""
-        self._require_k(graph, k)
-        parts = dbh_assign(graph.edges, graph.degrees, k, self.salt)
-        capacity = capacity_bound(graph.num_edges, k, self.alpha)
-        parts = repair_overflow(parts, k, capacity)
-        return PartitionAssignment(graph, k, parts)
 
 
 def repair_overflow(parts: np.ndarray, k: int, capacity: int) -> np.ndarray:

@@ -5,9 +5,9 @@ placed by the case analysis in
 :func:`~repro.partition.scoring.greedy_choose`.  The paper lists Greedy
 as a stateful streaming baseline that HDRF consistently outperforms.
 
-The per-edge loop lives in :func:`greedy_stream` so the in-memory
-partitioner and the out-of-core driver (:mod:`repro.stream.driver`)
-share one code path — the basis of their bit-identity.
+The per-edge loop is :func:`greedy_stream`; the registered ``Greedy``
+job (:mod:`repro.stream.driver`) feeds it one chunk at a time against
+shared state, in memory or out of core.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import CapacityError
-from repro.graph.edgelist import Graph
-from repro.partition.base import PartitionAssignment, Partitioner, capacity_bound
 from repro.partition.scoring import greedy_choose
 from repro.partition.state import StreamingState
 
-__all__ = ["GreedyPartitioner", "greedy_stream"]
+__all__ = ["greedy_stream"]
 
 
 def greedy_stream(
@@ -34,9 +32,9 @@ def greedy_stream(
 
     Mutates ``state`` and the per-vertex unassigned-edge counters
     ``remaining`` (case 2 of the heuristic), and fills
-    ``parts_out[eids[i]]`` for every streamed edge.  Feeding the whole
-    edge array reproduces the single-pass in-memory baseline; feeding
-    successive chunks against shared state is the out-of-core path.
+    ``parts_out[eids[i]]`` for every streamed edge.  One call over the
+    whole edge array and successive chunks against shared state (the
+    ``Greedy`` job) place every edge alike.
     """
     for i in range(edges.shape[0]):
         u = int(edges[i, 0])
@@ -48,32 +46,3 @@ def greedy_stream(
         remaining[u] -= 1
         remaining[v] -= 1
         parts_out[eids[i]] = p
-
-
-class GreedyPartitioner(Partitioner):
-    """PowerGraph greedy edge placement."""
-
-    def __init__(self, alpha: float = 1.0, shuffle: bool = False, seed: int = 0) -> None:
-        self.alpha = alpha
-        self.shuffle = shuffle
-        self.seed = seed
-        self.name = "Greedy"
-
-    def partition(self, graph: Graph, k: int) -> PartitionAssignment:
-        """Place every edge of ``graph`` with the greedy case analysis."""
-        self._require_k(graph, k)
-        capacity = capacity_bound(graph.num_edges, k, self.alpha)
-        state = StreamingState.fresh(graph, k, capacity, use_exact_degrees=True)
-        assignment = PartitionAssignment.empty(graph, k)
-
-        # Unassigned-edge counters drive case 2 of the heuristic.
-        remaining = graph.degrees.copy()
-
-        order = np.arange(graph.num_edges)
-        if self.shuffle:
-            np.random.default_rng(self.seed).shuffle(order)
-            edges = graph.edges[order]
-        else:
-            edges = graph.edges  # natural order: no O(m) copy
-        greedy_stream(state, remaining, edges, order, assignment.parts)
-        return assignment

@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.edgelist import Graph
-from repro.partition.base import PartitionAssignment, Partitioner, capacity_bound
-from repro.partition.dbh import hash_vertices, repair_overflow
+from repro.partition.dbh import hash_vertices
 
-__all__ = ["GridPartitioner", "grid_shape", "grid_cells", "grid_stream"]
+__all__ = ["grid_shape", "grid_cells", "grid_stream"]
 
 
 def grid_shape(k: int) -> tuple[int, int]:
@@ -65,25 +63,3 @@ def grid_stream(
         p = a if loads[a] <= loads[b] else b
         parts_out[eids[i]] = p
         loads[p] += 1
-
-
-class GridPartitioner(Partitioner):
-    """2-D hash partitioning baseline (Table 1's stateless ``Θ(|E|)`` row)."""
-
-    def __init__(self, alpha: float = 1.0, salt: int = 0) -> None:
-        self.alpha = alpha
-        self.salt = salt
-        self.name = "Grid"
-
-    def partition(self, graph: Graph, k: int) -> PartitionAssignment:
-        """Assign each edge to the lighter of its two crossing cells."""
-        self._require_k(graph, k)
-        rows, cols = grid_shape(k)
-        cell_a, cell_b = grid_cells(graph.edges, rows, cols, self.salt)
-        parts = np.empty(graph.num_edges, dtype=np.int32)
-        loads = np.zeros(k, dtype=np.int64)
-        grid_stream(cell_a, cell_b, loads, np.arange(graph.num_edges), parts)
-
-        capacity = capacity_bound(graph.num_edges, k, self.alpha)
-        parts = repair_overflow(parts, k, capacity)
-        return PartitionAssignment(graph, k, parts)

@@ -7,12 +7,15 @@ the partition with the highest :func:`~repro.partition.scoring.hdrf_scores`
 value — replicating high-degree vertices first, since they are likely to
 be replicated anyway.
 
-Two degree modes:
+Two degree modes, chosen by the :class:`StreamingState` passed in:
 
-* ``exact_degrees=False`` — the original setting: degrees are *partial*
-  counts accumulated while streaming.
-* ``exact_degrees=True`` — degrees known upfront (HEP's streaming phase
-  has them from graph building).
+* partial degrees — the original setting: degrees are counts
+  accumulated while streaming (the ``HDRF`` job's default),
+* exact degrees — known upfront (HEP's streaming phase has them from
+  the counting pass; ``exact_degrees=True`` on the ``HDRF`` job).
+
+The kernel is :func:`hdrf_stream`; the standalone baseline runs it as
+the registered ``HDRF`` job (:mod:`repro.stream.driver`).
 """
 
 from __future__ import annotations
@@ -22,12 +25,10 @@ from bisect import insort
 import numpy as np
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.graph.edgelist import Graph
-from repro.partition.base import PartitionAssignment, Partitioner, capacity_bound
 from repro.partition.scoring import NEG_INF, check_hdrf_params
 from repro.partition.state import StreamingState
 
-__all__ = ["HdrfPartitioner", "hdrf_stream"]
+__all__ = ["hdrf_stream"]
 
 
 def hdrf_stream(
@@ -203,48 +204,3 @@ def _balance_denominator(eps: float, maxl: int, minl: int) -> float:
             f"({maxl}), so the balance term is 0/0"
         )
     return denom
-
-
-class HdrfPartitioner(Partitioner):
-    """Standalone HDRF baseline (paper Appendix A: ``lambda = 1.1``)."""
-
-    def __init__(
-        self,
-        lam: float = 1.1,
-        eps: float = 1.0,
-        alpha: float = 1.0,
-        exact_degrees: bool = False,
-        shuffle: bool = False,
-        seed: int = 0,
-    ) -> None:
-        self.lam = lam
-        self.eps = eps
-        self.alpha = alpha
-        self.exact_degrees = exact_degrees
-        self.shuffle = shuffle
-        self.seed = seed
-        self.name = "HDRF"
-
-    def partition(self, graph: Graph, k: int) -> PartitionAssignment:
-        """Stream every edge through HDRF scoring (Algorithm 4)."""
-        self._require_k(graph, k)
-        capacity = capacity_bound(graph.num_edges, k, self.alpha)
-        state = StreamingState.fresh(
-            graph, k, capacity, use_exact_degrees=self.exact_degrees
-        )
-        assignment = PartitionAssignment.empty(graph, k)
-        order = np.arange(graph.num_edges)
-        if self.shuffle:
-            np.random.default_rng(self.seed).shuffle(order)
-            edges = graph.edges[order]
-        else:
-            edges = graph.edges  # natural order: no O(m) copy
-        hdrf_stream(
-            state,
-            edges,
-            order,
-            assignment.parts,
-            lam=self.lam,
-            eps=self.eps,
-        )
-        return assignment

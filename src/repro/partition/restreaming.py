@@ -10,27 +10,27 @@ phase instead, which makes the two approaches directly comparable on
 quality-vs-passes.
 
 Implementation notes: replica state must support *removal* when an edge
-moves, so instead of the boolean replica matrix this partitioner keeps a
+moves, so instead of the boolean replica matrix this algorithm keeps a
 per-(partition, vertex) incidence counter — a vertex stops being
 replicated on a partition when its last incident edge leaves.
 
-The per-edge revision loop lives in :func:`restream_block` so the
-in-memory partitioner and the out-of-core driver
-(:mod:`repro.stream.driver`, which re-reads an
-:class:`~repro.stream.reader.EdgeChunkSource` once per pass) share one
-code path.
+The per-edge revision loop is :func:`restream_block`; the registered
+``Restreaming`` job (:mod:`repro.stream.driver`) runs it once per pass,
+each pass one re-read of an
+:class:`~repro.stream.reader.EdgeChunkSource`.  :func:`_choose` is the
+incidence-counter HDRF score that
+:class:`~repro.core.incremental.IncrementalHep` places insertions
+with too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import CapacityError, ConfigurationError
-from repro.graph.edgelist import Graph
-from repro.partition.base import PartitionAssignment, Partitioner, capacity_bound
+from repro.errors import CapacityError
 from repro.partition.scoring import NEG_INF
 
-__all__ = ["RestreamingHdrfPartitioner", "restream_block"]
+__all__ = ["restream_block"]
 
 
 def restream_block(
@@ -87,6 +87,10 @@ def _choose(
     lam: float,
     eps: float,
 ) -> int:
+    """Best open partition for ``(u, v)`` by HDRF score over incidence counts.
+
+    Returns -1 when every partition is at ``capacity``.
+    """
     du = degrees[u]
     dv = degrees[v]
     total = du + dv
@@ -103,49 +107,3 @@ def _choose(
     if score[p] == NEG_INF:
         return -1
     return p
-
-
-class RestreamingHdrfPartitioner(Partitioner):
-    """HDRF with ``passes`` refinement passes over the edge stream."""
-
-    def __init__(
-        self,
-        passes: int = 3,
-        lam: float = 1.1,
-        eps: float = 1.0,
-        alpha: float = 1.0,
-    ) -> None:
-        if passes < 1:
-            raise ConfigurationError(f"passes must be >= 1, got {passes}")
-        self.passes = passes
-        self.lam = lam
-        self.eps = eps
-        self.alpha = alpha
-        self.name = f"ReHDRF-{passes}"
-
-    def partition(self, graph: Graph, k: int) -> PartitionAssignment:
-        """Run ``passes`` revision sweeps over the edge list in place."""
-        self._require_k(graph, k)
-        capacity = capacity_bound(graph.num_edges, k, self.alpha)
-        n = graph.num_vertices
-        m = graph.num_edges
-
-        #: incidence[p, v] — edges of v currently assigned to p
-        incidence = np.zeros((k, n), dtype=np.int32)
-        loads = np.zeros(k, dtype=np.int64)
-        parts = np.full(m, -1, dtype=np.int32)
-
-        eids = np.arange(m, dtype=np.int64)
-        for _ in range(self.passes):
-            restream_block(
-                graph.edges,
-                eids,
-                incidence,
-                loads,
-                graph.degrees,
-                parts,
-                capacity,
-                self.lam,
-                self.eps,
-            )
-        return PartitionAssignment(graph, k, parts)

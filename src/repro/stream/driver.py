@@ -15,15 +15,16 @@ registered by name with
 :func:`~repro.runtime.registry.register_streaming_algorithm`, that
 (a) builds its state from the counting-pass
 :class:`~repro.stream.scan.SourceStats` and (b) consumes one chunk at a
-time through the *same* kernel function the in-memory partitioner uses
+time through its kernel
 (:func:`~repro.partition.hdrf.hdrf_stream`,
 :func:`~repro.partition.greedy.greedy_stream`,
 :func:`~repro.partition.dbh.dbh_assign`,
 :func:`~repro.partition.grid.grid_stream`,
-:func:`~repro.partition.restreaming.restream_block`).  With natural
-chunk order the streamed result is therefore **bit-identical** to the
-in-memory baseline — the equivalence property the test suite pins per
-algorithm.
+:func:`~repro.partition.restreaming.restream_block`).  These adapters
+are the only implementation of the streaming baselines: a loaded Graph
+runs through them too.  With natural chunk order the result is
+**bit-identical** to one kernel call over the whole edge array — the
+equivalence property the test suite pins per algorithm.
 
 Restreaming demonstrates why :class:`EdgeChunkSource` iteration is
 restartable: every refinement pass is one fresh chunked re-read of the
@@ -81,9 +82,8 @@ class StreamingAlgorithm(abc.ABC):
 class HdrfStreaming(StreamingAlgorithm):
     """HDRF over chunks — the standalone baseline, not HEP's phase two.
 
-    ``exact_degrees=False`` reproduces the original HDRF setting (partial
-    degrees accumulated while streaming), matching
-    :class:`~repro.partition.hdrf.HdrfPartitioner`'s default.
+    ``exact_degrees=False`` (the default) reproduces the original HDRF
+    setting: partial degrees accumulated while streaming.
     """
 
     name = "HDRF"
@@ -152,7 +152,7 @@ class DbhStreaming(StreamingAlgorithm):
         parts[eids] = dbh_assign(pairs, self.degrees, self.k, self.salt)
 
     def finalize(self, parts: np.ndarray, k: int, capacity: int) -> np.ndarray:
-        """Repair the rare capacity overflow, as the in-memory path does."""
+        """Repair the rare capacity overflow (:func:`repair_overflow`)."""
         return repair_overflow(parts, k, capacity)
 
 
@@ -178,7 +178,7 @@ class GridStreaming(StreamingAlgorithm):
         grid_stream(cell_a, cell_b, self.loads, eids, parts)
 
     def finalize(self, parts: np.ndarray, k: int, capacity: int) -> np.ndarray:
-        """Repair the rare capacity overflow, as the in-memory path does."""
+        """Repair the rare capacity overflow (:func:`repair_overflow`)."""
         return repair_overflow(parts, k, capacity)
 
 

@@ -78,11 +78,12 @@ class TestOtherCommands:
     def test_compare(self, small_graph_file, capsys):
         rc = main(
             ["compare", str(small_graph_file), "--k", "2",
-             "--partitioners", "DBH", "HDRF"]
+             "--partitioners", "DBH", "HDRF", "Restreaming", "HEP"]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "DBH" in out and "HDRF" in out
+        for row in ("DBH", "HDRF", "ReHDRF-3", "HEP-10"):
+            assert row in out
 
     def test_select_tau(self, capsys):
         rc = main(["select-tau", "LJ", "--budget-kib", "100000", "--k", "4"])

@@ -1,18 +1,19 @@
-"""Tests for the HEP orchestrator: hybrid assignment, informed streaming,
-the tau knob, and the paper's headline quality relations."""
+"""Tests for HEP jobs: hybrid assignment, informed streaming, the tau
+knob, and the paper's headline quality relations."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HepPartitioner
+from references import job
 from repro.errors import ConfigurationError
+from repro.experiments.common import partition_graph
 from repro.graph import Graph
 from repro.graph.generators import chung_lu, community_web, erdos_renyi
 from repro.metrics import assert_valid, replication_factor
-from repro.partition import HdrfPartitioner
 from repro.partition.ne import NePartitioner
+from repro.runtime import make_job, run_job
 
 
 @pytest.fixture(scope="module")
@@ -28,32 +29,29 @@ def web_graph() -> Graph:
 class TestHepBasics:
     @pytest.mark.parametrize("tau", [1.0, 10.0, 100.0])
     def test_complete_valid_assignment(self, social_graph, tau):
-        a = HepPartitioner(tau=tau).partition(social_graph, 4)
+        a = job("HEP", social_graph, 4, tau=tau)
         assert a.num_unassigned == 0
         assert_valid(a, alpha=1.5)
 
-    def test_name_encodes_tau(self):
-        assert HepPartitioner(tau=10).name == "HEP-10"
-        assert HepPartitioner(tau=1.5).name == "HEP-1.5"
-        assert HepPartitioner(tau=float("inf")).name == "HEP-inf"
+    def test_name_encodes_tau(self, social_graph):
+        """A HEP row is named by the tau its job ran (plain HEP: 10)."""
+        for name, row in (("HEP-10", "HEP-10"), ("hep-1.5", "HEP-1.5"),
+                          ("HEP-inf", "HEP-inf"), ("HEP", "HEP-10")):
+            assert partition_graph(name, social_graph, 4)[0] == row
 
-    def test_rejects_bad_tau(self):
+    def test_rejects_bad_tau(self, social_graph):
         with pytest.raises(ConfigurationError):
-            HepPartitioner(tau=0)
-
-    def test_rejects_bad_strategy(self):
-        with pytest.raises(ConfigurationError):
-            HepPartitioner(streaming="fifo")
+            job("HEP", social_graph, 4, tau=0)
 
     def test_deterministic(self, social_graph):
-        a = HepPartitioner(tau=2.0).partition(social_graph, 4)
-        b = HepPartitioner(tau=2.0).partition(social_graph, 4)
+        a = job("HEP", social_graph, 4, tau=2.0)
+        b = job("HEP", social_graph, 4, tau=2.0)
         assert np.array_equal(a.parts, b.parts)
 
     def test_breakdown_populated(self, social_graph):
-        p = HepPartitioner(tau=1.0)
-        p.partition(social_graph, 4)
-        b = p.last_breakdown
+        b = run_job(
+            make_job("HEP", social_graph, 4, tau=1.0), social_graph
+        ).breakdown
         assert b is not None
         assert b.num_edges == social_graph.num_edges
         assert b.num_h2h_edges + b.num_inmemory_edges == b.num_edges
@@ -63,7 +61,7 @@ class TestHepBasics:
     def test_tau_inf_equals_pure_ne_plus_plus(self, social_graph):
         from repro.core import NePlusPlusPartitioner
 
-        a = HepPartitioner(tau=float("inf")).partition(social_graph, 4)
+        a = job("HEP", social_graph, 4, tau=float("inf"))
         b = NePlusPlusPartitioner().partition(social_graph, 4)
         assert np.array_equal(a.parts, b.parts)
 
@@ -72,9 +70,9 @@ class TestTauKnob:
     def test_h2h_fraction_grows_as_tau_drops(self, social_graph):
         fractions = []
         for tau in (10.0, 2.0, 1.0, 0.5):
-            p = HepPartitioner(tau=tau)
-            p.partition(social_graph, 4)
-            fractions.append(p.last_breakdown.h2h_fraction)
+            spec = make_job("HEP", social_graph, 4, tau=tau)
+            breakdown = run_job(spec, social_graph).breakdown
+            fractions.append(breakdown.h2h_fraction)
         assert fractions == sorted(fractions)
 
     def test_quality_degrades_gracefully(self, social_graph):
@@ -82,10 +80,10 @@ class TestTauKnob:
         RF(HEP-100) <= RF(HEP-1), and both beat pure streaming HDRF."""
         k = 8
         rf = {
-            tau: replication_factor(HepPartitioner(tau=tau).partition(social_graph, k))
+            tau: replication_factor(job("HEP", social_graph, k, tau=tau))
             for tau in (100.0, 1.0)
         }
-        rf_hdrf = replication_factor(HdrfPartitioner().partition(social_graph, k))
+        rf_hdrf = replication_factor(job("HDRF", social_graph, k))
         assert rf[100.0] <= rf[1.0] * 1.05
         assert rf[1.0] <= rf_hdrf
 
@@ -103,41 +101,9 @@ class TestInformedStreaming:
         """HEP's phase 2 uses replicas from phase 1.  An uninformed HDRF
         over the same graph should not beat full HEP at low tau."""
         k = 8
-        rf_hep = replication_factor(
-            HepPartitioner(tau=0.5).partition(social_graph, k)
-        )
-        rf_hdrf = replication_factor(HdrfPartitioner().partition(social_graph, k))
+        rf_hep = replication_factor(job("HEP", social_graph, k, tau=0.5))
+        rf_hdrf = replication_factor(job("HDRF", social_graph, k))
         assert rf_hep <= rf_hdrf * 1.02
-
-    def test_random_streaming_variant_worse(self, social_graph):
-        """Section 5.4: HDRF phase 2 beats random phase 2."""
-        k = 8
-        rf_hdrf_phase = replication_factor(
-            HepPartitioner(tau=0.5, streaming="hdrf").partition(social_graph, k)
-        )
-        rf_rand_phase = replication_factor(
-            HepPartitioner(tau=0.5, streaming="random").partition(social_graph, k)
-        )
-        assert rf_hdrf_phase < rf_rand_phase
-
-    def test_greedy_streaming_variant(self, social_graph):
-        """Section 3.3's alternative phase-two scorer: valid, beats
-        random, and (per the HDRF paper) does not beat HDRF."""
-        from repro.metrics import assert_valid
-
-        k = 8
-        hep_greedy = HepPartitioner(tau=0.5, streaming="greedy")
-        a = hep_greedy.partition(social_graph, k)
-        assert_valid(a, alpha=1.5)
-        rf_greedy = replication_factor(a)
-        rf_hdrf = replication_factor(
-            HepPartitioner(tau=0.5, streaming="hdrf").partition(social_graph, k)
-        )
-        rf_random = replication_factor(
-            HepPartitioner(tau=0.5, streaming="random").partition(social_graph, k)
-        )
-        assert rf_hdrf <= rf_greedy * 1.1
-        assert rf_greedy < rf_random
 
 
 class TestHeadlineClaims:
@@ -146,19 +112,19 @@ class TestHeadlineClaims:
 
     def test_hep10_close_to_ne_on_web(self, web_graph):
         k = 8
-        rf_hep = replication_factor(HepPartitioner(tau=10.0).partition(web_graph, k))
+        rf_hep = replication_factor(job("HEP", web_graph, k, tau=10.0))
         rf_ne = replication_factor(NePartitioner().partition(web_graph, k))
         assert rf_hep <= rf_ne * 1.35
 
     def test_hep_beats_hdrf_on_web(self, web_graph):
         k = 8
-        rf_hep = replication_factor(HepPartitioner(tau=10.0).partition(web_graph, k))
-        rf_hdrf = replication_factor(HdrfPartitioner().partition(web_graph, k))
+        rf_hep = replication_factor(job("HEP", web_graph, k, tau=10.0))
+        rf_hdrf = replication_factor(job("HDRF", web_graph, k))
         assert rf_hep < rf_hdrf
 
     def test_balance_perfect_at_default_alpha(self, social_graph):
         for tau in (1.0, 10.0):
-            a = HepPartitioner(tau=tau).partition(social_graph, 4)
+            a = job("HEP", social_graph, 4, tau=tau)
             sizes = a.partition_sizes()
             cap = -(-social_graph.num_edges // 4)
             assert sizes.max() <= cap * 1.25
@@ -178,7 +144,7 @@ def test_hep_property_random_graphs(n, m, k, tau, seed):
     g = erdos_renyi(n, m, seed=seed)
     if g.num_edges < k:
         return
-    a = HepPartitioner(tau=tau).partition(g, k)
+    a = job("HEP", g, k, tau=tau)
     assert a.num_unassigned == 0
     assert a.parts.min() >= 0 and a.parts.max() < k
     assert a.partition_sizes().sum() == g.num_edges

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HepPartitioner
+from references import job
 from repro.core.incremental import IncrementalHep
 from repro.errors import CapacityError, ConfigurationError
 from repro.graph import Graph
@@ -34,7 +34,7 @@ class TestConstruction:
         )
 
     def test_matches_batch_hep_initially(self, base_graph, inc):
-        batch = HepPartitioner(tau=2.0).partition(base_graph, 8)
+        batch = job("HEP", base_graph, 8, tau=2.0)
         assert replication_factor(batch) == pytest.approx(
             inc.replication_factor()
         )
@@ -101,7 +101,7 @@ class TestInsert:
             added += 1
         updated = inc.current_assignment()
         assert_valid(updated, alpha=1.2)
-        scratch = HepPartitioner(tau=2.0).partition(updated.graph, 8)
+        scratch = job("HEP", updated.graph, 8, tau=2.0)
         assert inc.replication_factor() <= replication_factor(scratch) * 1.25
 
 

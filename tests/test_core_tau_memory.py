@@ -95,7 +95,8 @@ class TestComparativeModels:
 
     def test_dispatcher_names(self, graph):
         for name in ("HEP-10", "HEP-1", "NE", "NE++", "SNE", "DNE", "METIS",
-                     "HDRF", "Greedy", "ADWISE", "DBH", "Grid", "Random"):
+                     "HDRF", "Greedy", "ADWISE", "DBH", "Grid", "Random",
+                     "Restreaming"):
             assert memory_model_for(name, graph, 8) > 0
 
     def test_dispatcher_hep_inf(self, graph):
@@ -104,8 +105,9 @@ class TestComparativeModels:
         )
 
     def test_dispatcher_unknown(self, graph):
-        with pytest.raises(ConfigurationError):
-            memory_model_for("FOO", graph, 8)
+        for name in ("FOO", "HEPX", "HEP-abc"):
+            with pytest.raises(ConfigurationError):
+                memory_model_for(name, graph, 8)
 
 
 class TestTauSelection:

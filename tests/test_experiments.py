@@ -7,6 +7,7 @@ logic stay covered by the fast test suite.
 
 import pytest
 
+from repro.core import hep_memory_bytes, ne_plus_plus_memory_bytes
 from repro.experiments import (
     REGISTRY,
     figure1,
@@ -26,7 +27,6 @@ from repro.experiments.common import (
     dataset_list,
     full_mode,
     k_values,
-    make_partitioner,
     run_partitioner,
 )
 from repro.graph.generators import chung_lu
@@ -57,11 +57,13 @@ class TestCommon:
         assert dataset_list(("A",), ("A", "B")) == ["A", "B"]
 
     def test_make_partitioner_hep_variants(self):
-        assert make_partitioner("HEP-10").tau == 10.0
-        assert make_partitioner("hep-1.5").tau == 1.5
-        import numpy as np
-
-        assert np.isinf(make_partitioner("HEP-inf").tau)
+        """A HEP row's memory is modeled at the tau its job ran."""
+        g = chung_lu(120, mean_degree=6, exponent=2.3, seed=1, name="t")
+        for name, tau in (("HEP-10", 10.0), ("hep-1.5", 1.5), ("HEP", 10.0)):
+            report = run_partitioner(name, g, 4)
+            assert report.memory_bytes == hep_memory_bytes(g, tau, 4)
+        report = run_partitioner("HEP-inf", g, 4)
+        assert report.memory_bytes == ne_plus_plus_memory_bytes(g, 4)
 
     def test_run_partitioner_report(self):
         g = chung_lu(120, mean_degree=6, exponent=2.3, seed=1, name="t")

@@ -26,8 +26,9 @@ from repro.graph import (
     read_text_edgelist,
 )
 from repro.graph.generators import chung_lu
-from repro.core import HepPartitioner, select_tau
-from repro.partition import HdrfPartitioner, PartitionAssignment
+from references import job
+from repro.core import select_tau
+from repro.partition import PartitionAssignment
 
 
 class TestCorruptFiles:
@@ -66,23 +67,23 @@ class TestHostileParameters:
     def test_k_larger_than_edges(self):
         g = Graph.from_edges([(0, 1), (1, 2)], num_vertices=3)
         # More partitions than edges: valid, some partitions stay empty.
-        a = HepPartitioner(tau=10.0).partition(g, 16)
+        a = job("HEP", g, 16, tau=10.0)
         assert a.num_unassigned == 0
         assert a.partition_sizes().sum() == 2
 
     def test_k_one_rejected_everywhere(self, graph):
-        for partitioner in (HepPartitioner(), HdrfPartitioner()):
+        for algo in ("HEP", "HDRF"):
             with pytest.raises(ConfigurationError):
-                partitioner.partition(graph, 1)
+                job(algo, graph, 1)
 
     def test_empty_graph_rejected(self):
         g = Graph.from_edges(np.empty((0, 2)), num_vertices=5)
         with pytest.raises(PartitioningError):
-            HdrfPartitioner().partition(g, 2)
+            job("HDRF", g, 2)
 
-    def test_negative_tau(self):
+    def test_negative_tau(self, graph):
         with pytest.raises(ConfigurationError):
-            HepPartitioner(tau=-1.0)
+            job("HEP", graph, 4, tau=-1.0)
 
     def test_impossible_budget(self, graph):
         with pytest.raises(ConfigurationError):
@@ -96,12 +97,12 @@ class TestHostileParameters:
 class TestBoundaryGraphs:
     def test_single_edge(self):
         g = Graph.from_edges([(0, 1)], num_vertices=2)
-        a = HepPartitioner(tau=1.0).partition(g, 2)
+        a = job("HEP", g, 2, tau=1.0)
         assert a.num_unassigned == 0
 
     def test_two_vertices_many_partitions(self):
         g = Graph.from_edges([(0, 1)], num_vertices=2)
-        a = HdrfPartitioner().partition(g, 8)
+        a = job("HDRF", g, 8)
         assert int((a.partition_sizes() > 0).sum()) == 1
 
     def test_complete_graph(self):
@@ -109,7 +110,7 @@ class TestBoundaryGraphs:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
         g = Graph.from_edges(edges, num_vertices=n)
         for tau in (0.5, 2.0):
-            a = HepPartitioner(tau=tau).partition(g, 4)
+            a = job("HEP", g, 4, tau=tau)
             assert a.num_unassigned == 0
             assert a.partition_sizes().sum() == g.num_edges
 
@@ -118,7 +119,7 @@ class TestBoundaryGraphs:
         # perturb metrics or partitioning.
         clique = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         g = Graph.from_edges(clique, num_vertices=1000)
-        a = HepPartitioner(tau=2.0).partition(g, 3)
+        a = job("HEP", g, 3, tau=2.0)
         assert a.num_unassigned == 0
         from repro.metrics import replication_factor
 
@@ -127,7 +128,7 @@ class TestBoundaryGraphs:
     def test_path_graph_chain(self):
         edges = [(i, i + 1) for i in range(99)]
         g = Graph.from_edges(edges, num_vertices=100)
-        a = HepPartitioner(tau=100.0).partition(g, 4)
+        a = job("HEP", g, 4, tau=100.0)
         assert a.num_unassigned == 0
         # A path partitions into near-contiguous runs: RF close to 1.
         assert a.replication_factor() < 1.2

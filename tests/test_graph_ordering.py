@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import job
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph import Graph, read_binary_edgelist
 from repro.graph.generators import chung_lu, erdos_renyi, ring, star
@@ -20,7 +21,7 @@ from repro.metrics.communication import (
     communication_volume,
     num_cut_vertices,
 )
-from repro.partition import HdrfPartitioner, PartitionAssignment
+from repro.partition import PartitionAssignment
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +95,7 @@ class TestReorder:
     def test_round_trip_assignment_mapping(self, graph):
         perm = edge_order(graph, "random", seed=5)
         reordered = reorder_edges(graph, perm)
-        a = HdrfPartitioner().partition(reordered, 4)
+        a = job("HDRF", reordered, 4)
         # Map back to canonical order and check metric equivalence.
         parts = np.empty(graph.num_edges, dtype=np.int32)
         parts[perm] = a.parts
@@ -123,7 +124,7 @@ class TestCommunicationMetrics:
         assert num_cut_vertices(a) == 0
 
     def test_volume_consistent_with_rf(self, graph):
-        a = HdrfPartitioner().partition(graph, 8)
+        a = job("HDRF", graph, 8)
         covered = int((graph.degrees > 0).sum())
         expected = replication_factor(a) * covered - covered
         assert communication_volume(a) == pytest.approx(expected)
@@ -131,7 +132,7 @@ class TestCommunicationMetrics:
 
 class TestPartitionIo:
     def test_assignment_round_trip(self, graph, tmp_path):
-        a = HdrfPartitioner().partition(graph, 4)
+        a = job("HDRF", graph, 4)
         path = tmp_path / "parts.txt"
         write_assignment(a, path)
         back = read_assignment(graph, path)
@@ -139,7 +140,7 @@ class TestPartitionIo:
         assert np.array_equal(back.parts, a.parts)
 
     def test_read_detects_wrong_graph(self, graph, tmp_path):
-        a = HdrfPartitioner().partition(graph, 4)
+        a = job("HDRF", graph, 4)
         path = tmp_path / "parts.txt"
         write_assignment(a, path)
         other = erdos_renyi(50, 60, seed=1)
@@ -153,7 +154,7 @@ class TestPartitionIo:
             read_assignment(graph, path)
 
     def test_partition_edgelists_cover_graph(self, graph, tmp_path):
-        a = HdrfPartitioner().partition(graph, 4)
+        a = job("HDRF", graph, 4)
         paths = write_partition_edgelists(a, tmp_path / "shards")
         assert len(paths) == 4
         total = 0

@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hep import HepPartitioner
+from references import job
 from repro.errors import CapacityError, ConfigurationError
 from repro.graph.generators import chung_lu, ring
-from repro.partition import HdrfPartitioner, hdrf_stream
+from repro.partition import hdrf_stream
 from repro.partition.scoring import hdrf_scores
 from repro.partition.state import StreamingState
 from strategies import edge_lists
@@ -153,11 +153,11 @@ _IDS = ["eps-zero", "eps-negative", "lam-negative", "lam-inf"]
 )
 def test_hdrf_partitioner_rejects_unusable_balance_params(params, match):
     with pytest.raises(ConfigurationError, match=match):
-        HdrfPartitioner(**params).partition(ring(40), 4)
+        job("HDRF", ring(40), 4, algo_params=params)
 
 
 @pytest.mark.parametrize("params,match", _OUT_OF_RANGE, ids=_IDS)
 def test_hep_phase_two_rejects_unusable_balance_params(params, match):
     graph = chung_lu(300, mean_degree=8, exponent=2.1, seed=7)
     with pytest.raises(ConfigurationError, match=match):
-        HepPartitioner(tau=1.0, **params).partition(graph, 4)
+        job("HEP", graph, 4, tau=1.0, algo_params=params)

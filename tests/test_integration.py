@@ -8,8 +8,8 @@ experiment harness depends on.
 import numpy as np
 import pytest
 
+from references import job
 from repro import (
-    HepPartitioner,
     assert_valid,
     datasets,
     hep_memory_bytes,
@@ -21,7 +21,7 @@ from repro import (
 from repro.core import run_ne_plus_plus
 from repro.core.memory_model import pruned_column_entries
 from repro.errors import ConfigurationError
-from repro.experiments.common import make_partitioner, run_partitioner
+from repro.experiments.common import partition_graph, run_partitioner
 from repro.graph import build_pruned_csr
 from repro.graph.generators import chung_lu
 from repro.memsim import PAGE_BYTES, run_paged_ne_plus_plus
@@ -37,24 +37,23 @@ class TestFileToPartitionPipeline:
         path = tmp_path / "graph.bin"
         write_binary_edgelist(original, path)
         graph = read_binary_edgelist(path, num_vertices=300, name="g")
-        assignment = HepPartitioner(tau=2.0).partition(graph, 4)
+        assignment = job("HEP", graph, 4, tau=2.0)
         assert_valid(assignment, alpha=1.0)
         # Same input file -> same partitioning (full determinism).
-        again = HepPartitioner(tau=2.0).partition(
-            read_binary_edgelist(path, num_vertices=300), 4
+        again = job(
+            "HEP", read_binary_edgelist(path, num_vertices=300), 4, tau=2.0
         )
         assert np.array_equal(assignment.parts, again.parts)
 
     def test_budget_to_partition_pipeline(self):
-        """select_tau -> HepPartitioner honors the projected footprint."""
+        """select_tau -> a HEP job honors the projected footprint."""
         graph = datasets.load("LJ")
         k = 16
         generous = hep_memory_bytes(graph, 1e9, k)
         budget = int(generous * 0.7)
         tau, projected = select_tau(graph, budget, k)
         assert projected <= budget
-        partitioner = HepPartitioner(tau=tau)
-        assignment = partitioner.partition(graph, k)
+        assignment = job("HEP", graph, k, tau=tau)
         assert_valid(assignment, alpha=1.0)
         # The projection equals the model for the chosen tau.
         assert projected == hep_memory_bytes(graph, tau, k)
@@ -77,7 +76,7 @@ class TestCrossModuleConsistency:
             assert pruned_column_entries(graph, tau) == csr.col.size
 
     def test_engine_rf_equals_metric_rf(self, graph):
-        assignment = HepPartitioner(tau=1.0).partition(graph, 4)
+        assignment = job("HEP", graph, 4, tau=1.0)
         engine = VertexCutEngine(assignment)
         assert engine.replication_factor() == pytest.approx(
             replication_factor(assignment)
@@ -85,7 +84,7 @@ class TestCrossModuleConsistency:
 
     def test_report_row_matches_direct_metrics(self, graph):
         report = run_partitioner("HEP-10", graph, 4)
-        assignment = HepPartitioner(tau=10.0).partition(graph, 4)
+        assignment = job("HEP", graph, 4, tau=10.0)
         assert report.replication_factor == pytest.approx(
             replication_factor(assignment)
         )
@@ -94,15 +93,15 @@ class TestCrossModuleConsistency:
 
     def test_make_partitioner_names_round_trip(self, graph):
         for name in ("HEP-100", "HEP-1", "HDRF", "DBH", "NE", "NE++", "SNE"):
-            partitioner = make_partitioner(name)
+            row, _ = partition_graph(name, graph, 4)
             # Table name must reproduce so Figure 8 rows stay addressable.
-            assert partitioner.name.upper().startswith(name.split("-")[0].upper())
+            assert row.upper().startswith(name.split("-")[0].upper())
 
     def test_make_partitioner_unknown(self, graph):
         with pytest.raises(ConfigurationError, match="unknown partitioner"):
-            make_partitioner("NOPE")
+            partition_graph("NOPE", graph, 4)
         with pytest.raises(ConfigurationError, match="HEP-<tau> name"):
-            make_partitioner("HEP-abc")
+            partition_graph("HEP-abc", graph, 4)
 
 
 class TestFullEvaluationSlice:
@@ -115,12 +114,14 @@ class TestFullEvaluationSlice:
 
     @pytest.mark.parametrize(
         "name",
-        ["HEP-10", "HEP-1", "HDRF", "Greedy", "DBH", "Grid", "ADWISE",
-         "Random", "NE", "NE++", "SNE", "DNE", "METIS"],
+        ["HEP-10", "HEP-1", "HEP", "HDRF", "Greedy", "DBH", "Grid",
+         "Restreaming", "ADWISE", "Random", "NE", "NE++", "SNE", "DNE",
+         "METIS"],
     )
     def test_partitioner_to_processing(self, graph, name):
-        partitioner = make_partitioner(name)
-        assignment = partitioner.partition(graph, 4)
+        report = run_partitioner(name, graph, 4)
+        assert report.memory_bytes > 0
+        _, assignment = partition_graph(name, graph, 4)
         assert assignment.num_unassigned == 0
         engine = VertexCutEngine(assignment)
         job = pagerank(engine, iterations=3)

@@ -20,7 +20,6 @@ from repro.metrics import (
     vertex_balance,
 )
 from repro.partition import PartitionAssignment
-from repro.partition.base import TimedResult
 
 
 def square() -> Graph:
@@ -113,7 +112,7 @@ class TestReport:
         g = square()
         g.name = "sq"
         a = PartitionAssignment(g, 2, np.array([0, 0, 1, 1]))
-        report = summarize(TimedResult(a, 0.5, "X"))
+        report = summarize(a, "X", 0.5)
         assert report == PartitionReport(
             partitioner="X",
             graph="sq",

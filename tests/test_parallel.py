@@ -1,15 +1,17 @@
-"""Tests for the BSP-parallel streaming phase and ParallelHepPartitioner."""
+"""Tests for the BSP-parallel streaming phase of HEP, on the in-process
+oracle (:func:`references.parallel_hep`) the multi-worker jobs equal."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HepPartitioner
+from references import job, parallel_hep
 from repro.errors import ConfigurationError
 from repro.graph.generators import chung_lu, erdos_renyi
 from repro.metrics import assert_valid, replication_factor
-from repro.parallel import BspStreamReport, ParallelHepPartitioner
+from repro.parallel import BspStreamReport, bsp_hdrf_stream
+from repro.partition import StreamingState
 
 
 @pytest.fixture(scope="module")
@@ -19,53 +21,53 @@ def graph():
 
 class TestParallelHep:
     def test_valid_assignment(self, graph):
-        a = ParallelHepPartitioner(tau=1.0, workers=4, batch=8).partition(graph, 8)
+        a, _ = parallel_hep(graph, 8, tau=1.0, workers=4, batch=8)
         assert a.num_unassigned == 0
         assert_valid(a, alpha=1.3)
 
     def test_single_worker_batch_one_equals_sequential(self, graph):
         """workers=1, batch=1 must reproduce sequential HEP bit-for-bit."""
-        seq = HepPartitioner(tau=1.0).partition(graph, 8)
-        par = ParallelHepPartitioner(tau=1.0, workers=1, batch=1).partition(graph, 8)
+        seq = job("HEP", graph, 8, tau=1.0)
+        par, _ = parallel_hep(graph, 8, tau=1.0, workers=1, batch=1)
         assert np.array_equal(seq.parts, par.parts)
 
     def test_deterministic(self, graph):
-        a = ParallelHepPartitioner(tau=1.0, workers=4).partition(graph, 8)
-        b = ParallelHepPartitioner(tau=1.0, workers=4).partition(graph, 8)
+        a, _ = parallel_hep(graph, 8, tau=1.0, workers=4, batch=8)
+        b, _ = parallel_hep(graph, 8, tau=1.0, workers=4, batch=8)
         assert np.array_equal(a.parts, b.parts)
 
     def test_staleness_costs_quality_at_most_modestly(self, graph):
         """More parallelism (bigger stale batches) must not catastrophically
         degrade RF — the BSP merge keeps state nearly fresh."""
         k = 8
-        rf_seq = replication_factor(HepPartitioner(tau=0.5).partition(graph, k))
-        rf_par = replication_factor(
-            ParallelHepPartitioner(tau=0.5, workers=8, batch=16).partition(graph, k)
-        )
-        assert rf_par <= rf_seq * 1.25
+        rf_seq = replication_factor(job("HEP", graph, k, tau=0.5))
+        par, _ = parallel_hep(graph, k, tau=0.5, workers=8, batch=16)
+        assert replication_factor(par) <= rf_seq * 1.25
 
     def test_report_speedup(self, graph):
-        p = ParallelHepPartitioner(tau=0.5, workers=4, batch=8)
-        p.partition(graph, 8)
-        report = p.last_report
-        assert report is not None
+        _, report = parallel_hep(graph, 8, tau=0.5, workers=4, batch=8)
         assert report.edges_streamed > 0
         # With 4 workers x batch 8, each superstep covers up to 32 edges.
         assert report.modeled_speedup > 1.5
         assert report.modeled_speedup <= 4 * 8
 
     def test_no_h2h_edges_trivial_report(self, graph):
-        p = ParallelHepPartitioner(tau=1e9, workers=4)
-        a = p.partition(graph, 4)
+        a, report = parallel_hep(graph, 4, tau=1e9, workers=4, batch=8)
         assert a.num_unassigned == 0
-        assert p.last_report.supersteps == 0
-        assert p.last_report.modeled_speedup == 1.0
+        assert report.supersteps == 0
+        assert report.modeled_speedup == 1.0
 
-    def test_validation(self):
+    def test_validation(self, graph):
         with pytest.raises(ConfigurationError):
-            ParallelHepPartitioner(tau=0)
-        with pytest.raises(ConfigurationError):
-            ParallelHepPartitioner(workers=0)
+            job("HEP", graph, 8, tau=0)
+        state = StreamingState(4, 2, 10)
+        parts = np.full(1, -1, dtype=np.int32)
+        for workers, batch in ((0, 8), (2, 0)):
+            with pytest.raises(ConfigurationError):
+                bsp_hdrf_stream(
+                    state, np.array([[0, 1]]), np.arange(1), parts,
+                    workers, batch=batch,
+                )
 
 
 class TestReport:
@@ -87,8 +89,6 @@ def test_parallel_hep_property(n, m, workers, batch, seed):
     g = erdos_renyi(n, m, seed=seed)
     if g.num_edges < 4:
         return
-    a = ParallelHepPartitioner(
-        tau=0.5, workers=workers, batch=batch
-    ).partition(g, 4)
+    a, _ = parallel_hep(g, 4, tau=0.5, workers=workers, batch=batch)
     assert a.num_unassigned == 0
     assert a.partition_sizes().sum() == g.num_edges

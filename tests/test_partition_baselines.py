@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import job
 from repro.graph import Graph
 from repro.graph.generators import chung_lu, community_web, erdos_renyi, grid2d, ring
 from repro.metrics import (
@@ -15,7 +16,6 @@ from repro.metrics import (
 )
 from repro.partition import (
     DnePartitioner,
-    HdrfPartitioner,
     MetisPartitioner,
     NePartitioner,
     RandomStreamPartitioner,
@@ -196,15 +196,11 @@ class TestSimpleHybrid:
     def test_worse_than_hep_with_much_streaming(self, social_graph):
         """Figure 9's point: at low tau the random streaming phase hurts —
         HEP's informed HDRF phase wins clearly."""
-        from repro.core import HepPartitioner
-
         k = 8
         rf_hybrid = replication_factor(
             SimpleHybridPartitioner(tau=0.5).partition(social_graph, k)
         )
-        rf_hep = replication_factor(
-            HepPartitioner(tau=0.5).partition(social_graph, k)
-        )
+        rf_hep = replication_factor(job("HEP", social_graph, k, tau=0.5))
         assert rf_hep < rf_hybrid
 
     def test_tau_huge_equals_pure_ne(self, social_graph):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import job
 from repro.graph import Graph
 from repro.graph.generators import chung_lu, erdos_renyi, grid2d, ring, star
 from repro.metrics import assert_valid, replication_factor
-from repro.partition import HdrfPartitioner, RandomStreamPartitioner
+from repro.partition import RandomStreamPartitioner
 from repro.partition.ne import NePartitioner
 
 
@@ -77,7 +78,7 @@ class TestNeQuality:
 
         g = community_web(10, 60, intra_mean_degree=8, inter_fraction=0.02, seed=9)
         rf_ne = replication_factor(NePartitioner().partition(g, 8))
-        rf_hdrf = replication_factor(HdrfPartitioner().partition(g, 8))
+        rf_hdrf = replication_factor(job("HDRF", g, 8))
         assert rf_ne < rf_hdrf
 
     def test_balanced_partitions(self, social_graph):

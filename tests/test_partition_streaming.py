@@ -1,32 +1,34 @@
-"""Tests for the streaming partitioners: HDRF, Greedy, DBH, Grid, Random,
-ADWISE — validity, balance, determinism and quality relationships."""
+"""Tests for the streaming partitioners: HDRF, Greedy, DBH, Grid (run as
+jobs), Random, ADWISE — validity, balance, determinism and quality
+relationships."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import job
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.generators import chung_lu, erdos_renyi, ring, star
 from repro.metrics import assert_valid, edge_balance, replication_factor
-from repro.partition import (
-    AdwisePartitioner,
-    DbhPartitioner,
-    GreedyPartitioner,
-    GridPartitioner,
-    HdrfPartitioner,
-    RandomStreamPartitioner,
-)
+from repro.partition import AdwisePartitioner, RandomStreamPartitioner
 from repro.partition.grid import grid_shape
 
+
+def _job(algo):
+    """``partition(graph, k)`` of the ``algo`` job."""
+    return lambda graph, k: job(algo, graph, k)
+
+
+#: ``partition(graph, k)`` callables, one per streaming partitioner
 ALL_STREAMING = [
-    HdrfPartitioner(),
-    GreedyPartitioner(),
-    DbhPartitioner(),
-    GridPartitioner(),
-    RandomStreamPartitioner(),
-    AdwisePartitioner(window=16),
+    pytest.param(_job("HDRF"), id="HDRF"),
+    pytest.param(_job("Greedy"), id="Greedy"),
+    pytest.param(_job("DBH"), id="DBH"),
+    pytest.param(_job("Grid"), id="Grid"),
+    pytest.param(RandomStreamPartitioner().partition, id="Random"),
+    pytest.param(AdwisePartitioner(window=16).partition, id="ADWISE"),
 ]
 
 
@@ -35,43 +37,43 @@ def social_graph() -> Graph:
     return chung_lu(600, mean_degree=10, exponent=2.2, seed=42, name="social")
 
 
-@pytest.mark.parametrize("partitioner", ALL_STREAMING, ids=lambda p: p.name)
+@pytest.mark.parametrize("partition", ALL_STREAMING)
 @pytest.mark.parametrize("k", [2, 4, 8])
 class TestAllStreamingValid:
-    def test_valid_and_balanced(self, partitioner, k, social_graph):
-        assignment = partitioner.partition(social_graph, k)
+    def test_valid_and_balanced(self, partition, k, social_graph):
+        assignment = partition(social_graph, k)
         assert_valid(assignment, alpha=1.0)
 
-    def test_replication_factor_bounds(self, partitioner, k, social_graph):
-        assignment = partitioner.partition(social_graph, k)
+    def test_replication_factor_bounds(self, partition, k, social_graph):
+        assignment = partition(social_graph, k)
         rf = replication_factor(assignment)
         assert 1.0 <= rf <= k
 
 
-@pytest.mark.parametrize("partitioner", ALL_STREAMING, ids=lambda p: p.name)
-def test_deterministic(partitioner, social_graph):
-    a = partitioner.partition(social_graph, 4)
-    b = partitioner.partition(social_graph, 4)
+@pytest.mark.parametrize("partition", ALL_STREAMING)
+def test_deterministic(partition, social_graph):
+    a = partition(social_graph, 4)
+    b = partition(social_graph, 4)
     assert np.array_equal(a.parts, b.parts)
 
 
-@pytest.mark.parametrize("partitioner", ALL_STREAMING, ids=lambda p: p.name)
-def test_rejects_k_below_two(partitioner, social_graph):
+@pytest.mark.parametrize("partition", ALL_STREAMING)
+def test_rejects_k_below_two(partition, social_graph):
     with pytest.raises(ConfigurationError):
-        partitioner.partition(social_graph, 1)
+        partition(social_graph, 1)
 
 
-@pytest.mark.parametrize("partitioner", ALL_STREAMING, ids=lambda p: p.name)
-def test_rejects_empty_graph(partitioner):
+@pytest.mark.parametrize("partition", ALL_STREAMING)
+def test_rejects_empty_graph(partition):
     g = Graph.from_edges(np.empty((0, 2)), num_vertices=4)
     with pytest.raises(PartitioningError):
-        partitioner.partition(g, 2)
+        partition(g, 2)
 
 
 class TestHdrf:
     def test_star_graph_hub_replicated_leaves_not(self):
         g = star(64)
-        assignment = HdrfPartitioner().partition(g, 4)
+        assignment = job("HDRF", g, 4)
         assert_valid(assignment, alpha=1.0)
         from repro.metrics import replicas_per_vertex
 
@@ -80,30 +82,30 @@ class TestHdrf:
         assert (replicas[1:] == 1).all()  # leaves never replicated
 
     def test_beats_random_on_powerlaw(self, social_graph):
-        rf_hdrf = replication_factor(HdrfPartitioner().partition(social_graph, 8))
+        rf_hdrf = replication_factor(job("HDRF", social_graph, 8))
         rf_rand = replication_factor(
             RandomStreamPartitioner().partition(social_graph, 8)
         )
         assert rf_hdrf < rf_rand
 
     def test_exact_degrees_mode(self, social_graph):
-        a = HdrfPartitioner(exact_degrees=True).partition(social_graph, 4)
+        a = job("HDRF", social_graph, 4, algo_params={"exact_degrees": True})
         assert_valid(a, alpha=1.0)
 
     def test_shuffle_mode_differs(self, social_graph):
-        a = HdrfPartitioner().partition(social_graph, 4)
-        b = HdrfPartitioner(shuffle=True, seed=3).partition(social_graph, 4)
+        a = job("HDRF", social_graph, 4)
+        b = job("HDRF", social_graph, 4, order="random", seed=3)
         assert not np.array_equal(a.parts, b.parts)
         assert_valid(b, alpha=1.0)
 
     def test_alpha_relaxation_respected(self, social_graph):
-        a = HdrfPartitioner(alpha=1.2).partition(social_graph, 4)
+        a = job("HDRF", social_graph, 4, alpha=1.2)
         assert_valid(a, alpha=1.2)
 
     def test_lambda_zero_ignores_balance_softly(self):
         # With lam=0 the balance term vanishes; capacity still enforced.
         g = ring(40)
-        a = HdrfPartitioner(lam=0.0).partition(g, 4)
+        a = job("HDRF", g, 4, algo_params={"lam": 0.0})
         assert_valid(a, alpha=1.0)
 
 
@@ -112,13 +114,13 @@ class TestGreedy:
         # On a ring, greedy should chain edges onto the partitions of
         # their endpoints, giving far lower RF than random.
         g = ring(200)
-        rf_greedy = replication_factor(GreedyPartitioner().partition(g, 4))
+        rf_greedy = replication_factor(job("Greedy", g, 4))
         rf_rand = replication_factor(RandomStreamPartitioner().partition(g, 4))
         assert rf_greedy < rf_rand
 
     def test_hdrf_not_worse_than_greedy_on_powerlaw(self, social_graph):
-        rf_hdrf = replication_factor(HdrfPartitioner().partition(social_graph, 8))
-        rf_greedy = replication_factor(GreedyPartitioner().partition(social_graph, 8))
+        rf_hdrf = replication_factor(job("HDRF", social_graph, 8))
+        rf_greedy = replication_factor(job("Greedy", social_graph, 8))
         # The paper: "the Greedy strategy is clearly outperformed by HDRF".
         assert rf_hdrf <= rf_greedy * 1.1
 
@@ -126,7 +128,7 @@ class TestGreedy:
 class TestDbh:
     def test_low_degree_endpoint_hashed(self):
         g = star(32)
-        a = DbhPartitioner().partition(g, 4)
+        a = job("DBH", g, 4)
         # Every edge hashes its leaf (degree 1 < hub degree); leaves with
         # the same hash land together, hub spreads over partitions.
         from repro.metrics import replicas_per_vertex
@@ -134,12 +136,12 @@ class TestDbh:
         assert (replicas_per_vertex(a)[1:] == 1).all()
 
     def test_fully_deterministic_under_salt(self, social_graph):
-        a = DbhPartitioner(salt=1).partition(social_graph, 4)
-        b = DbhPartitioner(salt=2).partition(social_graph, 4)
+        a = job("DBH", social_graph, 4, algo_params={"salt": 1})
+        b = job("DBH", social_graph, 4, algo_params={"salt": 2})
         assert not np.array_equal(a.parts, b.parts)
 
     def test_near_balanced_before_repair(self, social_graph):
-        a = DbhPartitioner().partition(social_graph, 4)
+        a = job("DBH", social_graph, 4)
         assert edge_balance(a) <= 1.0 + 4 / social_graph.num_edges * 4
 
 
@@ -153,7 +155,7 @@ class TestGrid:
     def test_replication_bounded_by_row_plus_col(self, social_graph):
         k = 16
         rows, cols = grid_shape(k)
-        a = GridPartitioner().partition(social_graph, k)
+        a = job("Grid", social_graph, k)
         from repro.metrics import replicas_per_vertex
 
         assert replicas_per_vertex(a).max() <= rows + cols
@@ -198,13 +200,13 @@ def test_streaming_partitioners_random_graphs(n, m, k, seed):
     g = erdos_renyi(n, m, seed=seed)
     if g.num_edges == 0:
         return
-    for partitioner in (
-        HdrfPartitioner(),
-        GreedyPartitioner(),
-        DbhPartitioner(),
-        GridPartitioner(),
-        RandomStreamPartitioner(seed=seed),
-        AdwisePartitioner(window=8),
+    for partition in (
+        _job("HDRF"),
+        _job("Greedy"),
+        _job("DBH"),
+        _job("Grid"),
+        RandomStreamPartitioner(seed=seed).partition,
+        AdwisePartitioner(window=8).partition,
     ):
-        assignment = partitioner.partition(g, k)
+        assignment = partition(g, k)
         assert_valid(assignment, alpha=1.0)

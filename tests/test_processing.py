@@ -5,14 +5,10 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from references import job
 from repro.graph import Graph
 from repro.graph.generators import chung_lu, community_web, erdos_renyi, ring
-from repro.partition import (
-    DbhPartitioner,
-    HdrfPartitioner,
-    PartitionAssignment,
-    RandomStreamPartitioner,
-)
+from repro.partition import PartitionAssignment, RandomStreamPartitioner
 from repro.partition.ne import NePartitioner
 from repro.processing import (
     CostModel,
@@ -30,7 +26,7 @@ def graph() -> Graph:
 
 @pytest.fixture(scope="module")
 def engine(graph) -> VertexCutEngine:
-    assignment = HdrfPartitioner().partition(graph, 4)
+    assignment = job("HDRF", graph, 4)
     return VertexCutEngine(assignment)
 
 
@@ -166,7 +162,7 @@ class TestCostShape:
         assert t_cc < t_pr
 
     def test_custom_cost_model_scales(self, graph):
-        a = DbhPartitioner().partition(graph, 4)
+        a = job("DBH", graph, 4)
         cheap = VertexCutEngine(a, CostModel(barrier_cost=0.0))
         costly = VertexCutEngine(
             a,

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import job
 from repro.graph.generators import erdos_renyi
-from repro.partition import DbhPartitioner, RandomStreamPartitioner
+from repro.partition import RandomStreamPartitioner
 from repro.processing import VertexCutEngine, bfs, connected_components, pagerank
 
 
@@ -15,7 +16,7 @@ def _engine(n, m, seed, k=4):
     g = erdos_renyi(n, m, seed=seed)
     if g.num_edges < k:
         return None
-    return VertexCutEngine(DbhPartitioner().partition(g, k))
+    return VertexCutEngine(job("DBH", g, k))
 
 
 @settings(max_examples=20, deadline=None)
@@ -78,7 +79,7 @@ def test_costs_are_partitioning_independent_values(n, m, seed):
     g = erdos_renyi(n, m, seed=seed)
     if g.num_edges < 4:
         return
-    e1 = VertexCutEngine(DbhPartitioner().partition(g, 4))
+    e1 = VertexCutEngine(job("DBH", g, 4))
     e2 = VertexCutEngine(RandomStreamPartitioner(seed=seed).partition(g, 4))
     r1 = pagerank(e1, iterations=10)
     r2 = pagerank(e2, iterations=10)

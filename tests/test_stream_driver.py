@@ -1,30 +1,29 @@
-"""Streaming baselines out of core: streamed ≡ in-memory per baseline."""
+"""Streaming baselines out of core: streamed ≡ in-memory per baseline.
+
+The in-memory side is the test-local kernel reference
+(:mod:`references`): one kernel call over the whole edge array.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import generators, write_binary_edgelist, write_text_edgelist
 from repro.metrics import assert_valid
-from repro.partition import (
-    DbhPartitioner,
-    GreedyPartitioner,
-    GridPartitioner,
-    HdrfPartitioner,
-    RestreamingHdrfPartitioner,
-)
 from repro.runtime import create_algorithm, make_job, run_job
 from strategies import graphs
 
-#: (algo name, equivalent in-memory partitioner factory, algo_params)
+#: (algo name, in-memory reference ``(graph, k) -> assignment``, algo_params)
 _CASES = [
-    ("HDRF", lambda: HdrfPartitioner(), {}),
-    ("Greedy", lambda: GreedyPartitioner(), {}),
-    ("DBH", lambda: DbhPartitioner(), {}),
-    ("Grid", lambda: GridPartitioner(), {}),
-    ("Restreaming", lambda: RestreamingHdrfPartitioner(passes=2), {"passes": 2}),
+    ("HDRF", lambda g, k: references.hdrf(g, k), {}),
+    ("Greedy", lambda g, k: references.greedy(g, k), {}),
+    ("DBH", lambda g, k: references.dbh(g, k), {}),
+    ("Grid", lambda g, k: references.grid(g, k), {}),
+    ("Restreaming", lambda g, k: references.restreaming(g, k, passes=2),
+     {"passes": 2}),
 ]
 
 
@@ -36,7 +35,7 @@ def skewed_graph():
 class TestEquivalence:
     """Acceptance: every baseline is bit-identical streamed vs in-memory."""
 
-    @pytest.mark.parametrize("name,make_inmem,kwargs", _CASES)
+    @pytest.mark.parametrize("name,reference,kwargs", _CASES)
     @settings(max_examples=15, deadline=None)
     @given(
         graph=graphs(min_edges=2, max_edges=60, max_vertices=16),
@@ -44,22 +43,22 @@ class TestEquivalence:
         k=st.integers(min_value=2, max_value=4),
     )
     def test_property_identical_parts(
-        self, graph, chunk_size, k, name, make_inmem, kwargs
+        self, graph, chunk_size, k, name, reference, kwargs
     ):
-        expected = make_inmem().partition(graph, k)
+        expected = reference(graph, k)
         spec = make_job(
             name, graph, k, chunk_size=chunk_size, algo_params=kwargs
         )
         result = run_job(spec, graph)
         assert np.array_equal(result.parts, expected.parts)
 
-    @pytest.mark.parametrize("name,make_inmem,kwargs", _CASES)
+    @pytest.mark.parametrize("name,reference,kwargs", _CASES)
     def test_binary_file_identical(
-        self, skewed_graph, tmp_path, name, make_inmem, kwargs
+        self, skewed_graph, tmp_path, name, reference, kwargs
     ):
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
-        expected = make_inmem().partition(skewed_graph, 5)
+        expected = reference(skewed_graph, 5)
         result = run_job(
             make_job(name, path, 5, chunk_size=173, algo_params=kwargs)
         )
@@ -72,7 +71,7 @@ class TestEquivalence:
     def test_text_file_identical(self, skewed_graph, tmp_path):
         path = tmp_path / "g.txt"
         write_text_edgelist(skewed_graph, path)
-        expected = HdrfPartitioner().partition(skewed_graph, 4)
+        expected = references.hdrf(skewed_graph, 4)
         result = run_job(make_job("HDRF", path, 4, chunk_size=64))
         assert np.array_equal(result.parts, expected.parts)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from repro.errors import ConfigurationError
 from repro.graph import (
     generators,
@@ -13,7 +14,6 @@ from repro.graph import (
     write_text_edgelist,
 )
 from repro.graph.ordering import edge_order
-from repro.partition import HdrfPartitioner
 from repro.runtime import make_job, run_job
 from repro.stream import BinaryFileEdgeSource, external_sort_edges
 from strategies import graphs
@@ -112,7 +112,7 @@ class TestFeedsDrivers:
         out = tmp_path / "deg.bin"
         external_sort_edges(skewed_graph, out, order="degree", chunk_size=64)
         reordered = reorder_edges(skewed_graph, edge_order(skewed_graph, "degree"))
-        expected = HdrfPartitioner().partition(reordered, 4)
+        expected = references.hdrf(reordered, 4)
         result = run_job(make_job("HDRF", out, 4, chunk_size=64))
         assert np.array_equal(result.parts, expected.parts)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hep import HepPartitioner
+import references
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph, generators, write_binary_edgelist
 from repro.metrics import assert_valid
@@ -46,7 +46,7 @@ class TestEquivalence:
         tau=st.sampled_from([0.5, 1.0, 2.0, 10.0]),
     )
     def test_property_identical_parts(self, graph, chunk_size, k, tau):
-        expected = HepPartitioner(tau=tau).partition(graph, k)
+        expected = references.hep(graph, k, tau=tau)
         result = run_job(
             make_job("HEP", graph, k, tau=tau, chunk_size=chunk_size), graph
         )
@@ -56,7 +56,7 @@ class TestEquivalence:
     @given(graph=power_law_graphs(max_vertices=80), chunk_size=st.integers(1, 40))
     def test_property_power_law_tau_one(self, graph, chunk_size):
         """tau=1 pushes real edge mass through the spill path."""
-        expected = HepPartitioner(tau=1.0).partition(graph, 3)
+        expected = references.hep(graph, 3, tau=1.0)
         result = run_job(
             make_job("HEP", graph, 3, tau=1.0, chunk_size=chunk_size), graph
         )
@@ -65,7 +65,7 @@ class TestEquivalence:
     def test_file_source_identical(self, skewed_graph, tmp_path):
         path = tmp_path / "g.bin"
         write_binary_edgelist(skewed_graph, path)
-        expected = HepPartitioner(tau=1.0).partition(skewed_graph, 8)
+        expected = references.hep(skewed_graph, 8, tau=1.0)
         result = run_job(make_job("HEP", path, 8, tau=1.0, chunk_size=123))
         assert np.array_equal(result.parts, expected.parts)
         assert result.replication_factor == pytest.approx(

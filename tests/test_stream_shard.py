@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import references
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph import Graph, generators, write_binary_edgelist
-from repro.partition import HdrfPartitioner
 from repro.runtime import make_job, run_job
 from repro.stream import (
     BinaryFileEdgeSource,
@@ -323,7 +323,7 @@ class TestDriverEquivalence:
     def test_property_hdrf_sharded_identical(
         self, graph, chunk_size, num_shards, k
     ):
-        expected = HdrfPartitioner().partition(graph, k)
+        expected = references.hdrf(graph, k)
         with tempfile.TemporaryDirectory() as tmp:
             manifest = write_sharded_edges(
                 graph, Path(tmp) / "g.manifest.json", num_shards=num_shards
@@ -337,13 +337,11 @@ class TestDriverEquivalence:
     def test_hep_over_manifest_identical(
         self, skewed_graph, tmp_path, compression
     ):
-        from repro.core import HepPartitioner
-
         manifest = write_sharded_edges(
             skewed_graph, tmp_path / "g.manifest.json", num_shards=3,
             compression=compression,
         )
-        expected = HepPartitioner(tau=1.0).partition(skewed_graph, 4)
+        expected = references.hep(skewed_graph, 4, tau=1.0)
         result = run_job(
             make_job("HEP", str(manifest.path), 4, tau=1.0, chunk_size=101)
         )

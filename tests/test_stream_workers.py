@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import references
 from strategies import bsp_schedules, power_law_graphs
 
 from repro.errors import (
@@ -27,11 +28,7 @@ from repro.errors import (
 from repro.graph.edgelist import write_binary_edgelist
 from repro.graph.generators import chung_lu
 from repro.obs import NULL_TRACER
-from repro.parallel import (
-    ParallelHepPartitioner,
-    SharedState,
-    bsp_hdrf_stream,
-)
+from repro.parallel import SharedState, bsp_hdrf_stream
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
@@ -391,9 +388,9 @@ class TestMultiWorkerHep:
         result = run_job(
             make_job("HEP", path, 8, workers=workers, batch=batch, tau=1.0)
         )
-        oracle = ParallelHepPartitioner(
-            tau=1.0, workers=workers, batch=batch
-        ).partition(graph, 8)
+        oracle, _ = references.parallel_hep(
+            graph, 8, tau=1.0, workers=workers, batch=batch
+        )
         assert np.array_equal(result.parts, oracle.parts)
         assert result.num_unassigned == 0
         assert result.report is not None
