@@ -1,8 +1,10 @@
 """Quality metrics for edge partitionings (Section 2 definitions).
 
 In-memory assignments are scored by the classic functions below; a
-finished *on-disk* assignment is scored out of core — optionally on
-worker processes — by :mod:`repro.metrics.streaming`.
+finished *on-disk* assignment is scored out of core, in sequential
+chunked sweeps, by :mod:`repro.metrics.streaming`.  Both mark their
+vertex covers with the one kernel
+:func:`~repro.partition.base.mark_cover`.
 """
 
 from repro.metrics.balance import edge_balance, load_distribution, vertex_balance

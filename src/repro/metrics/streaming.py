@@ -4,8 +4,8 @@ The Section 2 metrics in this package score an in-memory
 :class:`~repro.partition.base.PartitionAssignment`.  This module scores
 a finished per-edge assignment against an *on-disk* edge stream instead
 — the counting and metrics passes of :mod:`repro.stream.scan`, with the
-bit-packed ``k x n`` vertex cover and the budget-aware column-blocked
-fallback.
+bool ``k x n`` vertex cover block (``k * n`` bytes) and the
+budget-aware column-blocked fallback.
 """
 
 from __future__ import annotations

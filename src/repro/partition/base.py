@@ -8,6 +8,11 @@ in-memory-only baseline's :class:`Partitioner` output — is a
 quality metrics (replication factor, balance) are derived from that
 single array, so results from very different algorithms are directly
 comparable and checkable.
+
+:func:`mark_cover` is the one vertex-cover kernel: the in-memory
+:meth:`PartitionAssignment.cover_matrix`, the streamed metrics pass
+(:func:`repro.stream.scan.chunked_quality`) and the service's vertex
+lookups (:mod:`repro.serve.artifacts`) all mark their covers with it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ import numpy as np
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph.edgelist import Graph
 
-__all__ = ["PartitionAssignment", "Partitioner", "capacity_bound"]
+__all__ = [
+    "PartitionAssignment", "Partitioner", "capacity_bound", "mark_cover",
+]
 
 UNASSIGNED = -1
 
@@ -35,6 +42,43 @@ def capacity_bound(num_edges: int, k: int, alpha: float = 1.0) -> int:
     if alpha < 1.0:
         raise ConfigurationError(f"alpha must be >= 1.0, got {alpha}")
     return max(1, int(np.ceil(alpha * num_edges / k)))
+
+
+def mark_cover(
+    cover: np.ndarray,
+    ps: np.ndarray,
+    pairs: np.ndarray,
+    lo: int | None = None,
+) -> None:
+    """Mark a block of edges in a bool ``(k, width)`` vertex cover.
+
+    Sets ``cover[p, v - lo]`` for both endpoints ``v`` of every edge
+    whose part ``p`` (``ps``, one entry per row of ``pairs``) is not
+    negative: one flat scatter per endpoint column into the C-contiguous
+    ``cover``.  Callers count the marked pairs with ``np.count_nonzero``.
+    Unassigned (negative) edges are masked out, so they cannot wrap into
+    partition ``k - 1``.
+
+    ``lo`` is the first vertex of a column block narrower than the
+    universe: endpoints outside ``[lo, lo + width)`` belong to another
+    block and are skipped.  ``None`` means the block is the whole
+    universe, so every endpoint indexes it directly and the range test
+    is skipped.
+    """
+    assigned = ps >= 0
+    if not assigned.all():
+        ps, pairs = ps[assigned], pairs[assigned]
+    width = cover.shape[1]
+    flat = cover.reshape(-1)
+    base = ps.astype(np.int64) * width  # k * width can exceed 2**31
+    for col in (0, 1):
+        vs = pairs[:, col]
+        if lo is None:
+            flat[base + vs] = True
+            continue
+        rel = vs.astype(np.int64) - lo
+        inside = (rel >= 0) & (rel < width)
+        flat[base[inside] + rel[inside]] = True
 
 
 class PartitionAssignment:
@@ -91,10 +135,7 @@ class PartitionAssignment:
     def cover_matrix(self) -> np.ndarray:
         """Boolean ``(k, n)`` matrix: partition ``p`` covers vertex ``v``."""
         cover = np.zeros((self.k, self.graph.num_vertices), dtype=bool)
-        mask = self.parts >= 0
-        p = self.parts[mask]
-        cover[p, self.graph.edges[mask, 0]] = True
-        cover[p, self.graph.edges[mask, 1]] = True
+        mark_cover(cover, self.parts, self.graph.edges)
         return cover
 
     # -- metric conveniences ---------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import CapacityError
+
 __all__ = ["hash_vertices", "dbh_assign", "repair_overflow"]
 
 _KNUTH = np.uint64(2654435761)
@@ -54,21 +56,28 @@ def repair_overflow(parts: np.ndarray, k: int, capacity: int) -> np.ndarray:
     """Move surplus edges from overfull to underfull partitions.
 
     Hashing occasionally lands a few edges over the hard bound; the repair
-    keeps the assignment valid without changing its character.
+    keeps the assignment valid without changing its character.  Each
+    overfull partition keeps its first ``capacity`` edges (by edge id);
+    the surplus, in ascending (partition, edge id) order, fills the
+    partitions with room in ascending order, each up to ``capacity``.
+    Raises :class:`~repro.errors.CapacityError` when the room left
+    cannot hold the surplus.
     """
     sizes = np.bincount(parts, minlength=k)
-    if (sizes <= capacity).all():
+    over = np.flatnonzero(sizes > capacity)
+    if over.size == 0:
         return parts
-    parts = parts.copy()
     space = capacity - sizes
-    underfull = [p for p in range(k) if space[p] > 0]
-    cursor = 0
-    for p in np.flatnonzero(sizes > capacity):
-        surplus_edges = np.flatnonzero(parts == p)[capacity:]
-        for e in surplus_edges:
-            while space[underfull[cursor]] == 0:
-                cursor += 1
-            target = underfull[cursor]
-            parts[e] = target
-            space[target] -= 1
+    open_parts = np.flatnonzero(space > 0)
+    targets = np.repeat(open_parts, space[open_parts])
+    surplus = np.concatenate(
+        [np.flatnonzero(parts == p)[capacity:] for p in over]
+    )
+    if surplus.size > targets.size:
+        raise CapacityError(
+            f"{surplus.size} edges over capacity {capacity} but only "
+            f"{targets.size} free slots in {k} partitions"
+        )
+    parts = parts.copy()
+    parts[surplus] = targets[: surplus.size]
     return parts

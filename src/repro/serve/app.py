@@ -25,7 +25,7 @@ from typing import Any, AsyncIterator, Awaitable, Callable
 from urllib.parse import parse_qsl, unquote
 
 from repro.errors import ConfigurationError, ReproError
-from repro.serve.artifacts import ArtifactCache
+from repro.serve.artifacts import ArtifactCache, StaleInputError
 from repro.serve.queue import JobManager, QueueFullError, SubmitError
 
 __all__ = [
@@ -161,6 +161,8 @@ class App:
                 return await handler(request)
             except HTTPError as exc:
                 return Response.error(exc.status, exc.message)
+            except StaleInputError as exc:
+                return Response.error(409, str(exc))
             except (SubmitError, ConfigurationError) as exc:
                 return Response.error(400, str(exc))
             except QueueFullError as exc:

@@ -7,8 +7,16 @@ A completed job's assignment lives in the
 microseconds, not re-open the store per request — so the service keeps
 a small LRU (:class:`ArtifactCache`) of :class:`AttachedArtifact`
 objects: the parts array mapped once, the stored quality summary
-parsed once, and a ``k × n`` vertex→parts cover built lazily on the
-first vertex lookup by streaming the input a single time.
+parsed once, and a bool ``k × n`` vertex→parts cover built lazily on
+the first vertex lookup by streaming the input a single time through
+the shared cover kernel (:func:`~repro.partition.base.mark_cover`).
+
+Anything that re-reads the input first checks that it still holds the
+edges the result was computed from: the stored ``input_digest`` must
+equal the digest of the input now, the same
+:func:`~repro.runtime.store.input_digest` the store is keyed with.  An
+edited, moved or deleted input raises :class:`StaleInputError`, which
+the service answers with 409.
 
 Everything here is synchronous and thread-safe-by-construction (reads
 of immutable arrays); the handlers run the blocking attach/build steps
@@ -24,9 +32,15 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError, ReproError
-from repro.runtime.store import ArtifactStore
+from repro.partition.base import mark_cover
+from repro.runtime.spec import InputSpec, JobSpec
+from repro.runtime.store import ArtifactStore, input_digest
 
-__all__ = ["ArtifactCache", "AttachedArtifact"]
+__all__ = ["ArtifactCache", "AttachedArtifact", "StaleInputError"]
+
+
+class StaleInputError(ReproError):
+    """The stored input no longer holds the edges a result came from."""
 
 
 class AttachedArtifact:
@@ -66,27 +80,38 @@ class AttachedArtifact:
             "algorithm": self.meta.get("algorithm"),
         }
 
+    def input_path(self) -> str:
+        """The stored input's path, once its content is checked unchanged.
+
+        Raises :class:`StaleInputError` when the entry names no input
+        path, or when the input is gone or its digest differs from the
+        one the entry was stored under.
+        """
+        spec = self.meta["spec"]
+        stored = spec["input"]
+        path = stored["path"]
+        if not path:
+            raise StaleInputError(
+                "stored entry names no input path; re-reading the input "
+                "needs the original edge source"
+            )
+        job = JobSpec(algo=spec["algo"], k=self.k, input=InputSpec(**stored))
+        if input_digest(job, path) != self.meta["input_digest"]:
+            raise StaleInputError(
+                f"{path}: the input no longer holds the edges this result "
+                "was computed from (edited, moved or deleted); resubmit "
+                "the job"
+            )
+        return path
+
     def _build_cover(self) -> np.ndarray:
-        """One streaming pass over the input → ``k × n`` bool cover."""
+        """Stream the checked input once into a bool ``k × n`` cover."""
         from repro.stream.reader import open_edge_source
 
-        source = (self.meta.get("spec") or {}).get("input", {}).get("path")
-        if not source:
-            raise ConfigurationError(
-                "stored entry names no input path; vertex lookups need "
-                "the original edge source"
-            )
-        chunk_size = (self.meta.get("spec") or {}).get("chunk_size", 65536)
+        source = open_edge_source(self.input_path(), self.meta["chunk_size"])
         cover = np.zeros((self.k, self.num_vertices), dtype=bool)
-        parts = self.parts
-        for chunk in open_edge_source(source, chunk_size):
-            p = parts[chunk.eids]
-            mask = p >= 0
-            if not mask.any():
-                continue
-            pm = p[mask]
-            cover[pm, chunk.pairs[mask, 0]] = True
-            cover[pm, chunk.pairs[mask, 1]] = True
+        for chunk in source:
+            mark_cover(cover, self.parts[chunk.eids], chunk.pairs)
         return cover
 
     def vertex_parts(self, vertex: int) -> list[int]:

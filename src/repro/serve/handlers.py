@@ -167,25 +167,17 @@ def register_routes(app: App, manager: JobManager,
 
     @app.route("GET", "/jobs/{id}/quality")
     async def quality(request: Request) -> Response:
-        """Quality summary; ``?recompute=1`` re-streams the input."""
+        """Quality summary; ``?recompute=1`` re-streams the checked input."""
         artifact = await attach_artifact(request)
         if request.query.get("recompute") not in ("1", "true"):
             return Response(200, artifact.quality())
         from repro.metrics.streaming import streamed_quality_report
 
-        source = (artifact.meta.get("spec") or {}).get(
-            "input", {}
-        ).get("path")
-        if not source:
-            raise HTTPError(
-                409, "stored entry names no input path; recompute needs "
-                "the original edge source"
-            )
         loop = asyncio.get_running_loop()
         report = await loop.run_in_executor(
             None,
             lambda: streamed_quality_report(
-                source, artifact.parts, artifact.k
+                artifact.input_path(), artifact.parts, artifact.k
             ),
         )
         return Response(200, {

@@ -9,9 +9,9 @@ paper compares against:
   from text/binary edge files, dataset names or in-memory graphs,
 * :mod:`repro.stream.scan` — the shared counting and metrics passes
   (``O(n)`` state instead of the ``O(m)`` edge list; the metrics cover
-  is bit-packed — ``k x n`` true bits — with a budget-aware
-  column-blocked fallback; both are sequential sweeps in the calling
-  process, whatever the job's worker count),
+  is one bool ``k x n`` block with a budget-aware column-blocked
+  fallback; both are sequential sweeps in the calling process,
+  whatever the job's worker count),
 * :mod:`repro.stream.spill` — the disk-backed h2h edge file NE++
   appends to instead of holding high/high edges in RAM (raw or
   zlib-framed on-disk format),
@@ -56,7 +56,6 @@ from repro.stream.reader import (
     sniff_edge_format,
 )
 from repro.stream.scan import (
-    PackedCover,
     SourceStats,
     chunked_quality,
     plan_cover_blocks,
@@ -93,7 +92,6 @@ __all__ = [
     "SourceStats",
     "scan_source",
     "chunked_quality",
-    "PackedCover",
     "plan_cover_blocks",
     "SpillFile",
     "read_spill_header",

@@ -13,6 +13,10 @@ shm ≡ oracle suites compare multi-worker HEP against
   :func:`~repro.partition.hdrf.hdrf_stream` over the h2h edges;
 * each streaming baseline: its kernel over the whole edge array.
 
+:func:`repair_overflow_loop` is the per-edge loop the vectorized
+:func:`~repro.partition.dbh.repair_overflow` replaced; a property pins
+the two to the same assignment.
+
 :func:`job` is the other side: the job under test on a loaded Graph.
 Scripts import this module with ``PYTHONPATH=src:tests``.
 """
@@ -131,3 +135,28 @@ def restreaming(graph, k, passes=3, alpha=1.0, lam=1.1, eps=1.0):
             capacity, lam, eps,
         )
     return PartitionAssignment(graph, k, parts)
+
+
+def repair_overflow_loop(parts, k, capacity):
+    """The per-edge overflow repair loop (raises ``IndexError`` when full).
+
+    Overfull partitions in ascending order hand their edges past the
+    first ``capacity`` (by edge id) one at a time to the partitions that
+    had room before the repair, filled in ascending order.
+    """
+    sizes = np.bincount(parts, minlength=k)
+    if (sizes <= capacity).all():
+        return parts
+    parts = parts.copy()
+    space = capacity - sizes
+    underfull = [p for p in range(k) if space[p] > 0]
+    cursor = 0
+    for p in np.flatnonzero(sizes > capacity):
+        surplus_edges = np.flatnonzero(parts == p)[capacity:]
+        for e in surplus_edges:
+            while space[underfull[cursor]] == 0:
+                cursor += 1
+            target = underfull[cursor]
+            parts[e] = target
+            space[target] -= 1
+    return parts

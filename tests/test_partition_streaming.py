@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import job
-from repro.errors import ConfigurationError, PartitioningError
+from references import job, repair_overflow_loop
+from repro.errors import CapacityError, ConfigurationError, PartitioningError
 from repro.graph import Graph
 from repro.graph.generators import chung_lu, erdos_renyi, ring, star
 from repro.metrics import assert_valid, edge_balance, replication_factor
 from repro.partition import AdwisePartitioner, RandomStreamPartitioner
+from repro.partition.base import capacity_bound
+from repro.partition.dbh import repair_overflow
 from repro.partition.grid import grid_shape
 
 
@@ -143,6 +145,34 @@ class TestDbh:
     def test_near_balanced_before_repair(self, social_graph):
         a = job("DBH", social_graph, 4)
         assert edge_balance(a) <= 1.0 + 4 / social_graph.num_edges * 4
+
+    @settings(max_examples=200)
+    @given(
+        k=st.integers(min_value=2, max_value=19),
+        m=st.integers(min_value=0, max_value=400),
+        alpha=st.sampled_from([1.0, 1.05, 1.5]),
+        skew=st.floats(min_value=0.0, max_value=4.0),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_repair_overflow_matches_loop(self, k, m, alpha, skew, seed):
+        """The vectorized repair moves the same edges as the loop."""
+        rng = np.random.default_rng(seed)
+        weights = np.arange(1, k + 1, dtype=np.float64) ** skew
+        parts = rng.choice(k, size=m, p=weights / weights.sum())
+        parts = parts.astype(np.int32)
+        capacity = capacity_bound(m, k, alpha)
+        expected = repair_overflow_loop(parts, k, capacity)
+        repaired = repair_overflow(parts, k, capacity)
+        assert np.array_equal(repaired, expected)
+        assert np.bincount(repaired, minlength=k).max() <= capacity
+
+    def test_repair_overflow_without_room_raises(self):
+        """A capacity too small for all edges is a CapacityError."""
+        parts = np.array([0, 0, 1, 1, 1, 1, 1], dtype=np.int32)
+        with pytest.raises(IndexError):
+            repair_overflow_loop(parts, 2, 3)
+        with pytest.raises(CapacityError, match="2 edges over capacity 3"):
+            repair_overflow(parts, 2, 3)
 
 
 class TestGrid:

@@ -102,6 +102,19 @@ async def _service(store_root, queue_size=16, start=True):
     return store, manager, cache, app
 
 
+def _reference_vertex_parts(graph, parts):
+    """``vertex → ascending parts`` from ``np.unique(p * n + v)``."""
+    n = graph.num_vertices
+    assigned = parts >= 0
+    p = parts[assigned].astype(np.int64) * n
+    edges = graph.edges[assigned]
+    keys = np.unique(np.concatenate([p + edges[:, 0], p + edges[:, 1]]))
+    want = {v: [] for v in range(n)}
+    for key in keys.tolist():
+        want[key % n].append(key // n)
+    return want
+
+
 async def _collect_events(job):
     """Follow a job's event log until it closes; returns every event."""
     events, cursor = [], 0
@@ -389,10 +402,12 @@ class TestServeEndToEnd:
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=300))
 
-    def test_http_round_trip_and_event_stream(self, edge_file, tmp_path):
+    def test_http_round_trip_and_event_stream(
+        self, graph, edge_file, tmp_path
+    ):
         """The same scenario HTTP-shaped: every byte through the app."""
         async def scenario():
-            store, manager, _, app = await _service(tmp_path / "cache")
+            store, manager, cache, app = await _service(tmp_path / "cache")
             payload = _payload(edge_file)
             try:
                 status, first = await _asgi_json(
@@ -452,6 +467,18 @@ class TestServeEndToEnd:
                 assert health["executions"] == 1
                 assert health["jobs"] == {JobState.SUCCEEDED: 1}
                 assert health["pools"] == []
+
+                # Every vertex's replica set equals an independent
+                # np.unique over the stored assignment.
+                want = _reference_vertex_parts(
+                    graph, cache.attach(job.key).parts
+                )
+                for vertex in range(graph.num_vertices):
+                    status, doc = await _asgi_json(
+                        app, "GET", f"/jobs/{job_id}/vertex/{vertex}"
+                    )
+                    assert status == 200
+                    assert doc["parts"] == want[vertex], vertex
             finally:
                 await manager.shutdown()
 
@@ -471,6 +498,48 @@ class TestServeEndToEnd:
             await manager.shutdown()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("change", ["edited", "deleted"])
+    def test_changed_input_is_409_for_reads_of_the_input(
+        self, change, tmp_path
+    ):
+        """An input edited or deleted after the run answers 409 naming it."""
+        path = tmp_path / "input.bin"
+        write_binary_edgelist(
+            chung_lu(300, mean_degree=6, exponent=2.2, seed=41), path
+        )
+
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "cache")
+            try:
+                job, _ = await manager.submit(_payload(path))
+                await asyncio.wait_for(_collect_events(job), timeout=240)
+                assert job.state == JobState.SUCCEEDED
+                if change == "edited":
+                    write_binary_edgelist(
+                        chung_lu(300, mean_degree=6, exponent=2.2, seed=42),
+                        path,
+                    )
+                else:
+                    path.unlink()
+                for route, query in (
+                    ("vertex/0", ""), ("quality", "recompute=1"),
+                ):
+                    status, doc = await _asgi_json(
+                        app, "GET", f"/jobs/{job.id}/{route}", query=query
+                    )
+                    assert status == 409, doc
+                    assert str(path) in doc["error"]
+                # Stored answers need no input and still answer.
+                for route in ("edge/0", "quality"):
+                    status, doc = await _asgi_json(
+                        app, "GET", f"/jobs/{job.id}/{route}"
+                    )
+                    assert status == 200, doc
+            finally:
+                await manager.shutdown()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=300))
 
     def test_service_result_matches_direct_run_job(
         self, edge_file, tmp_path

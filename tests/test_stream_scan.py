@@ -1,25 +1,31 @@
-"""Tests for the scan layer: bugfixes, packed covers, quality reports.
+"""Tests for the scan layer: bugfixes, cover blocks, quality reports.
 
 Two load-bearing properties:
 
 * **masking** — ``chunked_quality`` must ignore ``UNASSIGNED`` (-1)
   edges instead of wrapping them into partition ``k - 1``, and
-* **packed covers** — the bit-packed (optionally column-blocked) cover
-  reports exactly the metrics the dense sweep did.
+* **one cover kernel** — the bool cover block (optionally column-blocked
+  under a byte budget) that ``chunked_quality`` and ``cover_matrix``
+  mark with ``mark_cover`` holds exactly the ``(part, vertex)`` pairs an
+  independent ``np.unique`` over the assigned edges finds.
 """
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import graphs
 
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.edgelist import write_binary_edgelist
 from repro.graph.generators import chung_lu
 from repro.metrics import streamed_quality_report
+from repro.partition.base import PartitionAssignment
 from repro.runtime import make_job, run_job
 from repro.stream import (
-    PackedCover,
+    InMemoryEdgeSource,
     chunked_quality,
     open_edge_source,
     plan_cover_blocks,
@@ -27,7 +33,7 @@ from repro.stream import (
     write_sharded_edges,
 )
 from repro.stream.reader import EdgeChunk, EdgeChunkSource
-from repro.stream.scan import cover_nbytes
+from repro.stream.scan import MAX_COVER_SWEEPS, cover_nbytes
 
 
 @pytest.fixture(scope="module")
@@ -140,23 +146,17 @@ class TestScanBugfixes:
             scan_source(open_edge_source(manifest.path, 64))
 
 
-class TestPackedCover:
-    def test_cover_memory_is_bits(self):
-        cover = PackedCover(8, 0, 1000)
-        assert cover.nbytes == 8 * 125  # k * ceil(n / 8): true bits
-        assert cover.nbytes == cover_nbytes(1000, 8)
+def _reference_cover_keys(edges, parts, n):
+    """Sorted ``p * n + v`` of every covered (part, vertex) pair."""
+    assigned = parts >= 0
+    p = parts[assigned].astype(np.int64) * n
+    return np.unique(np.concatenate(
+        [p + edges[assigned, 0], p + edges[assigned, 1]]
+    ))
 
-    def test_part_views_share_words(self):
-        cover = PackedCover(2, 0, 16)
-        parts = np.array([1], dtype=np.int32)
-        cover.mark_assignment(
-            parts, np.array([[3, 9]]), np.array([0], dtype=np.int64)
-        )
-        assert sorted(cover.part(1)) == [3, 9]
-        assert cover.part(0).count() == 0
-        assert cover.count() == 2
-        with pytest.raises(IndexError):
-            cover.part(2)
+
+class TestPackedCover:
+    """The metrics pass's cover blocks: planning and blocked ≡ unblocked."""
 
     def test_blocked_counts_match_full_cover(self, graph, binary):
         k = 4
@@ -170,15 +170,17 @@ class TestPackedCover:
                 memory_budget=budget,
             )
             assert blocked == full
-            for lo, hi in plan_cover_blocks(stats.num_vertices, k, budget):
-                assert cover_nbytes(hi - lo, k) <= max(budget, k)
+            n = stats.num_vertices
+            cap = k * -(-n // MAX_COVER_SWEEPS)
+            for lo, hi in plan_cover_blocks(n, k, budget):
+                assert cover_nbytes(hi - lo, k) <= max(budget, cap)
 
     def test_plan_cover_blocks_shapes(self):
         assert plan_cover_blocks(0, 4) == []
         assert plan_cover_blocks(100, 4) == [(0, 100)]
         assert plan_cover_blocks(100, 4, memory_budget=10**9) == [(0, 100)]
         blocks = plan_cover_blocks(100, 4, memory_budget=8)
-        assert blocks[0] == (0, 16)  # (8 // 4) bytes * 8 bits
+        assert blocks[0] == (0, 2)  # 8 // 4 one-byte columns
         assert blocks[-1][1] == 100
         assert all(b[0] == a[1] for a, b in zip(blocks, blocks[1:]))
         with pytest.raises(ConfigurationError):
@@ -186,11 +188,48 @@ class TestPackedCover:
 
     def test_plan_cover_blocks_caps_sweeps(self):
         """A pathological budget must not schedule thousands of re-reads."""
-        from repro.stream.scan import MAX_COVER_SWEEPS
-
         blocks = plan_cover_blocks(10_000_000, 128, memory_budget=4096)
         assert len(blocks) <= MAX_COVER_SWEEPS
         assert blocks[0][0] == 0 and blocks[-1][1] == 10_000_000
+
+
+@settings(max_examples=60)
+@given(
+    graph=graphs(max_edges=80, max_vertices=40),
+    k=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=2**16),
+    chunk_size=st.integers(min_value=1, max_value=100),
+    budget=st.sampled_from(["none", "one", "k", "all-but-one", "huge"]),
+)
+def test_cover_kernel_matches_unique_reference(
+    graph, k, seed, chunk_size, budget
+):
+    """``chunked_quality`` and ``cover_matrix`` ≡ ``np.unique`` reference.
+
+    Parts include -1, and the budgets cover one block, one-vertex
+    blocks up to the sweep cap, and a budget one byte short of the
+    whole ``k * n`` block.
+    """
+    n, m = graph.num_vertices, graph.num_edges
+    parts = np.random.default_rng(seed).integers(-1, k, size=m)
+    parts = parts.astype(np.int32)
+    keys = _reference_cover_keys(graph.edges, parts, n)
+    memory_budget = {
+        "none": None, "one": 1, "k": k, "all-but-one": k * n - 1,
+        "huge": 10**9,
+    }[budget]
+
+    cover = PartitionAssignment(graph, k, parts).cover_matrix()
+    assert cover.shape == (k, n)
+    assert np.array_equal(np.flatnonzero(cover), keys)
+
+    source = InMemoryEdgeSource(graph, chunk_size)
+    stats = scan_source(source)
+    rf, balance = chunked_quality(source, stats, k, parts, memory_budget)
+    covered = int((graph.degrees > 0).sum())
+    assert rf == keys.size / covered
+    sizes = np.bincount(parts[parts >= 0], minlength=k)
+    assert balance == sizes.max() / (m / k)
 
 
 class TestStreamedQualityReport:
