@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import secrets
 import threading
 from multiprocessing import resource_tracker, shared_memory
 
@@ -94,10 +95,20 @@ def _create_untracked(size: int) -> shared_memory.SharedMemory:
     Every segment the package creates goes through here, so a host
     without usable shared memory (no ``/dev/shm``, a full or read-only
     one) fails with one :class:`~repro.errors.ConfigurationError`.
+    The name is ``psm_<creator pid>_<8 hex>`` (at most 20 characters,
+    inside macOS's 31), so a leak gate can tell this process's
+    segments from those of other live processes; a name clash retries.
     """
     try:
         with _tracker_paused():
-            return shared_memory.SharedMemory(create=True, size=size)
+            while True:
+                name = f"psm_{os.getpid()}_{secrets.token_hex(4)}"
+                try:
+                    return shared_memory.SharedMemory(
+                        name=name, create=True, size=size
+                    )
+                except FileExistsError:
+                    continue
     except OSError as exc:
         raise ConfigurationError(
             f"cannot create a {size:,}-byte shared-memory segment ({exc}); "

@@ -16,6 +16,23 @@ hold the assignment, ``meta.json`` the canonical spec, metrics,
 phase breakdown, and worker report.  Writes go to a temp directory
 first and land via :func:`os.replace`, so concurrent or interrupted
 runs never expose a half-written entry.
+
+Hashing a ``path`` input reads every byte of it, so the digest of each
+one is memoized per process, keyed by its absolute path, next to the
+stat signature ``(path, st_dev, st_ino, st_size, st_mtime_ns,
+st_ctime_ns)`` of every file it hashed: the file and, for a shard
+manifest, each shard in hashing order.  A lookup re-stats those files
+and returns the stored digest, opening no file, only when every tuple
+still matches.  A digest is recorded only when the files' signatures
+are equal before and after hashing, and every file's mtime and ctime
+is at least :data:`RACY_WINDOW_NS` older than the moment hashing
+began.  A file changed more recently is *racy*, as git calls such
+index entries: a write landing in the same timestamp tick would leave
+its stat unchanged, so it is re-hashed on every call.  No unprivileged
+call can set ctime, so any later edit, :func:`os.replace` or
+:func:`os.utime` changes the signature.  The one assumption is that
+file timestamps come from this host's clock.  The memo holds at most
+:data:`MEMO_CAPACITY` inputs and evicts the least recently used.
 """
 
 from __future__ import annotations
@@ -26,15 +43,22 @@ import logging
 import os
 import shutil
 import tempfile
+import threading
+import time
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.hep import HepPhaseBreakdown
+from repro.errors import GraphFormatError, ReproError
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec
 
-__all__ = ["ArtifactStore", "input_digest"]
+__all__ = [
+    "ArtifactStore", "UnreadableInputError", "input_digest",
+    "require_input_digest",
+]
 
 _LOG = logging.getLogger("repro.runtime.store")
 
@@ -44,10 +68,22 @@ STORE_FORMAT = 1
 #: subdirectory of the store root that corrupt entries are moved into
 QUARANTINE_DIR = "quarantine"
 
+#: a file whose mtime or ctime is less than this before hashing began
+#: is racy and its digest is not memoized; 2 s covers filesystems with
+#: 1 s and 2 s timestamps
+RACY_WINDOW_NS = 2_000_000_000
+
+#: most ``path`` inputs whose digests the memo holds
+MEMO_CAPACITY = 256
+
 _HASH_CHUNK = 1 << 20
 
 
-def _update_with_file(digest, path: Path) -> None:
+class UnreadableInputError(ReproError):
+    """A ``path`` input is not a readable edge file or shard manifest."""
+
+
+def _update_with_file(digest, path: str) -> None:
     """Fold a file's bytes into ``digest`` in bounded chunks."""
     with open(path, "rb") as handle:
         while True:
@@ -57,17 +93,116 @@ def _update_with_file(digest, path: Path) -> None:
             digest.update(block)
 
 
-def input_digest(spec: JobSpec, source) -> str | None:
-    """Sha256 of the job's input *content*, or ``None`` if unhashable.
+def _signature(files) -> tuple:
+    """The stat identity of each of ``files``, in order."""
+    signature = []
+    for name in files:
+        st = os.stat(name)
+        signature.append((
+            name, st.st_dev, st.st_ino, st.st_size,
+            st.st_mtime_ns, st.st_ctime_ns,
+        ))
+    return tuple(signature)
 
-    ``path`` inputs digest the file — and, for shard manifests, every
-    shard file it references, so editing any shard invalidates the
-    entry.  ``dataset`` inputs digest the name plus the ``REPRO_SCALE``
-    environment (the generators are deterministic given those).
-    ``graph`` inputs digest the edge array bytes.  Opaque sources
-    (already-open streams) are not content-addressable.
+
+class _DigestMemo:
+    """Digests of ``path`` inputs, valid while their stat signatures hold."""
+
+    def __init__(self, capacity: int) -> None:
+        """Hold at most ``capacity`` inputs."""
+        self.capacity = capacity
+        self._entries: "OrderedDict[str, tuple[tuple, str]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        """Number of inputs memoized."""
+        with self._lock:
+            return len(self._entries)
+
+    def get(self, name: str) -> str | None:
+        """The digest recorded for ``name`` if no file it hashed changed."""
+        with self._lock:
+            entry = self._entries.get(name)
+            if entry is not None:
+                self._entries.move_to_end(name)
+        if entry is None:
+            return None
+        signature, digest = entry
+        try:
+            if _signature(row[0] for row in signature) != signature:
+                return None
+        except OSError:
+            return None
+        return digest
+
+    def put(self, name: str, signature: tuple, digest: str) -> None:
+        """Record ``digest`` for ``name`` while ``signature`` holds."""
+        with self._lock:
+            self._entries[name] = (signature, digest)
+            self._entries.move_to_end(name)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+
+_MEMO = _DigestMemo(MEMO_CAPACITY)
+
+
+def _input_files(name: str) -> list[str]:
+    """The files a ``path`` input's digest covers, in hashing order."""
+    from repro.stream.shard import is_manifest_path, read_shard_manifest
+
+    if not os.path.exists(name):
+        raise UnreadableInputError(f"{name}: no such edge file or manifest")
+    if os.path.isdir(name):
+        raise UnreadableInputError(
+            f"{name}: is a directory, not an edge file or manifest"
+        )
+    if not is_manifest_path(name):
+        return [name]
+    try:
+        manifest = read_shard_manifest(name)
+    except GraphFormatError as exc:
+        raise UnreadableInputError(str(exc)) from exc
+    return [name, *(str(shard) for shard in manifest.shard_paths)]
+
+
+def _path_digest(path) -> str:
+    """Digest of an edge file or shard manifest, memoized (module doc)."""
+    name = str(Path(path).absolute())
+    digest = _MEMO.get(name)
+    if digest is not None:
+        return digest
+    began = time.time_ns()
+    try:
+        files = _input_files(name)
+        before = _signature(files)
+        hasher = hashlib.sha256(b"path:")
+        for file in files:
+            _update_with_file(hasher, file)
+        after = _signature(files)
+    except OSError as exc:
+        raise UnreadableInputError(f"{name}: {exc}") from exc
+    digest = hasher.hexdigest()
+    settled = began - RACY_WINDOW_NS
+    if before == after and all(
+        row[4] <= settled and row[5] <= settled for row in after
+    ):
+        _MEMO.put(name, after, digest)
+    return digest
+
+
+def require_input_digest(spec: JobSpec, source) -> str:
+    """:func:`input_digest`, raising where that returns ``None``.
+
+    Raises :class:`UnreadableInputError`, naming the path and the
+    reason, for a path that is missing, a directory, an unreadable
+    file, or a shard manifest that does not parse or names a missing
+    or mis-sized shard, and for opaque sources (already-open streams),
+    which are not content-addressable.
     """
     kind = spec.input.kind
+    if kind == "path":
+        return _path_digest(spec.input.path)
     digest = hashlib.sha256()
     if kind == "graph":
         digest.update(b"graph:")
@@ -80,20 +215,36 @@ def input_digest(spec: JobSpec, source) -> str | None:
             f"dataset:{spec.input.path}:scale={scale}".encode("utf-8")
         )
         return digest.hexdigest()
-    if kind != "path":
-        return None
-    path = Path(spec.input.path)
-    if not path.exists():
-        return None
-    digest.update(b"path:")
-    _update_with_file(digest, path)
-    from repro.stream.shard import is_manifest_path, read_shard_manifest
+    raise UnreadableInputError(f"{kind} inputs are not content-addressable")
 
-    if is_manifest_path(path):
-        manifest = read_shard_manifest(path)
-        for shard in manifest.shard_paths:
-            _update_with_file(digest, shard)
-    return digest.hexdigest()
+
+def input_digest(spec: JobSpec, source) -> str | None:
+    """Sha256 of the job's input *content*, or ``None`` if unhashable.
+
+    ``path`` inputs digest the file — and, for shard manifests, every
+    shard file it references, so editing any shard invalidates the
+    entry.  Their digests are memoized per process on the stat
+    identity of every file hashed (see the module docstring): a repeat
+    call on unchanged files returns without opening them.  A digest is
+    recorded only when no file changed during hashing and every file's
+    mtime and ctime is at least :data:`RACY_WINDOW_NS` (2 s) older than
+    the start of hashing, so a file written more recently is hashed
+    again on every call.  File timestamps are assumed to come from this
+    host's clock.  The memo holds at most :data:`MEMO_CAPACITY` inputs.
+    ``dataset`` inputs digest the name plus the ``REPRO_SCALE``
+    environment (the generators are deterministic given those).
+    ``graph`` inputs digest the edge array bytes.
+
+    ``None`` means the input has no content address: an opaque source
+    (an already-open stream), or a path that is not a readable edge
+    file or shard manifest (missing, a directory, or a manifest that
+    does not parse or names a missing or mis-sized shard);
+    :func:`require_input_digest` says why.
+    """
+    try:
+        return require_input_digest(spec, source)
+    except UnreadableInputError:
+        return None
 
 
 def _report_to_dict(report) -> dict | None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import logging
 import re
 import signal
 from typing import Any, AsyncIterator, Awaitable, Callable
@@ -32,6 +33,8 @@ __all__ = [
     "App", "HTTPError", "Request", "Response", "create_app", "run_app",
     "serve_forever",
 ]
+
+_LOG = logging.getLogger("repro.serve")
 
 _REASONS = {
     200: "OK", 201: "Created", 202: "Accepted", 400: "Bad Request",
@@ -143,7 +146,12 @@ class App:
 
     async def dispatch(self, method: str, path: str, query: str,
                        body: bytes) -> Response:
-        """Route one request; exceptions become JSON error responses."""
+        """Route one request; exceptions become JSON error responses.
+
+        A handler's :class:`HTTPError` keeps its status; a stale input
+        is 409, a bad submit or parameter 400, a full queue 503, and
+        any other exception 500 naming its type (traceback logged).
+        """
         params_query = dict(parse_qsl(query))
         path_seen = False
         for route_method, regex, handler in self._routes:
@@ -169,6 +177,9 @@ class App:
                 return Response.error(503, str(exc))
             except ReproError as exc:
                 return Response.error(500, str(exc))
+            except Exception as exc:  # noqa: BLE001 — always answer
+                _LOG.exception("%s %s failed", method, path)
+                return Response.error(500, f"{type(exc).__name__}: {exc}")
         if path_seen:
             return Response.error(405, f"{method} not allowed on {path}")
         return Response.error(404, f"no route for {path}")

@@ -37,7 +37,11 @@ from repro.obs.bridge import SpanEventBridge, progress_event
 from repro.obs.tracer import set_tracer
 from repro.runtime.api import run_job, validate_spec
 from repro.runtime.spec import JobSpec, make_job
-from repro.runtime.store import ArtifactStore, input_digest
+from repro.runtime.store import (
+    ArtifactStore,
+    UnreadableInputError,
+    require_input_digest,
+)
 from repro.serve.events import EventLog
 
 __all__ = [
@@ -199,11 +203,12 @@ class JobManager:
         fresh under the same id (clean recompute).
         """
         spec, source = self._build_spec(payload)
-        digest = await self._loop.run_in_executor(
-            None, input_digest, spec, source
-        )
-        if digest is None:
-            raise SubmitError(f"{source}: no such edge file or manifest")
+        try:
+            digest = await self._loop.run_in_executor(
+                None, require_input_digest, spec, source
+            )
+        except UnreadableInputError as exc:
+            raise SubmitError(str(exc)) from exc
         key = self.store.cache_key(spec, digest)
         job_id = key[:16]
         existing = self.jobs.get(job_id)

@@ -96,8 +96,10 @@ _PAIR_DTYPE = np.dtype("<u4")  # shard payload: same as binary edge lists
 class ShardManifest:
     """Parsed description of one sharded edge file set.
 
-    ``shard_paths`` are resolved against the manifest's directory, so a
+    ``shard_paths`` are joined to the manifest's directory, so a
     manifest travels with its shards as one relocatable directory.
+    Symlinks in them are left for the OS to follow, so a ``stat`` of a
+    shard path sees the file a read of it opens.
     """
 
     path: Path
@@ -173,7 +175,7 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
                 f"{path}: shard entry {i} must carry 'path' and a "
                 f"non-negative 'num_edges', got {entry!r}"
             )
-        shard = (path.parent / entry["path"]).resolve()
+        shard = (path.parent / entry["path"]).absolute()
         if not shard.exists():
             raise GraphFormatError(f"{path}: missing shard file {shard}")
         expected = entry["num_edges"]

@@ -9,13 +9,15 @@ leak gate: every shared-memory segment the suite creates (``psm_*`` in
 ``/dev/shm``) must be unlinked by the time the session ends — a survivor
 means some driver's ``finally`` failed to unlink, which on 3.10–3.12
 nothing else would ever clean up (the resource tracker is deliberately
-kept out of the loop; see :mod:`repro.parallel.shm`).
+kept out of the loop; see :mod:`repro.parallel.shm`).  Segments that
+other live processes create meanwhile are theirs, not the session's
+(:func:`shm_leaks.leaked_segments`).
 """
-
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
+
+from shm_leaks import leaked_segments, psm_segments
 
 settings.register_profile(
     "repro",
@@ -26,22 +28,13 @@ settings.register_profile(
 settings.load_profile("repro")
 
 
-def _psm_segments():
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return None
-    return {p.name for p in shm_dir.glob("psm_*")}
-
-
 @pytest.fixture(scope="session", autouse=True)
 def shm_leak_gate():
     """Fail the session if any shared-memory segment outlives the tests."""
-    before = _psm_segments()
+    before = psm_segments()
     yield
-    if before is None:
-        return
-    leaked = _psm_segments() - before
+    leaked = leaked_segments(before)
     assert not leaked, (
-        f"tests leaked shared-memory segments: {sorted(leaked)} — some "
+        f"tests leaked shared-memory segments: {leaked} — some "
         f"SharedState owner skipped its finally unlink"
     )

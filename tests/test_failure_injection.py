@@ -8,7 +8,6 @@ import os
 import signal
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +26,7 @@ from repro.graph import (
 )
 from repro.graph.generators import chung_lu
 from references import job
+from shm_leaks import leaked_segments, psm_segments
 from repro.core import select_tau
 from repro.partition import PartitionAssignment
 
@@ -188,13 +188,6 @@ class TestWarmPoolFailures:
         )
         return graph, manifest
 
-    @staticmethod
-    def _psm_segments():
-        shm_dir = Path("/dev/shm")
-        if not shm_dir.is_dir():
-            return None
-        return {p.name for p in shm_dir.glob("psm_*")}
-
     def _shared_run(
         self, graph, manifest, pool, workers=2, batch=2, segments=None
     ):
@@ -217,7 +210,7 @@ class TestWarmPoolFailures:
         from repro.stream import PersistentWorkerPool
 
         graph, manifest = sharded
-        before = self._psm_segments()
+        before = psm_segments()
         pool = PersistentWorkerPool(2, timeout=30.0)
         pool.start()
         os.kill(pool.pids[1], signal.SIGKILL)
@@ -225,8 +218,7 @@ class TestWarmPoolFailures:
             self._shared_run(graph, manifest, pool)
         pool.shutdown()
         assert multiprocessing.active_children() == []
-        if before is not None:
-            assert self._psm_segments() - before == set()
+        assert leaked_segments(before) == []
 
     def test_worker_killed_mid_run_raises_and_leaks_nothing(self, tmp_path):
         """SIGKILL a worker once supersteps are in flight (the pool has
@@ -240,7 +232,7 @@ class TestWarmPoolFailures:
         manifest = write_sharded_edges(
             graph, tmp_path / "wk.manifest.json", num_shards=4
         )
-        before = self._psm_segments()
+        before = psm_segments()
         pool = PersistentWorkerPool(2, timeout=30.0)
         pool.start()
         victim = pool.pids[1]
@@ -270,8 +262,7 @@ class TestWarmPoolFailures:
             p for p in multiprocessing.active_children()
             if p.name.startswith("repro-worker")
         ] == []
-        if before is not None:
-            assert self._psm_segments() - before == set()
+        assert leaked_segments(before) == []
 
     def test_truncated_shard_names_worker_and_shard(self, sharded):
         from repro.stream import PersistentWorkerPool, plan_worker_segments
@@ -284,7 +275,7 @@ class TestWarmPoolFailures:
         shard = manifest.shard_paths[2]
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2 - 3])
-        before = self._psm_segments()
+        before = psm_segments()
         pool = PersistentWorkerPool(2, timeout=30.0)
         try:
             pool.start()
@@ -297,8 +288,7 @@ class TestWarmPoolFailures:
         assert "shard-0002" in message
         assert "GraphFormatError" in message
         assert multiprocessing.active_children() == []
-        if before is not None:
-            assert self._psm_segments() - before == set()
+        assert leaked_segments(before) == []
 
     def test_driver_recovers_after_warm_failure(self, sharded):
         """A killed warm run must not poison a fresh shared-memory run."""
@@ -348,7 +338,7 @@ class TestWarmPoolFailures:
             return real(name=name, create=create, size=size)
 
         monkeypatch.setattr(shared_memory, "SharedMemory", no_dev_shm)
-        before = self._psm_segments()
+        before = psm_segments()
         with pytest.raises(ConfigurationError) as excinfo:
             run_job(make_job("HDRF", manifest.path, 8, workers=2))
         requested = SharedState.segment_bytes(
@@ -358,7 +348,6 @@ class TestWarmPoolFailures:
         assert f"{requested:,}-byte shared-memory segment" in message
         assert "workers=0 needs no shared memory" in message
         assert multiprocessing.active_children() == []
-        if before is not None:
-            assert self._psm_segments() - before == set()
+        assert leaked_segments(before) == []
         result = run_job(make_job("HDRF", manifest.path, 8))
         assert result.num_unassigned == 0

@@ -242,6 +242,39 @@ class TestSubmitValidation:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "case", ["directory", "missing-shard", "bad-json"]
+    )
+    def test_unreadable_input_is_400_naming_path_and_reason(
+        self, case, manifest, tmp_path
+    ):
+        """A source that is not a readable edge file or manifest is a
+        400 naming it and why, never a dropped connection or a 500."""
+        if case == "directory":
+            source, reason = tmp_path, "is a directory"
+        else:
+            source = tmp_path / "broken.manifest.json"
+            if case == "bad-json":
+                source.write_text("{not json", encoding="utf-8")
+                reason = "unreadable shard manifest"
+            else:
+                doc = json.loads(manifest.read_text(encoding="utf-8"))
+                doc["shards"][1]["path"] = "no-such-shard.bin"
+                source.write_text(json.dumps(doc), encoding="utf-8")
+                reason = "missing shard file"
+
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "c", start=False)
+            status, doc = await _asgi_json(
+                app, "POST", "/jobs", _payload(source)
+            )
+            assert status == 400, doc
+            assert str(source) in doc["error"] and reason in doc["error"]
+            assert manager.jobs == {}
+            await manager.shutdown()
+
+        asyncio.run(scenario())
+
     def test_removed_execution_keys_are_400(self, edge_file, tmp_path):
         """The scan-worker and pool-plumbing knobs are gone from the
         spec; a payload still naming one is refused, not ignored."""
@@ -499,15 +532,20 @@ class TestServeEndToEnd:
 
         asyncio.run(scenario())
 
-    @pytest.mark.parametrize("change", ["edited", "deleted"])
+    @pytest.mark.parametrize("change", ["edited", "deleted", "shard-deleted"])
     def test_changed_input_is_409_for_reads_of_the_input(
         self, change, tmp_path
     ):
         """An input edited or deleted after the run answers 409 naming it."""
-        path = tmp_path / "input.bin"
-        write_binary_edgelist(
-            chung_lu(300, mean_degree=6, exponent=2.2, seed=41), path
-        )
+        graph = chung_lu(300, mean_degree=6, exponent=2.2, seed=41)
+        if change == "shard-deleted":
+            from repro.stream import write_sharded_edges
+
+            path = tmp_path / "input.manifest.json"
+            shards = write_sharded_edges(graph, path, num_shards=2)
+        else:
+            path = tmp_path / "input.bin"
+            write_binary_edgelist(graph, path)
 
         async def scenario():
             _, manager, _, app = await _service(tmp_path / "cache")
@@ -520,8 +558,10 @@ class TestServeEndToEnd:
                         chung_lu(300, mean_degree=6, exponent=2.2, seed=42),
                         path,
                     )
-                else:
+                elif change == "deleted":
                     path.unlink()
+                else:
+                    shards.shard_paths[1].unlink()
                 for route, query in (
                     ("vertex/0", ""), ("quality", "recompute=1"),
                 ):
@@ -536,6 +576,31 @@ class TestServeEndToEnd:
                         app, "GET", f"/jobs/{job.id}/{route}"
                     )
                     assert status == 200, doc
+            finally:
+                await manager.shutdown()
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=300))
+
+    def test_torn_stored_entry_is_500_naming_the_error(
+        self, edge_file, tmp_path
+    ):
+        """A lookup whose stored ``parts.npy`` is torn answers a JSON 500
+        naming the exception instead of dropping the connection."""
+        async def scenario():
+            store, manager, _, app = await _service(tmp_path / "cache")
+            try:
+                job, _ = await manager.submit(_payload(edge_file))
+                await asyncio.wait_for(_collect_events(job), timeout=240)
+                assert job.state == JobState.SUCCEEDED
+                parts = store.entry_path(job.key) / "parts.npy"
+                parts.write_bytes(parts.read_bytes()[:100])
+                status, doc = await _asgi_json(
+                    app, "GET", f"/jobs/{job.id}/edge/0"
+                )
+                assert status == 500, doc
+                assert doc["error"].startswith("ValueError: ")
+                status, _ = await _asgi_json(app, "GET", "/healthz")
+                assert status == 200
             finally:
                 await manager.shutdown()
 

@@ -12,7 +12,9 @@ single-worker phase two against sequential HEP, and the
 no-leaked-segments invariant the CI gate also enforces.
 """
 
-from pathlib import Path
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from repro.stream import (
     run_bsp_shared,
     write_sharded_edges,
 )
+from shm_leaks import leaked_segments, psm_segments
 
 
 @pytest.fixture(scope="module")
@@ -54,13 +57,6 @@ def _oracle_parts(graph, workers, batch, streams, k=8):
         workers, batch=batch, streams=streams,
     )
     return parts
-
-
-def _psm_segments():
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return None
-    return {p.name for p in shm_dir.glob("psm_*")}
 
 
 class TestSharedState:
@@ -188,15 +184,42 @@ class TestSharedState:
         shared.unlink()
         shared.unlink()
 
+    def test_segment_name_carries_the_creator_pid(self):
+        shared, _, _ = self._make()
+        try:
+            prefix, pid, token = shared.name.split("_")
+            assert (prefix, int(pid)) == ("psm", os.getpid())
+            assert len(token) == 8 and int(token, 16) >= 0
+            assert len(shared.name) <= 20
+        finally:
+            shared.close()
+            shared.unlink()
+
+
+class TestLeakCheck:
+    """The leak check blames the session only for its own segments and
+    for orphans; a live process's segments are that process's."""
+
+    def test_reports_own_and_orphaned_segments_only(self):
+        reaped = subprocess.Popen([sys.executable, "-c", "pass"])
+        reaped.wait()
+        own = f"psm_{os.getpid()}_0badc0de"
+        orphan = f"psm_{reaped.pid}_0badc0de"
+        other_live = f"psm_{os.getppid()}_0badc0de"
+        unattributed = "psm_0badc0de"
+        before = {"psm_1_00000000"}
+        after = before | {own, orphan, other_live, unattributed}
+        assert leaked_segments(before, after) == sorted([own, orphan])
+        assert leaked_segments(None, after) == []
+
 
 class TestHdrfDifferential:
     def test_no_segment_leaks_after_runs(self, manifest):
-        before = _psm_segments()
+        before = psm_segments()
         if before is None:
             pytest.skip("no /dev/shm on this platform")
         run_job(make_job("HDRF", manifest.path, 8, workers=2, batch=8))
-        after = _psm_segments()
-        assert after - before == set()
+        assert leaked_segments(before) == []
 
 
 class TestHepDifferential:

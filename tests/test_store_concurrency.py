@@ -32,6 +32,7 @@ from repro.graph import write_binary_edgelist
 from repro.graph.generators import chung_lu
 from repro.runtime import ArtifactStore, input_digest, make_job, run_job
 from repro.runtime.store import QUARANTINE_DIR, STORE_FORMAT
+from shm_leaks import leaked_segments, psm_segments
 
 
 @pytest.fixture(scope="module")
@@ -303,13 +304,6 @@ class TestRunJobCancellation:
         _assert_no_repro_workers()
 
 
-def _psm_segments():
-    shm_dir = Path("/dev/shm")
-    if not shm_dir.is_dir():
-        return None
-    return {p.name for p in shm_dir.glob("psm_*")}
-
-
 def _assert_no_repro_workers(deadline_s=10.0):
     """Every ``repro-worker-*`` child must be reaped within the deadline."""
     end = time.monotonic() + deadline_s
@@ -354,10 +348,10 @@ class TestWarmPoolInterrupt:
     def test_interrupt_mid_superstep_leaks_no_segments_or_workers(
         self, manifest, monkeypatch
     ):
-        before = _psm_segments()
+        before = psm_segments()
         self._interrupt_run(manifest, monkeypatch, trip_at=2)
         _assert_no_repro_workers()
-        assert _psm_segments() - before == set()
+        assert leaked_segments(before) == []
 
     @pytest.mark.skipif(
         not Path("/dev/shm").is_dir(), reason="no /dev/shm on this platform"
@@ -365,10 +359,10 @@ class TestWarmPoolInterrupt:
     def test_interrupt_before_first_superstep_leaks_nothing(
         self, manifest, monkeypatch
     ):
-        before = _psm_segments()
+        before = psm_segments()
         self._interrupt_run(manifest, monkeypatch, trip_at=1)
         _assert_no_repro_workers()
-        assert _psm_segments() - before == set()
+        assert leaked_segments(before) == []
 
     def test_pool_health_registry_is_empty_after_clean_run(self, manifest):
         from repro.stream.workers import live_pool_health

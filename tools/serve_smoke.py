@@ -4,13 +4,22 @@
 CI runs this (job ``serve-smoke``) against a real server subprocess —
 no in-process shortcuts, so it exercises exactly what an operator gets:
 
-1. start ``python -m repro serve`` on an ephemeral port and wait for
+1. copy the input (a binary edge file, or an uncompressed shard
+   manifest and its shards) into a temp dir, so the original is never
+   edited, and wait until the copies are past the input-digest memo's
+   2 s racy window,
+2. start ``python -m repro serve`` on an ephemeral port and wait for
    the "listening on" line,
-2. submit the same 2-worker job twice; the second submit must dedup
-   onto the first (one execution, visible in the progress events),
-3. poll to completion and read the ``edge → part`` / ``healthz``
+3. submit the same 2-worker job twice; the second submit must dedup
+   onto the first (one execution, visible in the progress events) —
+   its digest is a memo hit,
+4. poll to completion and read the ``edge → part`` / ``healthz``
    endpoints,
-4. SIGTERM the server and require a clean exit: status 0, the
+5. rewrite the copy in place with the same length (swap the endpoints
+   of the first edge of its first file of edges) and submit again: a
+   new job (201, new key) runs, and ``healthz`` counts 2 executions,
+6. submit the temp directory itself and require a 400,
+7. SIGTERM the server and require a clean exit: status 0, the
    "shutdown complete" line, no process that inherited the server's
    environment still alive, and no ``psm_*`` shared-memory segment
    left in ``/dev/shm``.
@@ -23,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -34,6 +44,8 @@ from pathlib import Path
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 _MARKER = "REPRO_SERVE_SMOKE"
+#: the input-digest memo's racy window (2 s) plus margin
+_SETTLE_S = 2.5
 
 
 def _fail(message: str) -> None:
@@ -84,6 +96,56 @@ def _marker_pids(marker: bytes) -> list:
     return pids
 
 
+def _copy_input(source: Path, dest: Path) -> tuple:
+    """Copy the input into ``dest``; returns ``(copy, file to rewrite)``.
+
+    A manifest's shards are copied next to it under their base names.
+    The file to rewrite is the edge file itself, or the first shard.
+    """
+    if not source.name.endswith(".json"):
+        copy = dest / source.name
+        shutil.copyfile(source, copy)
+        return copy, copy
+    manifest = json.loads(source.read_text(encoding="utf-8"))
+    if manifest.get("compression") is not None:
+        _fail("an in-place rewrite needs an uncompressed manifest")
+    for entry in manifest["shards"]:
+        shard = source.parent / entry["path"]
+        entry["path"] = shard.name
+        shutil.copyfile(shard, dest / shard.name)
+    copy = dest / source.name
+    copy.write_text(json.dumps(manifest, indent=2), encoding="utf-8")
+    return copy, dest / manifest["shards"][0]["path"]
+
+
+def _swap_first_edge(path: Path) -> None:
+    """Swap the endpoints of the file's first edge, in place."""
+    size = path.stat().st_size
+    with open(path, "r+b") as handle:
+        pair = handle.read(8)
+        handle.seek(0)
+        handle.write(pair[4:] + pair[:4])
+    if path.stat().st_size != size:
+        _fail(f"rewriting {path} changed its length")
+
+
+def _wait_finished(base: str, job_id: str) -> dict:
+    """Poll ``job_id`` until it is terminal; fail unless it succeeded."""
+    deadline = time.monotonic() + 300
+    while True:
+        status, doc = _request(base, "GET", f"/jobs/{job_id}")
+        if status != 200:
+            _fail(f"poll returned {status}")
+        if doc["state"] in ("succeeded", "failed", "cancelled"):
+            break
+        if time.monotonic() > deadline:
+            _fail("job did not finish within 300s")
+        time.sleep(0.2)
+    if doc["state"] != "succeeded":
+        _fail(f"job finished {doc['state']}: {doc.get('error')}")
+    return doc
+
+
 def _start_server(source: Path, cache: Path, env: dict) -> tuple:
     """Spawn the server; returns ``(process, base_url)``."""
     proc = subprocess.Popen(
@@ -127,12 +189,17 @@ def main(argv) -> int:
     shm_before = _psm_segments()
 
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as scratch:
+        inputs = Path(scratch) / "input"
+        inputs.mkdir()
+        source, rewrite = _copy_input(args.source.resolve(), inputs)
+        settled = time.monotonic() + _SETTLE_S
         proc, base = _start_server(
             args.source, Path(scratch) / "cache", env
         )
         try:
+            time.sleep(max(0.0, settled - time.monotonic()))
             payload = {
-                "source": str(args.source.resolve()),
+                "source": str(source),
                 "algo": args.algo, "k": args.k, "workers": args.workers,
             }
             status, first = _request(base, "POST", "/jobs", payload)
@@ -144,19 +211,7 @@ def main(argv) -> int:
                 _fail(f"second submit did not dedup: {status} {second}")
             if second["id"] != job_id:
                 _fail("dedup returned a different job id")
-
-            deadline = time.monotonic() + 300
-            while True:
-                status, doc = _request(base, "GET", f"/jobs/{job_id}")
-                if status != 200:
-                    _fail(f"poll returned {status}")
-                if doc["state"] in ("succeeded", "failed", "cancelled"):
-                    break
-                if time.monotonic() > deadline:
-                    _fail("job did not finish within 300s")
-                time.sleep(0.2)
-            if doc["state"] != "succeeded":
-                _fail(f"job finished {doc['state']}: {doc.get('error')}")
+            _wait_finished(base, job_id)
 
             status, blob = _request(
                 base, "GET", f"/jobs/{job_id}/events?wait=0"
@@ -181,6 +236,22 @@ def main(argv) -> int:
             status, health = _request(base, "GET", "/healthz")
             if status != 200 or health["executions"] != 1:
                 _fail(f"healthz answered {status} {health}")
+
+            # Same length, new bytes: the memoized digest must not hold.
+            _swap_first_edge(rewrite)
+            status, third = _request(base, "POST", "/jobs", payload)
+            if status != 201 or third["key"] == first["key"]:
+                _fail(f"submit after an in-place rewrite: {status} {third}")
+            _wait_finished(base, third["id"])
+            status, health = _request(base, "GET", "/healthz")
+            if status != 200 or health["executions"] != 2:
+                _fail(f"healthz after the rewrite: {status} {health}")
+
+            status, doc = _request(
+                base, "POST", "/jobs", dict(payload, source=str(inputs))
+            )
+            if status != 400:
+                _fail(f"submitting a directory answered {status}: {doc}")
 
             proc.send_signal(signal.SIGTERM)
             try:
@@ -210,8 +281,9 @@ def main(argv) -> int:
         _fail(f"leaked shared-memory segments: {sorted(leaked)}")
 
     print(
-        f"serve smoke: ok (1 execution, {len(dedups)} dedup hit(s), "
-        "clean SIGTERM shutdown, no orphans, no shm leaks)"
+        f"serve smoke: ok (2 executions, {len(dedups)} dedup hit(s), "
+        "rewrite re-keyed, directory refused, clean SIGTERM shutdown, "
+        "no orphans, no shm leaks)"
     )
     return 0
 
