@@ -83,16 +83,6 @@ def bench_out_of_core_hep(benchmark, edge_file):
     assert result.breakdown.num_h2h_edges > 0
 
 
-def bench_out_of_core_hep_buffered(benchmark, edge_file):
-    spec = make_job(
-        "HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK, buffer_size=1024
-    )
-    result = benchmark.pedantic(
-        run_job, args=(spec,), rounds=1, iterations=1, warmup_rounds=0,
-    )
-    assert result.num_unassigned == 0
-
-
 def bench_out_of_core_hep_compressed_spill(benchmark, edge_file):
     """zlib-framed spill: same parts, smaller disk footprint."""
     raw = run_job(make_job("HEP", edge_file, _K, tau=_TAU, chunk_size=_CHUNK))

@@ -85,8 +85,8 @@ def _load_graph(source: str) -> Graph:
 
 #: ``partition`` flags that configure a job; the in-memory-only
 #: baselines take none of them
-_JOB_FLAGS = ("tau", "memory_budget", "buffer_size", "spill_dir",
-              "spill_compression", "passes", "workers", "batch")
+_JOB_FLAGS = ("tau", "memory_budget", "spill_dir", "spill_compression",
+              "passes", "workers", "batch")
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
@@ -193,20 +193,15 @@ def _job_spec_from_args(args: argparse.Namespace):
     if named_tau is not None and args.tau is not None:
         raise ReproError(f"--tau cannot be combined with {args.method!r}, "
                          f"whose name carries its own tau")
-    if args.batch is not None and args.workers is None:
-        raise ReproError("--batch sizes the per-worker superstep; it "
-                         "requires --workers")
     options: dict = dict(
         tau=args.tau if named_tau is None else named_tau,
         memory_budget=args.memory_budget,
-        buffer_size=args.buffer_size,
         spill_dir=args.spill_dir,
         spill_compression=args.spill_compression,
+        batch=args.batch,
     )
     if args.workers is not None:
         options["workers"] = args.workers
-    if args.batch is not None:
-        options["batch"] = args.batch
     hep = named_tau is not None or args.method.upper() == "HEP"
     return make_job(
         "HEP" if hep else args.method, args.graph, args.k,
@@ -243,8 +238,6 @@ def _print_report(result, source: str, store) -> None:
           f"(n={result.num_vertices:,} m={result.num_edges:,})")
     if not in_memory:
         print(f"chunk size         : {result.chunk_size:,} edges")
-    if result.buffer_size:
-        print(f"buffer size        : {result.buffer_size:,} edges")
     if result.passes > 1:
         print(f"stream passes      : {result.passes}")
     if result.projected_memory_bytes is not None:
@@ -525,8 +518,6 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
                         "parameters)"),
     p.add_argument("--tau", type=float, default=None,
                    help="HEP degree threshold factor (default 10.0)")
-    p.add_argument("--buffer-size", type=int, default=None,
-                   help="buffered-scoring window for the streaming phase")
     p.add_argument("--spill-dir", default=None,
                    help="directory for the h2h spill file (default: temp dir)")
     p.add_argument("--spill-compression", default=None,

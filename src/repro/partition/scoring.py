@@ -2,7 +2,7 @@
 
 Each scorer here rates the placement of one edge on *all* ``k``
 partitions at once, as a numpy vector.  That is the reference form of
-the score: ADWISE and the buffered window's ranking use it directly.
+the score: ADWISE uses it directly.
 The sequential HDRF stream (:func:`~repro.partition.hdrf.hdrf_stream`)
 does not: it is a scalar kernel that scores only a few partitions per
 edge with :func:`hdrf_scores`' float operations in the same order, and
@@ -34,8 +34,7 @@ from repro.errors import ConfigurationError
 from repro.partition.state import StreamingState
 
 __all__ = [
-    "hdrf_scores", "hdrf_best_scores", "check_hdrf_params", "greedy_choose",
-    "NEG_INF",
+    "hdrf_scores", "check_hdrf_params", "greedy_choose", "NEG_INF",
 ]
 
 NEG_INF = -np.inf
@@ -90,41 +89,6 @@ def hdrf_scores(
     score = score + lam * (maxload - loads) / (eps + maxload - minload)
 
     return np.where(state.open_mask(), score, NEG_INF)
-
-
-def hdrf_best_scores(
-    state: StreamingState,
-    us: np.ndarray,
-    vs: np.ndarray,
-    lam: float = 1.1,
-    eps: float = 1.0,
-) -> np.ndarray:
-    """Best achievable HDRF score of each edge ``(us[i], vs[i])``.
-
-    One vectorized evaluation of :func:`hdrf_scores` over a whole batch
-    against the *current* state — the ranking step of the buffered
-    scoring window (:mod:`repro.stream.buffered`).  Returns a ``(B,)``
-    float array (``-inf`` where no partition has room).
-    """
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    du = state.degrees[us].astype(np.float64)
-    dv = state.degrees[vs].astype(np.float64)
-    total = du + dv
-    theta_u = np.where(total > 0, du / np.where(total > 0, total, 1.0), 0.5)
-    theta_v = 1.0 - theta_u
-
-    rep_u = state.replicas[:, us]          # (k, B)
-    rep_v = state.replicas[:, vs]
-    scores = rep_u * (2.0 - theta_u) + rep_v * (2.0 - theta_v)
-
-    loads = state.loads
-    maxload = loads.max()
-    minload = loads.min()
-    bal = lam * (maxload - loads) / (eps + maxload - minload)
-    scores = scores + bal[:, None]
-    scores[~state.open_mask(), :] = NEG_INF
-    return scores.max(axis=0)
 
 
 def greedy_choose(

@@ -52,7 +52,6 @@ from repro.runtime.spec import (
     InputSpec,
     JobSpec,
     make_job,
-    spec_fields,
 )
 from repro.runtime.store import ArtifactStore, input_digest
 
@@ -82,6 +81,5 @@ __all__ = [
     "register_streaming_algorithm",
     "run_job",
     "select_executor",
-    "spec_fields",
     "validate_spec",
 ]

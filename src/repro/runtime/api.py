@@ -23,7 +23,7 @@ from repro.partition.scoring import _is_finite, check_hdrf_params
 from repro.runtime.plan import pipeline_kind, plan_job
 from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
-from repro.runtime.spec import JobSpec, declared_params
+from repro.runtime.spec import JobSpec, _is_count, declared_params
 from repro.runtime.stages import RunContext
 from repro.stream.reader import _check_chunk_size
 from repro.stream.spill import _check_compression
@@ -35,7 +35,6 @@ __all__ = ["run_job", "validate_spec"]
 _HEP_ONLY = (
     ("tau", "tau is HEP's degree threshold"),
     ("memory_budget", "a memory budget tunes HEP's tau"),
-    ("buffer_size", "buffer_size sizes HEP's phase-two scoring window"),
     ("spill_compression", "spill_compression applies to HEP's h2h spill"),
 )
 
@@ -47,14 +46,15 @@ def validate_spec(spec: JobSpec) -> None:
     submit time, so the CLI, ``run_job`` and ``POST /jobs`` reject the
     same specs with the same messages — before any input is hashed or
     any stage runs.  Beyond the numeric ranges (``alpha`` a finite
-    number >= 1, every ``tau_grid`` entry a finite tau > 0, ``id_bytes``
-    >= 1) and a spill codec the spill file knows, ``algo`` must be HEP
-    or a registered streaming algorithm, every ``algo_params`` name
-    must be one that algorithm declares, a declared ``lam``/``eps``
-    must pass :func:`~repro.partition.scoring.check_hdrf_params`, and
-    a streaming algorithm's adapter must accept its parameters.
-    HEP's own knobs (:data:`_HEP_ONLY`) are errors on any other
-    algorithm, and a fixed ``tau`` excludes a ``memory_budget``.
+    number >= 1, ``workers`` an integer >= 0 and, only where workers
+    run, ``batch`` an integer >= 1) and a spill codec the spill file
+    knows, ``algo`` must be HEP or a registered streaming algorithm,
+    every ``algo_params`` name must be one that algorithm declares, a
+    declared ``lam``/``eps`` must pass
+    :func:`~repro.partition.scoring.check_hdrf_params`, and a streaming
+    algorithm's adapter must accept its parameters.  HEP's own knobs
+    (:data:`_HEP_ONLY`) are errors on any other algorithm, and a fixed
+    ``tau`` excludes a ``memory_budget``.
     """
     hep = pipeline_kind(spec) == "hep"
     _check_chunk_size(spec.chunk_size)
@@ -63,33 +63,24 @@ def validate_spec(spec: JobSpec) -> None:
         raise ConfigurationError(f"alpha must be >= 1.0, got {spec.alpha}")
     if spec.tau is not None and not spec.tau > 0:
         raise ConfigurationError(f"tau must be positive, got {spec.tau}")
-    if not spec.tau_grid or not all(
-        _is_finite(tau) and tau > 0 for tau in spec.tau_grid
-    ):
-        raise ConfigurationError(
-            f"tau_grid must hold at least one tau, each a finite number "
-            f"> 0, got {list(spec.tau_grid)}"
-        )
-    if spec.id_bytes < 1:
-        raise ConfigurationError(
-            f"id_bytes must be >= 1, got {spec.id_bytes}"
-        )
     _check_compression(spec.spill_compression)
     if spec.memory_budget is not None and spec.memory_budget < 1:
         raise ConfigurationError(
             f"memory_budget must be positive, got {spec.memory_budget}"
         )
-    if spec.buffer_size is not None and spec.buffer_size < 1:
+    if not (_is_count(spec.workers) and spec.workers >= 0):
         raise ConfigurationError(
-            f"buffer_size must be >= 1, got {spec.buffer_size}"
+            f"workers must be an integer >= 0, got {spec.workers!r}"
         )
-    if spec.workers < 0:
+    if spec.workers == 0 and spec.batch is not None:
         raise ConfigurationError(
-            f"workers must be >= 0, got {spec.workers}"
+            "batch sizes the per-worker superstep; it requires workers >= 1"
         )
     if spec.workers >= 1:
-        if spec.batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {spec.batch}")
+        if not (_is_count(spec.batch) and spec.batch >= 1):
+            raise ConfigurationError(
+                f"batch must be an integer >= 1, got {spec.batch!r}"
+            )
         # The pool executor streams informed HDRF (alone or as HEP's
         # phase two); any other algorithm would silently run as HDRF.
         if not hep and spec.algo.upper() != "HDRF":
@@ -103,11 +94,6 @@ def validate_spec(spec: JobSpec) -> None:
             raise ConfigurationError(
                 f"multi-worker HDRF reads its shards from an edge file or "
                 f"shard manifest on disk; got a {spec.input.kind!r} input"
-            )
-        if hep and spec.buffer_size is not None:
-            raise ConfigurationError(
-                "buffer_size is a sequential scoring window; it cannot "
-                "combine with multi-worker streaming"
             )
     declared = declared_params(spec.algo)
     if declared is None:
@@ -243,13 +229,11 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
         tau=ctx.tau,
         breakdown=ctx.breakdown,
         spill_bytes=ctx.spill_bytes,
-        buffer_size=spec.buffer_size,
         projected_memory_bytes=ctx.projected_memory_bytes,
         report=ctx.report,
         job_hash=spec.content_hash(),
         cache_hit=False,
         stages_executed=tuple(ctx.executed),
-        trace_path=str(spec.trace_path) if spec.trace_path else None,
     )
 
 
@@ -300,9 +284,6 @@ def run_job(
                     with tracer.span("cache_hit", key=key):
                         pass
                 cached.runtime_s = time.perf_counter() - lookup
-                cached.trace_path = (
-                    str(spec.trace_path) if spec.trace_path else None
-                )
                 return cached
     _check_cancel(cancel, spec, "planning")
     result = _execute(spec, resolved, cancel=cancel)

@@ -94,18 +94,15 @@ class InProcessExecutor(Executor):
 
     def stream_spill(self, spec: JobSpec, ctx: RunContext) -> np.ndarray:
         """Phase two: informed HDRF over the spilled h2h chunks."""
-        from repro.stream.buffered import stream_chunks_through_hdrf
+        from repro.partition.hdrf import hdrf_stream
 
         state = informed_phase_two_state(spec, ctx)
         params = spec.params
-        stream_chunks_through_hdrf(
-            state,
-            ctx.spill.chunks(spec.chunk_size),
-            ctx.parts,
-            lam=params.get("lam", 1.1),
-            eps=params.get("eps", 1.0),
-            buffer_size=spec.buffer_size,
-        )
+        for pairs, eids in ctx.spill.chunks(spec.chunk_size):
+            hdrf_stream(
+                state, pairs, eids, ctx.parts,
+                lam=params.get("lam", 1.1), eps=params.get("eps", 1.0),
+            )
         return state.loads
 
 

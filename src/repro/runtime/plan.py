@@ -11,8 +11,7 @@ today, both expressed over the same stage registry:
   baseline and the multi-worker informed-HDRF run).
 
 Stages are declared via :func:`register_stage` in
-:mod:`repro.runtime.stages`, so future passes — the ROADMAP's
-``refine`` post-pass or the buffered HeiStream-style algorithm — slot
+:mod:`repro.runtime.stages`, so a new pass slots
 in by registering a stage and inserting its name into a pipeline,
 without touching any driver.  Executors
 (:mod:`repro.runtime.executor`) supply the stage *strategies* (in

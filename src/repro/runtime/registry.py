@@ -7,8 +7,7 @@ constructible by :func:`create_algorithm`, and hashable into a
 :class:`~repro.runtime.spec.JobSpec` via its declared constructor
 parameters (:attr:`AlgorithmInfo.params`, which
 :func:`~repro.runtime.api.validate_spec` also checks ``algo_params``
-against).  New algorithms — the ROADMAP's buffered HeiStream-style
-partitioner, for one — register one adapter and need no factory edit,
+against).  New algorithms register one adapter and need no factory edit,
 driver class or result type.
 
 This module is a leaf on purpose: it imports nothing from

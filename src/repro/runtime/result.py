@@ -4,8 +4,8 @@
 its pipeline (streaming baseline or HEP) and executor (in process or
 on worker processes).  It carries the assignment, the quality metrics,
 the HEP phase breakdown and worker report when the pipeline produced
-them, the provenance (``job_hash``, ``cache_hit``,
-``stages_executed``), and the trace path.
+them, and the provenance (``job_hash``, ``cache_hit``,
+``stages_executed``).
 """
 
 from __future__ import annotations
@@ -39,13 +39,11 @@ class PartitionResult:
     tau: float | None = None
     breakdown: HepPhaseBreakdown | None = None
     spill_bytes: int = 0
-    buffer_size: int | None = None
     projected_memory_bytes: int | None = None
     report: object | None = None      # MultiWorkerReport when BSP ran
     job_hash: str = ""
     cache_hit: bool = False
     stages_executed: tuple[str, ...] = ()
-    trace_path: str | None = None
 
     @property
     def num_unassigned(self) -> int:

@@ -14,9 +14,13 @@ substrate for the content-addressed artifact store
   produce distinct spellings of the same job, and
 * **a stable content hash** — :meth:`JobSpec.content_hash` digests only
   the *semantic* fields (those that can change the assignment).  Spill
-  placement and tracing are excluded, so equivalent runs share a cache
-  entry.  ``workers``/``batch`` *are* semantic: the BSP schedule's
-  staleness window changes assignments.
+  placement is excluded, so equivalent runs share a cache entry.
+  ``workers``/``batch`` *are* semantic: the BSP schedule's staleness
+  window changes assignments.  ``batch`` exists only where worker
+  processes run: it is ``None`` at ``workers == 0``, and an omitted
+  batch at ``workers >= 1`` becomes
+  :data:`~repro.stream.workers.DEFAULT_WORKER_BATCH`, so an explicit
+  default and an elided one hash alike.
 
 The input *path* is deliberately not hashed — the artifact store keys
 on ``content_hash + input digest``, so renaming a file never splits
@@ -27,10 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from numbers import Integral
 from pathlib import Path
 
-from repro.core.tau import DEFAULT_TAU_GRID
 from repro.errors import ConfigurationError
 from repro.runtime.registry import algorithm_info
 from repro.stream.reader import DEFAULT_CHUNK_SIZE
@@ -41,7 +45,7 @@ __all__ = [
 ]
 
 #: bumped whenever the canonical form changes meaning (invalidates caches)
-SPEC_VERSION = 1
+SPEC_VERSION = 2
 
 #: HEP's own algo_params: the phase-two HDRF knobs
 _HEP_PARAM_DEFAULTS = (("eps", 1.0), ("lam", 1.1))
@@ -122,6 +126,11 @@ class InputSpec:
         }
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def _plain(value):
     """Coerce a parameter value to a stable JSON-serializable form."""
     if isinstance(value, bool) or value is None or isinstance(value, str):
@@ -152,26 +161,25 @@ class JobSpec:
     input: InputSpec
     algo_params: tuple[tuple[str, object], ...] = ()
     alpha: float = 1.0
-    seed: int = 0
-    # HEP knobs (validate_spec rejects tau, memory_budget, buffer_size
-    # and spill_compression on any other algorithm)
+    # HEP knobs (validate_spec rejects tau, memory_budget and
+    # spill_compression on any other algorithm)
     tau: float | None = None
     memory_budget: int | None = None
-    tau_grid: tuple[float, ...] = DEFAULT_TAU_GRID
-    id_bytes: int = 4
-    buffer_size: int | None = None
     spill_dir: str | None = None
     spill_compression: str | None = None
     # execution shape
     workers: int = 0
-    batch: int = DEFAULT_WORKER_BATCH
-    # trace options (observational only, never hashed)
-    trace_path: str | None = None
-    trace_memory: str | None = None
+    batch: int | None = None
 
     def __post_init__(self) -> None:
-        """Normalize to the canonical form (sorted, default-merged params)."""
-        object.__setattr__(self, "tau_grid", tuple(self.tau_grid))
+        """Normalize to the canonical form.
+
+        ``algo_params`` are sorted and merged over the declared
+        defaults; a worker run without a ``batch`` gets the default one.
+        """
+        workers = self.workers
+        if self.batch is None and _is_count(workers) and workers >= 1:
+            object.__setattr__(self, "batch", DEFAULT_WORKER_BATCH)
         given = {str(name): value for name, value in self.algo_params}
         # An unknown algo keeps its params as given; validate_spec
         # rejects the spec before anything runs.
@@ -206,22 +214,14 @@ class JobSpec:
                 name: _plain(value) for name, value in self.algo_params
             },
             "alpha": float(self.alpha),
-            "seed": int(self.seed),
             "tau": None if self.tau is None else float(self.tau),
             "memory_budget": (
                 None if self.memory_budget is None else int(self.memory_budget)
             ),
-            "tau_grid": [float(tau) for tau in self.tau_grid],
-            "id_bytes": int(self.id_bytes),
-            "buffer_size": (
-                None if self.buffer_size is None else int(self.buffer_size)
-            ),
             "spill_dir": self.spill_dir,
             "spill_compression": self.spill_compression,
             "workers": int(self.workers),
-            "batch": int(self.batch),
-            "trace_path": self.trace_path,
-            "trace_memory": self.trace_memory,
+            "batch": None if self.batch is None else int(self.batch),
         }
 
     def canonical_json(self) -> str:
@@ -233,8 +233,8 @@ class JobSpec:
     def semantic_dict(self) -> dict:
         """The subset of fields that can change the assignment.
 
-        Everything excluded here is pinned bit-identical by the
-        equivalence suites (spill placement, tracing).
+        Everything excluded here (spill placement) is pinned
+        bit-identical by the equivalence suites.
         """
         return {
             "version": SPEC_VERSION,
@@ -244,19 +244,13 @@ class JobSpec:
             },
             "k": int(self.k),
             "alpha": float(self.alpha),
-            "seed": int(self.seed),
             "input": self.input.semantic_dict(),
             "tau": None if self.tau is None else float(self.tau),
             "memory_budget": (
                 None if self.memory_budget is None else int(self.memory_budget)
             ),
-            "tau_grid": [float(tau) for tau in self.tau_grid],
-            "id_bytes": int(self.id_bytes),
-            "buffer_size": (
-                None if self.buffer_size is None else int(self.buffer_size)
-            ),
             "workers": int(self.workers),
-            "batch": int(self.batch),
+            "batch": None if self.batch is None else int(self.batch),
         }
 
     def content_hash(self) -> str:
@@ -305,8 +299,3 @@ def make_job(
     return JobSpec(
         algo=algo, k=int(k), input=input_spec, algo_params=params, **options
     )
-
-
-def spec_fields() -> tuple[str, ...]:
-    """Field names of :class:`JobSpec` (doc/tooling helper)."""
-    return tuple(f.name for f in fields(JobSpec))

@@ -22,7 +22,7 @@ import numpy as np
 from repro.core.hep import HepPhaseBreakdown, phase_two_capacity
 from repro.core.memory_model import hep_memory_bytes_from_entries
 from repro.core.ne_plus_plus import run_ne_plus_plus_on_csr
-from repro.core.tau import select_from_footprints
+from repro.core.tau import DEFAULT_TAU_GRID, select_from_footprints
 from repro.errors import PartitioningError
 from repro.graph.csr import CsrGraph
 from repro.obs.tracer import get_tracer
@@ -182,15 +182,16 @@ def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
 def _select_tau_from_budget(
     spec: JobSpec, src, stats, k: int
 ) -> tuple[float, int]:
-    """Largest grid ``tau`` whose projected footprint fits the budget."""
-    taus = np.asarray(sorted(spec.tau_grid), dtype=np.float64)
+    """Largest :data:`DEFAULT_TAU_GRID` tau whose footprint fits the budget.
+
+    The footprint is §4.2's model at 4-byte vertex ids.
+    """
+    taus = np.asarray(sorted(DEFAULT_TAU_GRID), dtype=np.float64)
     entries = _grid_column_entries(
         src, stats.degrees, taus * stats.mean_degree
     )
     footprints = [
-        hep_memory_bytes_from_entries(
-            count, stats.num_vertices, k, spec.id_bytes
-        )
+        hep_memory_bytes_from_entries(count, stats.num_vertices, k)
         for count in entries.tolist()
     ]
     return select_from_footprints(

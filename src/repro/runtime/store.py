@@ -56,8 +56,8 @@ from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec
 
 __all__ = [
-    "ArtifactStore", "UnreadableInputError", "input_digest",
-    "require_input_digest",
+    "ArtifactStore", "MissingEntryError", "UnreadableInputError",
+    "input_digest", "require_input_digest",
 ]
 
 _LOG = logging.getLogger("repro.runtime.store")
@@ -81,6 +81,10 @@ _HASH_CHUNK = 1 << 20
 
 class UnreadableInputError(ReproError):
     """A ``path`` input is not a readable edge file or shard manifest."""
+
+
+class MissingEntryError(ReproError):
+    """No valid stored entry answers a key (none, another layout, torn)."""
 
 
 def _update_with_file(digest, path: str) -> None:
@@ -378,36 +382,42 @@ class ArtifactStore:
             entry, dest, type(exc).__name__, exc,
         )
 
-    def get(self, key: str, spec: JobSpec) -> PartitionResult | None:
-        """Load the cached result for ``key``, or ``None`` on a miss.
+    def read_entry(
+        self, key: str, spec: JobSpec | None = None
+    ) -> tuple[dict, PartitionResult]:
+        """The stored ``meta.json`` dict and result of ``key``.
 
-        A corrupt or truncated entry (half-written ``meta.json``,
-        torn ``.npy``) is logged, quarantined under
-        ``root/quarantine/``, and counted as a miss — never raised.
+        The one reader of an entry: :meth:`get` and the serve layer's
+        artifact cache both call it.  The result carries ``spec`` and
+        ``cache_hit=True``.  Raises :class:`MissingEntryError`, naming
+        the reason, when no valid entry answers: none is stored, it was
+        written by another :data:`STORE_FORMAT` (a plain miss, left in
+        place), or it is torn (a half-written ``meta.json`` or one that
+        is not a JSON object, a truncated ``.npy``, missing keys).  A
+        torn entry is logged and quarantined under ``root/quarantine/``
+        first, so the next read finds no entry and the key is writable
+        again.
         """
         entry = self._entry_dir(key)
         meta_path = entry / "meta.json"
         if not meta_path.exists():
-            self.misses += 1
-            return None
+            raise MissingEntryError(f"no stored entry for key {key}")
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
             if meta.get("format") != STORE_FORMAT:
-                # A valid entry written by a different layout version:
-                # plain miss, not corruption — leave it in place.
-                self.misses += 1
-                return None
-            parts = np.load(entry / "parts.npy")
-            loads = np.load(entry / "loads.npy")
+                raise MissingEntryError(
+                    f"stored entry {key} has store format "
+                    f"{meta.get('format')!r}, not {STORE_FORMAT}"
+                )
             result = PartitionResult(
                 spec=spec,
                 algorithm=meta["algorithm"],
-                parts=parts,
+                parts=np.load(entry / "parts.npy"),
                 k=meta["k"],
                 num_vertices=meta["num_vertices"],
                 num_edges=meta["num_edges"],
                 chunk_size=meta["chunk_size"],
-                loads=loads,
+                loads=np.load(entry / "loads.npy"),
                 replication_factor=meta["replication_factor"],
                 edge_balance=meta["edge_balance"],
                 runtime_s=0.0,
@@ -415,35 +425,36 @@ class ArtifactStore:
                 tau=meta["tau"],
                 breakdown=_breakdown_from_dict(meta["breakdown"]),
                 spill_bytes=meta["spill_bytes"],
-                buffer_size=meta["buffer_size"],
                 projected_memory_bytes=meta["projected_memory_bytes"],
                 report=_report_from_dict(meta["report"]),
                 job_hash=meta["job_hash"],
                 cache_hit=True,
                 stages_executed=(),
             )
-        except (OSError, ValueError, KeyError, EOFError, TypeError) as exc:
-            self.misses += 1
+        except (
+            OSError, ValueError, KeyError, EOFError, TypeError, AttributeError,
+        ) as exc:
             self._quarantine(entry, key, exc)
+            raise MissingEntryError(
+                f"stored entry {key} was torn ({type(exc).__name__}: "
+                f"{exc}) and is quarantined"
+            ) from exc
+        return meta, result
+
+    def get(self, key: str, spec: JobSpec) -> PartitionResult | None:
+        """Load the cached result for ``key``, or ``None`` on a miss.
+
+        Every :class:`MissingEntryError` of :meth:`read_entry` — no
+        entry, another layout, a torn entry (quarantined) — counts as
+        a miss and is never raised.
+        """
+        try:
+            _, result = self.read_entry(key, spec)
+        except MissingEntryError:
+            self.misses += 1
             return None
         self.hits += 1
         return result
-
-    def read_meta(self, key: str) -> dict | None:
-        """Return the raw ``meta.json`` dict for ``key``, or ``None``.
-
-        Read-side consumers (the serve layer's artifact cache) use this
-        to recover the stored spec and quality summary without
-        reconstructing a full :class:`PartitionResult`.
-        """
-        meta_path = self._entry_dir(key) / "meta.json"
-        try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if meta.get("format") != STORE_FORMAT:
-            return None
-        return meta
 
     def put(self, key: str, result: PartitionResult, digest: str) -> Path:
         """Persist ``result`` under ``key`` (atomic directory rename).
@@ -480,7 +491,6 @@ class ArtifactStore:
                 "passes": result.passes,
                 "tau": result.tau,
                 "spill_bytes": result.spill_bytes,
-                "buffer_size": result.buffer_size,
                 "projected_memory_bytes": result.projected_memory_bytes,
                 "replication_factor": result.replication_factor,
                 "edge_balance": result.edge_balance,

@@ -16,7 +16,9 @@ edges the result was computed from: the stored ``input_digest`` must
 equal the digest of the input now, the same
 :func:`~repro.runtime.store.input_digest` the store is keyed with.  An
 edited, moved or deleted input raises :class:`StaleInputError`, which
-the service answers with 409.
+the service answers with 409.  So does an entry the store no longer
+holds intact (:class:`~repro.runtime.store.MissingEntryError`): the
+service then marks the job failed, so a resubmit recomputes it.
 
 Everything here is synchronous and thread-safe-by-construction (reads
 of immutable arrays); the handlers run the blocking attach/build steps
@@ -146,19 +148,19 @@ class ArtifactCache:
             return len(self._entries)
 
     def attach(self, key: str) -> AttachedArtifact:
-        """Return the attached artifact for ``key``, loading on miss."""
+        """Return the attached artifact for ``key``, loading on miss.
+
+        Raises :class:`~repro.runtime.store.MissingEntryError` when the
+        store holds no valid entry for ``key``; the store's one reader
+        quarantines a torn entry first.
+        """
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
                 return cached
-        meta = self.store.read_meta(key)
-        if meta is None:
-            raise ReproError(f"no stored artifact for key {key}")
-        entry = self.store.entry_path(key)
-        parts = np.load(entry / "parts.npy")
-        loads = np.load(entry / "loads.npy")
-        artifact = AttachedArtifact(key, meta, parts, loads)
+        meta, result = self.store.read_entry(key)
+        artifact = AttachedArtifact(key, meta, result.parts, result.loads)
         with self._lock:
             self._entries[key] = artifact
             self._entries.move_to_end(key)

@@ -17,6 +17,7 @@ import asyncio
 import json
 from typing import AsyncIterator
 
+from repro.runtime.store import MissingEntryError
 from repro.serve.app import App, HTTPError, Request, Response
 from repro.serve.artifacts import ArtifactCache, AttachedArtifact
 from repro.serve.queue import JobManager, JobState
@@ -41,7 +42,11 @@ def register_routes(app: App, manager: JobManager,
         return job
 
     async def attach_artifact(request: Request) -> AttachedArtifact:
-        """The completed job's artifact, attached via the LRU."""
+        """The completed job's artifact, attached via the LRU.
+
+        A job whose stored entry is gone or torn fails here with a 409,
+        so a resubmit recomputes it.
+        """
         job = find_job(request)
         if job.state != JobState.SUCCEEDED:
             raise HTTPError(
@@ -49,7 +54,10 @@ def register_routes(app: App, manager: JobManager,
                 "completed result"
             )
         loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, cache.attach, job.key)
+        try:
+            return await loop.run_in_executor(None, cache.attach, job.key)
+        except MissingEntryError as exc:
+            raise HTTPError(409, manager.fail_lost_result(job, exc))
 
     @app.route("GET", "/healthz")
     async def healthz(request: Request) -> Response:

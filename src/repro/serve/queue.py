@@ -76,9 +76,8 @@ class QueueFullError(ReproError):
 
 #: payload keys forwarded to :func:`~repro.runtime.spec.make_job`
 _SPEC_KEYS = frozenset({
-    "chunk_size", "order", "seed", "algo_params",
-    "alpha", "tau", "memory_budget", "tau_grid", "id_bytes",
-    "buffer_size", "spill_dir", "spill_compression", "workers", "batch",
+    "chunk_size", "order", "seed", "algo_params", "alpha", "tau",
+    "memory_budget", "spill_dir", "spill_compression", "workers", "batch",
 })
 
 
@@ -301,6 +300,25 @@ class JobManager:
         finally:
             job.finished_at = time.time()
             set_tracer(previous)
+
+    def fail_lost_result(self, job: Job, exc: Exception) -> str:
+        """Fail a succeeded job whose stored result is gone; return why.
+
+        A lookup calls this (on the event loop) when the store holds no
+        valid entry for the job's key: it was deleted, or it was torn
+        and is now quarantined.  The lookup answers 409 with the
+        returned error, and, as for any failed job, the next submit of
+        the spec runs it again under the same id.
+        """
+        if job.state == JobState.SUCCEEDED:
+            job.state = JobState.FAILED
+            job.summary = None
+            job.error = f"{exc}; resubmit the job to recompute it"
+            job.events.append({
+                "event": "state", "state": JobState.FAILED,
+                "error": job.error,
+            })
+        return job.error
 
     async def cancel(self, job_id: str) -> Job | None:
         """Cancel a queued or running job; ``None`` for unknown ids.

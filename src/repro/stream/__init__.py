@@ -15,8 +15,6 @@ paper compares against:
 * :mod:`repro.stream.spill` — the disk-backed h2h edge file NE++
   appends to instead of holding high/high edges in RAM (raw or
   zlib-framed on-disk format),
-* :mod:`repro.stream.buffered` — a buffered scoring window for phase
-  two (quality/throughput knob ``buffer_size``),
 * :mod:`repro.stream.driver` — the :class:`StreamingAlgorithm`
   adapters that run HDRF/Greedy/DBH/Grid/restreaming from chunked
   sources with bounded memory, bit-identical to their in-memory
@@ -42,7 +40,6 @@ the streaming-baseline pipeline live in :mod:`repro.runtime`; run a
 job with ``run_job(make_job(...))``.
 """
 
-from repro.stream.buffered import buffered_hdrf_stream, stream_chunks_through_hdrf
 from repro.stream.driver import StreamingAlgorithm
 from repro.stream.extsort import EXTSORT_ORDERS, ExtSortResult, external_sort_edges
 from repro.stream.reader import (
@@ -104,8 +101,6 @@ __all__ = [
     "plan_worker_segments",
     "split_spill_round_robin",
     "DEFAULT_WORKER_BATCH",
-    "buffered_hdrf_stream",
-    "stream_chunks_through_hdrf",
     "StreamingAlgorithm",
     "EXTSORT_ORDERS",
     "ExtSortResult",

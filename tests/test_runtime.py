@@ -39,13 +39,14 @@ from repro.runtime import (
     run_job,
     validate_spec,
 )
+from repro.stream import DEFAULT_WORKER_BATCH
 
 #: pins the canonical hash of ``make_job("HDRF", "OK", 4)``.  If this
 #: assertion ever fails, the canonical form changed meaning: bump
 #: SPEC_VERSION (which re-keys every cache entry) instead of editing
 #: the constant.
 GOLDEN_HDRF_HASH = (
-    "b8f8d8b1fdaa40c9dd581e4bfcb808c6958901ff7d1e2631024b6daf68fe9c8e"
+    "e162e634cea2715715c750b9fbb300cd4f0fdb6ea6505c02c38b8b9dd568e6d2"
 )
 
 
@@ -109,11 +110,19 @@ class TestContentHash:
 
     def test_io_and_scan_knobs_do_not_split_the_hash(self, tmp_path):
         base = make_job("HDRF", "OK", 4)
-        for variant in (
-            make_job("HDRF", "OK", 4, spill_dir=str(tmp_path)),
-            make_job("HDRF", "OK", 4, trace_path="t.jsonl"),
-        ):
-            assert variant.content_hash() == base.content_hash()
+        variant = make_job("HDRF", "OK", 4, spill_dir=str(tmp_path))
+        assert variant.content_hash() == base.content_hash()
+
+    def test_explicit_default_batch_equals_elided_batch(self):
+        elided = make_job("HDRF", "OK", 4, workers=2)
+        explicit = make_job("HDRF", "OK", 4, workers=2,
+                            batch=DEFAULT_WORKER_BATCH)
+        assert explicit.canonical_json() == elided.canonical_json()
+        assert explicit.content_hash() == elided.content_hash()
+
+    def test_sequential_spec_carries_no_batch(self):
+        payload = json.loads(make_job("HDRF", "OK", 4).canonical_json())
+        assert payload["workers"] == 0 and payload["batch"] is None
 
     def test_input_path_is_not_hashed(self, edge_file):
         a = make_job("HDRF", edge_file, 4)
@@ -365,12 +374,10 @@ class TestSpecValidation:
              ["--workers", "2", "--memory-budget", "1000"],
              "tunes HEP's tau"),
             ("DBH", {"tau": 3.0}, ["--tau", "3.0"], "degree threshold"),
-            ("HDRF", {"buffer_size": 64}, ["--buffer-size", "64"],
-             "scoring window"),
             ("Greedy", {"spill_compression": "zlib"},
              ["--spill-compression", "zlib"], "h2h spill"),
         ],
-        ids=["HEP-tau-budget", "HDRF-mw2-budget", "DBH-tau", "HDRF-buffer",
+        ids=["HEP-tau-budget", "HDRF-mw2-budget", "DBH-tau",
              "Greedy-spill-compression"],
     )
     def test_hep_only_knobs_are_rejected(
@@ -397,23 +404,23 @@ class TestSpecValidation:
             ({"alpha": 0.0}, "alpha must be >= 1.0"),
             ({"alpha": -1.0}, "alpha must be >= 1.0"),
             ({"alpha": float("nan")}, "alpha must be >= 1.0"),
-            ({"tau_grid": ()}, "tau_grid must hold at least one tau"),
-            ({"tau_grid": (-1.0,)}, "each a finite number > 0"),
-            ({"tau_grid": (float("nan"),)}, "each a finite number > 0"),
-            ({"id_bytes": 0}, "id_bytes must be >= 1"),
-            ({"id_bytes": -4}, "id_bytes must be >= 1"),
             ({"spill_compression": "lz4"}, "unknown spill compression"),
+            ({"workers": 2.0}, "workers must be an integer >= 0"),
+            ({"workers": True}, "workers must be an integer >= 0"),
+            ({"workers": 2, "batch": 2.5}, "batch must be an integer >= 1"),
+            ({"workers": 2, "batch": True}, "batch must be an integer >= 1"),
+            ({"batch": 16}, "it requires workers >= 1"),
         ],
-        ids=["alpha0", "alpha-neg", "alpha-nan", "tau_grid-empty",
-             "tau_grid-neg", "tau_grid-nan", "id_bytes0", "id_bytes-neg",
-             "codec-lz4"],
+        ids=["alpha0", "alpha-neg", "alpha-nan", "codec-lz4",
+             "workers-float", "workers-bool", "batch-float", "batch-bool",
+             "batch-without-workers"],
     )
     def test_unusable_values_are_rejected_up_front(
         self, edge_file, tmp_path, options, match
     ):
         """Each of these used to pass validation and then fail mid-run,
-        after the input was hashed, or run under a meaningless tau or
-        budget; now it is rejected before the input is hashed."""
+        after the input was hashed, or run under a meaningless tau,
+        budget or batch; now it is rejected before the input is hashed."""
         store = ArtifactStore(tmp_path / "cache")
         spec = make_job("HEP", edge_file, 8, memory_budget=400_000, **options)
         with pytest.raises(ConfigurationError, match=match):

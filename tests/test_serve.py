@@ -16,6 +16,7 @@ subprocesses, so the tests stay fast and deterministic.
 
 import asyncio
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -206,7 +207,6 @@ class TestSubmitValidation:
                  "conflict"),
                 ({"workers": 2, "memory_budget": 1000}, "tunes HEP's tau"),
                 ({"algo": "DBH", "tau": 3.0}, "degree threshold"),
-                ({"buffer_size": 64}, "scoring window"),
                 ({"chunk_size": 0}, "chunk_size must be >= 1"),
                 ({"prefetch": 2}, "unknown submit key"),
                 ({"mmap": True}, "unknown submit key"),
@@ -276,13 +276,15 @@ class TestSubmitValidation:
         asyncio.run(scenario())
 
     def test_removed_execution_keys_are_400(self, edge_file, tmp_path):
-        """The scan-worker and pool-plumbing knobs are gone from the
-        spec; a payload still naming one is refused, not ignored."""
+        """The scan-worker, pool-plumbing, scoring-window and fixed
+        tau-grid/id-size knobs are gone from the spec; a payload still
+        naming one is refused, not ignored."""
         async def scenario():
             _, manager, _, app = await _service(tmp_path / "c", start=False)
             for key, value in (
                 ("metrics_workers", 2), ("mp_context", "fork"),
-                ("timeout", 30.0),
+                ("timeout", 30.0), ("buffer_size", 64),
+                ("tau_grid", [1.0, 10.0]), ("id_bytes", 8),
             ):
                 status, doc = await _asgi_json(
                     app, "POST", "/jobs", _payload(edge_file, **{key: value})
@@ -301,10 +303,14 @@ class TestSubmitValidation:
             for extra, match in (
                 ({"alpha": 0.0}, "alpha must be >= 1.0"),
                 ({"alpha": float("nan")}, "alpha must be >= 1.0"),
-                ({"tau_grid": []}, "tau_grid must hold at least one tau"),
-                ({"tau_grid": [-1.0]}, "each a finite number > 0"),
-                ({"id_bytes": 0}, "id_bytes must be >= 1"),
                 ({"spill_compression": "lz4"}, "unknown spill compression"),
+                ({"workers": 2.0}, "workers must be an integer >= 0"),
+                ({"workers": True}, "workers must be an integer >= 0"),
+                ({"workers": 2, "batch": 2.5},
+                 "batch must be an integer >= 1"),
+                ({"workers": 2, "batch": True},
+                 "batch must be an integer >= 1"),
+                ({"batch": 16}, "it requires workers >= 1"),
             ):
                 payload = _payload(
                     edge_file, algo="HEP", memory_budget=400_000, **extra
@@ -581,26 +587,75 @@ class TestServeEndToEnd:
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=300))
 
-    def test_torn_stored_entry_is_500_naming_the_error(
-        self, edge_file, tmp_path
+    def test_handler_exception_is_500_naming_the_error(self, tmp_path):
+        """A handler that raises an unexpected exception answers a JSON
+        500 naming it instead of dropping the connection, and the
+        service keeps answering."""
+        async def scenario():
+            _, manager, _, app = await _service(tmp_path / "c", start=False)
+
+            @app.route("GET", "/boom")
+            async def boom(request):
+                raise ValueError("EOF: reading array data")
+
+            try:
+                status, doc = await _asgi_json(app, "GET", "/boom")
+                assert status == 500, doc
+                assert doc["error"] == "ValueError: EOF: reading array data"
+                status, _ = await _asgi_json(app, "GET", "/healthz")
+                assert status == 200
+            finally:
+                await manager.shutdown()
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("loss", ["torn", "deleted"])
+    def test_lost_stored_entry_is_409_and_a_resubmit_recomputes(
+        self, loss, edge_file, tmp_path
     ):
-        """A lookup whose stored ``parts.npy`` is torn answers a JSON 500
-        naming the exception instead of dropping the connection."""
+        """A lookup that finds the job's entry torn (quarantined once) or
+        deleted answers 409 naming why; the job turns failed, so the
+        next submit runs it again under the same id and lookups answer
+        200 again."""
         async def scenario():
             store, manager, _, app = await _service(tmp_path / "cache")
             try:
                 job, _ = await manager.submit(_payload(edge_file))
                 await asyncio.wait_for(_collect_events(job), timeout=240)
                 assert job.state == JobState.SUCCEEDED
-                parts = store.entry_path(job.key) / "parts.npy"
-                parts.write_bytes(parts.read_bytes()[:100])
+                entry = store.entry_path(job.key)
+                if loss == "torn":
+                    parts = entry / "parts.npy"
+                    parts.write_bytes(parts.read_bytes()[:100])
+                    reason = "was torn"
+                else:
+                    shutil.rmtree(entry)
+                    reason = "no stored entry"
                 status, doc = await _asgi_json(
                     app, "GET", f"/jobs/{job.id}/edge/0"
                 )
-                assert status == 500, doc
-                assert doc["error"].startswith("ValueError: ")
-                status, _ = await _asgi_json(app, "GET", "/healthz")
-                assert status == 200
+                assert status == 409, doc
+                assert reason in doc["error"]
+                assert "resubmit" in doc["error"]
+                status, doc = await _asgi_json(app, "GET", "/healthz")
+                assert doc["store"]["quarantined"] == (loss == "torn")
+                status, doc = await _asgi_json(app, "GET", f"/jobs/{job.id}")
+                assert doc["state"] == JobState.FAILED
+                assert reason in doc["error"]
+
+                status, doc = await _asgi_json(
+                    app, "POST", "/jobs", _payload(edge_file)
+                )
+                assert status == 201 and doc["id"] == job.id, doc
+                await asyncio.wait_for(
+                    _collect_events(manager.jobs[job.id]), timeout=240
+                )
+                status, doc = await _asgi_json(
+                    app, "GET", f"/jobs/{job.id}/edge/0"
+                )
+                assert status == 200 and 0 <= doc["part"] < K, doc
+                assert manager.executions == 2
+                assert store.quarantined == (loss == "torn")
             finally:
                 await manager.shutdown()
 

@@ -52,14 +52,12 @@ def job_options(draw):
     options = draw(st.fixed_dictionaries({}, optional={
         "tau": st.sampled_from([0.0, 0.5, 2.0]),
         "memory_budget": st.sampled_from([0, 400_000, 400_000]),
-        "buffer_size": st.sampled_from([0, 64, 64]),
         "spill_compression": st.sampled_from(["zlib", "lz4"]),
         "passes": st.integers(0, 3),
         "workers": st.integers(-1, 2),
+        "batch": st.integers(0, 16),
         "chunk_size": st.sampled_from([0, 1, 4096, 4096]),
     }))
-    if "workers" in options and draw(st.booleans()):
-        options["batch"] = draw(st.integers(0, 16))
     algo = draw(st.sampled_from(ALGOS))
     return algo, draw(st.sampled_from([0, 1, 2, 8, 8, 8])), options
 

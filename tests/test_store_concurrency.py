@@ -5,8 +5,9 @@ Four load-bearing properties from the service hardening pass:
 * two processes racing :meth:`ArtifactStore.put` on the same key never
   raise and never leave a staging directory behind — whoever loses the
   rename treats the winner's byte-identical entry as its own,
-* a corrupt or truncated entry is quarantined on first read (logged
-  miss, entry moved under ``root/quarantine/``) instead of raising, and
+* a corrupt or truncated entry is quarantined on first read (entry
+  moved under ``root/quarantine/``): ``get`` logs a miss instead of
+  raising, ``ArtifactCache.attach`` raises ``MissingEntryError``, and
   the key becomes writable again,
 * a ``cancel`` event observed at a stage boundary aborts the run with
   :class:`~repro.errors.JobCancelledError`, persists **no** artifact,
@@ -20,18 +21,27 @@ Four load-bearing properties from the service hardening pass:
 import hashlib
 import json
 import multiprocessing
+import shutil
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import JobCancelledError
 from repro.graph import write_binary_edgelist
 from repro.graph.generators import chung_lu
 from repro.runtime import ArtifactStore, input_digest, make_job, run_job
-from repro.runtime.store import QUARANTINE_DIR, STORE_FORMAT
+from repro.runtime.store import (
+    QUARANTINE_DIR,
+    STORE_FORMAT,
+    MissingEntryError,
+)
+from repro.serve import ArtifactCache
 from shm_leaks import leaked_segments, psm_segments
 
 
@@ -155,6 +165,16 @@ class TestConcurrentPut:
         assert warm.cache_hit and store.hits == 1
 
 
+@pytest.fixture(scope="module")
+def pristine_store(edge_file, tmp_path_factory):
+    """A store root holding one good entry: ``(root, spec, key)``."""
+    store = ArtifactStore(tmp_path_factory.mktemp("pristine") / "cache")
+    spec = _spec(edge_file)
+    run_job(spec, store=store)
+    key, _ = _entry_key(store, spec, edge_file)
+    return store.root, spec, key
+
+
 class TestQuarantine:
     def _seeded(self, edge_file, tmp_path):
         """A store holding one good entry; returns (store, spec, key)."""
@@ -195,6 +215,16 @@ class TestQuarantine:
         assert store.get(key, spec) is None
         assert store.quarantined == 1
 
+    def test_valid_json_that_is_not_an_object_is_quarantined(
+        self, edge_file, tmp_path
+    ):
+        store, spec, key = self._seeded(edge_file, tmp_path)
+        (store.entry_path(key) / "meta.json").write_text(
+            "[]", encoding="utf-8"
+        )
+        assert store.get(key, spec) is None
+        assert store.quarantined == 1
+
     def test_key_is_writable_again_after_quarantine(
         self, edge_file, tmp_path
     ):
@@ -222,6 +252,42 @@ class TestQuarantine:
                 store.root / QUARANTINE_DIR / f"{key}{expected}"
             ).exists()
         assert store.quarantined == 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["meta.json", "parts.npy", "loads.npy"]),
+        attach_first=st.booleans(),
+        data=st.data(),
+    )
+    def test_any_truncated_file_is_quarantined_once(
+        self, pristine_store, name, attach_first, data
+    ):
+        """Cut any one of an entry's three files at any byte: ``get``
+        misses, ``attach`` raises :class:`MissingEntryError` (a 409 in
+        the service), neither raises anything else or returns arrays,
+        and the entry is quarantined exactly once."""
+        root, spec, key = pristine_store
+        with tempfile.TemporaryDirectory() as tmp:
+            store = ArtifactStore(Path(tmp) / "cache")
+            shutil.copytree(root, store.root)
+            path = store.entry_path(key) / name
+            blob = path.read_bytes()
+            path.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1))])
+            cache = ArtifactCache(store)
+
+            def via_get():
+                assert store.get(key, spec) is None
+
+            def via_attach():
+                with pytest.raises(MissingEntryError):
+                    cache.attach(key)
+
+            reads = (via_get, via_attach)
+            for read in reversed(reads) if attach_first else reads:
+                read()
+            assert store.quarantined == 1
+            assert len(list((store.root / QUARANTINE_DIR).iterdir())) == 1
+            assert not store.entry_path(key).exists()
 
     def test_format_mismatch_is_a_plain_miss_not_corruption(
         self, edge_file, tmp_path

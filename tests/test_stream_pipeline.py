@@ -9,7 +9,7 @@ import references
 from repro.errors import ConfigurationError, PartitioningError
 from repro.graph import Graph, generators, write_binary_edgelist
 from repro.metrics import assert_valid
-from repro.runtime import make_job, run_job, validate_spec
+from repro.runtime import make_job, run_job
 from repro.runtime.stages import _grid_column_entries
 from repro.stream import InMemoryEdgeSource, SpillFile, scan_source
 from strategies import graphs, power_law_graphs
@@ -194,42 +194,6 @@ def test_level_counts_equal_the_mask_formula(graph, chunk_size, data):
     got = _grid_column_entries(src, stats.degrees, thresholds)
     want = mask_column_entries(src, stats.degrees, thresholds)
     assert np.array_equal(got, want)
-
-
-class TestBuffered:
-    @pytest.mark.parametrize("buffer_size", [1, 16, 500])
-    def test_buffered_completes_and_validates(self, skewed_graph, buffer_size):
-        result = run_job(
-            make_job(
-                "HEP", skewed_graph, 4, tau=1.0, chunk_size=64,
-                buffer_size=buffer_size,
-            ),
-            skewed_graph,
-        )
-        assert result.num_unassigned == 0
-        assert_valid(result.to_assignment(skewed_graph))
-
-    def test_buffer_size_one_equals_plain(self, skewed_graph):
-        """A one-edge window can never reorder, so it matches exactly."""
-        plain = run_job(
-            make_job("HEP", skewed_graph, 4, tau=1.0, chunk_size=64),
-            skewed_graph,
-        )
-        one = run_job(
-            make_job(
-                "HEP", skewed_graph, 4, tau=1.0, chunk_size=64, buffer_size=1
-            ),
-            skewed_graph,
-        )
-        assert np.array_equal(plain.parts, one.parts)
-
-    def test_bad_buffer_config_rejected(self, skewed_graph):
-        """An empty window, or a window with worker processes, is
-        rejected by validate_spec, before the input is read."""
-        for options in ({"buffer_size": 0}, {"buffer_size": 8, "workers": 2}):
-            spec = make_job("HEP", skewed_graph, 4, tau=1.0, **options)
-            with pytest.raises(ConfigurationError, match="buffer_size"):
-                validate_spec(spec)
 
 
 class TestErrors:

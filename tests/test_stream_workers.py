@@ -205,12 +205,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run_bsp_shared(pool, [[]], state, parts, batch=0)
 
-    def test_hep_rejects_buffer_size(self, manifest):
-        with pytest.raises(ConfigurationError, match="buffer_size"):
-            run_job(
-                make_job("HEP", manifest.path, 4, workers=2, buffer_size=64)
-            )
-
 
 @pytest.mark.slow
 class TestEquivalence:
