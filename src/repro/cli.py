@@ -538,17 +538,18 @@ def _cmd_job_describe(args: argparse.Namespace) -> int:
 
     Prints exactly what the runtime would hash and cache-key for this
     flag set — the canonical one-line JSON, the sha256 content hash,
-    and the stage pipeline the planner would run.  A spec ``run_job``
-    would reject is rejected here with the same message.
+    and the stages ``run_job`` would run.  A spec ``run_job`` would
+    reject is rejected here with the same message.
     """
     from repro.runtime.api import validate_spec
-    from repro.runtime.plan import plan_job
+    from repro.runtime.stages import PIPELINES, pipeline_kind
 
     spec = _job_spec_from_args(args)
     validate_spec(spec)
     print(spec.canonical_json())
     print(f"content hash       : {spec.content_hash()}")
-    print(f"pipeline           : {plan_job(spec).describe()}")
+    print(f"pipeline           : "
+          f"{' -> '.join(PIPELINES[pipeline_kind(spec)])}")
     return 0
 
 
@@ -576,12 +577,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "job",
-        help="inspect runtime job specs (spec -> plan -> executor layer)",
+        help="inspect runtime job specs (the spec run_job would run)",
     )
     job_sub = p.add_subparsers(dest="job_command", required=True)
     p2 = job_sub.add_parser(
         "describe",
-        help="print a spec's canonical JSON, content hash, and stage plan",
+        help="print a spec's canonical JSON, content hash, and stages",
         parents=_partition_parents(),
     )
     _add_partition_flags(p2)

@@ -43,7 +43,9 @@ deregistration crashes the tracker loop with ``KeyError`` noise.
 Python 3.13 grew ``track=False`` for exactly this; on 3.10–3.12 the
 register/unregister calls are suppressed instead
 (:func:`_tracker_paused`).  Leak safety is owned by the explicit
-``finally`` unlinks plus the test-session and CI ``psm_*`` gates.
+``finally`` unlinks plus the test-session and CI ``psm_*`` gates; a
+process killed before its unlink leaves a segment that the next
+segment creation on the host removes (:func:`_reclaim_dead_segments`).
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import os
 import secrets
 import threading
 from multiprocessing import resource_tracker, shared_memory
+from pathlib import Path
 
 import numpy as np
 
@@ -89,6 +92,35 @@ def _tracker_paused():
             resource_tracker.unregister = saved[1]
 
 
+def _reclaim_dead_segments() -> None:
+    """Unlink every ``psm_<pid>_*`` segment whose creator no longer exists.
+
+    A coordinator killed before its ``finally`` unlink — or between
+    ``shm_open`` and ``ftruncate``, which leaves 0 bytes — orphans its
+    segment, and nothing else ever removes it.  This assumes
+    ``/dev/shm`` belongs to one pid namespace: a creator alive in
+    another namespace would look dead here.  A name without a pid is
+    skipped, a pid this process may not signal counts as alive, and a
+    host without a ``/dev/shm`` directory has nothing to reclaim.
+    """
+    shm_dir = Path("/dev/shm")
+    if not shm_dir.is_dir():
+        return
+    for path in shm_dir.glob("psm_*"):
+        pid, sep, _ = path.name[len("psm_"):].partition("_")
+        if not sep or not pid.isdigit() or int(pid) < 1:
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            # Gone already (another creator reclaimed it) or another
+            # user's in the sticky directory: either way not ours to fix.
+            with contextlib.suppress(FileNotFoundError, PermissionError):
+                path.unlink()
+        except (PermissionError, OverflowError):
+            pass  # alive under another user, or no valid pid at all
+
+
 def _create_untracked(size: int) -> shared_memory.SharedMemory:
     """Create a fresh segment whose lifetime *we* manage, not the tracker.
 
@@ -98,7 +130,9 @@ def _create_untracked(size: int) -> shared_memory.SharedMemory:
     The name is ``psm_<creator pid>_<8 hex>`` (at most 20 characters,
     inside macOS's 31), so a leak gate can tell this process's
     segments from those of other live processes; a name clash retries.
+    The segments of dead creators are reclaimed first.
     """
+    _reclaim_dead_segments()
     try:
         with _tracker_paused():
             while True:

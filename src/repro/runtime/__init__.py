@@ -1,19 +1,19 @@
-"""The runtime layer: declarative jobs, explicit plans, pluggable executors.
+"""The runtime layer: declarative jobs run by one runner.
 
-``repro.runtime`` is the one way to run an out-of-core job — a
+``repro.runtime`` is the one way to run a partitioning job — a
 streaming baseline or HEP, in process or on worker processes::
 
-    JobSpec  --plan_job-->  Plan  --run_job + Executor-->  PartitionResult
+    JobSpec  --run_job-->  PartitionResult
 
 * :class:`~repro.runtime.spec.JobSpec` — a frozen, canonically
   serializable job description with a stable content hash,
-* :func:`~repro.runtime.plan.plan_job` — lowers a spec to an explicit
-  stage DAG over the stage registry,
-* :mod:`~repro.runtime.executor` — in-process vs worker-pool
-  strategies for the passes that have both forms,
-* :func:`~repro.runtime.api.run_job` — runs the plan (or serves the
-  result from a content-addressed
-  :class:`~repro.runtime.store.ArtifactStore` without recomputing),
+* :func:`~repro.runtime.api.run_job` — validates the spec and calls
+  its pipeline's stages (:data:`~repro.runtime.stages.PIPELINES`: six
+  for HEP, three for a streaming baseline), or serves the result from
+  a content-addressed :class:`~repro.runtime.store.ArtifactStore`
+  without recomputing,
+* :mod:`~repro.runtime.stages` — the stage bodies; the ``stream``
+  stage runs in process or on a warm worker pool by ``spec.workers``,
 * :mod:`~repro.runtime.registry` — the decorator-based streaming
   algorithm registry the adapters register into.
 
@@ -23,21 +23,6 @@ Every caller — the CLI, ``repro serve``, the experiments, the benches
 """
 
 from repro.runtime.api import run_job, validate_spec
-from repro.runtime.executor import (
-    Executor,
-    InProcessExecutor,
-    PoolExecutor,
-    select_executor,
-)
-from repro.runtime.plan import (
-    PIPELINES,
-    Plan,
-    STAGE_REGISTRY,
-    Stage,
-    pipeline_kind,
-    plan_job,
-    register_stage,
-)
 from repro.runtime.registry import (
     AlgorithmInfo,
     algorithm_catalog,
@@ -53,22 +38,17 @@ from repro.runtime.spec import (
     JobSpec,
     make_job,
 )
+from repro.runtime.stages import PIPELINES, pipeline_kind
 from repro.runtime.store import ArtifactStore, input_digest
 
 __all__ = [
     "AlgorithmInfo",
     "ArtifactStore",
-    "Executor",
-    "InProcessExecutor",
     "InputSpec",
     "JobSpec",
     "PIPELINES",
     "PartitionResult",
-    "Plan",
-    "PoolExecutor",
     "SPEC_VERSION",
-    "STAGE_REGISTRY",
-    "Stage",
     "algorithm_catalog",
     "algorithm_info",
     "algorithm_names",
@@ -76,10 +56,7 @@ __all__ = [
     "input_digest",
     "make_job",
     "pipeline_kind",
-    "plan_job",
-    "register_stage",
     "register_streaming_algorithm",
     "run_job",
-    "select_executor",
     "validate_spec",
 ]

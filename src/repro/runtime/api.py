@@ -1,11 +1,10 @@
 """``run_job``: the one way to run a partitioning job.
 
 The runner takes a frozen :class:`~repro.runtime.spec.JobSpec`,
-validates it (:func:`validate_spec`), plans it
-(:func:`~repro.runtime.plan.plan_job`), picks an executor
-(:func:`~repro.runtime.executor.select_executor`), and runs the stage
-sequence inside one ``partition`` root span, so the observability
-suite pins a run's span tree and attributes.  With an
+validates it (:func:`validate_spec`) and calls its pipeline's stages
+(:data:`~repro.runtime.stages.PIPELINES`) in order inside one
+``partition`` root span, so the observability suite pins a run's span
+tree and attributes.  With an
 :class:`~repro.runtime.store.ArtifactStore` attached, a
 content-addressed lookup runs first: on a hit the saved assignment is
 returned bit for bit with **zero** stages executed (the result's
@@ -20,12 +19,17 @@ import time
 from repro.errors import ConfigurationError, JobCancelledError
 from repro.obs.tracer import get_tracer
 from repro.partition.scoring import _is_finite, check_hdrf_params
-from repro.runtime.plan import pipeline_kind, plan_job
 from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec, _is_count, declared_params
-from repro.runtime.stages import RunContext
-from repro.stream.reader import _check_chunk_size
+from repro.runtime.stages import (
+    PIPELINES,
+    STAGES,
+    RunContext,
+    pipeline_kind,
+    start_pool,
+)
+from repro.stream.reader import _check_chunk_size, check_order, path_format
 from repro.stream.spill import _check_compression
 
 __all__ = ["run_job", "validate_spec"]
@@ -47,8 +51,11 @@ def validate_spec(spec: JobSpec) -> None:
     same specs with the same messages — before any input is hashed or
     any stage runs.  Beyond the numeric ranges (``alpha`` a finite
     number >= 1, ``workers`` an integer >= 0 and, only where workers
-    run, ``batch`` an integer >= 1) and a spill codec the spill file
-    knows, ``algo`` must be HEP or a registered streaming algorithm,
+    run, ``batch`` an integer >= 1), a spill codec the spill file
+    knows and an ``input.order`` the input can stream in
+    (:func:`~repro.stream.reader.check_order`, judged from a path's
+    suffix; multi-worker HDRF streams natural order only),
+    ``algo`` must be HEP or a registered streaming algorithm,
     every ``algo_params`` name must be one that algorithm declares, a
     declared ``lam``/``eps`` must pass
     :func:`~repro.partition.scoring.check_hdrf_params`, and a streaming
@@ -58,6 +65,10 @@ def validate_spec(spec: JobSpec) -> None:
     """
     hep = pipeline_kind(spec) == "hep"
     _check_chunk_size(spec.chunk_size)
+    if spec.input.kind == "path":
+        check_order(path_format(spec.input.path), spec.input.order)
+    elif spec.input.kind in ("dataset", "graph"):
+        check_order("memory", spec.input.order)
     if not (_is_finite(spec.alpha) and spec.alpha >= 1.0):
         # capacity_bound's wording; it lets a NaN through to int()
         raise ConfigurationError(f"alpha must be >= 1.0, got {spec.alpha}")
@@ -81,7 +92,7 @@ def validate_spec(spec: JobSpec) -> None:
             raise ConfigurationError(
                 f"batch must be an integer >= 1, got {spec.batch!r}"
             )
-        # The pool executor streams informed HDRF (alone or as HEP's
+        # The worker pool streams informed HDRF (alone or as HEP's
         # phase two); any other algorithm would silently run as HDRF.
         if not hep and spec.algo.upper() != "HDRF":
             raise ConfigurationError(
@@ -94,6 +105,13 @@ def validate_spec(spec: JobSpec) -> None:
             raise ConfigurationError(
                 f"multi-worker HDRF reads its shards from an edge file or "
                 f"shard manifest on disk; got a {spec.input.kind!r} input"
+            )
+        # Its workers stream their shards in file order, whatever the
+        # spec says.
+        if not hep and spec.input.order != "natural":
+            raise ConfigurationError(
+                f"multi-worker HDRF streams its shards in file order "
+                f"(order='natural'); got order {spec.input.order!r}"
             )
     declared = declared_params(spec.algo)
     if declared is None:
@@ -169,8 +187,7 @@ def _check_cancel(cancel, spec: JobSpec, where: str) -> None:
 
 
 def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
-    """Run the planned stages under the ``partition`` root span."""
-    from repro.runtime.executor import select_executor
+    """Run the spec's pipeline under the ``partition`` root span."""
     from repro.stream.reader import open_edge_source
 
     kind = pipeline_kind(spec)
@@ -187,8 +204,6 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
     else:
         ctx.empty_message = f"{algo.name}: edge stream is empty"
 
-    plan = plan_job(spec)
-    executor = select_executor(spec)
     tracer = get_tracer()
     start = time.perf_counter()
     attrs: dict = {"algo": display, "k": spec.k}
@@ -197,21 +212,18 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
     attrs["source"] = str(source)
     with tracer.span("partition", **attrs):
         try:
-            # prepare() may spawn a warm worker pool; keeping it inside
-            # the try guarantees finish() reaps that pool even when an
-            # interrupt lands mid-prepare.
-            executor.prepare(spec, ctx)
+            # Inside the try, so the finally reaps a pool that an
+            # interrupt catches mid-spawn.
+            if spec.workers >= 1:
+                start_pool(spec, ctx)
             ctx.src = open_edge_source(
                 source, spec.chunk_size, order=spec.input.order,
                 seed=spec.input.seed,
             )
-            executor.start(spec, ctx)
-            for stage in plan.stages:
-                _check_cancel(cancel, spec, f"stage {stage.name!r}")
-                stage.fn(spec, ctx, executor)
-                ctx.executed.append(stage.name)
+            for name in PIPELINES[kind]:
+                _check_cancel(cancel, spec, f"stage {name!r}")
+                STAGES[name](spec, ctx)
         finally:
-            executor.finish(spec, ctx)
             ctx.close()
     return PartitionResult(
         spec=spec,
@@ -233,7 +245,8 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
         report=ctx.report,
         job_hash=spec.content_hash(),
         cache_hit=False,
-        stages_executed=tuple(ctx.executed),
+        # A run either completes every stage or raises.
+        stages_executed=PIPELINES[kind],
     )
 
 

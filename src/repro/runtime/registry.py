@@ -123,7 +123,7 @@ def algorithm_catalog() -> str:
     This is what ``repro partition --algo help`` prints; ``HEP`` is
     listed first because the two-phase pipeline is not a
     :class:`~repro.stream.driver.StreamingAlgorithm` adapter but the
-    planner's other pipeline shape.
+    runner's other pipeline.
     """
     ensure_builtins_registered()
     lines = ["registered algorithms (--algo NAME, case-insensitive):", ""]

@@ -1,11 +1,11 @@
 """The result of a runtime partitioning job.
 
 :class:`PartitionResult` is the one type every job returns, whatever
-its pipeline (streaming baseline or HEP) and executor (in process or
-on worker processes).  It carries the assignment, the quality metrics,
-the HEP phase breakdown and worker report when the pipeline produced
-them, and the provenance (``job_hash``, ``cache_hit``,
-``stages_executed``).
+its pipeline (streaming baseline or HEP) and whether it streamed in
+process or on worker processes.  It carries the assignment, the
+quality metrics, the HEP phase breakdown and worker report when the
+pipeline produced them, and the provenance (``job_hash``,
+``cache_hit``, ``stages_executed``).
 """
 
 from __future__ import annotations

@@ -149,11 +149,10 @@ class JobSpec:
     """One partitioning job, declaratively: input + algorithm + shape.
 
     ``algo`` is ``"HEP"`` or a registered streaming-algorithm name
-    (:mod:`repro.runtime.registry`); the planner lowers HEP specs to
-    the six-stage pipeline and everything else to the three-stage
-    streaming pipeline.  ``workers >= 1`` selects the
-    :class:`~repro.runtime.executor.PoolExecutor` (BSP worker
-    processes); ``workers == 0`` runs in process.
+    (:mod:`repro.runtime.registry`); ``run_job`` runs HEP specs
+    through the six-stage pipeline and everything else through the
+    three-stage streaming pipeline.  ``workers >= 1`` streams on BSP
+    worker processes; ``workers == 0`` runs in process.
     """
 
     algo: str
@@ -200,7 +199,7 @@ class JobSpec:
 
     @property
     def params(self) -> dict:
-        """``algo_params`` as a plain dict (stage/executor convenience)."""
+        """``algo_params`` as a plain dict (stage convenience)."""
         return dict(self.algo_params)
 
     def to_dict(self) -> dict:

@@ -1,21 +1,26 @@
-"""Stage implementations and the mutable run context they share.
+"""The job's stages, the two pipelines that order them, and their context.
 
-These are the bodies of both pipelines — HEP's six stages and the
-streaming baselines' three — behind the stage registry, so there is
-exactly one pipeline to register into.  Each stage keeps a fixed call
-order, kernel invocations, and trace span names
+HEP runs six stages and every streaming baseline three
+(:data:`PIPELINES`); :func:`~repro.runtime.api.run_job` calls them in
+that order.  Each stage keeps a fixed call order, kernel invocations,
+and trace span names
 (``count_pass``/``select_tau``/``split_pass``/``phase_one``/
 ``stream_pass``/``metrics_pass``) — the property the equivalence and
 observability suites pin bit for bit.
 
-Stages take ``(spec, ctx, executor)``: the spec is frozen
-configuration, the :class:`RunContext` carries the materializing state
-(source, stats, CSR, spill, parts, ...), and the executor supplies the
-strategy for the passes that have both an in-process and a worker-pool
-form (:mod:`repro.runtime.executor`).
+Stages take ``(spec, ctx)``: the spec is frozen configuration, the
+:class:`RunContext` carries the materializing state (source, stats,
+CSR, spill, parts, ...).  Only the ``stream`` stage has two forms: at
+``spec.workers == 0`` it sweeps in process, otherwise it runs BSP
+informed HDRF on the warm worker pool :func:`start_pool` spawned.
+Both forms are pinned bit-identical to each other and to the
+in-memory oracles by the equivalence suites; the form changes
+wall-clock and memory placement, never assignments.
 """
 
 from __future__ import annotations
+
+import tempfile
 
 import numpy as np
 
@@ -26,11 +31,22 @@ from repro.core.tau import DEFAULT_TAU_GRID, select_from_footprints
 from repro.errors import PartitioningError
 from repro.graph.csr import CsrGraph
 from repro.obs.tracer import get_tracer
-from repro.runtime.plan import register_stage
+from repro.partition.base import capacity_bound
 from repro.runtime.spec import JobSpec
 from repro.stream.scan import chunked_quality, scan_source
 
-__all__ = ["RunContext"]
+__all__ = ["PIPELINES", "RunContext", "STAGES", "pipeline_kind", "start_pool"]
+
+#: stage order per pipeline: HEP's two phases, or one streaming sweep
+PIPELINES: dict[str, tuple[str, ...]] = {
+    "hep": ("count", "select_tau", "split", "phase_one", "stream", "metrics"),
+    "stream": ("count", "stream", "metrics"),
+}
+
+
+def pipeline_kind(spec: JobSpec) -> str:
+    """``"hep"`` for the two-phase pipeline, ``"stream"`` otherwise."""
+    return "hep" if spec.algo.upper() == "HEP" else "stream"
 
 
 class RunContext:
@@ -39,7 +55,7 @@ class RunContext:
     Built by :func:`repro.runtime.api.run_job`; stages read what
     earlier stages provided and write what they produce.  ``pool``
     holds the warm :class:`~repro.stream.workers.PersistentWorkerPool`
-    when the executor started one, ``spill`` the open
+    of a multi-worker run, ``spill`` the open
     :class:`~repro.stream.spill.SpillFile` between the split and
     stream stages.
     """
@@ -50,11 +66,11 @@ class RunContext:
         self.source = source
         #: the opened EdgeChunkSource (set by the runner)
         self.src = None
-        #: streaming-algorithm adapter instance (streaming pipeline only)
+        #: streaming-algorithm adapter instance (in-process streaming only)
         self.algorithm = algorithm
-        #: warm worker pool, when the executor started one
+        #: warm worker pool of a multi-worker run
         self.pool = None
-        #: per-worker spill/shard segments (PoolExecutor)
+        #: multi-worker HDRF's per-worker shard segments
         self.segments = None
         self.stats = None
         self.tau: float | None = None
@@ -72,30 +88,53 @@ class RunContext:
         self.report = None
         self.replication_factor: float | None = None
         self.edge_balance: float | None = None
-        self.executed: list[str] = []
         #: message for the empty-source error (driver-specific wording)
         self.empty_message = "edge stream is empty"
 
     def close(self) -> None:
-        """Release run-scoped resources (the spill file, if still open)."""
+        """Release the run's resources: reap the pool, close the spill."""
+        if self.pool is not None:
+            self.pool.shutdown()
+            self.pool = None
         if self.spill is not None:
             self.spill.close()
             self.spill = None
 
 
+def start_pool(spec: JobSpec, ctx: RunContext) -> None:
+    """Spawn a multi-worker run's warm pool, before the source opens.
+
+    Multi-worker HDRF first deals its shards to the workers and rejects
+    an empty source; HEP's workers read the h2h spill, which phase two
+    splits.  The pool forks before any big array exists, and it is
+    registered on the context before it starts, so
+    :meth:`RunContext.close` reaps it even when an interrupt lands
+    mid-spawn.
+    """
+    from repro.stream.workers import PersistentWorkerPool, plan_worker_segments
+
+    if pipeline_kind(spec) == "stream":
+        segments, _, num_edges, _ = plan_worker_segments(
+            ctx.source, spec.workers
+        )
+        if num_edges == 0:
+            raise PartitioningError(ctx.empty_message)
+        ctx.segments = segments
+    ctx.pool = PersistentWorkerPool(spec.workers)
+    ctx.pool.start()
+
+
 # -- stages -----------------------------------------------------------------
 
 
-@register_stage("count", provides=("stats",))
-def stage_count(spec: JobSpec, ctx: RunContext, executor) -> None:
+def stage_count(spec: JobSpec, ctx: RunContext) -> None:
     """Counting pass: exact degrees, vertex universe, edge count."""
     ctx.stats = scan_source(ctx.src)
     if ctx.stats.num_edges == 0:
         raise PartitioningError(ctx.empty_message)
 
 
-@register_stage("select_tau", provides=("tau", "high"))
-def stage_select_tau(spec: JobSpec, ctx: RunContext, executor) -> None:
+def stage_select_tau(spec: JobSpec, ctx: RunContext) -> None:
     """Resolve tau (fixed, budget-selected, or the 10.0 default)."""
     tracer = get_tracer()
     if spec.tau is not None:
@@ -111,8 +150,7 @@ def stage_select_tau(spec: JobSpec, ctx: RunContext, executor) -> None:
     ctx.high = ctx.stats.degrees > threshold
 
 
-@register_stage("split", provides=("spill", "csr"))
-def stage_split(spec: JobSpec, ctx: RunContext, executor) -> None:
+def stage_split(spec: JobSpec, ctx: RunContext) -> None:
     """Splitting pass: h2h chunks to the disk spill, the rest into CSR."""
     from repro.stream.spill import SpillFile
 
@@ -126,8 +164,7 @@ def stage_split(spec: JobSpec, ctx: RunContext, executor) -> None:
         span.add("spill_bytes", ctx.spill.nbytes)
 
 
-@register_stage("phase_one", provides=("phase_one", "parts", "loads"))
-def stage_phase_one(spec: JobSpec, ctx: RunContext, executor) -> None:
+def stage_phase_one(spec: JobSpec, ctx: RunContext) -> None:
     """Phase one: NE++ on the chunk-built pruned CSR."""
     tracer = get_tracer()
     with tracer.span("phase_one", k=spec.k) as span:
@@ -141,20 +178,27 @@ def stage_phase_one(spec: JobSpec, ctx: RunContext, executor) -> None:
     ctx.loads = ctx.phase_one.loads.copy()
 
 
-@register_stage("stream", provides=("parts", "loads", "passes", "breakdown"))
-def stage_stream(spec: JobSpec, ctx: RunContext, executor) -> None:
-    """Streaming phase: the spill read-back (HEP) or the source sweeps."""
+def stage_stream(spec: JobSpec, ctx: RunContext) -> None:
+    """Streaming phase: the spill read-back (HEP) or the source sweeps.
+
+    In process at ``spec.workers == 0``, on the warm pool otherwise.
+    """
     tracer = get_tracer()
+    on_pool = spec.workers >= 1
     if ctx.spill is not None:
         # HEP pipeline: informed HDRF over the spilled h2h edges.
         if len(ctx.spill):
             with tracer.span("stream_pass", phase="spill") as span:
-                ctx.loads = executor.stream_spill(spec, ctx)
+                if on_pool:
+                    ctx.loads = _stream_spill_on_pool(spec, ctx)
+                else:
+                    ctx.loads = _stream_spill_in_process(spec, ctx)
                 span.add("edges_scanned", len(ctx.spill))
                 span.add("spill_bytes", ctx.spill.nbytes)
         ctx.spill_bytes = ctx.spill.nbytes
         ctx.num_h2h = len(ctx.spill)
-        ctx.close()
+        ctx.spill.close()
+        ctx.spill = None
         ctx.breakdown = HepPhaseBreakdown(
             num_edges=ctx.stats.num_edges,
             num_h2h_edges=ctx.num_h2h,
@@ -164,16 +208,116 @@ def stage_stream(spec: JobSpec, ctx: RunContext, executor) -> None:
             ),
             spilled_edges=ctx.phase_one.stats.spilled_edges,
         )
+    elif on_pool:
+        _stream_source_on_pool(spec, ctx)
     else:
-        executor.stream_source(spec, ctx)
+        _stream_source_in_process(spec, ctx)
 
 
-@register_stage("metrics", provides=("replication_factor", "edge_balance"))
-def stage_metrics(spec: JobSpec, ctx: RunContext, executor) -> None:
+def stage_metrics(spec: JobSpec, ctx: RunContext) -> None:
     """Metrics pass: replication factor and edge balance over the source."""
     ctx.replication_factor, ctx.edge_balance = chunked_quality(
         ctx.src, ctx.stats, spec.k, ctx.parts, spec.memory_budget
     )
+
+
+#: each stage's body, by the name :data:`PIPELINES` gives it
+STAGES = {
+    "count": stage_count,
+    "select_tau": stage_select_tau,
+    "split": stage_split,
+    "phase_one": stage_phase_one,
+    "stream": stage_stream,
+    "metrics": stage_metrics,
+}
+
+
+# -- the stream stage's two forms -------------------------------------------
+
+
+def _stream_source_in_process(spec: JobSpec, ctx: RunContext) -> None:
+    """Chunked sweeps through the algorithm adapter (one per pass)."""
+    tracer = get_tracer()
+    algo = ctx.algorithm
+    capacity = capacity_bound(ctx.stats.num_edges, spec.k, spec.alpha)
+    algo.prepare(ctx.stats, spec.k, capacity)
+    parts = np.full(ctx.stats.num_edges, -1, dtype=np.int32)
+    for sweep in range(algo.passes):
+        with tracer.span(
+            "stream_pass", algo=algo.name, sweep=sweep
+        ) as span:
+            for chunk in ctx.src:
+                algo.process(chunk.pairs, chunk.eids, parts)
+                span.add("edges_scanned", chunk.num_edges)
+    with tracer.span("finalize", algo=algo.name):
+        parts = algo.finalize(parts, spec.k, capacity)
+    ctx.parts = parts
+    ctx.passes = algo.passes
+    ctx.loads = np.bincount(
+        parts[parts >= 0], minlength=spec.k
+    ).astype(np.int64)
+
+
+def _stream_spill_in_process(spec: JobSpec, ctx: RunContext) -> np.ndarray:
+    """Phase two: informed HDRF over the spilled h2h chunks."""
+    from repro.partition.hdrf import hdrf_stream
+
+    state = _informed_phase_two_state(spec, ctx)
+    params = spec.params
+    for pairs, eids in ctx.spill.chunks(spec.chunk_size):
+        hdrf_stream(
+            state, pairs, eids, ctx.parts,
+            lam=params.get("lam", 1.1), eps=params.get("eps", 1.0),
+        )
+    return state.loads
+
+
+def _run_bsp(spec: JobSpec, segments, state, parts, ctx: RunContext):
+    """One shared-memory BSP run over ``segments`` on the warm pool."""
+    from repro.stream.workers import run_bsp_shared
+
+    params = spec.params
+    return run_bsp_shared(
+        ctx.pool, segments, state, parts,
+        batch=spec.batch, lam=params.get("lam", 1.1),
+        eps=params.get("eps", 1.0), chunk_size=spec.chunk_size,
+    )
+
+
+def _stream_source_on_pool(spec: JobSpec, ctx: RunContext) -> None:
+    """Informed HDRF over the shard assignment, one process per worker."""
+    from repro.partition.state import StreamingState
+
+    capacity = capacity_bound(ctx.stats.num_edges, spec.k, spec.alpha)
+    state = StreamingState(
+        ctx.stats.num_vertices, spec.k, capacity,
+        exact_degrees=ctx.stats.degrees,
+    )
+    parts = np.full(ctx.stats.num_edges, -1, dtype=np.int32)
+    ctx.report = _run_bsp(spec, ctx.segments, state, parts, ctx)
+    ctx.parts = parts
+    ctx.loads = state.loads.copy()
+
+
+def _stream_spill_on_pool(spec: JobSpec, ctx: RunContext) -> np.ndarray:
+    """Phase two: informed HDRF over per-worker spill segments."""
+    from repro.stream.workers import split_spill_round_robin
+
+    state = _informed_phase_two_state(spec, ctx)
+    with tempfile.TemporaryDirectory(
+        prefix="mw-h2h-", dir=spec.spill_dir
+    ) as tmp:
+        with get_tracer().span(
+            "split_spill", workers=spec.workers
+        ) as span:
+            segments = split_spill_round_robin(
+                ctx.spill, spec.workers, tmp, spec.chunk_size,
+                compression=spec.spill_compression,
+            )
+            span.add("spill_bytes", ctx.spill.nbytes)
+            span.add("spill_records", len(ctx.spill))
+        ctx.report = _run_bsp(spec, segments, state, ctx.parts, ctx)
+    return state.loads
 
 
 # -- HEP stage bodies ------------------------------------------------------
@@ -254,8 +398,8 @@ def _split_and_build(src, stats, high: np.ndarray, spill) -> CsrGraph:
     )
 
 
-def informed_phase_two_state(spec: JobSpec, ctx: RunContext):
-    """Build the informed-HDRF state both phase-two strategies share."""
+def _informed_phase_two_state(spec: JobSpec, ctx: RunContext):
+    """Build the informed-HDRF state both phase-two forms share."""
     from repro.partition.state import StreamingState
 
     capacity = phase_two_capacity(

@@ -347,8 +347,8 @@ class JobManager:
         Queued jobs flip to ``cancelled``; a running job's cancel event
         is set so the runtime stops at the next stage boundary; the
         runner thread is joined before returning, which also tears down
-        any warm pool the run held (``executor.finish`` runs inside
-        ``run_job``).
+        any warm pool the run held (``run_job`` reaps it in its
+        ``finally``).
         """
         self._draining = True
         for job in self.jobs.values():

@@ -21,7 +21,11 @@ Chunk order is pluggable:
 * binary file sources additionally support ``"shuffled"`` — a seeded
   permutation of *chunk* read order plus a within-chunk shuffle, which
   approximates a random stream order with O(chunk) memory,
-* text file sources are sequential-only (``"natural"``).
+* text file sources are sequential-only (``"natural"``), and so are
+  shard manifests.
+
+:func:`check_order` holds that rule, for the sources and for
+:func:`~repro.runtime.api.validate_spec` alike.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ __all__ = [
     "InMemoryEdgeSource",
     "BinaryFileEdgeSource",
     "TextFileEdgeSource",
+    "check_order",
     "open_edge_source",
+    "path_format",
     "sniff_edge_format",
     "require_edge_format",
     "DEFAULT_CHUNK_SIZE",
@@ -109,6 +115,44 @@ def _check_chunk_size(chunk_size: int) -> int:
     return int(chunk_size)
 
 
+def check_order(source_format: str, order: str) -> None:
+    """Raise unless a ``source_format`` source can stream in ``order``.
+
+    ``"memory"`` (a loaded Graph or a dataset) takes every
+    :data:`~repro.graph.ordering.ORDERINGS` strategy, ``"binary"``
+    ``"natural"`` or ``"shuffled"``, and ``"manifest"`` and ``"text"``
+    only ``"natural"``.  The sources and
+    :func:`~repro.runtime.api.validate_spec` both call this, so a job
+    is refused before its input is hashed with the message the open
+    would give.
+    """
+    if source_format == "memory":
+        if order not in ORDERINGS:
+            raise ConfigurationError(
+                f"unknown ordering {order!r}; available: {', '.join(ORDERINGS)}"
+            )
+    elif source_format == "binary":
+        if order not in ("natural", "shuffled"):
+            raise ConfigurationError(
+                f"binary file sources support 'natural' or 'shuffled' order, "
+                f"got {order!r}"
+            )
+    elif order != "natural":
+        kind = "sharded" if source_format == "manifest" else "text file"
+        raise ConfigurationError(
+            f"{kind} sources are sequential-only (order='natural')"
+        )
+
+
+def path_format(path: "str | os.PathLike") -> str:
+    """``"manifest"``, ``"binary"`` or ``"text"``, by the suffix alone."""
+    from repro.stream.shard import is_manifest_path
+
+    if is_manifest_path(path):
+        return "manifest"
+    return "binary" if Path(path).suffix in BINARY_SUFFIXES else "text"
+
+
 class InMemoryEdgeSource(EdgeChunkSource):
     """Chunked view of an already-loaded :class:`Graph`.
 
@@ -124,10 +168,7 @@ class InMemoryEdgeSource(EdgeChunkSource):
         order: str = "natural",
         seed: int = 0,
     ) -> None:
-        if order not in ORDERINGS:
-            raise ConfigurationError(
-                f"unknown ordering {order!r}; available: {', '.join(ORDERINGS)}"
-            )
+        check_order("memory", order)
         self.graph = graph
         self.chunk_size = _check_chunk_size(chunk_size)
         self.order = order
@@ -173,11 +214,7 @@ class BinaryFileEdgeSource(EdgeChunkSource):
         order: str = "natural",
         seed: int = 0,
     ) -> None:
-        if order not in ("natural", "shuffled"):
-            raise ConfigurationError(
-                f"binary file sources support 'natural' or 'shuffled' order, "
-                f"got {order!r}"
-            )
+        check_order("binary", order)
         self.path = Path(path)
         self.chunk_size = _check_chunk_size(chunk_size)
         self.order = order
@@ -405,20 +442,14 @@ def open_edge_source(
             f"{text!r} is neither a dataset name "
             f"({', '.join(datasets.available())}) nor a file"
         )
-    from repro.stream.shard import ShardedEdgeSource, is_manifest_path
+    from repro.stream.shard import ShardedEdgeSource
 
-    if is_manifest_path(path):
-        if order != "natural":
-            raise ConfigurationError(
-                "sharded sources are sequential-only (order='natural')"
-            )
+    source_format = path_format(path)
+    if source_format == "manifest":
+        check_order(source_format, order)
         return ShardedEdgeSource(path, chunk_size)
-    if path.suffix in BINARY_SUFFIXES:
-        require_edge_format(path, "binary")
+    require_edge_format(path, source_format)
+    if source_format == "binary":
         return BinaryFileEdgeSource(path, chunk_size, order=order, seed=seed)
-    require_edge_format(path, "text")
-    if order != "natural":
-        raise ConfigurationError(
-            "text file sources are sequential-only (order='natural')"
-        )
+    check_order(source_format, order)
     return TextFileEdgeSource(path, chunk_size)

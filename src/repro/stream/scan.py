@@ -22,8 +22,8 @@ either way, so the reported metrics are bit-identical).
 Each pass records one trace span (``count_pass``, ``metrics_pass``)
 with an ``edges_scanned`` counter, whoever calls it.
 
-Used by the runtime's count and metrics stages (both pipelines and
-both executors: :mod:`repro.runtime.stages`), by
+Used by the runtime's count and metrics stages (both pipelines, in
+process or with workers: :mod:`repro.runtime.stages`), by
 :func:`repro.metrics.streamed_quality_report` and by the external sort
 (:mod:`repro.stream.extsort`).
 """

@@ -1,4 +1,4 @@
-"""Tests for the repro.runtime layer: specs, hashing, plans, and cache.
+"""Tests for the repro.runtime layer: specs, hashing, pipelines, and cache.
 
 The load-bearing properties:
 
@@ -22,11 +22,10 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.graph import write_binary_edgelist
+from repro.graph import write_binary_edgelist, write_text_edgelist
 from repro.graph.generators import chung_lu
 from repro.obs import Tracer, set_tracer
 from repro.runtime import (
-    PIPELINES,
     ArtifactStore,
     InputSpec,
     JobSpec,
@@ -34,7 +33,6 @@ from repro.runtime import (
     create_algorithm,
     input_digest,
     make_job,
-    plan_job,
     register_streaming_algorithm,
     run_job,
     validate_spec,
@@ -59,6 +57,22 @@ def graph():
 def edge_file(graph, tmp_path_factory):
     path = tmp_path_factory.mktemp("rt") / "rt.bin"
     write_binary_edgelist(graph, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def text_file(graph, tmp_path_factory):
+    path = tmp_path_factory.mktemp("rt") / "rt.txt"
+    write_text_edgelist(graph, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def manifest_file(graph, tmp_path_factory):
+    from repro.stream import write_sharded_edges
+
+    path = tmp_path_factory.mktemp("rt") / "rt.manifest.json"
+    write_sharded_edges(graph, path, num_shards=2)
     return path
 
 
@@ -143,20 +157,27 @@ class TestContentHash:
             spec.k = 8
 
 
-class TestPlanner:
-    def test_hep_plan_has_six_stages(self):
-        plan = plan_job(make_job("HEP", "OK", 4))
-        assert [s.name for s in plan.stages] == [
-            "count", "select_tau", "split", "phase_one", "stream", "metrics",
-        ]
+_HEP_STAGES = ("count", "select_tau", "split", "phase_one", "stream",
+               "metrics")
 
-    def test_streaming_plan_has_three_stages(self):
-        plan = plan_job(make_job("Greedy", "OK", 4))
-        assert [s.name for s in plan.stages] == ["count", "stream", "metrics"]
-        assert plan.describe() == "count -> stream -> metrics"
 
-    def test_pipelines_registry_covers_both_kinds(self):
-        assert set(PIPELINES) == {"hep", "stream"}
+class TestPipelines:
+    @pytest.mark.parametrize(
+        "algo,options,stages",
+        [
+            ("HEP", {"tau": 1.0}, _HEP_STAGES),
+            ("HEP", {"tau": 1.0, "workers": 2}, _HEP_STAGES),
+            ("HDRF", {"workers": 2}, ("count", "stream", "metrics")),
+        ],
+        ids=["hep", "hep-mw2", "hdrf-mw2"],
+    )
+    def test_cold_run_executes_its_pipeline(
+        self, edge_file, algo, options, stages
+    ):
+        result = run_job(make_job(algo, edge_file, 4, chunk_size=256,
+                                  **options))
+        assert not result.cache_hit
+        assert result.stages_executed == stages
 
 
 class TestRegistry:
@@ -410,19 +431,36 @@ class TestSpecValidation:
             ({"workers": 2, "batch": 2.5}, "batch must be an integer >= 1"),
             ({"workers": 2, "batch": True}, "batch must be an integer >= 1"),
             ({"batch": 16}, "it requires workers >= 1"),
+            ({"order": "bogus"},
+             "support 'natural' or 'shuffled' order, got 'bogus'"),
+            ({"order": "random"},
+             "support 'natural' or 'shuffled' order, got 'random'"),
+            ({"source": "text_file", "order": "shuffled"},
+             "text file sources are sequential-only"),
+            ({"source": "manifest_file", "order": "shuffled"},
+             "sharded sources are sequential-only"),
+            ({"algo": "HDRF", "memory_budget": None, "workers": 2,
+              "order": "shuffled"},
+             "multi-worker HDRF streams its shards in file order"),
         ],
         ids=["alpha0", "alpha-neg", "alpha-nan", "codec-lz4",
              "workers-float", "workers-bool", "batch-float", "batch-bool",
-             "batch-without-workers"],
+             "batch-without-workers", "order-bogus", "order-random-binary",
+             "order-shuffled-text", "order-shuffled-manifest",
+             "order-shuffled-hdrf-mw2"],
     )
     def test_unusable_values_are_rejected_up_front(
-        self, edge_file, tmp_path, options, match
+        self, request, tmp_path, options, match
     ):
         """Each of these used to pass validation and then fail mid-run,
         after the input was hashed, or run under a meaningless tau,
-        budget or batch; now it is rejected before the input is hashed."""
+        budget, batch or order; now it is rejected before the input is
+        hashed."""
         store = ArtifactStore(tmp_path / "cache")
-        spec = make_job("HEP", edge_file, 8, memory_budget=400_000, **options)
+        options = {"algo": "HEP", "memory_budget": 400_000, **options}
+        algo = options.pop("algo")
+        source = request.getfixturevalue(options.pop("source", "edge_file"))
+        spec = make_job(algo, source, 8, **options)
         with pytest.raises(ConfigurationError, match=match):
             run_job(spec, store=store)
         assert (store.hits, store.misses) == (0, 0)
@@ -442,7 +480,17 @@ class TestJobCli:
         payload = json.loads(lines[0])
         assert payload["algo"] == "HDRF" and payload["k"] == 4
         assert GOLDEN_HDRF_HASH in out
-        assert "count -> stream -> metrics" in out
+        assert lines[-1] == "pipeline           : count -> stream -> metrics"
+
+        rc = main(["job", "describe", "OK", "--k", "4",
+                   "--memory-budget", "400000"])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert json.loads(lines[0])["algo"] == "HEP"
+        assert lines[-1] == (
+            "pipeline           : "
+            "count -> select_tau -> split -> phase_one -> stream -> metrics"
+        )
 
     def test_algo_help_lists_the_registry(self, capsys):
         rc = main(["partition", "OK", "--algo", "help", "--out-of-core"])

@@ -296,7 +296,7 @@ class TestSubmitValidation:
 
         asyncio.run(scenario())
 
-    def test_unusable_spec_values_are_400(self, edge_file, tmp_path):
+    def test_unusable_spec_values_are_400(self, edge_file, manifest, tmp_path):
         """Values the run would fail on or misread are refused at submit."""
         async def scenario():
             _, manager, _, app = await _service(tmp_path / "c", start=False)
@@ -311,10 +311,17 @@ class TestSubmitValidation:
                 ({"workers": 2, "batch": True},
                  "batch must be an integer >= 1"),
                 ({"batch": 16}, "it requires workers >= 1"),
+                ({"order": "bogus"}, "binary file sources support 'natural' "
+                 "or 'shuffled' order, got 'bogus'"),
+                ({"order": "random"}, "got 'random'"),
+                ({"source": str(manifest), "order": "shuffled"},
+                 "sharded sources are sequential-only (order='natural')"),
+                ({"algo": "HDRF", "memory_budget": None, "workers": 2,
+                  "order": "shuffled"},
+                 "multi-worker HDRF streams its shards in file order"),
             ):
-                payload = _payload(
-                    edge_file, algo="HEP", memory_budget=400_000, **extra
-                )
+                fields = {"algo": "HEP", "memory_budget": 400_000, **extra}
+                payload = _payload(fields.pop("source", edge_file), **fields)
                 status, doc = await _asgi_json(app, "POST", "/jobs", payload)
                 assert status == 400
                 assert doc["error"].startswith("invalid job spec: ")

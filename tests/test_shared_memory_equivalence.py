@@ -15,6 +15,7 @@ no-leaked-segments invariant the CI gate also enforces.
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +195,52 @@ class TestSharedState:
         finally:
             shared.close()
             shared.unlink()
+
+
+_CREATE_SEGMENT = """
+import sys
+from repro.parallel.shm import _create_untracked, _unlink_quietly
+shm = _create_untracked(64)
+print(shm.name, flush=True)
+if sys.argv[1] == "wait":
+    sys.stdin.readline()
+    _unlink_quietly(shm)
+"""
+
+
+class TestDeadSegmentReclaim:
+    def test_create_reclaims_only_dead_creators_segments(self):
+        """A creator that exits without unlinking orphans its segment;
+        the next create removes it, and a live creator's stays."""
+        if psm_segments() is None:
+            pytest.skip("no /dev/shm on this platform")
+        import repro
+
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        child = [sys.executable, "-c", _CREATE_SEGMENT]
+        # The live creator goes first: any create reclaims orphans.
+        live = subprocess.Popen([*child, "wait"], env=env, text=True,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+        orphan = ""
+        try:
+            kept = live.stdout.readline().strip()
+            dead = subprocess.run([*child, "exit"], env=env, check=True,
+                                  capture_output=True, text=True, timeout=60)
+            orphan = dead.stdout.strip()
+            assert {orphan, kept} <= psm_segments()
+            shared, _, _ = TestSharedState()._make()
+            shared.close()
+            shared.unlink()
+            dead_pid = orphan.split("_")[1]
+            after = psm_segments()
+            assert not any(n.startswith(f"psm_{dead_pid}_") for n in after)
+            assert kept in after
+        finally:
+            live.communicate("\n", timeout=60)
+            if orphan:
+                Path("/dev/shm", orphan).unlink(missing_ok=True)
+        assert live.returncode == 0 and kept not in psm_segments()
 
 
 class TestLeakCheck:
