@@ -7,9 +7,9 @@ HDRF streaming), seven baseline partitioner families, and the evaluation
 substrates (synthetic Table 3 datasets, a Spark/GraphX-style processing
 simulator and a paging simulator).
 
-Quickstart — every job algorithm (HEP, ``HEP-<tau>``, HDRF, Greedy,
-DBH, Grid, Restreaming) runs through ``run_job``; an in-memory graph is
-passed as the job's source::
+Quickstart — every table name (HEP, ``HEP-<tau>``, HDRF, Greedy, DBH,
+Grid, Restreaming, NE, NE++, SNE, DNE, METIS, ADWISE, Random) runs
+through ``run_job``; an in-memory graph is passed as the job's source::
 
     from repro import datasets, make_job, run_job
 

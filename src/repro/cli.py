@@ -3,9 +3,10 @@
 Subcommands mirror the workflows a user of the original C++ system has:
 
 * ``partition`` — partition an edge-list file (or a named stand-in
-  dataset) and write one partition id per edge; HEP, ``HEP-<tau>`` and
-  the registered streaming algorithms run as runtime jobs, and
-  ``--out-of-core`` streams the file in chunks instead of loading it,
+  dataset) and write one partition id per edge; every table name (HEP,
+  ``HEP-<tau>`` and the registered algorithms) runs as a runtime job,
+  and ``--out-of-core`` streams the file in chunks instead of loading
+  it,
 * ``scan``      — the counting/metrics passes alone: stream statistics
   and, with ``--parts``, replication factor and balance for a saved
   assignment,
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -36,14 +36,10 @@ from repro.core import precompute_profile, select_tau
 from repro.core.hep import hep_tau_from_name
 from repro.errors import ReproError
 from repro.experiments import REGISTRY
-from repro.experiments.common import (
-    PARTITIONER_FACTORIES,
-    is_job_algorithm,
-    run_partitioner,
-)
+from repro.experiments.common import run_partitioner
 from repro.graph import datasets, read_binary_edgelist, read_text_edgelist
 from repro.graph.edgelist import Graph
-from repro.metrics import edge_balance, format_table, replication_factor
+from repro.metrics import format_table
 from repro.obs.summary import format_summary, read_trace
 from repro.obs.tracer import MEMORY_MODES, tracing
 from repro.runtime.registry import algorithm_names
@@ -83,20 +79,12 @@ def _load_graph(source: str) -> Graph:
     return read_text_edgelist(path, name=path.stem)
 
 
-#: ``partition`` flags that configure a job; the in-memory-only
-#: baselines take none of them
-_JOB_FLAGS = ("tau", "memory_budget", "spill_dir", "spill_compression",
-              "passes", "workers", "batch")
-
-
 def _cmd_partition(args: argparse.Namespace) -> int:
     """Partition a graph's edges; report, and optionally write, the result.
 
-    A job algorithm (HEP, ``HEP-<tau>`` or a registered streaming
-    algorithm) and every ``--out-of-core`` run go through
-    :func:`repro.runtime.api.run_job`: ``--out-of-core`` streams the
-    path, otherwise the job gets the loaded Graph.  The in-memory-only
-    baselines (NE, METIS, ...) run their Partitioner class.
+    Every run goes through :func:`repro.runtime.api.run_job`:
+    ``--out-of-core`` streams the path, otherwise the job gets the
+    loaded Graph.
     """
     if args.method.lower() == "help":
         from repro.runtime.registry import algorithm_catalog
@@ -110,10 +98,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         raise ReproError("--shards-dir needs the edge list in memory; "
                          "rerun without --out-of-core to write shards")
     store = _make_store(args)
-    if args.out_of_core or is_job_algorithm(args.method):
-        graph, result = _partition_job(args, store)
-    else:
-        graph, result = _partition_baseline(args)
+    graph, result = _partition_job(args, store)
     _print_report(result, args.graph, store)
     if args.output:
         from repro.graph.partition_io import write_assignment
@@ -144,39 +129,6 @@ def _partition_job(args: argparse.Namespace, store):
     validate_spec(spec)
     graph = None if args.out_of_core else _load_graph(args.graph)
     return graph, run_job(spec, graph, store=store)
-
-
-def _partition_baseline(args: argparse.Namespace):
-    """``(graph, result)`` of an in-memory-only baseline (NE, METIS, ...)."""
-    from repro.experiments.common import make_partitioner
-    from repro.runtime import PartitionResult, make_job
-
-    partitioner = make_partitioner(args.method)
-    given = [f"--{dest.replace('_', '-')}" for dest in _JOB_FLAGS
-             if getattr(args, dest) is not None]
-    if given:
-        raise ReproError(
-            f"{', '.join(given)}: job flags for HEP and the streaming "
-            f"algorithms; {args.method!r} partitions in memory only"
-        )
-    graph = _load_graph(args.graph)
-    start = time.perf_counter()
-    assignment = partitioner.partition(graph, args.k)
-    elapsed = time.perf_counter() - start
-    return graph, PartitionResult(
-        # Describes the run for the report; validate_spec would reject it.
-        spec=make_job(args.method, graph, args.k),
-        algorithm=partitioner.name,
-        parts=assignment.parts,
-        k=args.k,
-        num_vertices=graph.num_vertices,
-        num_edges=graph.num_edges,
-        chunk_size=args.chunk_size,
-        loads=assignment.partition_sizes(),
-        replication_factor=replication_factor(assignment),
-        edge_balance=edge_balance(assignment),
-        runtime_s=elapsed,
-    )
 
 
 def _job_spec_from_args(args: argparse.Namespace):
@@ -489,10 +441,7 @@ def _budget_parent(budget_help: str) -> argparse.ArgumentParser:
 
 
 #: the table names ``partition --method`` and ``compare`` accept
-_ALGORITHMS_HELP = (
-    f"jobs HEP, HEP-<tau>, {', '.join(algorithm_names())}, or the "
-    f"in-memory-only {', '.join(PARTITIONER_FACTORIES)}"
-)
+_ALGORITHMS_HELP = f"HEP, HEP-<tau>, {', '.join(algorithm_names())}"
 
 
 def _partition_parents() -> list[argparse.ArgumentParser]:
@@ -513,8 +462,8 @@ def _add_partition_flags(p: argparse.ArgumentParser) -> None:
     """The algorithm/pipeline flags ``partition`` and ``job describe`` share."""
     p.add_argument("--k", type=int, default=32, help="number of partitions")
     p.add_argument("--method", "--algo", dest="method", default="HEP",
-                   help=f"{_ALGORITHMS_HELP}; the jobs run in memory "
-                        "or --out-of-core (`--algo help` lists their "
+                   help=f"{_ALGORITHMS_HELP}; each runs in memory or "
+                        "--out-of-core (`--algo help` lists their "
                         "parameters)"),
     p.add_argument("--tau", type=float, default=None,
                    help="HEP degree threshold factor (default 10.0)")

@@ -13,37 +13,22 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from repro.core import NePlusPlusPartitioner, memory_model_for
+from repro.core import memory_model_for
 from repro.core.hep import hep_tau_from_name
-from repro.errors import ConfigurationError
 from repro.graph import datasets
 from repro.graph.edgelist import Graph
 from repro.metrics import format_table, summarize
 from repro.metrics.report import PartitionReport
-from repro.partition import (
-    AdwisePartitioner,
-    DnePartitioner,
-    MetisPartitioner,
-    NePartitioner,
-    PartitionAssignment,
-    Partitioner,
-    RandomStreamPartitioner,
-    SnePartitioner,
-)
+from repro.partition import PartitionAssignment
 from repro.runtime import make_job, run_job
-from repro.runtime.registry import algorithm_names
-from repro.runtime.spec import declared_params
 
 __all__ = [
     "ExperimentResult",
     "full_mode",
     "dataset_list",
     "k_values",
-    "is_job_algorithm",
-    "make_partitioner",
     "partition_graph",
     "run_partitioner",
-    "PARTITIONER_FACTORIES",
 ]
 
 
@@ -80,59 +65,20 @@ def k_values() -> list[int]:
     return [4, 32, 128, 256] if full_mode() else [4, 32]
 
 
-#: the in-memory-only baselines, by table name; every other algorithm
-#: is a job algorithm (:func:`is_job_algorithm`)
-PARTITIONER_FACTORIES: dict[str, type] = {
-    "ADWISE": AdwisePartitioner,
-    "Random": RandomStreamPartitioner,
-    "NE": NePartitioner,
-    "NE++": NePlusPlusPartitioner,
-    "SNE": SnePartitioner,
-    "DNE": DnePartitioner,
-    "METIS": MetisPartitioner,
-}
-
-
-def is_job_algorithm(name: str) -> bool:
-    """HEP, ``HEP-<tau>`` or a registered streaming algorithm.
-
-    A malformed ``HEP-<tau>`` name raises its
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    return (hep_tau_from_name(name) is not None
-            or declared_params(name) is not None)
-
-
-def make_partitioner(name: str) -> Partitioner:
-    """Instantiate an in-memory-only baseline from its table name."""
-    try:
-        factory = PARTITIONER_FACTORIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown partitioner {name!r}; known: HEP, HEP-<tau>, "
-            f"{', '.join((*algorithm_names(), *PARTITIONER_FACTORIES))}"
-        ) from None
-    return factory()
-
-
 def partition_graph(
     name: str, graph: Graph, k: int
 ) -> tuple[str, PartitionAssignment]:
     """Partition ``graph`` by table name: ``(row name, assignment)``.
 
-    A job algorithm runs as ``run_job(make_job(...), graph)`` — a
+    Every name runs as ``run_job(make_job(...), graph)`` — a
     ``HEP-<tau>`` name as HEP at that tau — and its row is named like
-    the CLI's report (``HEP-10``, ``ReHDRF-3``, ``HDRF``).  An
-    in-memory-only baseline runs its :class:`Partitioner` class.
+    the CLI's report (``HEP-10``, ``ReHDRF-3``, ``HDRF``, ``NE``).
     """
-    if is_job_algorithm(name):
-        tau = hep_tau_from_name(name)
-        algo = name if tau is None else "HEP"
-        result = run_job(make_job(algo, graph, k, tau=tau), graph)
-        row = result.algorithm if result.tau is None else f"HEP-{result.tau:g}"
-        return row, result.to_assignment(graph)
-    partitioner = make_partitioner(name)
-    return partitioner.name, partitioner.partition(graph, k)
+    tau = hep_tau_from_name(name)
+    algo = name if tau is None else "HEP"
+    result = run_job(make_job(algo, graph, k, tau=tau), graph)
+    row = result.algorithm if result.tau is None else f"HEP-{result.tau:g}"
+    return row, result.to_assignment(graph)
 
 
 def run_partitioner(name: str, graph: Graph, k: int) -> PartitionReport:

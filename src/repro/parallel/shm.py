@@ -62,7 +62,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.parallel.kernel import apply_delta
 
-__all__ = ["SharedState"]
+__all__ = ["SharedState", "owner_is_dead"]
 
 _TRIPLE_FIELDS = 3  # eids, us, vs — one scratch column each
 
@@ -92,6 +92,27 @@ def _tracker_paused():
             resource_tracker.unregister = saved[1]
 
 
+def owner_is_dead(name: str, prefix: str) -> bool:
+    """Whether ``name`` is ``<prefix><pid>_...`` and that pid is gone.
+
+    The one liveness rule for what killed processes leave behind: a
+    name without a pid is never dead, and a pid this process may not
+    signal counts as alive.  Pids are judged in this pid namespace.
+    """
+    if not name.startswith(prefix):
+        return False
+    pid, sep, _ = name[len(prefix):].partition("_")
+    if not sep or not pid.isdigit() or int(pid) < 1:
+        return False
+    try:
+        os.kill(int(pid), 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass  # alive under another user, or no valid pid at all
+    return False
+
+
 def _reclaim_dead_segments() -> None:
     """Unlink every ``psm_<pid>_*`` segment whose creator no longer exists.
 
@@ -99,26 +120,18 @@ def _reclaim_dead_segments() -> None:
     ``shm_open`` and ``ftruncate``, which leaves 0 bytes — orphans its
     segment, and nothing else ever removes it.  This assumes
     ``/dev/shm`` belongs to one pid namespace: a creator alive in
-    another namespace would look dead here.  A name without a pid is
-    skipped, a pid this process may not signal counts as alive, and a
+    another namespace would look dead here (:func:`owner_is_dead`).  A
     host without a ``/dev/shm`` directory has nothing to reclaim.
     """
     shm_dir = Path("/dev/shm")
     if not shm_dir.is_dir():
         return
     for path in shm_dir.glob("psm_*"):
-        pid, sep, _ = path.name[len("psm_"):].partition("_")
-        if not sep or not pid.isdigit() or int(pid) < 1:
-            continue
-        try:
-            os.kill(int(pid), 0)
-        except ProcessLookupError:
+        if owner_is_dead(path.name, "psm_"):
             # Gone already (another creator reclaimed it) or another
             # user's in the sticky directory: either way not ours to fix.
             with contextlib.suppress(FileNotFoundError, PermissionError):
                 path.unlink()
-        except (PermissionError, OverflowError):
-            pass  # alive under another user, or no valid pid at all
 
 
 def _create_untracked(size: int) -> shared_memory.SharedMemory:

@@ -6,10 +6,10 @@ ones (HDRF, Greedy, DBH, Grid, plus restreaming) are kernels here —
 :func:`hdrf_stream`, :func:`~repro.partition.greedy.greedy_stream`,
 :func:`~repro.partition.dbh.dbh_assign`,
 :func:`~repro.partition.grid.grid_stream`,
-:func:`~repro.partition.restreaming.restream_block` — that the
-registered adapters in :mod:`repro.stream.driver` run as jobs through
-:func:`repro.runtime.api.run_job`.  The in-memory-only baselines are
-:class:`Partitioner` classes.
+:func:`~repro.partition.restreaming.restream_block` — and the in-memory
+ones (NE, SNE, DNE, METIS, ADWISE, Random) are :class:`Partitioner`
+classes.  The registered adapters in :mod:`repro.stream.driver` run
+both kinds as jobs through :func:`repro.runtime.api.run_job`.
 """
 
 from repro.partition.adwise import AdwisePartitioner

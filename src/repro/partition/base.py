@@ -2,9 +2,10 @@
 
 Every partitioning of an in-memory :class:`~repro.graph.edgelist.Graph`
 — a job's parts
-(:meth:`~repro.runtime.result.PartitionResult.to_assignment`) or an
-in-memory-only baseline's :class:`Partitioner` output — is a
-:class:`PartitionAssignment`: one partition id per canonical edge.  All
+(:meth:`~repro.runtime.result.PartitionResult.to_assignment`) or the
+output of a :class:`Partitioner` class, the kernel an in-memory
+baseline's job runs — is a :class:`PartitionAssignment`: one partition
+id per canonical edge.  All
 quality metrics (replication factor, balance) are derived from that
 single array, so results from very different algorithms are directly
 comparable and checkable.

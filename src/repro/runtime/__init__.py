@@ -1,7 +1,7 @@
 """The runtime layer: declarative jobs run by one runner.
 
-``repro.runtime`` is the one way to run a partitioning job — a
-streaming baseline or HEP, in process or on worker processes::
+``repro.runtime`` is the one way to run a partitioning job — HEP or
+any registered baseline, in process or on worker processes::
 
     JobSpec  --run_job-->  PartitionResult
 
@@ -9,13 +9,13 @@ streaming baseline or HEP, in process or on worker processes::
   serializable job description with a stable content hash,
 * :func:`~repro.runtime.api.run_job` — validates the spec and calls
   its pipeline's stages (:data:`~repro.runtime.stages.PIPELINES`: six
-  for HEP, three for a streaming baseline), or serves the result from
+  for HEP, three for every other algorithm), or serves the result from
   a content-addressed :class:`~repro.runtime.store.ArtifactStore`
   without recomputing,
 * :mod:`~repro.runtime.stages` — the stage bodies; the ``stream``
   stage runs in process or on a warm worker pool by ``spec.workers``,
-* :mod:`~repro.runtime.registry` — the decorator-based streaming
-  algorithm registry the adapters register into.
+* :mod:`~repro.runtime.registry` — the decorator-based algorithm
+  registry the adapters register into.
 
 Every caller — the CLI, ``repro serve``, the experiments, the benches
 — runs a job the same way:

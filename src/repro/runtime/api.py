@@ -49,26 +49,35 @@ def validate_spec(spec: JobSpec) -> None:
     :func:`run_job` calls this first, and ``repro serve`` calls it at
     submit time, so the CLI, ``run_job`` and ``POST /jobs`` reject the
     same specs with the same messages — before any input is hashed or
-    any stage runs.  Beyond the numeric ranges (``alpha`` a finite
-    number >= 1, ``workers`` an integer >= 0 and, only where workers
-    run, ``batch`` an integer >= 1), a spill codec the spill file
-    knows and an ``input.order`` the input can stream in
+    any stage runs.  Beyond the numeric ranges (``k`` an integer >= 2,
+    ``alpha`` a finite number >= 1, ``workers`` an integer >= 0 and,
+    only where workers run, ``batch`` an integer >= 1), a spill codec
+    the spill file knows and an ``input.order`` the input can stream in
     (:func:`~repro.stream.reader.check_order`, judged from a path's
-    suffix; multi-worker HDRF streams natural order only),
-    ``algo`` must be HEP or a registered streaming algorithm,
+    suffix; an already-open source and multi-worker HDRF stream natural
+    order only), ``algo`` must be HEP or a registered algorithm,
     every ``algo_params`` name must be one that algorithm declares, a
     declared ``lam``/``eps`` must pass
-    :func:`~repro.partition.scoring.check_hdrf_params`, and a streaming
-    algorithm's adapter must accept its parameters.  HEP's own knobs
-    (:data:`_HEP_ONLY`) are errors on any other algorithm, and a fixed
-    ``tau`` excludes a ``memory_budget``.
+    :func:`~repro.partition.scoring.check_hdrf_params`, and a registered
+    algorithm's adapter must accept its parameters.  An adapter that
+    gathers the stream for an in-memory class takes neither a stream
+    order nor an ``alpha``.  HEP's own knobs (:data:`_HEP_ONLY`) are
+    errors on any other algorithm, and a fixed ``tau`` excludes a
+    ``memory_budget``.
     """
     hep = pipeline_kind(spec) == "hep"
     _check_chunk_size(spec.chunk_size)
+    if not (_is_count(spec.k) and spec.k >= 2):
+        raise ConfigurationError(f"k must be an integer >= 2, got {spec.k!r}")
     if spec.input.kind == "path":
         check_order(path_format(spec.input.path), spec.input.order)
     elif spec.input.kind in ("dataset", "graph"):
         check_order("memory", spec.input.order)
+    elif spec.input.order != "natural":
+        raise ConfigurationError(
+            f"an open edge source streams in the order it was opened in "
+            f"(order='natural'); got order {spec.input.order!r}"
+        )
     if not (_is_finite(spec.alpha) and spec.alpha >= 1.0):
         # capacity_bound's wording; it lets a NaN through to int()
         raise ConfigurationError(f"alpha must be >= 1.0, got {spec.alpha}")
@@ -116,8 +125,8 @@ def validate_spec(spec: JobSpec) -> None:
     declared = declared_params(spec.algo)
     if declared is None:
         raise ConfigurationError(
-            f"a partitioning job runs HEP or a streaming baseline "
-            f"({', '.join(algorithm_names())}); got {spec.algo!r}"
+            f"unknown algorithm {spec.algo!r}; a job runs HEP, "
+            f"{', '.join(algorithm_names())}"
         )
     undeclared = sorted(set(spec.params) - set(declared))
     if undeclared:
@@ -140,18 +149,18 @@ def validate_spec(spec: JobSpec) -> None:
     if {"lam", "eps"} <= declared.keys():
         # HEP, HDRF and Restreaming score with HDRF's balance term.
         check_hdrf_params(spec.params["lam"], spec.params["eps"])
-    if not hep:
-        # The adapter's own parameter checks (e.g. Restreaming's passes).
-        create_algorithm(spec.algo, **spec.params)
-    if spec.k < 2:
-        if hep:
-            raise ConfigurationError(f"HEP requires k >= 2, got {spec.k}")
-        if spec.workers >= 1:
-            raise ConfigurationError(
-                f"multi-worker partitioning requires k >= 2, got {spec.k}"
-            )
+    if hep:
+        return
+    # The adapter's own parameter checks (e.g. Restreaming's passes).
+    algorithm = create_algorithm(spec.algo, **spec.params)
+    if algorithm.gathers and (
+        spec.input.order != "natural" or spec.alpha != 1.0
+    ):
         raise ConfigurationError(
-            f"streaming driver requires k >= 2, got {spec.k}"
+            f"{algorithm.name!r} partitions the gathered graph in memory "
+            f"under its own balance bound, so it takes order='natural' and "
+            f"alpha 1.0; got order {spec.input.order!r} and alpha "
+            f"{spec.alpha}"
         )
 
 

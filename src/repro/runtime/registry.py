@@ -1,9 +1,11 @@
-"""Decorator-based registry of streaming-algorithm adapters.
+"""Decorator-based registry of the job algorithms' adapters.
 
-An algorithm class decorates itself with
-:func:`register_streaming_algorithm` and is from then on discoverable
-by name (``--algo help`` in the CLI prints :func:`algorithm_catalog`),
-constructible by :func:`create_algorithm`, and hashable into a
+Every table name but HEP's — the streaming baselines and the in-memory
+ones alike — is a :class:`~repro.stream.driver.StreamingAlgorithm`
+adapter that decorates itself with :func:`register_streaming_algorithm`
+and is from then on discoverable by name (``--algo help`` in the CLI
+prints :func:`algorithm_catalog`), constructible by
+:func:`create_algorithm`, and hashable into a
 :class:`~repro.runtime.spec.JobSpec` via its declared constructor
 parameters (:attr:`AlgorithmInfo.params`, which
 :func:`~repro.runtime.api.validate_spec` also checks ``algo_params``
@@ -38,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlgorithmInfo:
-    """One registered streaming algorithm: its class and declared knobs."""
+    """One registered algorithm: its adapter class and declared knobs."""
 
     #: canonical table name (``--algo`` spelling, case-insensitive match)
     name: str
@@ -54,7 +56,7 @@ _ALGORITHMS: dict[str, AlgorithmInfo] = {}
 
 
 def register_streaming_algorithm(name: str):
-    """Class decorator: register a streaming algorithm under ``name``.
+    """Class decorator: register an algorithm adapter under ``name``.
 
     The constructor signature is introspected once at registration; its
     keyword parameters (with defaults) become the algorithm's declared
@@ -66,7 +68,7 @@ def register_streaming_algorithm(name: str):
         for existing in _ALGORITHMS:
             if existing.lower() == name.lower():
                 raise ConfigurationError(
-                    f"streaming algorithm {name!r} is already registered"
+                    f"algorithm {name!r} is already registered"
                 )
         signature = inspect.signature(cls.__init__)
         params = tuple(
@@ -107,13 +109,13 @@ def algorithm_info(name: str) -> AlgorithmInfo:
         if info.name.lower() == name.lower():
             return info
     raise ConfigurationError(
-        f"unknown streaming algorithm {name!r}; available: "
+        f"unknown algorithm {name!r}; available: "
         f"{', '.join(_ALGORITHMS)}"
     )
 
 
 def create_algorithm(name: str, **kwargs):
-    """Instantiate a registered streaming algorithm from its table name."""
+    """Instantiate a registered algorithm's adapter from its table name."""
     return algorithm_info(name).factory(**kwargs)
 
 

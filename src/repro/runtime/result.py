@@ -1,7 +1,7 @@
 """The result of a runtime partitioning job.
 
 :class:`PartitionResult` is the one type every job returns, whatever
-its pipeline (streaming baseline or HEP) and whether it streamed in
+its pipeline (HEP or a registered algorithm) and whether it streamed in
 process or on worker processes.  It carries the assignment, the
 quality metrics, the HEP phase breakdown and worker report when the
 pipeline produced them, and the provenance (``job_hash``,

@@ -54,8 +54,8 @@ _HEP_PARAM_DEFAULTS = (("eps", 1.0), ("lam", 1.1))
 def declared_params(algo: str) -> dict[str, object] | None:
     """``{param: default}`` that ``algo`` declares; ``None`` if unknown.
 
-    HEP declares its phase-two HDRF knobs; a registered streaming
-    algorithm declares its adapter's constructor parameters
+    HEP declares its phase-two HDRF knobs; a registered algorithm
+    declares its adapter's constructor parameters
     (:attr:`~repro.runtime.registry.AlgorithmInfo.params`).
     """
     if algo.upper() == "HEP":
@@ -148,11 +148,12 @@ def _plain(value):
 class JobSpec:
     """One partitioning job, declaratively: input + algorithm + shape.
 
-    ``algo`` is ``"HEP"`` or a registered streaming-algorithm name
-    (:mod:`repro.runtime.registry`); ``run_job`` runs HEP specs
-    through the six-stage pipeline and everything else through the
-    three-stage streaming pipeline.  ``workers >= 1`` streams on BSP
-    worker processes; ``workers == 0`` runs in process.
+    ``algo`` is ``"HEP"`` or a registered algorithm name
+    (:mod:`repro.runtime.registry`): a streaming baseline or an
+    in-memory one; ``run_job`` runs HEP specs through the six-stage
+    pipeline and every other algorithm through the three-stage one.
+    ``workers >= 1`` streams on BSP worker processes; ``workers == 0``
+    runs in process.
     """
 
     algo: str
@@ -296,5 +297,5 @@ def make_job(
     else:
         params = tuple(algo_params)
     return JobSpec(
-        algo=algo, k=int(k), input=input_spec, algo_params=params, **options
+        algo=algo, k=k, input=input_spec, algo_params=params, **options
     )

@@ -1,6 +1,6 @@
 """The job's stages, the two pipelines that order them, and their context.
 
-HEP runs six stages and every streaming baseline three
+HEP runs six stages and every other algorithm three
 (:data:`PIPELINES`); :func:`~repro.runtime.api.run_job` calls them in
 that order.  Each stage keeps a fixed call order, kernel invocations,
 and trace span names
@@ -66,7 +66,7 @@ class RunContext:
         self.source = source
         #: the opened EdgeChunkSource (set by the runner)
         self.src = None
-        #: streaming-algorithm adapter instance (in-process streaming only)
+        #: registered algorithm's adapter instance (in-process only)
         self.algorithm = algorithm
         #: warm worker pool of a multi-worker run
         self.pool = None

@@ -13,9 +13,13 @@ input content misses.
 Entries are directories under the store root (sharded by the key's
 first two hex chars, like git objects): ``parts.npy`` + ``loads.npy``
 hold the assignment, ``meta.json`` the canonical spec, metrics,
-phase breakdown, and worker report.  Writes go to a temp directory
-first and land via :func:`os.replace`, so concurrent or interrupted
-runs never expose a half-written entry.
+phase breakdown, and worker report.  Writes go to a
+``.staging-<writer pid>_<random>`` directory first and land via
+:func:`os.replace`, so concurrent or interrupted runs never expose a
+half-written entry.  The next ``put`` into a bucket removes the staging
+directories of writers that died mid-``put``
+(:func:`~repro.parallel.shm.owner_is_dead`), which assumes one host,
+one pid namespace, per store root.
 
 Hashing a ``path`` input reads every byte of it, so the digest of each
 one is memoized per process, keyed by its absolute path, next to the
@@ -52,6 +56,7 @@ import numpy as np
 
 from repro.core.hep import HepPhaseBreakdown
 from repro.errors import GraphFormatError, ReproError
+from repro.parallel.shm import owner_is_dead
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec
 
@@ -464,7 +469,8 @@ class ArtifactStore:
         ``os.replace`` lands first wins.  Because the key is
         content-addressed the loser's payload is byte-identical, so
         losing the rename is a benign outcome — the losing staging dir
-        is cleaned up and the surviving entry returned.
+        is cleaned up and the surviving entry returned.  Staging
+        directories that killed writers left in the bucket go first.
         """
         entry = self._entry_dir(key)
         if (entry / "meta.json").exists():
@@ -472,9 +478,12 @@ class ArtifactStore:
             # writer that finished before we staged anything).
             return entry
         entry.parent.mkdir(parents=True, exist_ok=True)
-        staging = Path(
-            tempfile.mkdtemp(prefix=".staging-", dir=entry.parent)
-        )
+        for stale in entry.parent.glob(".staging-*"):
+            if owner_is_dead(stale.name, ".staging-"):
+                shutil.rmtree(stale, ignore_errors=True)
+        staging = Path(tempfile.mkdtemp(
+            prefix=f".staging-{os.getpid()}_", dir=entry.parent
+        ))
         try:
             np.save(staging / "parts.npy", result.parts)
             np.save(staging / "loads.npy", result.loads)

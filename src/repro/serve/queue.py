@@ -186,7 +186,7 @@ class JobManager:
         options = {key: payload[key] for key in _SPEC_KEYS if key in payload}
         algo_params = options.pop("algo_params", ())
         try:
-            spec = make_job(algo, source, int(k), algo_params=algo_params,
+            spec = make_job(algo, source, k, algo_params=algo_params,
                             **options)
             validate_spec(spec)
         except (ReproError, TypeError, ValueError) as exc:

@@ -18,7 +18,7 @@ paper compares against:
 * :mod:`repro.stream.driver` — the :class:`StreamingAlgorithm`
   adapters that run HDRF/Greedy/DBH/Grid/restreaming from chunked
   sources with bounded memory, bit-identical to their in-memory
-  counterparts,
+  counterparts, and the in-memory baselines over the gathered stream,
 * :mod:`repro.stream.extsort` — an external merge sort producing
   degree-ordered edge *files* in bounded memory,
 * :mod:`repro.stream.shard` — the sharded edge-file format (JSON

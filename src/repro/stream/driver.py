@@ -1,9 +1,8 @@
-"""The registered streaming baselines: HDRF, Greedy, DBH, Grid, restreaming.
+"""The registered job algorithms: every baseline the paper compares against.
 
-Every *streaming* baseline the paper compares against runs out of core
-through :func:`repro.runtime.api.run_job`, so the Tables 2–4
-comparison can run under a genuine memory budget.  The key observation
-is that all of these algorithms only ever need
+The *streaming* baselines run out of core through
+:func:`repro.runtime.api.run_job`, so the Tables 2–4 comparison can run
+under a genuine memory budget.  They only ever need
 
 * ``O(n + k)`` state (replica sets / incidence counters, loads, degrees)
   — exactly what :class:`~repro.partition.state.StreamingState` holds,
@@ -24,7 +23,10 @@ time through its kernel
 are the only implementation of the streaming baselines: a loaded Graph
 runs through them too.  With natural chunk order the result is
 **bit-identical** to one kernel call over the whole edge array — the
-equivalence property the test suite pins per algorithm.
+equivalence property the test suite pins per algorithm.  The in-memory
+baselines (NE, NE++, SNE, DNE, METIS, ADWISE, Random) are
+:class:`InMemoryBaseline` adapters: they gather the stream, holding
+``O(m)``, and return their class's parts for the gathered graph.
 
 Restreaming demonstrates why :class:`EdgeChunkSource` iteration is
 restartable: every refinement pass is one fresh chunked re-read of the
@@ -34,24 +36,33 @@ same source.
 from __future__ import annotations
 
 import abc
+import inspect
 
 import numpy as np
 
+from repro.core.ne_plus_plus import NePlusPlusPartitioner
 from repro.errors import ConfigurationError
+from repro.graph.edgelist import Graph
+from repro.partition.adwise import AdwisePartitioner
 from repro.partition.dbh import dbh_assign, repair_overflow
+from repro.partition.dne import DnePartitioner
 from repro.partition.greedy import greedy_stream
 from repro.partition.grid import grid_cells, grid_shape, grid_stream
 from repro.partition.hdrf import hdrf_stream
+from repro.partition.metis import MetisPartitioner
+from repro.partition.ne import NePartitioner
+from repro.partition.random_stream import RandomStreamPartitioner
 from repro.partition.restreaming import restream_block
+from repro.partition.sne import SnePartitioner
 from repro.partition.state import StreamingState
 from repro.runtime.registry import register_streaming_algorithm
 from repro.stream.scan import SourceStats
 
-__all__ = ["StreamingAlgorithm"]
+__all__ = ["InMemoryBaseline", "StreamingAlgorithm"]
 
 
 class StreamingAlgorithm(abc.ABC):
-    """Adapter: one streaming baseline consuming edge chunks.
+    """Adapter: one registered algorithm consuming edge chunks.
 
     Lifecycle: :meth:`prepare` once after the counting pass, then
     :meth:`process` per chunk (``passes`` sweeps over the whole source),
@@ -62,6 +73,10 @@ class StreamingAlgorithm(abc.ABC):
     name: str = "base"
     #: number of full sweeps over the source the algorithm needs
     passes: int = 1
+    #: whether the adapter gathers the stream and partitions it in
+    #: memory, so that neither the stream order nor the job's alpha
+    #: reaches the algorithm (:class:`InMemoryBaseline`)
+    gathers: bool = False
 
     @abc.abstractmethod
     def prepare(self, stats: SourceStats, k: int, capacity: int) -> None:
@@ -218,3 +233,56 @@ class RestreamingHdrfStreaming(StreamingAlgorithm):
             self.lam,
             self.eps,
         )
+
+
+class InMemoryBaseline(StreamingAlgorithm):
+    """Adapter: an in-memory :class:`~repro.partition.base.Partitioner`.
+
+    The sweep stores each chunk at its edge ids, which undoes any stream
+    order, and :meth:`finalize` runs the class on the gathered graph.
+    Each class applies its own balance bound (DNE's is 1.05), so
+    :func:`~repro.runtime.api.validate_spec` refuses a job order other
+    than natural and an ``alpha`` other than 1.0 rather than drop them.
+    """
+
+    gathers = True
+    #: the wrapped :class:`~repro.partition.base.Partitioner` subclass
+    partitioner: type
+
+    def prepare(self, stats: SourceStats, k: int, capacity: int) -> None:
+        """Allocate the ``(m, 2)`` edge array the sweep fills."""
+        self.edges = np.empty((stats.num_edges, 2), dtype=np.int64)
+        self.num_vertices = stats.num_vertices
+
+    def process(
+        self, pairs: np.ndarray, eids: np.ndarray, parts: np.ndarray
+    ) -> None:
+        """Store one chunk at its edge ids."""
+        self.edges[eids] = pairs
+
+    def finalize(self, parts: np.ndarray, k: int, capacity: int) -> np.ndarray:
+        """The wrapped class's parts for the gathered graph."""
+        graph = Graph(self.edges, self.num_vertices)
+        return self.partitioner().partition(graph, k).parts
+
+
+def _register_in_memory_baselines() -> None:
+    """Register one :class:`InMemoryBaseline` per in-memory table name.
+
+    ``--algo help`` shows the first line of the class's docstring.
+    """
+    for name, partitioner in (
+        ("NE", NePartitioner), ("NE++", NePlusPlusPartitioner),
+        ("SNE", SnePartitioner), ("DNE", DnePartitioner),
+        ("METIS", MetisPartitioner), ("ADWISE", AdwisePartitioner),
+        ("Random", RandomStreamPartitioner),
+    ):
+        summary = inspect.getdoc(partitioner).splitlines()[0]
+        register_streaming_algorithm(name)(type(
+            f"{partitioner.__name__}Baseline", (InMemoryBaseline,),
+            {"__doc__": f"In memory: {summary}", "name": name,
+             "partitioner": partitioner},
+        ))
+
+
+_register_in_memory_baselines()

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ConfigurationError
 from repro.graph import Graph, write_binary_edgelist, write_text_edgelist
+from repro.runtime import make_job, validate_spec
 
 
 @pytest.fixture()
@@ -156,13 +158,16 @@ class TestOutOfCore:
     def test_out_of_core_rejects_non_streaming_methods(
         self, small_graph_file, capsys
     ):
-        """In-memory-only algorithms (NE, METIS, ...) still error out."""
+        """The in-memory baselines (NE, METIS, ...) run out of core too:
+        their job gathers the stream."""
         rc = main(
             ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
              "--method", "NE"]
         )
-        assert rc == 1
-        assert "streaming baseline" in capsys.readouterr().err
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "partitioner        : NE (out-of-core)" in out
+        assert "replication factor" in out
 
 
 class TestOutOfCoreBaselines:
@@ -228,9 +233,8 @@ class TestOutOfCoreBaselines:
 
 
 class TestOnePartitionPath:
-    """HEP, HEP-<tau> and the registered streaming algorithms run through
-    run_job whether or not --out-of-core streams the file; the
-    in-memory-only baselines keep their Partitioner classes."""
+    """HEP, HEP-<tau> and every registered algorithm run through run_job
+    whether or not --out-of-core streams the file."""
 
     @pytest.fixture()
     def power_law_file(self, tmp_path):
@@ -329,7 +333,10 @@ class TestOnePartitionPath:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.count("error:") == 1
-        assert "--tau, --workers" in err and "'NE'" in err
+        with pytest.raises(ConfigurationError) as excinfo:
+            validate_spec(make_job("NE", small_graph_file, 2, tau=2.0,
+                                   workers=2))
+        assert err == f"error: {excinfo.value}\n" and "'NE'" in err
 
     @pytest.mark.parametrize(
         "argv",

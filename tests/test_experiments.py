@@ -56,7 +56,7 @@ class TestCommon:
         monkeypatch.setenv("REPRO_BENCH_FULL", "1")
         assert dataset_list(("A",), ("A", "B")) == ["A", "B"]
 
-    def test_make_partitioner_hep_variants(self):
+    def test_run_partitioner_hep_variants(self):
         """A HEP row's memory is modeled at the tau its job ran."""
         g = chung_lu(120, mean_degree=6, exponent=2.3, seed=1, name="t")
         for name, tau in (("HEP-10", 10.0), ("hep-1.5", 1.5), ("HEP", 10.0)):

@@ -91,14 +91,14 @@ class TestCrossModuleConsistency:
         assert report.alpha == pytest.approx(edge_balance(assignment))
         assert report.vertex_balance == pytest.approx(vertex_balance(assignment))
 
-    def test_make_partitioner_names_round_trip(self, graph):
+    def test_partition_graph_names_round_trip(self, graph):
         for name in ("HEP-100", "HEP-1", "HDRF", "DBH", "NE", "NE++", "SNE"):
             row, _ = partition_graph(name, graph, 4)
             # Table name must reproduce so Figure 8 rows stay addressable.
             assert row.upper().startswith(name.split("-")[0].upper())
 
-    def test_make_partitioner_unknown(self, graph):
-        with pytest.raises(ConfigurationError, match="unknown partitioner"):
+    def test_partition_graph_unknown(self, graph):
+        with pytest.raises(ConfigurationError, match="unknown algorithm"):
             partition_graph("NOPE", graph, 4)
         with pytest.raises(ConfigurationError, match="HEP-<tau> name"):
             partition_graph("HEP-abc", graph, 4)

@@ -316,8 +316,8 @@ class TestSpecValidation:
     @pytest.mark.parametrize(
         "algo,params,match",
         [
-            ("NoSuch", {}, "streaming baseline"),
-            ("NE", {}, "streaming baseline"),
+            ("NoSuch", {}, "unknown algorithm 'NoSuch'"),
+            ("NE", {"seed": 1}, "takes no parameter 'seed'"),
             ("Greedy", {"passes": 2}, "takes no parameter 'passes'"),
             ("HEP", {"passes": 2}, "takes no parameter 'passes'"),
             ("Restreaming", {"passes": 0}, "passes must be >= 1"),
@@ -361,6 +361,22 @@ class TestSpecValidation:
                 run_job(spec, source, store=store)
         assert (store.hits, store.misses) == (0, 0)
         validate_spec(make_job("HEP", graph, 8, tau=1.0, workers=2))
+
+    @pytest.mark.parametrize("order", ["bogus", "shuffled", "random"])
+    def test_open_source_takes_natural_order_only(self, edge_file, order):
+        """An open source already fixed its order; a spec naming another
+        one used to stream every edge in file order regardless."""
+        from repro.stream import open_edge_source
+
+        src = open_edge_source(edge_file, 256)
+        spec = JobSpec(
+            algo="HDRF", k=8,
+            input=InputSpec.from_source(src, chunk_size=256, order=order),
+        )
+        with pytest.raises(
+            ConfigurationError, match=f"got order {order!r}"
+        ):
+            run_job(spec, source=src)
 
     @pytest.mark.parametrize(
         "algo,params,match",
@@ -442,12 +458,20 @@ class TestSpecValidation:
             ({"algo": "HDRF", "memory_budget": None, "workers": 2,
               "order": "shuffled"},
              "multi-worker HDRF streams its shards in file order"),
+            ({"k": 8.9}, "k must be an integer >= 2, got 8.9"),
+            ({"algo": "DBH", "memory_budget": None, "k": 8.9},
+             "k must be an integer >= 2, got 8.9"),
+            ({"k": "8"}, "k must be an integer >= 2, got '8'"),
+            ({"k": True}, "k must be an integer >= 2, got True"),
+            ({"algo": "HDRF", "memory_budget": None, "workers": 2, "k": 1},
+             "k must be an integer >= 2, got 1"),
         ],
         ids=["alpha0", "alpha-neg", "alpha-nan", "codec-lz4",
              "workers-float", "workers-bool", "batch-float", "batch-bool",
              "batch-without-workers", "order-bogus", "order-random-binary",
              "order-shuffled-text", "order-shuffled-manifest",
-             "order-shuffled-hdrf-mw2"],
+             "order-shuffled-hdrf-mw2", "k-float", "k-float-dbh", "k-str",
+             "k-bool", "k1-hdrf-mw2"],
     )
     def test_unusable_values_are_rejected_up_front(
         self, request, tmp_path, options, match
@@ -460,7 +484,7 @@ class TestSpecValidation:
         options = {"algo": "HEP", "memory_budget": 400_000, **options}
         algo = options.pop("algo")
         source = request.getfixturevalue(options.pop("source", "edge_file"))
-        spec = make_job(algo, source, 8, **options)
+        spec = make_job(algo, source, options.pop("k", 8), **options)
         with pytest.raises(ConfigurationError, match=match):
             run_job(spec, store=store)
         assert (store.hits, store.misses) == (0, 0)

@@ -187,7 +187,7 @@ class TestSubmitValidation:
                 await manager.submit(
                     _payload(edge_file, algo="Greedy", workers=2)
                 )
-            with pytest.raises(SubmitError, match="streaming baseline"):
+            with pytest.raises(SubmitError, match="unknown algorithm"):
                 await manager.submit(_payload(edge_file, algo="NoSuch"))
             with pytest.raises(SubmitError, match="no parameter 'passes'"):
                 await manager.submit(
@@ -319,6 +319,11 @@ class TestSubmitValidation:
                 ({"algo": "HDRF", "memory_budget": None, "workers": 2,
                   "order": "shuffled"},
                  "multi-worker HDRF streams its shards in file order"),
+                ({"k": 8.9}, "k must be an integer >= 2, got 8.9"),
+                ({"algo": "DBH", "memory_budget": None, "k": 8.9},
+                 "k must be an integer >= 2, got 8.9"),
+                ({"k": "8"}, "k must be an integer >= 2, got '8'"),
+                ({"k": True}, "k must be an integer >= 2, got True"),
             ):
                 fields = {"algo": "HEP", "memory_budget": 400_000, **extra}
                 payload = _payload(fields.pop("source", edge_file), **fields)

@@ -22,8 +22,8 @@ from repro.graph.generators import chung_lu
 from repro.runtime import ArtifactStore, make_job, validate_spec
 from repro.serve import JobManager, SubmitError
 
-#: every registered algorithm, HEP, an in-memory-only baseline and a
-#: name nobody registered
+#: HEP, every registered streaming algorithm, an in-memory baseline and
+#: a name nobody registered
 ALGOS = ["HEP", "HDRF", "Greedy", "DBH", "Grid", "Restreaming", "NE", "FOO"]
 
 

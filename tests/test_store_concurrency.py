@@ -1,10 +1,13 @@
 """Concurrency and failure-path tests for the runtime store and pools.
 
-Four load-bearing properties from the service hardening pass:
+Five load-bearing properties from the service hardening pass:
 
 * two processes racing :meth:`ArtifactStore.put` on the same key never
   raise and never leave a staging directory behind — whoever loses the
   rename treats the winner's byte-identical entry as its own,
+* a writer SIGKILLed inside ``put`` leaves only its staging directory,
+  which the next ``put`` into the bucket removes (a live writer's
+  stays): ``get`` misses until then, and hits after,
 * a corrupt or truncated entry is quarantined on first read (entry
   moved under ``root/quarantine/``): ``get`` logs a miss instead of
   raising, ``ArtifactCache.attach`` raises ``MissingEntryError``, and
@@ -21,11 +24,14 @@ Four load-bearing properties from the service hardening pass:
 import hashlib
 import json
 import multiprocessing
+import os
 import shutil
+import signal
 import tempfile
 import threading
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -300,6 +306,77 @@ class TestQuarantine:
         assert store.get(key, spec) is None
         assert store.quarantined == 0
         assert meta_path.exists()  # left in place for the newer layout
+
+
+def _hang_in_put(root, key, result, digest, point, ready):
+    """Child body: ``put`` until ``point``, signal ``ready``, then hang.
+
+    ``point`` is ``(function, call)``: the child stops right after the
+    ``call``-th call of ``tempfile.mkdtemp`` or ``np.save``, or just
+    before ``os.replace`` renames the staging directory into place.
+    """
+    name, call = point
+    owner, attr = {
+        "mkdtemp": (tempfile, "mkdtemp"), "save": (np, "save"),
+        "replace": (os, "replace"),
+    }[name]
+    real = getattr(owner, attr)
+    calls = []
+
+    def hook(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == call:
+            if name != "replace":
+                real(*args, **kwargs)
+            ready.set()
+            time.sleep(600)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(owner, attr, hook):
+        ArtifactStore(root).put(key, result, digest)
+
+
+class TestKilledWriter:
+    @pytest.mark.parametrize(
+        "point",
+        [("mkdtemp", 1), ("save", 1), ("save", 2), ("replace", 1)],
+        ids=["staging-made", "parts-saved", "loads-saved", "before-rename"],
+    )
+    def test_dead_writers_staging_is_reclaimed(
+        self, edge_file, tmp_path, point
+    ):
+        """A writer SIGKILLed inside ``put`` leaves only its staging
+        directory: ``get`` misses, and the next ``put`` lands, removes
+        the dead writer's staging directory and keeps a live one's."""
+        spec = _spec(edge_file)
+        result = run_job(spec)
+        store = ArtifactStore(tmp_path / "cache")
+        key, digest = _entry_key(store, spec, edge_file)
+        ctx = multiprocessing.get_context("fork")
+        ready = ctx.Event()
+        child = ctx.Process(
+            target=_hang_in_put,
+            args=(store.root, key, result, digest, point, ready),
+        )
+        child.start()
+        try:
+            assert ready.wait(timeout=60)
+        finally:
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=60)
+        assert child.exitcode == -signal.SIGKILL
+        bucket = store.entry_path(key).parent
+        dead = list(bucket.glob(f".staging-{child.pid}_*"))
+        assert len(dead) == 1
+        assert store.get(key, spec) is None
+        live = Path(tempfile.mkdtemp(
+            prefix=f".staging-{os.getpid()}_", dir=bucket
+        ))
+        store.put(key, result, digest)
+        hit = store.get(key, spec)
+        assert hit is not None and np.array_equal(hit.parts, result.parts)
+        assert not dead[0].exists() and live.is_dir()
+        assert sorted(bucket.glob(".staging-*")) == [live]
 
 
 class _TripAfter:

@@ -104,7 +104,7 @@ class TestConfiguration:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ConfigurationError):
-            create_algorithm("NE")
+            create_algorithm("NoSuchAlgorithm")
 
     def test_k_too_small(self, skewed_graph):
         with pytest.raises(ConfigurationError):
