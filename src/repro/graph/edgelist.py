@@ -15,7 +15,6 @@ is undirected.
 
 from __future__ import annotations
 
-import io
 import os
 from pathlib import Path
 
@@ -32,7 +31,8 @@ __all__ = [
     "write_text_edgelist",
 ]
 
-_BINARY_DTYPE = np.dtype("<u4")  # little-endian unsigned 32-bit, per paper
+#: on-disk vertex id: little-endian unsigned 32-bit, per the paper
+BINARY_DTYPE = np.dtype("<u4")
 
 
 class Graph:
@@ -179,7 +179,7 @@ def write_binary_edgelist(graph: Graph, path: str | os.PathLike) -> int:
     """
     if graph.num_vertices > 2**32:
         raise GraphFormatError("binary format supports at most 2^32 vertices")
-    data = graph.edges.astype(_BINARY_DTYPE)
+    data = graph.edges.astype(BINARY_DTYPE)
     with open(path, "wb") as fh:
         data.tofile(fh)
     return data.nbytes
@@ -195,7 +195,7 @@ def read_binary_edgelist(
             f"{path}: binary edge list length {size} is not a multiple of 8"
         )
     with open(path, "rb") as fh:
-        flat = np.fromfile(fh, dtype=_BINARY_DTYPE)
+        flat = np.fromfile(fh, dtype=BINARY_DTYPE)
     return Graph.from_edges(flat.reshape(-1, 2), num_vertices, name=name)
 
 
@@ -230,14 +230,3 @@ def read_text_edgelist(
         return Graph.from_edges(np.empty((0, 2), dtype=np.int64), num_vertices, name)
     return Graph.from_edges(np.asarray(pairs), num_vertices, name=name)
 
-
-def edges_from_string(text: str) -> np.ndarray:
-    """Parse ``u v`` lines from a string (testing convenience)."""
-    buf = io.StringIO(text)
-    pairs = []
-    for line in buf:
-        line = line.strip()
-        if line and not line.startswith("#"):
-            u, v = line.split()
-            pairs.append((int(u), int(v)))
-    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)

@@ -30,7 +30,7 @@ from repro.runtime.stages import (
     start_pool,
 )
 from repro.stream.reader import _check_chunk_size, check_order, path_format
-from repro.stream.spill import _check_compression
+from repro.stream.records import check_codec
 
 __all__ = ["run_job", "validate_spec"]
 
@@ -83,7 +83,7 @@ def validate_spec(spec: JobSpec) -> None:
         raise ConfigurationError(f"alpha must be >= 1.0, got {spec.alpha}")
     if spec.tau is not None and not spec.tau > 0:
         raise ConfigurationError(f"tau must be positive, got {spec.tau}")
-    _check_compression(spec.spill_compression)
+    check_codec(spec.spill_compression, "spill compression")
     if spec.memory_budget is not None and spec.memory_budget < 1:
         raise ConfigurationError(
             f"memory_budget must be positive, got {spec.memory_budget}"

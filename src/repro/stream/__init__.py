@@ -12,9 +12,11 @@ paper compares against:
   is one bool ``k x n`` block with a budget-aware column-blocked
   fallback; both are sequential sweeps in the calling process,
   whatever the job's worker count),
+* :mod:`repro.stream.records` — the one on-disk record layout every
+  binary file here uses (edge pairs, spill triples, sort runs; raw or
+  zlib-framed), with its writer and its checked reader,
 * :mod:`repro.stream.spill` — the disk-backed h2h edge file NE++
-  appends to instead of holding high/high edges in RAM (raw or
-  zlib-framed on-disk format),
+  appends to instead of holding high/high edges in RAM,
 * :mod:`repro.stream.driver` — the :class:`StreamingAlgorithm`
   adapters that run HDRF/Greedy/DBH/Grid/restreaming from chunked
   sources with bounded memory, bit-identical to their in-memory
@@ -22,7 +24,7 @@ paper compares against:
 * :mod:`repro.stream.extsort` — an external merge sort producing
   degree-ordered edge *files* in bounded memory,
 * :mod:`repro.stream.shard` — the sharded edge-file format (JSON
-  manifest + N flat or zlib-framed shard files), the
+  manifest + N edge-pair record files), the
   :class:`ShardedEdgeSource` reader, and the :class:`EdgeSegment`
   reader it shares with the worker processes,
 * :mod:`repro.stream.workers` — multi-*worker* partitioning: ``N``
@@ -67,7 +69,7 @@ from repro.stream.shard import (
     read_shard_manifest,
     write_sharded_edges,
 )
-from repro.stream.spill import SpillFile, read_spill_chunks, read_spill_header
+from repro.stream.spill import SpillFile
 from repro.stream.workers import (
     DEFAULT_WORKER_BATCH,
     MultiWorkerReport,
@@ -91,8 +93,6 @@ __all__ = [
     "chunked_quality",
     "plan_cover_blocks",
     "SpillFile",
-    "read_spill_header",
-    "read_spill_chunks",
     "EdgeSegment",
     "PersistentWorkerPool",
     "run_bsp_shared",

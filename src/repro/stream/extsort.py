@@ -9,11 +9,15 @@ merge sort:
 1. **Run generation** — one chunked sweep over the source; each chunk is
    keyed (from the counting-pass degree array, ``O(n)`` memory), sorted
    stably in memory and written to a temporary *run* file of
-   ``(key, eid, u, v)`` int64 records.
+   :data:`~repro.stream.records.SORT_RUNS` ``(key, eid, u, v)`` int64
+   records.
 2. **Merge** — a k-way heap merge over buffered run readers streams the
    globally sorted sequence straight into a flat ``<u4`` binary edge
    list, the format :class:`~repro.stream.reader.BinaryFileEdgeSource`
    and :func:`repro.graph.edgelist.read_binary_edgelist` consume.
+
+Runs and output alike are written and read through
+:mod:`repro.stream.records`.
 
 Records carry the canonical eid so ties break exactly like the stable
 ``np.argsort`` in ``edge_order`` — the output file's natural order
@@ -41,16 +45,18 @@ import numpy as np
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.obs.tracer import get_tracer
 from repro.stream.reader import DEFAULT_CHUNK_SIZE, open_edge_source
+from repro.stream.records import (
+    EDGE_PAIRS,
+    SORT_RUNS,
+    RecordWriter,
+    read_records,
+)
 from repro.stream.scan import SourceStats, scan_source
 
 __all__ = ["external_sort_edges", "ExtSortResult", "EXTSORT_ORDERS"]
 
 #: orderings an external pass can realize from the degree array alone
 EXTSORT_ORDERS = ("natural", "degree", "adversarial")
-
-_RUN_DTYPE = np.dtype("<i8")
-_RUN_WIDTH = 4  # key, eid, u, v
-_OUT_DTYPE = np.dtype("<u4")
 
 #: records read back per run per refill during the merge
 DEFAULT_MERGE_BUFFER = 1 << 14
@@ -109,40 +115,40 @@ def _write_run(
     keys: np.ndarray,
     run_dir: Path,
     index: int,
-) -> Path:
-    """Sort one chunk by (key, eid) and write it as a run file."""
+) -> tuple[Path, int]:
+    """Sort one chunk by (key, eid) and write it as a run file.
+
+    Returns the run's path and record count.
+    """
     # Sort on the eid as secondary key explicitly (not just a stable
     # key-only sort): shuffled/reordered sources deliver chunks whose
     # eids are permuted, and both the edge_order tie-break equivalence
     # and heapq.merge's sorted-input precondition need (key, eid) order.
     rank = np.lexsort((chunk_eids, keys))
-    records = np.empty((rank.size, _RUN_WIDTH), dtype=_RUN_DTYPE)
+    records = np.empty((rank.size, SORT_RUNS.width), dtype=np.int64)
     records[:, 0] = keys[rank]
     records[:, 1] = chunk_eids[rank]
     records[:, 2:] = chunk_pairs[rank]
     path = run_dir / f"run-{index:06d}.bin"
-    with open(path, "wb") as fh:
-        records.tofile(fh)
-    return path
+    with RecordWriter(path, SORT_RUNS) as writer:
+        writer.append(records)
+    return path, rank.size
 
 
-def _iter_run(path: Path, buffer_records: int) -> Iterator[tuple[int, int, int, int]]:
+def _iter_run(
+    run: tuple[Path, int], buffer_records: int
+) -> Iterator[tuple[int, int, int, int]]:
     """Yield ``(key, eid, u, v)`` tuples from a run file in bounded blocks."""
-    with open(path, "rb") as fh:
-        while True:
-            flat = np.fromfile(
-                fh, dtype=_RUN_DTYPE, count=buffer_records * _RUN_WIDTH
-            )
-            if flat.size == 0:
-                return
-            if flat.size % _RUN_WIDTH != 0:
-                raise GraphFormatError(f"{path}: truncated external-sort run")
-            yield from map(tuple, flat.reshape(-1, _RUN_WIDTH).tolist())
+    path, count = run
+    blocks = read_records(path, SORT_RUNS, count, chunk_size=buffer_records)
+    for block in blocks:
+        yield from map(tuple, block.tolist())
 
 
 def _collapse_runs(
-    runs: list[Path], run_dir: Path, merge_buffer: int, max_open: int
-) -> list[Path]:
+    runs: list[tuple[Path, int]], run_dir: Path, merge_buffer: int,
+    max_open: int,
+) -> list[tuple[Path, int]]:
     """Pre-merge run groups until at most ``max_open`` runs remain.
 
     Each level merges ``max_open`` runs into one intermediate run file
@@ -151,26 +157,27 @@ def _collapse_runs(
     """
     level = 0
     while len(runs) > max_open:
-        collapsed: list[Path] = []
+        collapsed: list[tuple[Path, int]] = []
         for g, start in enumerate(range(0, len(runs), max_open)):
             group = runs[start : start + max_open]
             if len(group) == 1:
                 collapsed.append(group[0])
                 continue
             target = run_dir / f"merge-{level:02d}-{g:06d}.bin"
-            merged = heapq.merge(*(_iter_run(p, merge_buffer) for p in group))
-            with open(target, "wb") as out:
+            merged = heapq.merge(
+                *(_iter_run(run, merge_buffer) for run in group)
+            )
+            with RecordWriter(target, SORT_RUNS) as out:
                 buf: list[tuple[int, int, int, int]] = []
                 for record in merged:
                     buf.append(record)
                     if len(buf) >= merge_buffer:
-                        np.asarray(buf, dtype=_RUN_DTYPE).tofile(out)
+                        out.append(buf)
                         buf = []
-                if buf:
-                    np.asarray(buf, dtype=_RUN_DTYPE).tofile(out)
-            for p in group:
-                p.unlink()
-            collapsed.append(target)
+                out.append(buf)
+            for path, _ in group:
+                path.unlink()
+            collapsed.append((target, sum(count for _, count in group)))
         runs = collapsed
         level += 1
     return runs
@@ -186,25 +193,25 @@ class _FlatFileSink:
 
     def __init__(self, out_path: Path) -> None:
         self.path = out_path
-        self._fh = None
+        self._writer: RecordWriter | None = None
 
     def append(self, pairs: np.ndarray) -> None:
         """Encode one block of ``(u, v)`` pairs."""
-        if self._fh is None:
-            self._fh = open(self.path, "wb")
-        np.ascontiguousarray(pairs).astype(_OUT_DTYPE).tofile(self._fh)
+        if self._writer is None:
+            self._writer = RecordWriter(self.path, EDGE_PAIRS)
+        self._writer.append(pairs)
 
     def close(self) -> Path:
         """Close the file (creating it for empty streams); return its path."""
-        if self._fh is None:
-            self._fh = open(self.path, "wb")
-        self._fh.close()
+        if self._writer is None:
+            self._writer = RecordWriter(self.path, EDGE_PAIRS)
+        self._writer.close()
         return self.path
 
     def abort(self) -> None:
         """Release the handle after a failure without finalizing."""
-        if self._fh is not None:
-            self._fh.close()
+        if self._writer is not None:
+            self._writer.close()
 
 
 class _ShardSink:
@@ -332,7 +339,7 @@ def external_sort_edges(
                 prefix="extsort-", dir=tmp_dir
             ) as run_dir_name:
                 run_dir = Path(run_dir_name)
-                runs: list[Path] = []
+                runs: list[tuple[Path, int]] = []
                 with tracer.span("run_generation") as span:
                     for chunk in src:
                         if chunk.num_edges == 0:
@@ -345,7 +352,7 @@ def external_sort_edges(
                             )
                         )
                         span.add("edges_scanned", chunk.num_edges)
-                    run_bytes = sum(p.stat().st_size for p in runs)
+                    run_bytes = sum(path.stat().st_size for path, _ in runs)
                     num_runs = len(runs)
                     span.add("num_runs", num_runs)
                     span.add("run_bytes", run_bytes)
@@ -355,7 +362,7 @@ def external_sort_edges(
                     )
                 with tracer.span("merge_runs", runs=len(runs)) as span:
                     merged = heapq.merge(
-                        *(_iter_run(p, merge_buffer) for p in runs)
+                        *(_iter_run(run, merge_buffer) for run in runs)
                     )
                     written = 0
                     buf: list[tuple[int, int]] = []

@@ -41,6 +41,7 @@ import numpy as np
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.edgelist import Graph
 from repro.graph.ordering import ORDERINGS, edge_order
+from repro.stream.records import DEFAULT_CHUNK_SIZE, EDGE_PAIRS, read_records
 
 __all__ = [
     "EdgeChunk",
@@ -55,11 +56,6 @@ __all__ = [
     "require_edge_format",
     "DEFAULT_CHUNK_SIZE",
 ]
-
-#: default number of edges per chunk (1 MiB of binary uint32 pairs)
-DEFAULT_CHUNK_SIZE = 1 << 17
-
-_BINARY_DTYPE = np.dtype("<u4")  # matches repro.graph.edgelist
 
 #: suffixes that declare the flat binary uint32 pair format
 BINARY_SUFFIXES = (".bin", ".edges", ".bel")
@@ -202,9 +198,11 @@ class BinaryFileEdgeSource(EdgeChunkSource):
     """Chunked reader over a binary uint32 edge list on disk.
 
     The file format is the paper's (and ``write_binary_edgelist``'s):
-    flat little-endian uint32 pairs.  Each chunk is one bounded
-    ``np.fromfile`` read; ``order="shuffled"`` permutes the chunk read
-    order (seekable) and shuffles within each chunk.
+    raw :data:`~repro.stream.records.EDGE_PAIRS` records, flat
+    little-endian uint32 pairs.  Each chunk is one bounded
+    :func:`~repro.stream.records.read_records` read;
+    ``order="shuffled"`` permutes the chunk read order (seekable) and
+    shuffles within each chunk.
     """
 
     def __init__(
@@ -220,11 +218,12 @@ class BinaryFileEdgeSource(EdgeChunkSource):
         self.order = order
         self.seed = seed
         size = self.path.stat().st_size
-        if size % 8 != 0:
+        self._num_edges, tail = divmod(size, EDGE_PAIRS.row_bytes)
+        if tail:
             raise GraphFormatError(
-                f"{path}: binary edge list length {size} is not a multiple of 8"
+                f"{path}: binary edge list length {size} is not a multiple "
+                f"of {EDGE_PAIRS.row_bytes}"
             )
-        self._num_edges = size // 8
 
     def __iter__(self) -> Iterator[EdgeChunk]:
         num_chunks = -(-self._num_edges // self.chunk_size) if self._num_edges else 0
@@ -234,29 +233,18 @@ class BinaryFileEdgeSource(EdgeChunkSource):
             rng = np.random.default_rng(self.seed)
             rng.shuffle(chunk_ids)
         size = self.path.stat().st_size
-        if size != self._num_edges * 8:
+        held = self._num_edges * EDGE_PAIRS.row_bytes
+        if size != held:
             raise GraphFormatError(
-                f"{self.path}: file is {size} bytes but held "
-                f"{self._num_edges * 8} at open "
+                f"{self.path}: file is {size} bytes but held {held} at open "
                 f"({self._num_edges} edges); it changed on disk"
             )
-        with open(self.path, "rb") as fh:
-            for c in chunk_ids.tolist():
-                start = c * self.chunk_size
-                count = min(self.chunk_size, self._num_edges - start)
-                fh.seek(start * 8)
-                flat = np.fromfile(fh, dtype=_BINARY_DTYPE, count=count * 2)
-                if flat.size != count * 2:
-                    # Short read: the file shrank between chunks (or an
-                    # odd tail appeared) — never hand back a chunk whose
-                    # pairs do not parallel its eids.
-                    raise GraphFormatError(
-                        f"{self.path}: truncated read at edge {start}: "
-                        f"expected {count} edges, got {flat.size // 2} "
-                        f"({flat.size} uint32 values); the file was "
-                        f"truncated during iteration"
-                    )
-                pairs = flat.reshape(-1, 2).astype(np.int64)
+        for c in chunk_ids.tolist():
+            start = c * self.chunk_size
+            count = min(self.chunk_size, self._num_edges - start)
+            for pairs in read_records(
+                self.path, EDGE_PAIRS, count, start=start, chunk_size=count
+            ):
                 eids = np.arange(start, start + count, dtype=np.int64)
                 if rng is not None:
                     inner = rng.permutation(count)

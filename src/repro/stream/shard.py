@@ -2,12 +2,10 @@
 
 The ROADMAP's next storage step after the single-file chunked readers:
 an edge list split into ``N`` contiguous *shards* described by a small
-JSON **manifest**.  Shards are flat little-endian uint32 pairs — each
-shard is itself a valid binary edge list — or, with
-``compression="zlib"``, a framed variant reusing the
-:class:`~repro.stream.spill.SpillFile` frame encoding (magic + version
-+ codec header, then ``<u4 payload_bytes, <u4 record_count`` frames of
-zlib-deflated pairs).
+JSON **manifest**.  A shard is a :mod:`repro.stream.records` file of
+:data:`~repro.stream.records.EDGE_PAIRS`: raw little-endian uint32
+pairs — each shard is itself a valid binary edge list — or, with
+``compression="zlib"``, framed with one zlib frame per appended block.
 
 Three public pieces:
 
@@ -33,7 +31,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -48,15 +45,13 @@ from repro.stream.reader import (
     _check_chunk_size,
     _validate_chunk,
 )
-
-# Reuse the SpillFile frame encoding (header/frame structs and codec
-# table) for the compressed shard variant — one framing format on disk.
-from repro.stream.spill import (
-    _CODEC_NAMES,
-    _CODECS,
-    _FRAME,
-    _HEADER,
-    read_spill_chunks,
+from repro.stream.records import (
+    CODECS,
+    EDGE_PAIRS,
+    SPILL_TRIPLES,
+    RecordWriter,
+    check_codec,
+    read_records,
 )
 
 __all__ = [
@@ -68,11 +63,8 @@ __all__ = [
     "manifest_segments",
     "write_sharded_edges",
     "read_shard_manifest",
-    "read_flat_edge_blocks",
-    "read_framed_edge_blocks",
     "is_manifest_path",
     "MANIFEST_SUFFIX",
-    "SHARD_MAGIC",
     "SHARD_FORMAT",
     "SHARD_VERSION",
 ]
@@ -83,13 +75,8 @@ MANIFEST_SUFFIX = ".manifest.json"
 #: ``format`` field value identifying a sharded edge-file manifest
 SHARD_FORMAT = "repro-sharded-edges"
 
-#: manifest (and framed-shard header) version this build writes
+#: manifest version this build writes
 SHARD_VERSION = 1
-
-#: magic bytes opening a framed (compressed) shard file
-SHARD_MAGIC = b"RSHD"
-
-_PAIR_DTYPE = np.dtype("<u4")  # shard payload: same as binary edge lists
 
 
 @dataclass(frozen=True)
@@ -133,8 +120,8 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
     Raises :class:`~repro.errors.GraphFormatError` on anything that is
     not a well-formed ``repro-sharded-edges`` manifest whose shard files
     all exist and whose per-shard edge counts sum to the declared total.
-    An uncompressed shard must also hold exactly ``8 * num_edges``
-    bytes: every reader (the sharded source and the worker processes)
+    An uncompressed shard must also hold exactly ``num_edges`` edge
+    pairs: every reader (the sharded source and the worker processes)
     opens the manifest here, so a shard that grew or shrank fails the
     same way on every path.
     """
@@ -154,10 +141,10 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
             f"(this build reads version {SHARD_VERSION})"
         )
     compression = data.get("compression")
-    if compression is not None and compression not in _CODECS:
+    if compression is not None and compression not in CODECS:
         raise GraphFormatError(
             f"{path}: unknown shard compression {compression!r}; "
-            f"available: {', '.join(_CODECS)} (or null)"
+            f"available: {', '.join(CODECS)} (or null)"
         )
     shards = data.get("shards")
     if not isinstance(shards, list) or not shards:
@@ -179,10 +166,11 @@ def read_shard_manifest(path: "str | os.PathLike") -> ShardManifest:
         if not shard.exists():
             raise GraphFormatError(f"{path}: missing shard file {shard}")
         expected = entry["num_edges"]
-        if compression is None and shard.stat().st_size != expected * 8:
+        expected_bytes = expected * EDGE_PAIRS.row_bytes
+        if compression is None and shard.stat().st_size != expected_bytes:
             raise GraphFormatError(
                 f"{shard}: shard holds {shard.stat().st_size} bytes, "
-                f"expected {expected * 8} ({expected} edges per manifest)"
+                f"expected {expected_bytes} ({expected} edges per manifest)"
             )
         shard_paths.append(shard)
         shard_edges.append(expected)
@@ -263,11 +251,7 @@ class ShardWriter:
             raise ConfigurationError(
                 f"num_edges must be >= 0, got {num_edges}"
             )
-        if compression is not None and compression not in _CODECS:
-            raise ConfigurationError(
-                f"unknown shard compression {compression!r}; "
-                f"available: {', '.join(_CODECS)} (or None)"
-            )
+        check_codec(compression, "shard compression")
         self.path, stem = _manifest_stem(Path(out_path))
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.num_edges = int(num_edges)
@@ -284,28 +268,16 @@ class ShardWriter:
         self._shard = 0
         self._in_shard = 0
         self._written = 0
-        self._fh = None
+        self._out: RecordWriter | None = None
         self._closed = False
         self._manifest: ShardManifest | None = None
 
-    def _open_next(self):
-        """Open the current shard's file handle, writing its header."""
-        fh = open(self.path.parent / self._names[self._shard], "wb")
-        if self.compression is not None:
-            fh.write(
-                _HEADER.pack(SHARD_MAGIC, SHARD_VERSION,
-                             _CODECS[self.compression], 0)
-            )
-        return fh
-
-    def _write_block(self, block: np.ndarray) -> None:
-        """Encode one sub-block (entirely within the current shard)."""
-        if self.compression is None:
-            block.tofile(self._fh)
-        else:
-            payload = zlib.compress(block.tobytes())
-            self._fh.write(_FRAME.pack(len(payload), block.shape[0]))
-            self._fh.write(payload)
+    def _open_next(self) -> RecordWriter:
+        """Open the current shard's record writer."""
+        return RecordWriter(
+            self.path.parent / self._names[self._shard], EDGE_PAIRS,
+            self.compression,
+        )
 
     def append(self, pairs: np.ndarray) -> int:
         """Append a block of ``(u, v)`` pairs, splitting across shards.
@@ -332,26 +304,25 @@ class ShardWriter:
                 f"{self.path}: stream delivered more than the declared "
                 f"{self.num_edges} edges"
             )
-        data = pairs.astype(_PAIR_DTYPE)
         offset = 0
-        while offset < data.shape[0]:
+        while offset < pairs.shape[0]:
             # Advance past exhausted shards (zero-target shards included)
             # so every shard file exists even when it holds no edges.
-            while self._fh is None or self._in_shard >= self._targets[self._shard]:
-                if self._fh is None:
-                    self._fh = self._open_next()
+            while self._out is None or self._in_shard >= self._targets[self._shard]:
+                if self._out is None:
+                    self._out = self._open_next()
                     continue
-                self._fh.close()
+                self._out.close()
                 self._shard += 1
                 self._in_shard = 0
-                self._fh = self._open_next()
+                self._out = self._open_next()
             room = self._targets[self._shard] - self._in_shard
-            block = data[offset : offset + room]
-            self._write_block(block)
+            block = pairs[offset : offset + room]
+            self._out.append(block)
             self._in_shard += block.shape[0]
             offset += block.shape[0]
-        self._written += data.shape[0]
-        return data.shape[0]
+        self._written += pairs.shape[0]
+        return pairs.shape[0]
 
     def close(self) -> ShardManifest:
         """Finish trailing empty shards, write the manifest, return it."""
@@ -359,23 +330,23 @@ class ShardWriter:
             return self._manifest
         if self._written != self.num_edges:
             # Leave partial shard files behind for post-mortem, but fail.
-            if self._fh is not None:
-                self._fh.close()
+            if self._out is not None:
+                self._out.close()
             self._closed = True
             raise GraphFormatError(
                 f"{self.path}: stream delivered {self._written} of the "
                 f"declared {self.num_edges} edges"
             )
-        if self._fh is None:
-            self._fh = self._open_next()
+        if self._out is None:
+            self._out = self._open_next()
         # Create any remaining (necessarily empty) shard files.
         while self._shard < self.num_shards - 1:
-            self._fh.close()
+            self._out.close()
             self._shard += 1
             self._in_shard = 0
-            self._fh = self._open_next()
-        self._fh.close()
-        self._fh = None
+            self._out = self._open_next()
+        self._out.close()
+        self._out = None
         self._closed = True
         manifest = {
             "format": SHARD_FORMAT,
@@ -403,9 +374,9 @@ class ShardWriter:
         if self._closed:
             return
         self._closed = True
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._out is not None:
+            self._out.close()
+            self._out = None
 
     def __enter__(self) -> "ShardWriter":
         return self
@@ -450,126 +421,18 @@ def write_sharded_edges(
     return writer.close()
 
 
-def read_flat_edge_blocks(
-    path: "str | os.PathLike",
-    expected: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    start_edge: int = 0,
-) -> Iterator[np.ndarray]:
-    """Decode a flat ``<u4`` pair file in bounded ``(c, 2)`` int64 blocks.
-
-    Reads ``expected`` edges beginning at edge ``start_edge`` (so a
-    contiguous *slice* of a flat file can serve as a virtual shard).
-    Validates the on-disk length upfront and every read against the
-    requested count — truncation raises
-    :class:`~repro.errors.GraphFormatError` naming the file.  The
-    ``"flat"`` decoding of :func:`iter_segments`.
-    """
-    path = Path(path)
-    size = path.stat().st_size
-    if size < (start_edge + expected) * 8:
-        raise GraphFormatError(
-            f"{path}: file holds {size} bytes, expected at least "
-            f"{(start_edge + expected) * 8} "
-            f"({expected} edges from edge {start_edge})"
-        )
-    with open(path, "rb") as fh:
-        if start_edge:
-            fh.seek(start_edge * 8)
-        done = 0
-        while done < expected:
-            count = min(chunk_size, expected - done)
-            flat = np.fromfile(fh, dtype=_PAIR_DTYPE, count=count * 2)
-            if flat.size != count * 2:
-                raise GraphFormatError(
-                    f"{path}: shard truncated at edge {start_edge + done} "
-                    f"(read {flat.size} of {count * 2} values)"
-                )
-            pairs = flat.reshape(-1, 2).astype(np.int64)
-            _validate_chunk(pairs, path)
-            yield pairs
-            done += count
-
-
-def read_framed_edge_blocks(
-    path: "str | os.PathLike",
-    expected: int,
-    compression: str,
-) -> Iterator[np.ndarray]:
-    """Inflate a framed (compressed) shard file frame by frame.
-
-    Yields validated int64 ``(c, 2)`` blocks, one per frame; any header
-    mismatch, truncation or byte past the ``expected`` edges raises
-    :class:`~repro.errors.GraphFormatError` naming the file.  The
-    ``"framed"`` decoding of :func:`iter_segments`.
-    """
-    path = Path(path)
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise GraphFormatError(f"{path}: shard header truncated")
-        magic, version, codec, _ = _HEADER.unpack(head)
-        if (
-            magic != SHARD_MAGIC
-            or version != SHARD_VERSION
-            or _CODEC_NAMES.get(codec) != compression
-        ):
-            raise GraphFormatError(
-                f"{path}: shard header does not match manifest "
-                f"compression={compression!r}"
-            )
-        done = 0
-        while done < expected:
-            frame = fh.read(_FRAME.size)
-            if len(frame) < _FRAME.size:
-                raise GraphFormatError(
-                    f"{path}: shard truncated "
-                    f"({done} of {expected} edges)"
-                )
-            payload_bytes, count = _FRAME.unpack(frame)
-            payload = fh.read(payload_bytes)
-            if len(payload) < payload_bytes:
-                raise GraphFormatError(
-                    f"{path}: shard frame truncated "
-                    f"({done} of {expected} edges)"
-                )
-            flat = np.frombuffer(
-                zlib.decompress(payload), dtype=_PAIR_DTYPE
-            )
-            if flat.size != count * 2:
-                raise GraphFormatError(
-                    f"{path}: shard frame decodes to {flat.size} "
-                    f"values, expected {count * 2}"
-                )
-            pairs = flat.reshape(-1, 2).astype(np.int64)
-            _validate_chunk(pairs, path)
-            yield pairs
-            done += count
-        if done != expected:
-            raise GraphFormatError(
-                f"{path}: shard delivered {done} of {expected} edges"
-            )
-        if fh.read(1):
-            raise GraphFormatError(
-                f"{path}: shard holds bytes past its {expected} "
-                f"declared edges"
-            )
-
-
 @dataclass(frozen=True)
 class EdgeSegment:
     """One contiguous run of globally-identified edges on disk.
 
-    ``kind`` selects the on-disk decoding:
+    ``kind`` names the record format (:mod:`repro.stream.records`) and
+    ``compression`` its encoding:
 
-    * ``"flat"`` — ``count`` flat ``<u4`` pairs starting at edge
-      ``start_edge`` of ``path`` (a whole uncompressed shard, or a
-      virtual shard of a single flat edge file); edge ids are
-      ``eid_start + position``,
-    * ``"framed"`` — a whole zlib-framed shard file; edge ids are
-      ``eid_start + position``,
-    * ``"spill"`` — spill-format ``(u, v, eid)`` triples (the per-worker
-      h2h segments of :func:`~repro.stream.workers.
+    * ``"pairs"`` — ``count`` edge pairs from edge ``start_edge`` on
+      (a whole shard, or a raw slice of a single flat edge file as a
+      virtual shard); edge ids are ``eid_start + position``,
+    * ``"spill"`` — ``(u, v, eid)`` spill triples (the per-worker h2h
+      segments of :func:`~repro.stream.workers.
       split_spill_round_robin`); edge ids travel in the records and
       ``eid_start`` is unused.
     """
@@ -577,13 +440,13 @@ class EdgeSegment:
     path: str
     count: int
     eid_start: int = 0
-    kind: str = "flat"
+    kind: str = EDGE_PAIRS.name
     start_edge: int = 0
     compression: str | None = None
 
     def describe(self) -> str:
         """Short human-readable form used in failure messages."""
-        if self.kind == "flat" and self.start_edge:
+        if self.start_edge:
             return (
                 f"{self.path}[{self.start_edge}:"
                 f"{self.start_edge + self.count}]"
@@ -593,14 +456,13 @@ class EdgeSegment:
 
 def manifest_segments(manifest: ShardManifest) -> list[EdgeSegment]:
     """One :class:`EdgeSegment` per shard, in manifest order."""
-    kind = "flat" if manifest.compression is None else "framed"
     segments = []
     eid_start = 0
     for path, count in zip(manifest.shard_paths, manifest.shard_edges):
         segments.append(
             EdgeSegment(
                 path=str(path), count=count, eid_start=eid_start,
-                kind=kind, compression=manifest.compression,
+                compression=manifest.compression,
             )
         )
         eid_start += count
@@ -611,26 +473,23 @@ def _iter_segment(
     segment: EdgeSegment, chunk_size: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the ``(pairs, eids)`` blocks of one segment, in order."""
-    if segment.kind == "spill":
-        yield from read_spill_chunks(
-            segment.path, segment.count, segment.compression, chunk_size
-        )
-        return
-    if segment.kind == "flat":
-        blocks = read_flat_edge_blocks(
-            segment.path, segment.count, chunk_size, segment.start_edge
-        )
-    elif segment.kind == "framed":
-        blocks = read_framed_edge_blocks(
-            segment.path, segment.count, segment.compression
-        )
+    if segment.kind == SPILL_TRIPLES.name:
+        for records in read_records(
+            segment.path, SPILL_TRIPLES, segment.count, segment.compression,
+            chunk_size=chunk_size,
+        ):
+            yield records[:, :2], records[:, 2]
+    elif segment.kind == EDGE_PAIRS.name:
+        eid = segment.eid_start
+        for pairs in read_records(
+            segment.path, EDGE_PAIRS, segment.count, segment.compression,
+            segment.start_edge, chunk_size,
+        ):
+            _validate_chunk(pairs, segment.path)
+            yield pairs, np.arange(eid, eid + pairs.shape[0], dtype=np.int64)
+            eid += pairs.shape[0]
     else:
         raise ConfigurationError(f"unknown segment kind {segment.kind!r}")
-    eid = segment.eid_start
-    for pairs in blocks:
-        eids = np.arange(eid, eid + pairs.shape[0], dtype=np.int64)
-        eid += pairs.shape[0]
-        yield pairs, eids
 
 
 def iter_segments(

@@ -45,8 +45,8 @@ runs pickled jobs, and a BSP run's state lives in one
   branches are bit-identical to the in-process schedule — the
   equivalence property ``tests/test_stream_workers.py`` pins.
 
-Pipes carry only control frames, framed with the spill file's frame
-encoding (:data:`~repro.stream.spill` ``_FRAME``: ``<u4 payload_bytes,
+Pipes carry only control frames, framed with the record files' frame
+header (:data:`~repro.stream.records.FRAME`: ``<u4 payload_bytes,
 <u4 record_count``) behind a one-byte tag.
 
 Failure handling: a worker that dies mid-superstep (killed, OOM, or a
@@ -90,9 +90,8 @@ from repro.stream.shard import (
     manifest_segments,
     read_shard_manifest,
 )
-
-# Control frames reuse the spill file's frame struct (repro.stream.spill).
-from repro.stream.spill import _FRAME, SpillFile
+from repro.stream.records import FRAME, SPILL_TRIPLES
+from repro.stream.spill import SpillFile
 
 __all__ = [
     "PersistentWorkerPool",
@@ -113,7 +112,7 @@ DEFAULT_WORKER_BATCH = 8
 #: seconds the coordinator waits on a silent worker before declaring it hung
 DEFAULT_WORKER_TIMEOUT = 120.0
 
-# message tags (one byte, prepended to the spill-style frame)
+# message tags (one byte, prepended to the frame header)
 _MSG_BATCH = b"B"     # worker -> coord: lane holds partitions (fast path)
 _MSG_SCORES = b"S"    # worker -> coord: lane holds scores (near capacity)
 _MSG_DONE = b"D"      # worker -> coord: stream exhausted (+ busy/wait/send f64s)
@@ -145,16 +144,16 @@ def _iter_batches(
 
 
 def _pack_message(tag: bytes, count: int, *blobs: bytes) -> bytes:
-    """Frame a message: tag byte + spill ``_FRAME`` header + payload."""
+    """Frame a message: tag byte + ``FRAME`` header + payload."""
     payload = b"".join(blobs)
-    return tag + _FRAME.pack(len(payload), count) + payload
+    return tag + FRAME.pack(len(payload), count) + payload
 
 
 def _unpack_message(blob: bytes) -> tuple[bytes, int, memoryview]:
     """Split a framed message into (tag, record count, payload view)."""
     tag = blob[:1]
-    payload_bytes, count = _FRAME.unpack_from(blob, 1)
-    payload = memoryview(blob)[1 + _FRAME.size :]
+    payload_bytes, count = FRAME.unpack_from(blob, 1)
+    payload = memoryview(blob)[1 + FRAME.size :]
     if len(payload) != payload_bytes:
         raise WorkerFailureError(
             f"corrupt worker message: frame declares {payload_bytes} "
@@ -1068,7 +1067,11 @@ def plan_worker_segments(
         segments = [shards[w::workers] for w in range(workers)]
         streams = shard_round_robin_streams(manifest.shard_edges, workers)
         return segments, streams, manifest.num_edges, manifest.num_vertices
-    from repro.stream.reader import BINARY_SUFFIXES, require_edge_format
+    from repro.stream.reader import (
+        BINARY_SUFFIXES,
+        BinaryFileEdgeSource,
+        require_edge_format,
+    )
 
     if path.suffix not in BINARY_SUFFIXES:
         raise ConfigurationError(
@@ -1077,12 +1080,7 @@ def plan_worker_segments(
             f"export one with 'datasets --export' or 'extsort --shards'"
         )
     require_edge_format(path, "binary")
-    size = path.stat().st_size
-    if size % 8 != 0:
-        raise ConfigurationError(
-            f"{path}: binary edge list length {size} is not a multiple of 8"
-        )
-    num_edges = size // 8
+    num_edges = BinaryFileEdgeSource(path).num_edges
     streams = contiguous_streams(num_edges, workers)
     segments = [
         [
@@ -1090,7 +1088,6 @@ def plan_worker_segments(
                 path=str(path),
                 count=int(stream.size),
                 eid_start=int(stream[0]) if stream.size else 0,
-                kind="flat",
                 start_edge=int(stream[0]) if stream.size else 0,
             )
         ]
@@ -1143,7 +1140,7 @@ def split_spill_round_robin(
                 EdgeSegment(
                     path=str(writer.path),
                     count=len(writer),
-                    kind="spill",
+                    kind=SPILL_TRIPLES.name,
                     compression=compression,
                 )
             ]

@@ -407,6 +407,29 @@ class TestShardedCli:
         assert main(["partition", str(manifest), "--k", "4",
                      "--out-of-core", "--tau", "1.0"]) == 0
 
+    @pytest.mark.parametrize(
+        "command",
+        [["partition", "--out-of-core", "--algo", "DBH", "--k", "4"],
+         ["scan"]],
+        ids=["partition", "scan"],
+    )
+    def test_corrupt_zlib_frame_names_the_shard(
+        self, tmp_path, capsys, command
+    ):
+        """A zlib frame that does not inflate is one error naming the
+        shard, not a bare zlib.error traceback."""
+        manifest = tmp_path / "wi.manifest.json"
+        assert main(["datasets", "--export", "WI", "--format", "sharded",
+                     "--shards", "2", "--compress", "zlib",
+                     "--output", str(manifest)]) == 0
+        shard = tmp_path / "wi.shard-0000.bin"
+        data = bytearray(shard.read_bytes())
+        data[40] ^= 0xFF  # inside the first frame's deflate payload
+        shard.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main([command[0], str(manifest), *command[1:]]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {shard}: ")
+
     def test_compress_requires_sharded_format(self, capsys):
         rc = main(["datasets", "--export", "LJ", "--format", "binary",
                    "--compress", "zlib"])

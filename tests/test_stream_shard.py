@@ -126,7 +126,7 @@ class TestManifestIO:
     ):
         """A valid zlib frame past a shard's declared edge count is one
         GraphFormatError naming the shard, sequential and in workers."""
-        from repro.stream.spill import _FRAME
+        from repro.stream.records import FRAME
 
         manifest = write_sharded_edges(
             skewed_graph, tmp_path / "z.manifest.json", num_shards=2,
@@ -135,7 +135,7 @@ class TestManifestIO:
         shard = manifest.shard_paths[0]
         payload = zlib.compress(np.array([[0, 1]], dtype="<u4").tobytes())
         with open(shard, "ab") as fh:
-            fh.write(_FRAME.pack(len(payload), 1) + payload)
+            fh.write(FRAME.pack(len(payload), 1) + payload)
         with pytest.raises(GraphFormatError, match=shard.name):
             run_job(make_job("HDRF", str(manifest.path), 4, workers=workers))
 

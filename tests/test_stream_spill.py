@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, GraphFormatError
-from repro.stream import SpillFile, read_spill_header
+from repro.stream import SpillFile
 
 
 def _block(edges):
@@ -184,26 +184,15 @@ class TestCompressedFormat:
 
     def test_raw_record_resembling_magic_not_misread(self, tmp_path):
         """Regression: a raw spill whose first u happens to start with
-        the magic bytes must still sniff as raw, not raise/misparse."""
+        the magic bytes must still read back as raw, not raise/misparse."""
         u_as_magic = int.from_bytes(b"RSPL", "little")  # 0x4C505352
         pairs = np.asarray([(u_as_magic, 7), (1, 2)], dtype=np.int64)
         eids = np.asarray([0, 1], dtype=np.int64)
         with SpillFile(dir=tmp_path, delete=False) as raw:
             raw.append(pairs, eids)
             raw.sync()
-            assert read_spill_header(raw.path) is None
             got_pairs, _ = _drain(raw)
             assert np.array_equal(got_pairs, pairs)
-
-    def test_header_sniffing(self, tmp_path):
-        with SpillFile(dir=tmp_path, delete=False, compression="zlib") as z:
-            z.append(*_block([(0, 1)]))
-            z.sync()
-            assert read_spill_header(z.path) == "zlib"
-        with SpillFile(dir=tmp_path, delete=False) as raw:
-            raw.append(*_block([(0, 1)]))
-            raw.sync()
-            assert read_spill_header(raw.path) is None
 
     def test_compresses_redundant_data(self, tmp_path):
         """Realistic h2h spills (hub-heavy pairs) must shrink on disk."""
@@ -242,10 +231,11 @@ class TestCompressedFormat:
 
 
 class TestReadSpillChunksStandalone:
-    """read_spill_chunks: the handed-over reader worker segments use."""
+    """A spill file handed over to an independent reader (as the worker
+    segments are) reads back through the record codec."""
 
     def test_matches_spillfile_chunks(self, tmp_path):
-        from repro.stream import SpillFile, read_spill_chunks
+        from repro.stream.records import SPILL_TRIPLES, read_records
 
         pairs = np.arange(40, dtype=np.int64).reshape(-1, 2)
         eids = np.arange(20, dtype=np.int64)
@@ -253,14 +243,17 @@ class TestReadSpillChunksStandalone:
                        compression="zlib") as spill:
             spill.append(pairs, eids)
             spill.sync()
-            got = list(read_spill_chunks(spill.path, 20, "zlib", 7))
-        assert np.array_equal(np.vstack([p for p, _ in got]), pairs)
-        assert np.array_equal(np.concatenate([e for _, e in got]), eids)
+            got = np.vstack(
+                list(read_records(spill.path, SPILL_TRIPLES, 20, "zlib",
+                                  chunk_size=7))
+            )
+        assert np.array_equal(got[:, :2], pairs)
+        assert np.array_equal(got[:, 2], eids)
 
     def test_framed_over_delivery_raises(self, tmp_path):
         """A frame spilling past the declared total must raise, not hand
         extra records downstream (worker segments trust their count)."""
-        from repro.stream import SpillFile, read_spill_chunks
+        from repro.stream.records import SPILL_TRIPLES, read_records
 
         pairs = np.arange(24, dtype=np.int64).reshape(-1, 2)
         with SpillFile(path=tmp_path / "s.spill", delete=False,
@@ -268,4 +261,5 @@ class TestReadSpillChunksStandalone:
             spill.append(pairs, np.arange(12, dtype=np.int64))
             spill.sync()
             with pytest.raises(GraphFormatError, match="delivers"):
-                list(read_spill_chunks(spill.path, 5, "zlib", 4))
+                list(read_records(spill.path, SPILL_TRIPLES, 5, "zlib",
+                                  chunk_size=4))

@@ -291,10 +291,10 @@ class TestReadAhead:
         write_binary_edgelist(graph, path)
         m, n = graph.num_edges, graph.num_vertices
         segments = [
-            EdgeSegment(path=str(path), count=4, kind="flat"),
+            EdgeSegment(path=str(path), count=4, kind="pairs"),
             # Claims more edges than the file holds past edge 4.
             EdgeSegment(
-                path=str(path), count=m, eid_start=4, kind="flat",
+                path=str(path), count=m, eid_start=4, kind="pairs",
                 start_edge=4,
             ),
         ]
@@ -373,14 +373,25 @@ class TestLiveState:
 
 @pytest.mark.slow
 class TestMultiWorkerHep:
-    @pytest.mark.parametrize("workers,batch", [(1, 1), (2, 8)])
+    @pytest.mark.parametrize(
+        "workers,batch,spill_compression",
+        [
+            pytest.param(1, 1, None, id="1-1"),
+            pytest.param(2, 8, None, id="2-8"),
+            # the workers decode framed spill segments
+            pytest.param(2, 8, "zlib", id="2-8-zlib"),
+        ],
+    )
     def test_bit_identical_to_parallel_hep(
-        self, graph, tmp_path, workers, batch
+        self, graph, tmp_path, workers, batch, spill_compression
     ):
         path = tmp_path / "g.bin"
         write_binary_edgelist(graph, path)
         result = run_job(
-            make_job("HEP", path, 8, workers=workers, batch=batch, tau=1.0)
+            make_job(
+                "HEP", path, 8, workers=workers, batch=batch, tau=1.0,
+                spill_compression=spill_compression,
+            )
         )
         oracle, _ = references.parallel_hep(
             graph, 8, tau=1.0, workers=workers, batch=batch
