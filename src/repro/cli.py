@@ -332,7 +332,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Runs the asyncio service until SIGTERM/SIGINT and drains
     gracefully: queued jobs cancel, a running job stops at its next
-    stage boundary, warm pools shut down, shared segments unlink.  With
+    stage boundary (its BSP workers are already reaped and its shared
+    segment unlinked there).  With
     ``--self-test SOURCE`` the service instead starts on an ephemeral
     port, exercises itself end to end over HTTP (submit twice → one
     execution + a dedup hit, progress events, lookups), and exits.
@@ -660,7 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Parse arguments and dispatch; ``--trace`` wraps the whole run."""
+    """Parse arguments and dispatch; ``--trace`` wraps the whole run.
+
+    A :class:`~repro.errors.ReproError` or an :class:`OSError` (an
+    unusable directory, say) prints ``error: ...`` and returns 1.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     trace_path = getattr(args, "trace", None)
@@ -675,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trace written      : {trace_path} ({spans} spans; "
               f"`repro trace summarize {trace_path}`)")
         return rc
-    except ReproError as exc:
+    except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,9 +6,9 @@ streaming/worker stack.  It has two halves:
 * :mod:`repro.obs.tracer` — a process-global :class:`Tracer` with
   nestable spans, typed counters, optional memory deltas, and a JSONL
   trace-file format.  Worker processes record spans into an in-memory
-  collecting tracer and ship them to the coordinator over the worker
-  pool's pipes, where :meth:`Tracer.adopt` re-parents them under the
-  dispatching span — one coherent tree per run.
+  collecting tracer and ship them to the coordinator in their final
+  pipe frame, where :meth:`Tracer.adopt` re-parents them under the
+  run's ``pool_run`` span — one coherent tree per run.
 * :mod:`repro.obs.summary` — readers and aggregators for trace files:
   per-span-name rollups, total counters, and the phase attribution
   (spawn / pickle / pipe / compute / merge) behind

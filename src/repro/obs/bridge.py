@@ -6,7 +6,8 @@ the trace: :class:`SpanEventBridge` is a collect-mode
 :class:`~repro.obs.tracer.Tracer` that additionally hands every
 finished span record to a caller-supplied callback the moment it is
 emitted — including worker spans grafted in via
-:meth:`~repro.obs.tracer.Tracer.adopt` at the end of a pool run.
+:meth:`~repro.obs.tracer.Tracer.adopt` as each worker's final frame
+arrives.
 
 The callback runs on whatever thread emitted the span (the job runner
 thread, for the serve layer) and must be quick and exception-free;

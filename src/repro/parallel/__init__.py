@@ -7,7 +7,8 @@ oracle that multi-worker HEP and HDRF jobs
 :mod:`repro.parallel.kernel` holds the snapshot-scoring / delta-merge
 kernels shared with the multi-process driver
 (:mod:`repro.stream.workers`); :mod:`repro.parallel.shm` holds the
-shared-memory state the warm worker pools snapshot and commit against.
+shared-memory state a BSP run's worker processes snapshot and commit
+against.
 """
 
 from repro.parallel.bsp_streaming import (

@@ -13,7 +13,7 @@ any registered baseline, in process or on worker processes::
   a content-addressed :class:`~repro.runtime.store.ArtifactStore`
   without recomputing,
 * :mod:`~repro.runtime.stages` — the stage bodies; the ``stream``
-  stage runs in process or on a warm worker pool by ``spec.workers``,
+  stage runs in process or on worker processes by ``spec.workers``,
 * :mod:`~repro.runtime.registry` — the decorator-based algorithm
   registry the adapters register into.
 

@@ -22,15 +22,10 @@ from repro.partition.scoring import _is_finite, check_hdrf_params
 from repro.runtime.registry import algorithm_names, create_algorithm
 from repro.runtime.result import PartitionResult
 from repro.runtime.spec import JobSpec, _is_count, declared_params
-from repro.runtime.stages import (
-    PIPELINES,
-    STAGES,
-    RunContext,
-    pipeline_kind,
-    start_pool,
-)
+from repro.runtime.stages import PIPELINES, STAGES, RunContext, pipeline_kind
 from repro.stream.reader import _check_chunk_size, check_order, path_format
 from repro.stream.records import check_codec
+from repro.stream.workers import check_worker_input
 
 __all__ = ["run_job", "validate_spec"]
 
@@ -55,7 +50,9 @@ def validate_spec(spec: JobSpec) -> None:
     the spill file knows and an ``input.order`` the input can stream in
     (:func:`~repro.stream.reader.check_order`, judged from a path's
     suffix; an already-open source and multi-worker HDRF stream natural
-    order only), ``algo`` must be HEP or a registered algorithm,
+    order only), multi-worker HDRF must read a manifest or a flat
+    binary edge file (:func:`~repro.stream.workers.check_worker_input`,
+    by suffix too), ``algo`` must be HEP or a registered algorithm,
     every ``algo_params`` name must be one that algorithm declares, a
     declared ``lam``/``eps`` must pass
     :func:`~repro.partition.scoring.check_hdrf_params`, and a registered
@@ -101,8 +98,8 @@ def validate_spec(spec: JobSpec) -> None:
             raise ConfigurationError(
                 f"batch must be an integer >= 1, got {spec.batch!r}"
             )
-        # The worker pool streams informed HDRF (alone or as HEP's
-        # phase two); any other algorithm would silently run as HDRF.
+        # The workers stream informed HDRF (alone or as HEP's phase
+        # two); any other algorithm would silently run as HDRF.
         if not hep and spec.algo.upper() != "HDRF":
             raise ConfigurationError(
                 f"multi-worker partitioning supports HEP or HDRF (the "
@@ -115,6 +112,8 @@ def validate_spec(spec: JobSpec) -> None:
                 f"multi-worker HDRF reads its shards from an edge file or "
                 f"shard manifest on disk; got a {spec.input.kind!r} input"
             )
+        if not hep:
+            check_worker_input(spec.input.path)
         # Its workers stream their shards in file order, whatever the
         # spec says.
         if not hep and spec.input.order != "natural":
@@ -221,10 +220,6 @@ def _execute(spec: JobSpec, source, cancel=None) -> PartitionResult:
     attrs["source"] = str(source)
     with tracer.span("partition", **attrs):
         try:
-            # Inside the try, so the finally reaps a pool that an
-            # interrupt catches mid-spawn.
-            if spec.workers >= 1:
-                start_pool(spec, ctx)
             ctx.src = open_edge_source(
                 source, spec.chunk_size, order=spec.input.order,
                 seed=spec.input.seed,

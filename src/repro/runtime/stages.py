@@ -12,8 +12,9 @@ Stages take ``(spec, ctx)``: the spec is frozen configuration, the
 :class:`RunContext` carries the materializing state (source, stats,
 CSR, spill, parts, ...).  Only the ``stream`` stage has two forms: at
 ``spec.workers == 0`` it sweeps in process, otherwise it runs BSP
-informed HDRF on the warm worker pool :func:`start_pool` spawned.
-Both forms are pinned bit-identical to each other and to the
+informed HDRF through :func:`~repro.stream.workers.run_bsp_shared`,
+which forks the run's worker processes and reaps them before it
+returns.  Both forms are pinned bit-identical to each other and to the
 in-memory oracles by the equivalence suites; the form changes
 wall-clock and memory placement, never assignments.
 """
@@ -35,7 +36,7 @@ from repro.partition.base import capacity_bound
 from repro.runtime.spec import JobSpec
 from repro.stream.scan import chunked_quality, scan_source
 
-__all__ = ["PIPELINES", "RunContext", "STAGES", "pipeline_kind", "start_pool"]
+__all__ = ["PIPELINES", "RunContext", "STAGES", "pipeline_kind"]
 
 #: stage order per pipeline: HEP's two phases, or one streaming sweep
 PIPELINES: dict[str, tuple[str, ...]] = {
@@ -53,11 +54,9 @@ class RunContext:
     """Mutable state one job accumulates as its stages run.
 
     Built by :func:`repro.runtime.api.run_job`; stages read what
-    earlier stages provided and write what they produce.  ``pool``
-    holds the warm :class:`~repro.stream.workers.PersistentWorkerPool`
-    of a multi-worker run, ``spill`` the open
-    :class:`~repro.stream.spill.SpillFile` between the split and
-    stream stages.
+    earlier stages provided and write what they produce.  ``spill``
+    holds the open :class:`~repro.stream.spill.SpillFile` between the
+    split and stream stages.
     """
 
     def __init__(self, spec: JobSpec, source, algorithm=None) -> None:
@@ -68,10 +67,6 @@ class RunContext:
         self.src = None
         #: registered algorithm's adapter instance (in-process only)
         self.algorithm = algorithm
-        #: warm worker pool of a multi-worker run
-        self.pool = None
-        #: multi-worker HDRF's per-worker shard segments
-        self.segments = None
         self.stats = None
         self.tau: float | None = None
         self.projected_memory_bytes: int | None = None
@@ -92,36 +87,10 @@ class RunContext:
         self.empty_message = "edge stream is empty"
 
     def close(self) -> None:
-        """Release the run's resources: reap the pool, close the spill."""
-        if self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
+        """Release the run's resources: close the spill."""
         if self.spill is not None:
             self.spill.close()
             self.spill = None
-
-
-def start_pool(spec: JobSpec, ctx: RunContext) -> None:
-    """Spawn a multi-worker run's warm pool, before the source opens.
-
-    Multi-worker HDRF first deals its shards to the workers and rejects
-    an empty source; HEP's workers read the h2h spill, which phase two
-    splits.  The pool forks before any big array exists, and it is
-    registered on the context before it starts, so
-    :meth:`RunContext.close` reaps it even when an interrupt lands
-    mid-spawn.
-    """
-    from repro.stream.workers import PersistentWorkerPool, plan_worker_segments
-
-    if pipeline_kind(spec) == "stream":
-        segments, _, num_edges, _ = plan_worker_segments(
-            ctx.source, spec.workers
-        )
-        if num_edges == 0:
-            raise PartitioningError(ctx.empty_message)
-        ctx.segments = segments
-    ctx.pool = PersistentWorkerPool(spec.workers)
-    ctx.pool.start()
 
 
 # -- stages -----------------------------------------------------------------
@@ -181,16 +150,16 @@ def stage_phase_one(spec: JobSpec, ctx: RunContext) -> None:
 def stage_stream(spec: JobSpec, ctx: RunContext) -> None:
     """Streaming phase: the spill read-back (HEP) or the source sweeps.
 
-    In process at ``spec.workers == 0``, on the warm pool otherwise.
+    In process at ``spec.workers == 0``, on worker processes otherwise.
     """
     tracer = get_tracer()
-    on_pool = spec.workers >= 1
+    on_workers = spec.workers >= 1
     if ctx.spill is not None:
         # HEP pipeline: informed HDRF over the spilled h2h edges.
         if len(ctx.spill):
             with tracer.span("stream_pass", phase="spill") as span:
-                if on_pool:
-                    ctx.loads = _stream_spill_on_pool(spec, ctx)
+                if on_workers:
+                    ctx.loads = _stream_spill_on_workers(spec, ctx)
                 else:
                     ctx.loads = _stream_spill_in_process(spec, ctx)
                 span.add("edges_scanned", len(ctx.spill))
@@ -208,8 +177,8 @@ def stage_stream(spec: JobSpec, ctx: RunContext) -> None:
             ),
             spilled_edges=ctx.phase_one.stats.spilled_edges,
         )
-    elif on_pool:
-        _stream_source_on_pool(spec, ctx)
+    elif on_workers:
+        _stream_source_on_workers(spec, ctx)
     else:
         _stream_source_in_process(spec, ctx)
 
@@ -272,34 +241,36 @@ def _stream_spill_in_process(spec: JobSpec, ctx: RunContext) -> np.ndarray:
     return state.loads
 
 
-def _run_bsp(spec: JobSpec, segments, state, parts, ctx: RunContext):
-    """One shared-memory BSP run over ``segments`` on the warm pool."""
+def _run_bsp(spec: JobSpec, segments, state, parts):
+    """One shared-memory BSP run over ``segments``, one worker each."""
     from repro.stream.workers import run_bsp_shared
 
     params = spec.params
     return run_bsp_shared(
-        ctx.pool, segments, state, parts,
+        segments, state, parts,
         batch=spec.batch, lam=params.get("lam", 1.1),
         eps=params.get("eps", 1.0), chunk_size=spec.chunk_size,
     )
 
 
-def _stream_source_on_pool(spec: JobSpec, ctx: RunContext) -> None:
+def _stream_source_on_workers(spec: JobSpec, ctx: RunContext) -> None:
     """Informed HDRF over the shard assignment, one process per worker."""
     from repro.partition.state import StreamingState
+    from repro.stream.workers import plan_worker_segments
 
+    segments, _, _, _ = plan_worker_segments(ctx.source, spec.workers)
     capacity = capacity_bound(ctx.stats.num_edges, spec.k, spec.alpha)
     state = StreamingState(
         ctx.stats.num_vertices, spec.k, capacity,
         exact_degrees=ctx.stats.degrees,
     )
     parts = np.full(ctx.stats.num_edges, -1, dtype=np.int32)
-    ctx.report = _run_bsp(spec, ctx.segments, state, parts, ctx)
+    ctx.report = _run_bsp(spec, segments, state, parts)
     ctx.parts = parts
     ctx.loads = state.loads.copy()
 
 
-def _stream_spill_on_pool(spec: JobSpec, ctx: RunContext) -> np.ndarray:
+def _stream_spill_on_workers(spec: JobSpec, ctx: RunContext) -> np.ndarray:
     """Phase two: informed HDRF over per-worker spill segments."""
     from repro.stream.workers import split_spill_round_robin
 
@@ -316,7 +287,7 @@ def _stream_spill_on_pool(spec: JobSpec, ctx: RunContext) -> np.ndarray:
             )
             span.add("spill_bytes", ctx.spill.nbytes)
             span.add("spill_records", len(ctx.spill))
-        ctx.report = _run_bsp(spec, segments, state, ctx.parts, ctx)
+        ctx.report = _run_bsp(spec, segments, state, ctx.parts)
     return state.loads
 
 

@@ -302,9 +302,9 @@ async def serve_forever(
 
     Shutdown guarantees (see ``docs/serve.md``): the listener closes
     first (no new submits), queued jobs flip to ``cancelled``, a
-    running job is cancelled at its next stage boundary, the runner
-    thread is joined — which also shuts down any warm worker pool and
-    unlinks its shared segments — and only then does the process exit.
+    running job is cancelled at its next stage boundary (where no BSP
+    worker or shared segment is left), the runner thread is joined,
+    and only then does the process exit.
     """
     from repro.runtime.store import ArtifactStore
 

@@ -7,11 +7,11 @@ the manager freezes it into a spec, derives the job id from the
 store's content-addressed cache key (spec hash + input digest), and
 enqueues it on a bounded :class:`asyncio.Queue`.  One background
 runner drains the queue and executes each job with
-:func:`~repro.runtime.api.run_job` on a single worker thread — pools
-and shared memory stay per-run, exactly as in the CLI — while a
-:class:`~repro.obs.bridge.SpanEventBridge` streams the run's trace
-spans into the job's :class:`~repro.serve.events.EventLog` as progress
-events.
+:func:`~repro.runtime.api.run_job` on a single worker thread — worker
+processes and shared memory stay per-run, exactly as in the CLI —
+while a :class:`~repro.obs.bridge.SpanEventBridge` streams the run's
+trace spans into the job's :class:`~repro.serve.events.EventLog` as
+progress events.
 
 Because the job id *is* the cache key, deduplication is free: an
 identical spec submitted while the first is queued or running attaches
@@ -346,9 +346,9 @@ class JobManager:
 
         Queued jobs flip to ``cancelled``; a running job's cancel event
         is set so the runtime stops at the next stage boundary; the
-        runner thread is joined before returning, which also tears down
-        any warm pool the run held (``run_job`` reaps it in its
-        ``finally``).
+        runner thread is joined before returning.  A stage boundary
+        holds no worker process or shared segment: a BSP run reaps its
+        workers and unlinks its segment before its stage returns.
         """
         self._draining = True
         for job in self.jobs.values():

@@ -33,9 +33,9 @@ paper compares against:
   in-process :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream`
   (``partition --workers N --out-of-core``).  The snapshot lives in
   one :mod:`multiprocessing.shared_memory` segment
-  (:class:`~repro.parallel.shm.SharedState`) served to a warm
-  :class:`PersistentWorkerPool`, the one way work reaches a worker
-  process.
+  (:class:`~repro.parallel.shm.SharedState`);
+  :func:`run_bsp_shared`, the one way work reaches a worker process,
+  forks the run's workers with their jobs and reaps them when it ends.
 
 The stages that chain these pieces into HEP's budgeted pipeline and
 the streaming-baseline pipeline live in :mod:`repro.runtime`; run a
@@ -73,7 +73,6 @@ from repro.stream.spill import SpillFile
 from repro.stream.workers import (
     DEFAULT_WORKER_BATCH,
     MultiWorkerReport,
-    PersistentWorkerPool,
     StateService,
     plan_worker_segments,
     run_bsp_shared,
@@ -94,7 +93,6 @@ __all__ = [
     "plan_cover_blocks",
     "SpillFile",
     "EdgeSegment",
-    "PersistentWorkerPool",
     "run_bsp_shared",
     "StateService",
     "MultiWorkerReport",

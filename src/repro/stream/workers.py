@@ -13,9 +13,13 @@ rather than simulated.
 Architecture
 ------------
 
-One transport carries all work: a warm :class:`PersistentWorkerPool`
-runs pickled jobs, and a BSP run's state lives in one
-:class:`~repro.parallel.shm.SharedState` segment.
+One function runs a BSP run from start to finish:
+:func:`run_bsp_shared` creates one
+:class:`~repro.parallel.shm.SharedState` segment for the run's state,
+forks one worker per segment list with that worker's job as its
+process arguments, drives the supersteps, and reaps the workers and
+unlinks the segment in one ``finally``.  A worker runs its job once
+and exits.
 
 * **Workers** (:func:`_stream_shared_job`) map the segment and read the
   published replica/load snapshot.  Per superstep a worker scores its
@@ -47,13 +51,14 @@ runs pickled jobs, and a BSP run's state lives in one
 
 Pipes carry only control frames, framed with the record files' frame
 header (:data:`~repro.stream.records.FRAME`: ``<u4 payload_bytes,
-<u4 record_count``) behind a one-byte tag.
+<u4 record_count``) behind a one-byte tag.  A worker's last frame,
+``DONE``, carries its timings and its drained trace records.
 
 Failure handling: a worker that dies mid-superstep (killed, OOM, or a
 poisoned shard) surfaces as a single
 :class:`~repro.errors.WorkerFailureError` naming the worker and its
-shard/segment; the pool terminates and joins every remaining process
-(no orphans) and per-run temp state is removed.
+shard/segment; every worker process is joined or terminated (no
+orphans) and the segment is unlinked before the error propagates.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ import os
 import pickle
 import select
 import time
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -82,10 +86,15 @@ from repro.parallel.kernel import (
 )
 from repro.parallel.shm import SharedState
 from repro.partition.state import StreamingState
-from repro.stream.reader import DEFAULT_CHUNK_SIZE
+from repro.stream.reader import (
+    BINARY_SUFFIXES,
+    DEFAULT_CHUNK_SIZE,
+    BinaryFileEdgeSource,
+    path_format,
+    require_edge_format,
+)
 from repro.stream.shard import (
     EdgeSegment,
-    is_manifest_path,
     iter_segments,
     manifest_segments,
     read_shard_manifest,
@@ -94,10 +103,11 @@ from repro.stream.records import FRAME, SPILL_TRIPLES
 from repro.stream.spill import SpillFile
 
 __all__ = [
-    "PersistentWorkerPool",
     "StateService",
     "MultiWorkerReport",
     "WorkerTimings",
+    "check_worker_input",
+    "live_pool_health",
     "plan_worker_segments",
     "run_bsp_shared",
     "split_spill_round_robin",
@@ -112,19 +122,16 @@ DEFAULT_WORKER_BATCH = 8
 #: seconds the coordinator waits on a silent worker before declaring it hung
 DEFAULT_WORKER_TIMEOUT = 120.0
 
+#: seconds a worker gets to exit on its own before it is terminated
+_REAP_GRACE_S = 2.0
+
 # message tags (one byte, prepended to the frame header)
 _MSG_BATCH = b"B"     # worker -> coord: lane holds partitions (fast path)
 _MSG_SCORES = b"S"    # worker -> coord: lane holds scores (near capacity)
-_MSG_DONE = b"D"      # worker -> coord: stream exhausted (+ busy/wait/send f64s)
+_MSG_DONE = b"D"      # worker -> coord: stream exhausted; pickled
+                      # ((busy_s, wait_s, send_s), trace records)
 _MSG_ERROR = b"E"     # worker -> coord: pickled (type name, message)
-_MSG_TRACE = b"T"     # worker -> coord: pickled trace records (after a job)
-_MSG_JOB = b"J"       # coord -> worker: pickled (handler, kwargs) job
-_MSG_SHUTDOWN = b"Q"  # coord -> worker: leave the job loop, exit cleanly
 _MSG_COMMIT = b"K"    # coord -> worker: barrier done; count = published index
-
-#: layout of the timing payload a worker attaches to its DONE message
-_DONE_TIMINGS = np.dtype("<f8")
-_DONE_TIMING_FIELDS = 3  # busy_s, wait_s, send_s
 
 
 def _iter_batches(
@@ -162,7 +169,7 @@ def _unpack_message(blob: bytes) -> tuple[bytes, int, memoryview]:
     return tag, count, payload
 
 
-# -- warm workers (job loop) ------------------------------------------------
+# -- workers ----------------------------------------------------------------
 
 
 def _claim_pipe(worker_id: int, pipes: list):
@@ -182,51 +189,17 @@ def _claim_pipe(worker_id: int, pipes: list):
     return conn
 
 
-@dataclass(frozen=True)
-class _JobContext:
-    """What a job handler receives from the warm worker's job loop."""
+def _worker_main(worker_id: int, pipes: list, trace: bool, job: dict) -> None:
+    """Entry point of one forked worker: run its BSP job once, then exit.
 
-    worker_id: int
-    conn: object           # this worker's pipe end to the coordinator
-    tracer: object         # the worker-process tracer (may be the null one)
-
-
-def _job_worker_main(worker_id: int, pipes: list, trace: bool = False) -> None:
-    """Entry point of one warm worker: run pickled jobs until shutdown.
-
-    The pool spawns these once and then :meth:`PersistentWorkerPool.
-    submit`\\ s any number of jobs — a job is a pickled ``(handler,
-    kwargs)`` pair, and the handler owns whatever pipe protocol it needs
-    (the BSP supersteps of :func:`_stream_shared_job`).
-
-    After each successful job the worker ships its drained trace records
-    (when tracing) so the coordinator can adopt them per job.  A failed
-    job forwards one ``ERROR`` message and exits — protocol state after
-    a mid-job exception is unknowable, so the process does not outlive
-    it.
+    ``job`` is :func:`_stream_shared_job`'s keyword arguments, handed
+    over as the process arguments.  An exception is forwarded as one
+    ``ERROR`` frame; the process exits either way.
     """
     conn = _claim_pipe(worker_id, pipes)
     tracer = install_collecting_tracer(trace)
-    context = _JobContext(worker_id, conn, tracer)
     try:
-        while True:
-            try:
-                blob = conn.recv_bytes()
-            except (EOFError, OSError):
-                break  # coordinator dropped the pipe: quiet exit
-            tag, _, payload = _unpack_message(blob)
-            if tag == _MSG_SHUTDOWN:
-                break
-            if tag != _MSG_JOB:
-                raise WorkerFailureError(
-                    f"worker {worker_id}: expected a job frame, got {tag!r}"
-                )
-            handler, kwargs = pickle.loads(bytes(payload))
-            handler(context, **kwargs)
-            if trace:
-                conn.send_bytes(
-                    _pack_message(_MSG_TRACE, 0, pickle.dumps(tracer.drain()))
-                )
+        _stream_shared_job(worker_id, conn, tracer, **job)
     except BaseException as exc:  # noqa: BLE001 — forwarded, not hidden
         try:
             conn.send_bytes(
@@ -242,7 +215,9 @@ def _job_worker_main(worker_id: int, pipes: list, trace: bool = False) -> None:
 
 
 def _stream_shared_job(
-    context: _JobContext,
+    worker_id: int,
+    conn,
+    tracer,
     *,
     segments: Sequence[EdgeSegment],
     shm_name: str,
@@ -270,16 +245,15 @@ def _stream_shared_job(
     score_on_snapshot` and the lane write sit between the barrier and
     the next lane.  An error from that read-ahead is raised only once
     the ``COMMIT`` frame has arrived, so the coordinator receives
-    ``ERROR`` in place of the next lane.
+    ``ERROR`` in place of the next lane.  The last frame, ``DONE``,
+    carries the worker's busy/wait/send seconds and the records
+    ``tracer`` drained.
     """
-    conn = context.conn
     perf = time.perf_counter
     shared = None
     replicas = loads = degrees = None
     try:
-        with context.tracer.span(
-            "shm_attach", worker=context.worker_id
-        ) as span:
+        with tracer.span("shm_attach", worker=worker_id) as span:
             shared = SharedState.attach(
                 shm_name, num_vertices, k, workers, batch
             )
@@ -288,8 +262,8 @@ def _stream_shared_job(
         published = 0
         read_s = score_s = encode_s = send_s = wait_s = 0.0
         edges = frames = piped = 0
-        with context.tracer.span(
-            "worker_stream", worker=context.worker_id, protocol="shm"
+        with tracer.span(
+            "worker_stream", worker=worker_id, protocol="shm"
         ) as span:
             batches = _iter_batches(segments, batch, chunk_size)
 
@@ -320,13 +294,11 @@ def _stream_shared_job(
                 t0 = perf()
                 if safe:
                     ps = np.argmax(scores, axis=1)
-                    shared.write_batch(
-                        context.worker_id, eids, us, vs, ps=ps
-                    )
+                    shared.write_batch(worker_id, eids, us, vs, ps=ps)
                     message = _pack_message(_MSG_BATCH, us.shape[0])
                 else:
                     shared.write_batch(
-                        context.worker_id, eids, us, vs, scores=scores
+                        worker_id, eids, us, vs, scores=scores
                     )
                     message = _pack_message(_MSG_SCORES, us.shape[0])
                 encode_s += perf() - t0
@@ -344,8 +316,7 @@ def _stream_shared_job(
                 tag, count, _ = _unpack_message(blob)
                 if tag != _MSG_COMMIT:
                     raise WorkerFailureError(
-                        f"worker {context.worker_id}: expected a commit, "
-                        f"got {tag!r}"
+                        f"worker {worker_id}: expected a commit, got {tag!r}"
                     )
                 if held is not None:
                     raise held
@@ -362,8 +333,8 @@ def _stream_shared_job(
                 ("bytes_piped", piped),
             ):
                 span.add(name, value)
-        timings = np.array([busy_s, wait_s, send_s], dtype=_DONE_TIMINGS)
-        conn.send_bytes(_pack_message(_MSG_DONE, 0, timings.tobytes()))
+        done = ((busy_s, wait_s, send_s), tracer.drain())
+        conn.send_bytes(_pack_message(_MSG_DONE, 0, pickle.dumps(done)))
     finally:
         # Drop the snapshot views before unmapping so the segment closes
         # without pinned-buffer noise; the name is the coordinator's.
@@ -498,62 +469,34 @@ class StateService:
         return us, vs, ps
 
 
-#: every started, not-yet-closed pool, for service-level health checks
-#: (weak references: a pool dropped without close() must not pin itself)
-_LIVE_POOLS: "weakref.WeakSet[PersistentWorkerPool]" = weakref.WeakSet()
+#: the worker groups of the BSP runs in flight, for service health checks
+_LIVE_GROUPS: "set[_WorkerGroup]" = set()
 
 
 def live_pool_health() -> list[dict]:
-    """Health snapshots of every started, not-yet-closed worker pool.
+    """Health snapshots of the workers of every BSP run in flight.
 
-    The serve layer's ``/healthz`` endpoint surfaces this: a healthy
-    idle service reports no live pools; during a run it reports the
-    active pool with every worker alive.
+    The serve layer's ``/healthz`` endpoint surfaces this: an idle
+    service reports none; during a run it reports that run's workers,
+    every one alive.
     """
-    return [pool.health() for pool in list(_LIVE_POOLS)]
+    return [group.health() for group in list(_LIVE_GROUPS)]
 
 
-class PersistentWorkerPool:
-    """Warm worker processes: spawn once, run many jobs, shut down once.
+class _WorkerGroup:
+    """The worker processes of one BSP run and their pipes.
 
-    The one way work reaches a worker process.  The pool keeps its
-    processes alive across jobs — the BSP runs of one partition run (or
-    of many runs) reuse the same workers, so the spawn tax is paid
-    once.  A job is a module-level handler plus kwargs, pickled into
-    one :data:`_MSG_JOB` frame; the handler owns the pipe protocol from
-    there (:func:`_stream_shared_job` drives BSP supersteps).
-
-    The pool owns the processes, pipes, liveness-watching receive loop
-    and the single-:class:`~repro.errors.WorkerFailureError` failure
-    surface (terminate + join everything, no orphans).
-
-    Parameters
-    ----------
-    workers:
-        Number of worker processes, started with ``fork`` where the
-        platform has it (cheap) and ``spawn`` otherwise.
-    timeout:
-        Seconds the coordinator waits on a silent worker, per received
-        frame, before raising :class:`~repro.errors.WorkerFailureError`.
+    Owns the fork, the liveness-watching receive loop and the single
+    :class:`~repro.errors.WorkerFailureError` failure surface, whose
+    message names the worker and its segments.  :func:`run_bsp_shared`
+    builds one per run and reaps it in its ``finally``.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        timeout: float = DEFAULT_WORKER_TIMEOUT,
-    ) -> None:
-        """Size the pool; :meth:`start` spawns the processes."""
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = int(workers)
-        # What each worker sweeps in the current job (set by submit), so
-        # failure messages can name it.
-        self.worker_segments: list[list[EdgeSegment]] = [
-            [] for _ in range(self.workers)
-        ]
+    def __init__(self, segments: Sequence[Sequence[EdgeSegment]]) -> None:
+        """One worker per segment list; :meth:`fork` starts them."""
+        self.segments = [list(segs) for segs in segments]
         methods = multiprocessing.get_all_start_methods()
         self.mp_context = "fork" if "fork" in methods else "spawn"
-        self.timeout = float(timeout)
         self._procs: list = []
         self._conns: list = []
         # One registered select.poll object per pipe: Connection.poll
@@ -564,170 +507,97 @@ class PersistentWorkerPool:
         self.recv_wait_s = 0.0
         self.frames_recv = 0
         self.bytes_recv = 0
-        self._trace_workers = False
 
-    # -- lifecycle ----------------------------------------------------------
+    def fork(self, job: dict, trace: bool) -> None:
+        """Start the workers, each with ``job`` plus its own segments.
 
-    def start(self) -> None:
-        """Fork the workers into their job loops.
-
-        When the process-global tracer is live the spawn is wrapped in a
-        ``pool_spawn`` span and every worker gets a trace flag, telling
-        it to collect spans and ship them back after each job (see
-        :meth:`collect_worker_spans`).
+        With ``trace`` each worker collects its spans and ships them in
+        its ``DONE`` frame.
         """
-        if self._procs:
-            raise ConfigurationError(
-                f"{type(self).__name__} already started"
-            )
-        tracer = get_tracer()
-        self._trace_workers = bool(tracer.enabled)
         ctx = multiprocessing.get_context(self.mp_context)
-        with tracer.span(
-            "pool_spawn", workers=self.workers, pool=type(self).__name__,
-            mp_context=self.mp_context,
-        ):
-            pipes = [ctx.Pipe(duplex=True) for _ in range(self.workers)]
-            try:
-                for w in range(self.workers):
-                    proc = ctx.Process(
-                        target=_job_worker_main,
-                        args=(w, pipes, self._trace_workers),
-                        name=f"repro-worker-{w}",
-                        daemon=True,
-                    )
-                    proc.start()
-                    self._procs.append(proc)
-            except BaseException:
-                # A failed spawn must not leak processes already forked.
-                self.close()
-                raise
-            for parent_end, child_end in pipes:
+        pipes = [ctx.Pipe(duplex=True) for _ in self.segments]
+        self._conns = [parent_end for parent_end, _ in pipes]
+        try:
+            for w, segments in enumerate(self.segments):
+                proc = ctx.Process(
+                    target=_worker_main,
+                    args=(w, pipes, trace, dict(job, segments=segments)),
+                    name=f"repro-worker-{w}",
+                    daemon=True,
+                )
+                proc.start()
+                self._procs.append(proc)
+        finally:
+            for _, child_end in pipes:
                 child_end.close()
-                self._conns.append(parent_end)
-                poller = select.poll()
-                poller.register(parent_end.fileno(), select.POLLIN)
-                self._pollers.append(poller)
-        _LIVE_POOLS.add(self)
-
-    @property
-    def pids(self) -> list[int]:
-        """Worker process ids (for monitoring and failure injection)."""
-        return [proc.pid for proc in self._procs]
+        for conn in self._conns:
+            poller = select.poll()
+            poller.register(conn.fileno(), select.POLLIN)
+            self._pollers.append(poller)
+        _LIVE_GROUPS.add(self)
 
     def health(self) -> dict:
-        """Liveness snapshot: pool type, worker count, per-worker state.
+        """Liveness snapshot: worker count, per-worker state and pids.
 
-        ``healthy`` is true iff every spawned worker process is still
-        alive.  A never-started or closed pool reports zero workers and
-        counts as healthy (nothing to be dead).
+        ``healthy`` is true iff every worker process is still alive.
         """
-        alive = [proc.is_alive() for proc in self._procs]
+        procs = self._procs
+        alive = [proc.is_alive() for proc in procs]
         return {
-            "pool": type(self).__name__,
-            "workers": len(self._procs),
+            "pool": "bsp-shm",
+            "workers": len(procs),
             "alive": alive,
-            "pids": [proc.pid for proc in self._procs],
+            "pids": [proc.pid for proc in procs],
             "healthy": all(alive),
         }
 
-    def close(self) -> None:
-        """Terminate and join every worker; close every pipe. Idempotent."""
-        _LIVE_POOLS.discard(self)
+    def reap(self) -> None:
+        """Close the pipes and join every worker; end the stragglers.
+
+        A worker that sent ``DONE`` exits on its own, and one blocked
+        on its pipe exits at the EOF the close gives it.  A worker still
+        running after :data:`_REAP_GRACE_S` is terminated, then killed.
+        """
+        _LIVE_GROUPS.discard(self)
         for conn in self._conns:
             try:
                 conn.close()
             except OSError:
                 pass
-        self._conns = []
-        self._pollers = []
+        deadline = time.monotonic() + _REAP_GRACE_S
         for proc in self._procs:
+            proc.join(max(deadline - time.monotonic(), 0.0))
             if proc.is_alive():
                 proc.terminate()
-        for proc in self._procs:
-            proc.join(timeout=5.0)
+                proc.join(5.0)
             if proc.is_alive():
                 proc.kill()
                 proc.join()
-        self._procs = []
 
-    def submit(
-        self,
-        handler,
-        kwargs_per_worker: Sequence[dict],
-        segments: "Sequence[Sequence[EdgeSegment]] | None" = None,
-    ) -> None:
-        """Send one ``(handler, kwargs)`` job to every worker.
-
-        ``handler`` must be a module-level callable (pickled by
-        reference) taking a :class:`_JobContext` plus its kwargs.
-        ``segments`` optionally records what each worker is sweeping so
-        failure messages can name it.
-        """
-        if not self._procs:
-            raise ConfigurationError("submit() before start()")
-        if len(kwargs_per_worker) != self.workers:
-            raise ConfigurationError(
-                f"submit() needs kwargs for all {self.workers} workers, "
-                f"got {len(kwargs_per_worker)}"
-            )
-        if segments is not None:
-            self.worker_segments = [list(segs) for segs in segments]
-        for w, kwargs in enumerate(kwargs_per_worker):
-            frame = _pack_message(
-                _MSG_JOB, 0, pickle.dumps((handler, kwargs))
-            )
-            try:
-                self._conns[w].send_bytes(frame)
-            except (BrokenPipeError, OSError):
-                raise self._worker_died(w) from None
-
-    def shutdown(self) -> None:
-        """Ask the job loops to exit, join briefly, then tear down.
-
-        Idempotent, and safe after failures: workers that already died
-        are skipped and :meth:`close` terminates any straggler.  The
-        graceful drain (send ``SHUTDOWN``, join) runs
-        under a ``finally``-guarded :meth:`close`, so an interrupt
-        delivered mid-drain still terminates every process.
-        """
-        try:
-            for conn in self._conns:
-                try:
-                    conn.send_bytes(_pack_message(_MSG_SHUTDOWN, 0))
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-        finally:
-            self.close()
-
-    def __enter__(self) -> "PersistentWorkerPool":
-        """Start the pool on entry."""
-        self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        """Shut the pool down (drain, terminate stragglers) on exit."""
-        self.shutdown()
-
-    # -- protocol plumbing --------------------------------------------------
-
-    def _describe_worker(self, w: int) -> str:
-        segments = self.worker_segments[w]
+    def describe(self, w: int) -> str:
+        """``worker w`` and the segments it streams, for messages."""
+        segments = self.segments[w]
         if not segments:
             return f"worker {w} (no segments)"
         names = ", ".join(seg.describe() for seg in segments)
         return f"worker {w} (segments: {names})"
 
-    def _worker_died(self, w: int) -> WorkerFailureError:
+    def died(self, w: int) -> WorkerFailureError:
+        """The error for worker ``w`` gone before finishing its stream."""
         exitcode = self._procs[w].exitcode
         return WorkerFailureError(
-            f"{self._describe_worker(w)} died mid-sweep "
+            f"{self.describe(w)} died mid-sweep "
             f"(exit code {exitcode}) before finishing its stream"
         )
 
-    def _recv(self, w: int) -> bytes:
+    def send(self, w: int, frame: bytes) -> None:
+        """Send one control frame to worker ``w``."""
+        try:
+            self._conns[w].send_bytes(frame)
+        except (BrokenPipeError, OSError):
+            raise self.died(w) from None
+
+    def recv(self, w: int) -> bytes:
         """Receive one message from worker ``w``, watching its liveness.
 
         Accounts the blocked time and drained frames/bytes into
@@ -737,13 +607,13 @@ class PersistentWorkerPool:
         poller = self._pollers[w]
         proc = self._procs[w]
         started = time.perf_counter()
-        deadline = time.monotonic() + self.timeout
+        deadline = time.monotonic() + DEFAULT_WORKER_TIMEOUT
         while True:
             try:
                 if poller.poll(50):
                     return self._account_recv(conn.recv_bytes(), started)
             except (EOFError, OSError):
-                raise self._worker_died(w) from None
+                raise self.died(w) from None
             if not proc.is_alive():
                 # Drain a final message that raced with the exit.
                 try:
@@ -751,11 +621,11 @@ class PersistentWorkerPool:
                         return self._account_recv(conn.recv_bytes(), started)
                 except (EOFError, OSError):
                     pass
-                raise self._worker_died(w)
+                raise self.died(w)
             if time.monotonic() > deadline:
                 raise WorkerFailureError(
-                    f"{self._describe_worker(w)} sent nothing for "
-                    f"{self.timeout:.0f}s; presumed hung"
+                    f"{self.describe(w)} sent nothing for "
+                    f"{DEFAULT_WORKER_TIMEOUT:.0f}s; presumed hung"
                 )
 
     def _account_recv(self, blob: bytes, started: float) -> bytes:
@@ -765,41 +635,18 @@ class PersistentWorkerPool:
         self.bytes_recv += len(blob)
         return blob
 
-    def collect_worker_spans(self, **attrs) -> None:
-        """Adopt each worker's trace records (its final pipe message).
-
-        No-op unless :meth:`start` armed tracing.  Workers send their
-        drained span records as one :data:`_MSG_TRACE` message *after*
-        their last protocol message, so this must run after the pool's
-        protocol has fully completed.  Adopted roots are re-parented
-        under the caller's current span and tagged with ``attrs``.
-        """
-        if not self._trace_workers:
-            return
-        tracer = get_tracer()
-        for w in range(self.workers):
-            tag, _, payload = _unpack_message(self._recv(w))
-            if tag == _MSG_ERROR:
-                self._raise_worker_error(w, payload)
-            if tag != _MSG_TRACE:
-                raise WorkerFailureError(
-                    f"{self._describe_worker(w)} sent {tag!r} where its "
-                    f"trace records were expected"
-                )
-            tracer.adopt(pickle.loads(bytes(payload)), worker=w, **attrs)
-
-    def _raise_worker_error(self, w: int, payload: memoryview) -> None:
+    def raise_error(self, w: int, payload: memoryview) -> None:
+        """Raise worker ``w``'s forwarded exception as one failure."""
         try:
-            exc_type, message = pickle.loads(bytes(payload))
+            exc_type, message = pickle.loads(payload)
         except Exception:  # noqa: BLE001 — corrupt error payloads
             exc_type, message = "unknown error", "<undecodable payload>"
         raise WorkerFailureError(
-            f"{self._describe_worker(w)} failed: {exc_type}: {message}"
+            f"{self.describe(w)} failed: {exc_type}: {message}"
         )
 
 
 def run_bsp_shared(
-    pool: PersistentWorkerPool,
     segments: Sequence[Sequence[EdgeSegment]],
     state: StreamingState,
     parts: np.ndarray,
@@ -808,47 +655,42 @@ def run_bsp_shared(
     eps: float = 1.0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> MultiWorkerReport:
-    """Drive one shared-memory BSP streaming run on a warm pool.
+    """Run one shared-memory BSP streaming run on its own worker processes.
 
     Bit-identical to the in-process ``bsp_hdrf_stream`` for the same
     ``segments``/``batch``: the schedule is ``len(segments)`` streams
-    wide regardless of pool size (spare workers get empty segment lists
-    and report DONE immediately), merges happen in worker order, and the
-    fast/slow path split is the same deterministic predicate.
+    wide, one worker each (a worker with no segments reports ``DONE``
+    at once), merges happen in worker order, and the fast/slow path
+    split is the same deterministic predicate.
 
-    Worker batches land in per-worker scratch lanes of one
-    :class:`~repro.parallel.shm.SharedState` segment and the merged
-    delta is never broadcast.  Between the last lane and the ``COMMIT``
-    frame the coordinator does only what the workers need: the
-    protocol checks, the ``parts`` writes, one copy of the merged delta
-    out of the lanes, and its
-    :meth:`~repro.parallel.shm.SharedState.commit` into the staging
-    buffer with the flip (near capacity, also the serialized
-    placement).  The frame names the published buffer.  While the
-    workers score the next superstep, the coordinator replays the delta
-    into the other buffer (:meth:`~repro.parallel.shm.SharedState.
-    catch_up`) and copies the ``k`` published loads into the live
-    state; the live replica matrix is copied from the published buffer
-    once, when the run ends.  Workers apply no
-    deltas, and pipes carry only control frames.
+    The run creates one :class:`~repro.parallel.shm.SharedState`
+    segment, forks one worker per segment list with its job as the
+    process arguments, and drives the supersteps.  Worker batches land
+    in per-worker scratch lanes of the segment and the merged delta is
+    never broadcast.  Between the last lane and the ``COMMIT`` frame
+    the coordinator does only what the workers need: the protocol
+    checks, the ``parts`` writes, one copy of the merged delta out of
+    the lanes, and its :meth:`~repro.parallel.shm.SharedState.commit`
+    into the staging buffer with the flip (near capacity, also the
+    serialized placement).  The frame names the published buffer.
+    While the workers score the next superstep, the coordinator replays
+    the delta into the other buffer
+    (:meth:`~repro.parallel.shm.SharedState.catch_up`) and copies the
+    ``k`` published loads into the live state; the live replica matrix
+    is copied from the published buffer once, when the run ends.
+    Workers apply no deltas, and pipes carry only control frames.  A
+    worker's ``DONE`` frame carries its timings and trace records,
+    which are adopted under the ``pool_run`` span as it arrives.
 
-    Mutates ``state`` and ``parts``; the segment is closed and unlinked
-    on every exit path.  Worker failures surface as one
-    :class:`~repro.errors.WorkerFailureError` (the caller owns pool
-    teardown, normally via :meth:`PersistentWorkerPool.shutdown`).
+    Mutates ``state`` and ``parts``.  One ``finally`` reaps the workers
+    and unlinks the segment on every exit path.  Worker failures
+    surface as one :class:`~repro.errors.WorkerFailureError`.
     """
     if batch < 1:
         raise ConfigurationError(f"batch must be >= 1, got {batch}")
     workers = len(segments)
     if workers < 1:
         raise ConfigurationError("run_bsp_shared needs >= 1 segment list")
-    if workers > pool.workers:
-        raise ConfigurationError(
-            f"schedule is {workers} streams wide but the pool has only "
-            f"{pool.workers} workers"
-        )
-    padded = [list(segs) for segs in segments]
-    padded += [[] for _ in range(pool.workers - workers)]
     tracer = get_tracer()
     perf = time.perf_counter
     service = StateService(state, parts, workers, batch)
@@ -856,15 +698,11 @@ def run_bsp_shared(
     merge_s = commit_s = encode_s = send_s = 0.0
     frames_sent = bytes_sent = 0
     first_commit_at = 0.0
-    worker_timings: dict[int, tuple[float, float, float]] = {}
-    # The pool's receive counters are cumulative across jobs; report
-    # this run's deltas.
-    recv0 = pool.recv_wait_s
-    frames0 = pool.frames_recv
-    bytes0 = pool.bytes_recv
+    worker_timings: list = [None] * workers
+    group = _WorkerGroup(segments)
     # The segment is created *inside* the try so an interrupt landing
-    # anywhere after creation — including between create() and the
-    # superstep loop — still reaches the finally-unlink below.
+    # anywhere after creation — mid-fork included — still reaches the
+    # finally below.
     shared = None
     try:
         with tracer.span(
@@ -876,34 +714,32 @@ def run_bsp_shared(
             )
             span.add("shm_bytes", shared.nbytes)
         with tracer.span(
+            "pool_spawn", workers=workers, mp_context=group.mp_context
+        ):
+            group.fork(
+                dict(
+                    shm_name=shared.name,
+                    num_vertices=state.num_vertices,
+                    k=state.k,
+                    capacity=state.capacity,
+                    workers=workers,
+                    batch=batch,
+                    lam=lam,
+                    eps=eps,
+                    chunk_size=chunk_size,
+                ),
+                trace=tracer.enabled,
+            )
+        with tracer.span(
             "pool_run", pool="bsp-shm", workers=workers, batch=batch,
         ) as span:
-            pool.submit(
-                _stream_shared_job,
-                [
-                    dict(
-                        segments=padded[w],
-                        shm_name=shared.name,
-                        num_vertices=state.num_vertices,
-                        k=state.k,
-                        capacity=state.capacity,
-                        workers=workers,
-                        batch=batch,
-                        lam=lam,
-                        eps=eps,
-                        chunk_size=chunk_size,
-                    )
-                    for w in range(pool.workers)
-                ],
-                segments=padded,
-            )
-            active = list(range(pool.workers))
+            active = list(range(workers))
             published = shared.published
             while active:
                 safe = service.begin_superstep()
                 messages = []
                 for w in active:
-                    tag, count, payload = _unpack_message(pool._recv(w))
+                    tag, count, payload = _unpack_message(group.recv(w))
                     messages.append((w, tag, count, payload))
                 delta_us: list[np.ndarray] = []
                 delta_vs: list[np.ndarray] = []
@@ -912,20 +748,11 @@ def run_bsp_shared(
                 for w, tag, count, payload in messages:
                     if tag == _MSG_DONE:
                         active.remove(w)
-                        expected = (
-                            _DONE_TIMING_FIELDS * _DONE_TIMINGS.itemsize
-                        )
-                        if len(payload) >= expected:
-                            busy, wait, send = np.frombuffer(
-                                payload, dtype=_DONE_TIMINGS,
-                                count=_DONE_TIMING_FIELDS,
-                            )
-                            worker_timings[w] = (
-                                float(busy), float(wait), float(send)
-                            )
+                        worker_timings[w], records = pickle.loads(payload)
+                        tracer.adopt(records, worker=w)
                         continue
                     if tag == _MSG_ERROR:
-                        pool._raise_worker_error(w, payload)
+                        group.raise_error(w, payload)
                     t0 = perf()
                     eids, us, vs, extra = shared.read_batch(
                         w, count, slow=tag == _MSG_SCORES
@@ -962,10 +789,7 @@ def run_bsp_shared(
                 encode_s += perf() - t0
                 t0 = perf()
                 for w in senders:
-                    try:
-                        pool._conns[w].send_bytes(frame)
-                    except (BrokenPipeError, OSError):
-                        raise pool._worker_died(w) from None
+                    group.send(w, frame)
                 send_s += perf() - t0
                 frames_sent += len(senders)
                 bytes_sent += len(frame) * len(senders)
@@ -980,7 +804,6 @@ def run_bsp_shared(
             # Fast supersteps never write the live replica matrix, and
             # the slow path reads only the live loads.
             state.replicas[...] = shared.snapshot(published)[0]
-            pool.collect_worker_spans()
             if tracer.enabled and supersteps:
                 # One aggregate span (a per-superstep span per commit
                 # would dwarf the trace); dur_s is the measured total.
@@ -992,12 +815,12 @@ def run_bsp_shared(
                     "counters": {"supersteps": supersteps},
                 }])
             for name, value in (
-                ("recv_wait_s", pool.recv_wait_s - recv0),
+                ("recv_wait_s", group.recv_wait_s),
                 ("merge_s", merge_s), ("commit_s", commit_s),
                 ("encode_s", encode_s), ("send_s", send_s),
                 ("supersteps", supersteps),
-                ("frames_sent", pool.frames_recv - frames0 + frames_sent),
-                ("bytes_piped", pool.bytes_recv - bytes0 + bytes_sent),
+                ("frames_sent", group.frames_recv + frames_sent),
+                ("bytes_piped", group.bytes_recv + bytes_sent),
             ):
                 span.add(name, value)
     finally:
@@ -1009,23 +832,8 @@ def run_bsp_shared(
         if shared is not None:
             shared.close()
             shared.unlink()
-    timings = WorkerTimings(
-        busy_s=tuple(
-            worker_timings.get(w, (0.0, 0.0, 0.0))[0]
-            for w in range(workers)
-        ),
-        wait_s=tuple(
-            worker_timings.get(w, (0.0, 0.0, 0.0))[1]
-            for w in range(workers)
-        ),
-        send_s=tuple(
-            worker_timings.get(w, (0.0, 0.0, 0.0))[2]
-            for w in range(workers)
-        ),
-        coordinator_recv_s=pool.recv_wait_s - recv0,
-        coordinator_merge_s=merge_s + commit_s,
-        coordinator_send_s=send_s,
-    )
+        group.reap()
+    busy, wait, sent = zip(*worker_timings)
     return MultiWorkerReport(
         workers=workers,
         batch=batch,
@@ -1033,11 +841,35 @@ def run_bsp_shared(
         edges_streamed=service.edges_streamed,
         fast_supersteps=fast,
         slow_supersteps=slow,
-        timings=timings,
+        timings=WorkerTimings(
+            busy_s=busy,
+            wait_s=wait,
+            send_s=sent,
+            coordinator_recv_s=group.recv_wait_s,
+            coordinator_merge_s=merge_s + commit_s,
+            coordinator_send_s=send_s,
+        ),
     )
 
 
 # -- planning ---------------------------------------------------------------
+
+
+def check_worker_input(path: "str | os.PathLike") -> None:
+    """Raise unless ``path`` is an input workers can be dealt.
+
+    Workers stream shard manifests or flat binary edge files, judged
+    by suffix alone (:func:`~repro.stream.reader.path_format`), so
+    :func:`~repro.runtime.api.validate_spec` refuses a text edge list
+    for multi-worker HDRF before the job is hashed.
+    """
+    if path_format(path) == "text":
+        raise ConfigurationError(
+            f"{Path(path)}: multi-worker partitioning streams shard "
+            f"manifests or flat binary edge files "
+            f"({', '.join(BINARY_SUFFIXES)}); export one with "
+            f"'datasets --export' or 'extsort --shards'"
+        )
 
 
 def plan_worker_segments(
@@ -1061,24 +893,13 @@ def plan_worker_segments(
     path = Path(source)
     if not path.exists():
         raise ConfigurationError(f"{path}: no such edge file or manifest")
-    if is_manifest_path(path):
+    check_worker_input(path)
+    if path_format(path) == "manifest":
         manifest = read_shard_manifest(path)
         shards = manifest_segments(manifest)
         segments = [shards[w::workers] for w in range(workers)]
         streams = shard_round_robin_streams(manifest.shard_edges, workers)
         return segments, streams, manifest.num_edges, manifest.num_vertices
-    from repro.stream.reader import (
-        BINARY_SUFFIXES,
-        BinaryFileEdgeSource,
-        require_edge_format,
-    )
-
-    if path.suffix not in BINARY_SUFFIXES:
-        raise ConfigurationError(
-            f"{path}: multi-worker partitioning streams shard manifests "
-            f"or flat binary edge files ({', '.join(BINARY_SUFFIXES)}); "
-            f"export one with 'datasets --export' or 'extsort --shards'"
-        )
     require_edge_format(path, "binary")
     num_edges = BinaryFileEdgeSource(path).num_edges
     streams = contiguous_streams(num_edges, workers)

@@ -155,6 +155,21 @@ class TestOutOfCore:
         assert rc == 0
         assert list(spill_dir.iterdir()) == []  # the spill is deleted
 
+    def test_unusable_spill_dir_is_an_error_line(
+        self, small_graph_file, tmp_path, capsys
+    ):
+        """An OSError (a spill dir below a regular file) prints
+        ``error: ...`` and returns 1, like a ReproError."""
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        rc = main(
+            ["partition", str(small_graph_file), "--k", "2", "--out-of-core",
+             "--tau", "1.0", "--spill-dir", str(blocker / "x")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not-a-dir" in err
+
     def test_out_of_core_rejects_non_streaming_methods(
         self, small_graph_file, capsys
     ):
@@ -371,6 +386,21 @@ class TestExtsortCommand:
         rc = main(["extsort", "missing-thing", "out.bin"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_unusable_output_dir_is_an_error_line(self, tmp_path, capsys):
+        """An OSError (an output below a regular file) prints
+        ``error: ...`` and returns 1, like a ReproError."""
+        src = tmp_path / "g.bin"
+        assert main(["datasets", "--export", "LJ", "--format", "binary",
+                     "--output", str(src)]) == 0
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        capsys.readouterr()
+        rc = main(["extsort", str(src), str(blocker / "x" / "out.bin"),
+                   "--order", "degree"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not-a-dir" in err
 
     def test_extsort_in_place_rejected(self, tmp_path, capsys):
         src = tmp_path / "g.bin"

@@ -170,13 +170,22 @@ class TestMultiWorkerFailures:
         assert issubclass(WorkerFailureError, ReproError)
 
 
+def _repro_workers():
+    return [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("repro-worker")
+    ]
+
+
 @pytest.mark.slow
 class TestWarmPoolFailures:
-    """A warm worker killed mid-superstep or a shard truncated mid-pass
-    must surface as *one* clean :class:`WorkerFailureError` naming the
-    worker and its shard, leave no orphan processes, and leak no
-    ``/dev/shm`` segment (the coordinator unlinks in its ``finally``
-    even on the failure path)."""
+    """A worker killed mid-superstep or a shard truncated mid-pass must
+    surface as *one* clean :class:`WorkerFailureError` naming the
+    worker and its shard, leave no ``repro-worker-*`` child, and leak
+    no ``/dev/shm`` segment: ``run_bsp_shared`` reaps its workers and
+    unlinks its segment in one ``finally``, on the failure path too.
+    The run's pids come from ``live_pool_health()``, its frame count
+    from the live worker group."""
 
     @pytest.fixture()
     def sharded(self, tmp_path):
@@ -188,9 +197,7 @@ class TestWarmPoolFailures:
         )
         return graph, manifest
 
-    def _shared_run(
-        self, graph, manifest, pool, workers=2, batch=2, segments=None
-    ):
+    def _shared_run(self, graph, manifest, workers=2, batch=2, segments=None):
         from repro.partition.base import capacity_bound
         from repro.partition.state import StreamingState
         from repro.stream import plan_worker_segments, run_bsp_shared
@@ -203,28 +210,40 @@ class TestWarmPoolFailures:
         )
         parts = np.full(graph.num_edges, -1, dtype=np.int32)
         return run_bsp_shared(
-            pool, segments, state, parts, batch=batch, chunk_size=64
+            segments, state, parts, batch=batch, chunk_size=64
         )
 
-    def test_killed_warm_worker_raises_and_leaks_nothing(self, sharded):
-        from repro.stream import PersistentWorkerPool
+    @staticmethod
+    def _kill_after_spawn(monkeypatch, worker):
+        """SIGKILL ``worker`` of the next run as soon as it is forked."""
+        from repro.stream import workers as workers_mod
 
+        fork = workers_mod._WorkerGroup.fork
+
+        def fork_then_kill(group, job, trace):
+            fork(group, job, trace)
+            [health] = workers_mod.live_pool_health()
+            os.kill(health["pids"][worker], signal.SIGKILL)
+
+        monkeypatch.setattr(workers_mod._WorkerGroup, "fork", fork_then_kill)
+
+    def test_killed_warm_worker_raises_and_leaks_nothing(
+        self, sharded, monkeypatch
+    ):
         graph, manifest = sharded
         before = psm_segments()
-        pool = PersistentWorkerPool(2, timeout=30.0)
-        pool.start()
-        os.kill(pool.pids[1], signal.SIGKILL)
+        self._kill_after_spawn(monkeypatch, 1)
         with pytest.raises(WorkerFailureError, match=r"worker 1 .*died"):
-            self._shared_run(graph, manifest, pool)
-        pool.shutdown()
-        assert multiprocessing.active_children() == []
+            self._shared_run(graph, manifest)
+        assert _repro_workers() == []
         assert leaked_segments(before) == []
 
     def test_worker_killed_mid_run_raises_and_leaks_nothing(self, tmp_path):
-        """SIGKILL a worker once supersteps are in flight (the pool has
+        """SIGKILL a worker once supersteps are in flight (the run has
         received 20 frames): one WorkerFailureError names it, and no
         worker process or segment outlives the run."""
-        from repro.stream import PersistentWorkerPool, write_sharded_edges
+        from repro.stream import workers as workers_mod
+        from repro.stream import write_sharded_edges
 
         # ~8k edges at batch 1 is thousands of supersteps: the run is
         # still streaming long after the 20th frame.
@@ -233,16 +252,15 @@ class TestWarmPoolFailures:
             graph, tmp_path / "wk.manifest.json", num_shards=4
         )
         before = psm_segments()
-        pool = PersistentWorkerPool(2, timeout=30.0)
-        pool.start()
-        victim = pool.pids[1]
         killed = threading.Event()
 
         def kill_in_flight():
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline:
-                if pool.frames_recv >= 20:
-                    os.kill(victim, signal.SIGKILL)
+                groups = list(workers_mod._LIVE_GROUPS)
+                if groups and groups[0].frames_recv >= 20:
+                    [health] = workers_mod.live_pool_health()
+                    os.kill(health["pids"][1], signal.SIGKILL)
                     killed.set()
                     return
                 time.sleep(0.0005)
@@ -251,21 +269,17 @@ class TestWarmPoolFailures:
         killer.start()
         try:
             with pytest.raises(WorkerFailureError) as excinfo:
-                self._shared_run(graph, manifest, pool, batch=1)
+                self._shared_run(graph, manifest, batch=1)
         finally:
             killer.join()
-            pool.shutdown()
         assert killed.is_set()
         assert "worker 1 " in str(excinfo.value)
         assert "died" in str(excinfo.value)
-        assert [
-            p for p in multiprocessing.active_children()
-            if p.name.startswith("repro-worker")
-        ] == []
+        assert _repro_workers() == []
         assert leaked_segments(before) == []
 
     def test_truncated_shard_names_worker_and_shard(self, sharded):
-        from repro.stream import PersistentWorkerPool, plan_worker_segments
+        from repro.stream import plan_worker_segments
 
         graph, manifest = sharded
         segments, _, _, _ = plan_worker_segments(manifest.path, 2)
@@ -276,45 +290,28 @@ class TestWarmPoolFailures:
         data = shard.read_bytes()
         shard.write_bytes(data[: len(data) // 2 - 3])
         before = psm_segments()
-        pool = PersistentWorkerPool(2, timeout=30.0)
-        try:
-            pool.start()
-            with pytest.raises(WorkerFailureError) as excinfo:
-                self._shared_run(graph, manifest, pool, segments=segments)
-        finally:
-            pool.shutdown()
+        with pytest.raises(WorkerFailureError) as excinfo:
+            self._shared_run(graph, manifest, segments=segments)
         message = str(excinfo.value)
         assert "worker 0" in message
         assert "shard-0002" in message
         assert "GraphFormatError" in message
-        assert multiprocessing.active_children() == []
+        assert _repro_workers() == []
         assert leaked_segments(before) == []
 
-    def test_driver_recovers_after_warm_failure(self, sharded):
-        """A killed warm run must not poison a fresh shared-memory run."""
+    def test_driver_recovers_after_warm_failure(self, sharded, monkeypatch):
+        """A run whose worker was killed must not poison a fresh job."""
         from repro.runtime import make_job, run_job
-        from repro.stream import PersistentWorkerPool
 
         graph, manifest = sharded
-        pool = PersistentWorkerPool(2, timeout=30.0)
-        pool.start()
-        os.kill(pool.pids[0], signal.SIGKILL)
-        with pytest.raises(WorkerFailureError):
-            self._shared_run(graph, manifest, pool)
-        pool.shutdown()
+        with monkeypatch.context() as patch:
+            self._kill_after_spawn(patch, 0)
+            with pytest.raises(WorkerFailureError, match=r"worker 0 .*died"):
+                self._shared_run(graph, manifest)
         result = run_job(
             make_job("HDRF", manifest.path, 4, workers=2, batch=4)
         )
         assert result.num_unassigned == 0
-        assert multiprocessing.active_children() == []
-
-    def test_shutdown_is_idempotent(self):
-        from repro.stream import PersistentWorkerPool
-
-        pool = PersistentWorkerPool(2)
-        pool.start()
-        pool.shutdown()
-        pool.shutdown()
         assert multiprocessing.active_children() == []
 
     def test_shared_memory_unavailable_is_one_configuration_error(

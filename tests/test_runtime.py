@@ -347,17 +347,22 @@ class TestSpecValidation:
         assert rc == 1
         assert capsys.readouterr().err.strip() == f"error: {message}"
 
-    def test_multi_worker_hdrf_needs_a_file(self, graph, tmp_path):
+    def test_multi_worker_hdrf_needs_a_file(
+        self, graph, text_file, tmp_path
+    ):
         """Multi-worker HDRF deals shard files to its workers: a Graph
-        input (a TypeError mid-run) or a dataset name (a missing-file
-        error mid-run) is rejected before anything is hashed.  HEP's
-        workers read the h2h spill, so a Graph still serves them."""
+        input (a TypeError mid-run), a dataset name (a missing-file
+        error mid-run) or a text edge list (a planning error mid-run)
+        is rejected before anything is hashed.  HEP's workers read the
+        h2h spill, so a Graph still serves them."""
         store = ArtifactStore(tmp_path / "cache")
-        for source in (graph, "OK"):
+        for source, match in (
+            (graph, "edge file or shard manifest"),
+            ("OK", "edge file or shard manifest"),
+            (text_file, "shard manifests or flat binary edge files"),
+        ):
             spec = make_job("HDRF", source, 8, workers=2)
-            with pytest.raises(
-                ConfigurationError, match="edge file or shard manifest"
-            ):
+            with pytest.raises(ConfigurationError, match=match):
                 run_job(spec, source, store=store)
         assert (store.hits, store.misses) == (0, 0)
         validate_spec(make_job("HEP", graph, 8, tau=1.0, workers=2))

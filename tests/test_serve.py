@@ -187,6 +187,12 @@ class TestSubmitValidation:
                 await manager.submit(
                     _payload(edge_file, algo="Greedy", workers=2)
                 )
+            text_file = tmp_path / "sv.txt"
+            text_file.write_text("0 1\n1 2\n")
+            with pytest.raises(
+                SubmitError, match="shard manifests or flat binary"
+            ):
+                await manager.submit(_payload(text_file, workers=2))
             with pytest.raises(SubmitError, match="unknown algorithm"):
                 await manager.submit(_payload(edge_file, algo="NoSuch"))
             with pytest.raises(SubmitError, match="no parameter 'passes'"):

@@ -1,4 +1,4 @@
-"""The shared-memory data plane: segment contracts, kernels, warm reuse.
+"""The shared-memory data plane: segment contracts and kernels.
 
 Worker batches land in scratch lanes of one shared segment and the
 coordinator publishes snapshots by flipping a double buffer.  The
@@ -6,10 +6,9 @@ end-to-end property — a shared-memory run is **bit-identical** to the
 in-process ``bsp_hdrf_stream`` oracle for any graph × workers × batch —
 is pinned in ``tests/test_stream_workers.py``.  This file pins the
 pieces underneath it: the commit/aging contract of
-:class:`~repro.parallel.shm.SharedState`, warm-pool reuse across jobs
-(against the oracle), HEP's
-single-worker phase two against sequential HEP, and the
-no-leaked-segments invariant the CI gate also enforces.
+:class:`~repro.parallel.shm.SharedState`, HEP's single-worker phase
+two against sequential HEP, and the no-leaked-segments invariant the
+CI gate also enforces.
 """
 
 import os
@@ -22,17 +21,10 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.graph.generators import chung_lu
-from repro.parallel import SharedState, bsp_hdrf_stream
+from repro.parallel import SharedState
 from repro.parallel.kernel import apply_delta
-from repro.partition.base import capacity_bound
-from repro.partition.state import StreamingState
 from repro.runtime import make_job, run_job
-from repro.stream import (
-    PersistentWorkerPool,
-    plan_worker_segments,
-    run_bsp_shared,
-    write_sharded_edges,
-)
+from repro.stream import write_sharded_edges
 from shm_leaks import leaked_segments, psm_segments
 
 
@@ -45,19 +37,6 @@ def graph():
 def manifest(graph, tmp_path_factory):
     out = tmp_path_factory.mktemp("shm") / "shm.manifest.json"
     return write_sharded_edges(graph, out, num_shards=4)
-
-
-def _oracle_parts(graph, workers, batch, streams, k=8):
-    capacity = capacity_bound(graph.num_edges, k, 1.0)
-    state = StreamingState(
-        graph.num_vertices, k, capacity, exact_degrees=graph.degrees
-    )
-    parts = np.full(graph.num_edges, -1, dtype=np.int32)
-    bsp_hdrf_stream(
-        state, graph.edges, np.arange(graph.num_edges), parts,
-        workers, batch=batch, streams=streams,
-    )
-    return parts
 
 
 class TestSharedState:
@@ -277,58 +256,3 @@ class TestHepDifferential:
         )
         np.testing.assert_array_equal(shm.parts, seq.parts)
         assert shm.replication_factor == seq.replication_factor
-
-
-class TestWarmPoolReuse:
-    def test_one_pool_serves_many_jobs_identically(self, graph, manifest):
-        segments, streams, m, _ = plan_worker_segments(manifest.path, 2)
-        oracle = _oracle_parts(graph, 2, 8, streams)
-        pool = PersistentWorkerPool(2)
-        pool.start()
-        try:
-            for _ in range(3):
-                capacity = capacity_bound(m, 8, 1.0)
-                state = StreamingState(
-                    graph.num_vertices, 8, capacity,
-                    exact_degrees=graph.degrees,
-                )
-                parts = np.full(m, -1, dtype=np.int32)
-                run_bsp_shared(pool, segments, state, parts, batch=8)
-                np.testing.assert_array_equal(parts, oracle)
-        finally:
-            pool.shutdown()
-
-    def test_narrow_schedule_on_a_wide_pool(self, graph, manifest):
-        # Spare pool workers get empty segment lists; the schedule is
-        # len(segments) wide, so results match the 2-worker oracle.
-        segments, streams, m, _ = plan_worker_segments(manifest.path, 2)
-        oracle = _oracle_parts(graph, 2, 8, streams)
-        pool = PersistentWorkerPool(4)
-        pool.start()
-        try:
-            capacity = capacity_bound(m, 8, 1.0)
-            state = StreamingState(
-                graph.num_vertices, 8, capacity,
-                exact_degrees=graph.degrees,
-            )
-            parts = np.full(m, -1, dtype=np.int32)
-            run_bsp_shared(pool, segments, state, parts, batch=8)
-        finally:
-            pool.shutdown()
-        np.testing.assert_array_equal(parts, oracle)
-
-    def test_schedule_wider_than_pool_rejected(self, graph, manifest):
-        segments, _, m, _ = plan_worker_segments(manifest.path, 4)
-        pool = PersistentWorkerPool(2)
-        pool.start()
-        try:
-            capacity = capacity_bound(m, 8, 1.0)
-            state = StreamingState(
-                graph.num_vertices, 8, capacity,
-                exact_degrees=graph.degrees,
-            )
-            parts = np.full(m, -1, dtype=np.int32)
-            with pytest.raises(ConfigurationError, match="pool has only"):
-                run_bsp_shared(pool, segments, state, parts, batch=8)
-        finally:
-            pool.shutdown()

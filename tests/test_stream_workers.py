@@ -8,6 +8,7 @@ framing, reports, validation) is pinned by unit tests.
 """
 
 import multiprocessing
+import os
 import tempfile
 import threading
 from pathlib import Path
@@ -27,7 +28,7 @@ from repro.errors import (
 )
 from repro.graph.edgelist import write_binary_edgelist
 from repro.graph.generators import chung_lu
-from repro.obs import NULL_TRACER
+from repro.obs import NULL_TRACER, Tracer, set_tracer
 from repro.parallel import SharedState, bsp_hdrf_stream
 from repro.partition.base import capacity_bound
 from repro.partition.state import StreamingState
@@ -35,7 +36,6 @@ from repro.runtime import make_job, run_job
 from repro.stream import (
     EdgeSegment,
     MultiWorkerReport,
-    PersistentWorkerPool,
     plan_worker_segments,
     run_bsp_shared,
     write_sharded_edges,
@@ -43,11 +43,11 @@ from repro.stream import (
 from repro.stream.workers import (
     _MSG_BATCH,
     _MSG_COMMIT,
-    _JobContext,
     _iter_batches,
     _pack_message,
     _stream_shared_job,
     _unpack_message,
+    live_pool_health,
 )
 
 
@@ -187,23 +187,13 @@ class TestValidation:
         with pytest.raises(PartitioningError, match="empty"):
             run_job(make_job("HDRF", path, 4, workers=2))
 
-    def test_pool_requires_start(self, manifest):
-        segments, _, _, _ = plan_worker_segments(manifest.path, 2)
-        state = StreamingState(10, 4, 100, exact_degrees=np.zeros(10, np.int64))
-        pool = PersistentWorkerPool(2)
-        with pytest.raises(ConfigurationError, match="before start"):
-            run_bsp_shared(pool, segments, state, np.zeros(4, np.int32))
-
     def test_pool_validates_shape(self):
         state = StreamingState(10, 4, 100, exact_degrees=np.zeros(10, np.int64))
         parts = np.zeros(4, np.int32)
         with pytest.raises(ConfigurationError):
-            PersistentWorkerPool(0)
-        pool = PersistentWorkerPool(1)
+            run_bsp_shared([], state, parts)
         with pytest.raises(ConfigurationError):
-            run_bsp_shared(pool, [], state, parts)
-        with pytest.raises(ConfigurationError):
-            run_bsp_shared(pool, [[]], state, parts, batch=0)
+            run_bsp_shared([[]], state, parts, batch=0)
 
 
 @pytest.mark.slow
@@ -310,7 +300,7 @@ class TestReadAhead:
         def worker():
             try:
                 _stream_shared_job(
-                    _JobContext(0, worker_end, NULL_TRACER),
+                    0, worker_end, NULL_TRACER,
                     segments=segments, shm_name=shared.name,
                     num_vertices=n, k=8, capacity=state.capacity,
                     workers=1, batch=4, lam=1.1, eps=1.0, chunk_size=64,
@@ -339,6 +329,67 @@ class TestReadAhead:
 
 
 @pytest.mark.slow
+class TestOneShotWorkers:
+    @pytest.mark.parametrize("algo,params", [
+        ("HDRF", {}),
+        ("HEP", {"tau": 1.0}),
+    ])
+    def test_one_spawn_and_one_run_per_job(self, manifest, algo, params):
+        """A traced 2-worker job forks its workers once, inside the
+        stream stage that runs them: one ``pool_spawn`` beside one
+        ``pool_run``, which holds both ``worker_stream`` spans."""
+        tracer = Tracer(None)
+        previous = set_tracer(tracer)
+        try:
+            run_job(make_job(algo, manifest.path, 8, workers=2, **params))
+        finally:
+            set_tracer(previous)
+        spans = [r for r in tracer.drain() if r["type"] == "span"]
+        by_id = {s["id"]: s for s in spans}
+        [spawn] = [s for s in spans if s["name"] == "pool_spawn"]
+        [pool_run] = [s for s in spans if s["name"] == "pool_run"]
+        assert spawn["parent"] == pool_run["parent"]
+        streams = [s for s in spans if s["name"] == "worker_stream"]
+        assert len(streams) == 2
+        assert {by_id[s["parent"]]["name"] for s in streams} == {"pool_run"}
+
+    def test_workers_exit_when_the_run_returns(
+        self, graph, manifest, monkeypatch
+    ):
+        """Health reports the run's live workers while it runs; once
+        ``run_bsp_shared`` returns they are gone, with no shutdown call."""
+        from repro.stream import workers as workers_mod
+
+        during = []
+        begin = workers_mod.StateService.begin_superstep
+
+        def record(service):
+            if not during:
+                during.extend(live_pool_health())
+            return begin(service)
+
+        monkeypatch.setattr(
+            workers_mod.StateService, "begin_superstep", record
+        )
+        segments, _, m, _ = plan_worker_segments(manifest.path, 2)
+        state = StreamingState(
+            graph.num_vertices, 8, capacity_bound(m, 8, 1.0),
+            exact_degrees=graph.degrees,
+        )
+        run_bsp_shared(segments, state, np.full(m, -1, np.int32))
+        [health] = during
+        assert health["alive"] == [True, True]
+        assert live_pool_health() == []
+        assert [
+            p for p in multiprocessing.active_children()
+            if p.name.startswith("repro-worker")
+        ] == []
+        for pid in health["pids"]:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+@pytest.mark.slow
 class TestLiveState:
     @pytest.mark.parametrize("alpha", [1.0, 100.0])
     def test_live_state_matches_oracle_after_run(
@@ -363,8 +414,7 @@ class TestLiveState:
         )
         state = fresh()
         parts = np.full(m, -1, dtype=np.int32)
-        with PersistentWorkerPool(2) as pool:
-            report = run_bsp_shared(pool, segments, state, parts, batch=16)
+        report = run_bsp_shared(segments, state, parts, batch=16)
         assert (report.slow_supersteps > 0) == (alpha == 1.0)
         assert np.array_equal(parts, oracle_parts)
         assert np.array_equal(state.replicas, oracle.replicas)
