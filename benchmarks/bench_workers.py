@@ -6,8 +6,11 @@ runs today.  The sequential side is the scalar HDRF kernel
 (:func:`repro.partition.hdrf.hdrf_stream`), which scores a few
 partitions per edge instead of all ``k``; at WI scale (67,698 edges,
 k=8) it beats every worker row on a 2-CPU host, so the bench gates that
-it beats ``HDRF-mw1``, the same single stream plus BSP overhead.  What
-the worker rows stack on top of that overhead:
+it beats ``HDRF-mw1``, the same single stream plus BSP overhead.  The
+coordinator streams worker 0's lane itself, so ``HDRF-mw1`` forks no
+process: its overhead is the superstep schedule, the snapshot commits
+and the shared segment, and ``N`` workers fork ``N - 1``.  What the
+worker rows stack on top of that overhead:
 
 * **batching** — the BSP schedule scores ``batch`` edges per worker per
   superstep against a frozen snapshot, so scoring vectorizes, bought
@@ -15,9 +18,9 @@ the worker rows stack on top of that overhead:
 * **shared-memory state** — worker batches land in scratch lanes of one
   ``/dev/shm`` segment and snapshots are published by flipping a double
   buffer, so no worker pickles a batch or re-applies a merged delta.
-* **process parallelism** — with ``N`` workers each streams its own
-  shard assignment, so scoring and shard decode run concurrently on
-  multi-core hosts.  On a single-core container (``cpu_count`` is
+* **process parallelism** — with ``N`` workers each lane streams its
+  own shard assignment, the coordinator's included, so scoring and
+  shard decode run concurrently on multi-core hosts.  On a single-core container (``cpu_count`` is
   recorded in the JSON) worker scaling is bounded by barrier
   amortization alone, so the 4-vs-1-worker gate falls back to the
   work-split model.
@@ -83,9 +86,9 @@ def bench_multi_worker_scaling(manifest, capsys, tmp_path):
 
     Emits ``results/BENCH_workers.json``.  Gates: the sequential
     single-worker run must beat the 1-worker BSP run (the same stream
-    of work plus supersteps, snapshots and the pool), and 4 workers
-    must beat 1 worker by >= 1.3x — measured where the host has >= 4
-    cores, by the shard work-split model where it does not.
+    of work plus supersteps, snapshots and the shared segment), and 4
+    workers must beat 1 worker by >= 1.3x — measured where the host has
+    >= 4 cores, by the shard work-split model where it does not.
     """
     seq_s, seq = _best_of(
         lambda: run_job(make_job(

@@ -153,6 +153,9 @@ def phase_breakdown(
       is apportioned between **compute** / **pickle** / **pipe** using
       the adopted workers' own ``busy_s`` / ``encode_s`` / ``send_s``
       shares (all to **pipe** when workers reported nothing);
+    * the ``worker_stream`` span of the lane the coordinator streams
+      itself (``side`` attr ``coordinator``) → its ``busy_s`` to
+      **compute**: coordinator wall-clock, not part of any recv wait;
     * sequential coordinator stages (counting/metrics scans, tau
       selection, splitting, phase one, streaming, spill dealing,
       extsort stages) → **compute**, minus any nested pool or
@@ -189,6 +192,9 @@ def phase_breakdown(
                 if not child["name"].startswith("worker_"):
                     continue
                 worker_counters = child.get("counters") or {}
+                if (child.get("attrs") or {}).get("side") == "coordinator":
+                    seconds["compute"] += worker_counters.get("busy_s", 0.0)
+                    continue
                 busy += worker_counters.get("busy_s", 0.0)
                 encode += worker_counters.get("encode_s", 0.0)
                 send += worker_counters.get("send_s", 0.0)

@@ -13,10 +13,11 @@ Stages take ``(spec, ctx)``: the spec is frozen configuration, the
 CSR, spill, parts, ...).  Only the ``stream`` stage has two forms: at
 ``spec.workers == 0`` it sweeps in process, otherwise it runs BSP
 informed HDRF through :func:`~repro.stream.workers.run_bsp_shared`,
-which forks the run's worker processes and reaps them before it
-returns.  Both forms are pinned bit-identical to each other and to the
-in-memory oracles by the equivalence suites; the form changes
-wall-clock and memory placement, never assignments.
+which streams worker 0's share in this process, forks the other
+workers and reaps them before it returns.  Both forms are pinned
+bit-identical to each other and to the in-memory oracles by the
+equivalence suites; the form changes wall-clock and memory placement,
+never assignments.
 """
 
 from __future__ import annotations

@@ -35,7 +35,8 @@ paper compares against:
   one :mod:`multiprocessing.shared_memory` segment
   (:class:`~repro.parallel.shm.SharedState`);
   :func:`run_bsp_shared`, the one way work reaches a worker process,
-  forks the run's workers with their jobs and reaps them when it ends.
+  forks workers ``1 … N−1`` with their jobs, streams worker 0's share
+  itself, and reaps the workers when it ends.
 
 The stages that chain these pieces into HEP's budgeted pipeline and
 the streaming-baseline pipeline live in :mod:`repro.runtime`; run a

@@ -4,11 +4,11 @@ The paper closes with "we aim to further improve the performance of HEP
 by focusing on parallelism and distribution".
 :mod:`repro.parallel.bsp_streaming` established the *semantics* of that
 direction — a bulk-synchronous streaming schedule — in one process;
-this module executes the same schedule on ``N`` worker **processes**,
-each streaming its own shard files from a
-:mod:`repro.stream.shard` manifest (or its own slice of a flat edge
-file, or its own h2h spill segment), so wall-clock parallelism is real
-rather than simulated.
+this module executes the same schedule over ``N`` *lanes* (one
+worker's share of the edge stream: its own shard files from a
+:mod:`repro.stream.shard` manifest, its own slice of a flat edge file,
+or its own h2h spill segment), each streamed by its own OS process, so
+wall-clock parallelism is real rather than simulated.
 
 Architecture
 ------------
@@ -16,35 +16,39 @@ Architecture
 One function runs a BSP run from start to finish:
 :func:`run_bsp_shared` creates one
 :class:`~repro.parallel.shm.SharedState` segment for the run's state,
-forks one worker per segment list with that worker's job as its
-process arguments, drives the supersteps, and reaps the workers and
-unlinks the segment in one ``finally``.  A worker runs its job once
-and exits.
+forks workers ``1 … N−1`` with their jobs as their process arguments
+(none at ``N = 1``), streams worker 0's lane itself, drives the
+supersteps, and reaps the workers and unlinks the segment in one
+``finally``.  A forked worker runs its job once and exits.
 
-* **Workers** (:func:`_stream_shared_job`) map the segment and read the
-  published replica/load snapshot.  Per superstep a worker scores its
-  batch against the snapshot with the in-process schedule's own
-  kernel, split in its degree-only half
+* **Lanes** (:class:`_Lane`) are scored one way on both sides.  Per
+  superstep a lane scores its batch against the published
+  replica/load snapshot with the in-process schedule's own kernel,
+  split in its degree-only half
   (:func:`~repro.parallel.kernel.batch_coefficients`) and its snapshot
-  half (:func:`~repro.parallel.kernel.score_on_snapshot`), and writes
-  the batch to its scratch lane of the segment.  After sending the
-  lane it reads its next batch and computes that batch's coefficients,
-  and only then blocks for ``COMMIT``.
+  half (:func:`~repro.parallel.kernel.score_on_snapshot`), hands the
+  batch on, and only then reads its next batch and computes that
+  batch's coefficients.
+* **Forked workers** (:func:`_stream_shared_job`) map the segment,
+  write each scored batch to their scratch lane of it, and block for
+  ``COMMIT`` after the read-ahead.
 * **The coordinator** (:class:`StateService` inside
-  :func:`run_bsp_shared`) owns the live state.  It merges worker
-  batches in worker order — replica marks OR-ed, loads summed — exactly
-  as :func:`~repro.parallel.bsp_streaming.bsp_hdrf_stream` specifies,
-  commits the merged delta to the double-buffered snapshot and
-  releases the workers with a ``COMMIT`` control frame.  While they
-  score, it replays the delta into the other buffer and takes the
-  published loads into its live state.
+  :func:`run_bsp_shared`) owns the live state.  Each superstep it
+  scores worker 0's batch in process, then receives the other lanes,
+  and merges all of them in worker order — replica marks OR-ed, loads
+  summed — exactly as :func:`~repro.parallel.bsp_streaming.
+  bsp_hdrf_stream` specifies.  It commits the merged delta to the
+  double-buffered snapshot and releases the workers with a ``COMMIT``
+  control frame.  While they score, it replays the delta into the
+  other buffer, takes the published loads into its live state, and
+  scores its own next batch.
 * **The capacity fast path**: when no partition can reach capacity
   within one superstep (:func:`~repro.parallel.kernel.
   superstep_is_safe` — a pure function of superstep-start loads, so
-  workers and coordinator agree without communicating), placements are
-  pure argmaxes and workers write only ``(eid, u, v) + p``.  Near the
-  balance bound workers write full score matrices and the coordinator
-  places edge by edge under the live capacity mask
+  every lane and the coordinator agree without communicating),
+  placements are pure argmaxes and lanes carry only ``(eid, u, v) +
+  p``.  Near the balance bound lanes carry full score matrices and the
+  coordinator places edge by edge under the live capacity mask
   (:func:`~repro.parallel.kernel.place_batch_serialized`).  Both
   branches are bit-identical to the in-process schedule — the
   equivalence property ``tests/test_stream_workers.py`` pins.
@@ -54,11 +58,12 @@ header (:data:`~repro.stream.records.FRAME`: ``<u4 payload_bytes,
 <u4 record_count``) behind a one-byte tag.  A worker's last frame,
 ``DONE``, carries its timings and its drained trace records.
 
-Failure handling: a worker that dies mid-superstep (killed, OOM, or a
-poisoned shard) surfaces as a single
-:class:`~repro.errors.WorkerFailureError` naming the worker and its
-shard/segment; every worker process is joined or terminated (no
-orphans) and the segment is unlinked before the error propagates.
+Failure handling: a lane that fails mid-superstep (a killed or OOMed
+worker, or a poisoned shard in any lane, the coordinator's included)
+surfaces as a single :class:`~repro.errors.WorkerFailureError` naming
+the worker and its shard/segment; every worker process is joined or
+terminated (no orphans) and the segment is unlinked before the error
+propagates.
 """
 
 from __future__ import annotations
@@ -169,27 +174,125 @@ def _unpack_message(blob: bytes) -> tuple[bytes, int, memoryview]:
     return tag, count, payload
 
 
+# -- lanes ------------------------------------------------------------------
+
+
+class _Lane:
+    """One lane of a BSP run: its batches, scored one per superstep.
+
+    A forked worker streams its own lane through this class and the
+    coordinator worker 0's, so a batch is scored one way on both sides.
+    The lane holds its next batch and that batch's
+    :func:`~repro.parallel.kernel.batch_coefficients` (the degree-only
+    half of the score) from one :meth:`step` to the next, and times
+    itself: ``read_s`` decoding batches, ``score_s`` scoring them, and
+    ``edges`` scored.
+    """
+
+    def __init__(
+        self,
+        segments: Sequence[EdgeSegment],
+        degrees: np.ndarray,
+        *,
+        workers: int,
+        batch: int,
+        capacity: int,
+        lam: float,
+        eps: float,
+        chunk_size: int,
+    ) -> None:
+        """Open the lane's segments and read its first batch ahead."""
+        self._batches = _iter_batches(segments, batch, chunk_size)
+        self._degrees = degrees
+        self._limits = (workers, batch, capacity)
+        self._weights = (lam, eps)
+        self.read_s = self.score_s = 0.0
+        self.edges = 0
+        self._ahead = None
+        self._held: Exception | None = None
+        self._read_ahead()
+
+    @property
+    def done(self) -> bool:
+        """Whether every batch is scored (a held error is not done)."""
+        return self._ahead is None and self._held is None
+
+    def _read_ahead(self) -> None:
+        """Read the next batch and its coefficients; hold an error."""
+        perf = time.perf_counter
+        t0 = perf()
+        try:
+            step = next(self._batches, None)
+            t1 = perf()
+            if step is not None:
+                us, vs, _ = step
+                step = step, batch_coefficients(self._degrees, us, vs)
+        except Exception as exc:  # noqa: BLE001 — the next step raises it
+            self._ahead, self._held = None, exc
+            return
+        self.read_s += t1 - t0
+        self.score_s += perf() - t1
+        self._ahead = step
+
+    def step(
+        self, replicas: np.ndarray, loads: np.ndarray, emit=None
+    ) -> tuple:
+        """Score the batch in hand on a snapshot, emit it, read ahead.
+
+        Returns ``(eids, us, vs, ps, scores)``: the argmax partitions
+        when :func:`~repro.parallel.kernel.superstep_is_safe` holds on
+        the snapshot ``loads`` (``scores`` is ``None``), else the
+        ``count × k`` score matrix (``ps`` is ``None``).  ``emit``, if
+        given, gets the same five values before the read-ahead, so a
+        worker's lane is on its way while the next batch decodes.  An
+        error from the read-ahead is held and raised by the next call,
+        so a worker raises it only once the ``COMMIT`` it is owed has
+        arrived and the coordinator receives ``ERROR`` in place of the
+        next lane.
+        """
+        if self._held is not None:
+            raise self._held
+        (us, vs, eids), (coeff_u, coeff_v) = self._ahead
+        t0 = time.perf_counter()
+        scores = score_on_snapshot(
+            replicas, loads, us, vs, coeff_u, coeff_v, *self._weights
+        )
+        ps = None
+        if superstep_is_safe(loads, *self._limits):
+            ps, scores = np.argmax(scores, axis=1), None
+        self.score_s += time.perf_counter() - t0
+        if emit is not None:
+            emit(eids, us, vs, ps, scores)
+        self.edges += us.shape[0]
+        self._read_ahead()
+        return eids, us, vs, ps, scores
+
+    def close(self) -> None:
+        """Close the segment files a stopped lane still holds open."""
+        self._batches.close()
+
+
 # -- workers ----------------------------------------------------------------
 
 
-def _claim_pipe(worker_id: int, pipes: list):
+def _claim_pipe(worker_id: int, pipes: dict):
     """Keep worker ``worker_id``'s child pipe end; close every other end.
 
     Closing the inherited ends that are not ours keeps EOF detection and
     fd hygiene intact after the fork.
     """
     conn = pipes[worker_id][1]
-    for i, (parent_end, child_end) in enumerate(pipes):
+    for w, (parent_end, child_end) in pipes.items():
         try:
             parent_end.close()
-            if i != worker_id:
+            if w != worker_id:
                 child_end.close()
         except OSError:
             pass
     return conn
 
 
-def _worker_main(worker_id: int, pipes: list, trace: bool, job: dict) -> None:
+def _worker_main(worker_id: int, pipes: dict, trace: bool, job: dict) -> None:
     """Entry point of one forked worker: run its BSP job once, then exit.
 
     ``job`` is :func:`_stream_shared_job`'s keyword arguments, handed
@@ -230,86 +333,54 @@ def _stream_shared_job(
     eps: float,
     chunk_size: int,
 ) -> None:
-    """One worker's half of a shared-memory BSP run (see run_bsp_shared).
+    """One forked worker's half of a shared-memory BSP run.
 
     The worker maps the coordinator's
-    :class:`~repro.parallel.shm.SharedState` segment and *reads* the
-    published snapshot each superstep — the commit frame's count field
-    names the buffer that is current.  Batches are written to this
-    worker's scratch lane; the pipe carries only empty ``BATCH``/
-    ``SCORES`` control frames.  Scoring is the in-process schedule's
-    kernel, split in its two halves: after sending a lane the worker
-    reads its next batch and computes that batch's
-    :func:`~repro.parallel.kernel.batch_coefficients` before it blocks
-    for ``COMMIT``, so only :func:`~repro.parallel.kernel.
-    score_on_snapshot` and the lane write sit between the barrier and
-    the next lane.  An error from that read-ahead is raised only once
-    the ``COMMIT`` frame has arrived, so the coordinator receives
-    ``ERROR`` in place of the next lane.  The last frame, ``DONE``,
-    carries the worker's busy/wait/send seconds and the records
-    ``tracer`` drained.
+    :class:`~repro.parallel.shm.SharedState` segment and streams its
+    :class:`_Lane` against the published snapshot each superstep — the
+    commit frame's count field names the buffer that is current.  Each
+    scored batch is written to this worker's scratch lane of the
+    segment and announced by an empty ``BATCH``/``SCORES`` control
+    frame; the lane then reads its next batch ahead, and only then does
+    the worker block for ``COMMIT``.  The last frame, ``DONE``, carries
+    the worker's busy/wait/send seconds and the records ``tracer``
+    drained.
     """
     perf = time.perf_counter
-    shared = None
-    replicas = loads = degrees = None
+    shared = lane = None
     try:
         with tracer.span("shm_attach", worker=worker_id) as span:
             shared = SharedState.attach(
                 shm_name, num_vertices, k, workers, batch
             )
             span.add("shm_bytes", shared.nbytes)
-        degrees = shared.degrees
         published = 0
-        read_s = score_s = encode_s = send_s = wait_s = 0.0
-        edges = frames = piped = 0
+        encode_s = send_s = wait_s = 0.0
+        frames = piped = 0
+
+        def send_lane(eids, us, vs, ps, scores):
+            """Write a scored batch to this worker's lane and announce it."""
+            nonlocal encode_s, send_s, piped
+            # Lane writes are this transport's encode step.
+            t0 = perf()
+            shared.write_batch(worker_id, eids, us, vs, ps=ps, scores=scores)
+            tag = _MSG_BATCH if scores is None else _MSG_SCORES
+            message = _pack_message(tag, us.shape[0])
+            t1 = perf()
+            conn.send_bytes(message)
+            encode_s += t1 - t0
+            send_s += perf() - t1
+            piped += len(message)
+
         with tracer.span(
             "worker_stream", worker=worker_id, protocol="shm"
         ) as span:
-            batches = _iter_batches(segments, batch, chunk_size)
-
-            def read_ahead():
-                """The next batch and its coefficients, or ``None``."""
-                nonlocal read_s, score_s
-                t0 = perf()
-                step = next(batches, None)
-                t1 = perf()
-                read_s += t1 - t0
-                if step is None:
-                    return None
-                coeffs = batch_coefficients(degrees, step[0], step[1])
-                score_s += perf() - t1
-                return step, coeffs
-
-            ahead = read_ahead()
-            while ahead is not None:
-                (us, vs, eids), (coeff_u, coeff_v) = ahead
-                t0 = perf()
-                replicas, loads = shared.snapshot(published)
-                safe = superstep_is_safe(loads, workers, batch, capacity)
-                scores = score_on_snapshot(
-                    replicas, loads, us, vs, coeff_u, coeff_v, lam, eps
-                )
-                score_s += perf() - t0
-                # Lane writes are this transport's encode step.
-                t0 = perf()
-                if safe:
-                    ps = np.argmax(scores, axis=1)
-                    shared.write_batch(worker_id, eids, us, vs, ps=ps)
-                    message = _pack_message(_MSG_BATCH, us.shape[0])
-                else:
-                    shared.write_batch(
-                        worker_id, eids, us, vs, scores=scores
-                    )
-                    message = _pack_message(_MSG_SCORES, us.shape[0])
-                encode_s += perf() - t0
-                t0 = perf()
-                conn.send_bytes(message)
-                send_s += perf() - t0
-                held = None
-                try:
-                    ahead = read_ahead()
-                except Exception as exc:  # noqa: BLE001 — re-raised below
-                    held = exc
+            lane = _Lane(
+                segments, shared.degrees, workers=workers, batch=batch,
+                capacity=capacity, lam=lam, eps=eps, chunk_size=chunk_size,
+            )
+            while not lane.done:
+                lane.step(*shared.snapshot(published), send_lane)
                 t0 = perf()
                 blob = conn.recv_bytes()
                 wait_s += perf() - t0
@@ -318,27 +389,27 @@ def _stream_shared_job(
                     raise WorkerFailureError(
                         f"worker {worker_id}: expected a commit, got {tag!r}"
                     )
-                if held is not None:
-                    raise held
                 published = count
-                edges += us.shape[0]
                 frames += 1
-                piped += len(message) + len(blob)
-            busy_s = read_s + score_s
+                piped += len(blob)
+            busy_s = lane.read_s + lane.score_s
             for name, value in (
-                ("busy_s", busy_s), ("read_s", read_s),
-                ("score_s", score_s), ("encode_s", encode_s),
+                ("busy_s", busy_s), ("read_s", lane.read_s),
+                ("score_s", lane.score_s), ("encode_s", encode_s),
                 ("send_s", send_s), ("wait_s", wait_s),
-                ("edges_scanned", edges), ("frames_sent", frames),
+                ("edges_scanned", lane.edges), ("frames_sent", frames),
                 ("bytes_piped", piped),
             ):
                 span.add(name, value)
         done = ((busy_s, wait_s, send_s), tracer.drain())
         conn.send_bytes(_pack_message(_MSG_DONE, 0, pickle.dumps(done)))
     finally:
-        # Drop the snapshot views before unmapping so the segment closes
-        # without pinned-buffer noise; the name is the coordinator's.
-        replicas = loads = degrees = None  # noqa: F841
+        # Drop the lane (it holds the segment's degree view) before
+        # unmapping so the segment closes without pinned-buffer noise;
+        # the name is the coordinator's.
+        if lane is not None:
+            lane.close()
+            lane = None
         if shared is not None:
             shared.close()
 
@@ -350,11 +421,15 @@ def _stream_shared_job(
 class WorkerTimings:
     """Where one BSP run's seconds went, per worker and on the coordinator.
 
-    Workers always self-time (no ``--trace`` needed): ``busy_s`` is
+    Lanes always self-time (no ``--trace`` needed): ``busy_s`` is
     scoring + reading, ``wait_s`` is barrier time blocked on the
     coordinator's commit frame, ``send_s`` is control-frame send time.
-    The coordinator contributes its own split: time blocked waiting on
-    worker frames, merge/commit time, and commit-frame send time.
+    Worker 0's lane is the coordinator's own, so ``busy_s[0]`` is
+    coordinator time and ``wait_s[0]`` and ``send_s[0]`` are 0.0: it
+    neither waits for a commit frame nor sends a lane frame.  The
+    coordinator contributes its own split: time blocked waiting on the
+    forked workers' frames, merge/commit time, and commit-frame send
+    time.
     """
 
     busy_s: tuple[float, ...]
@@ -405,9 +480,10 @@ class StateService:
     """Coordinator side of the shared state: live merge + protocol checks.
 
     Owns the single live :class:`~repro.partition.state.StreamingState`.
-    Workers never mutate shared state — they propose placements (fast
+    Lanes never mutate shared state — they propose placements (fast
     path) or scores (near capacity), and this service is the serialized
-    owner that commits them.  Near capacity it places every batch edge
+    owner that commits them, worker 0's lane (streamed by the
+    coordinator itself) included.  Near capacity it places every batch edge
     by edge into the live state, in worker order, exactly as the
     in-process schedule does.  In a fast superstep it only records the
     placements; :func:`run_bsp_shared` commits them to the shared
@@ -446,9 +522,10 @@ class StateService:
         """Commit one worker's batch; returns ``(us, vs, ps)`` for the delta.
 
         ``extra`` is the chosen-partition vector (:data:`_MSG_BATCH`) or
-        the ``count × k`` score matrix (:data:`_MSG_SCORES`), both views
-        of the worker's shared-memory lane.  Only the slow path writes
-        the live state here.
+        the ``count × k`` score matrix (:data:`_MSG_SCORES`): views of a
+        forked worker's shared-memory lane, or worker 0's arrays, which
+        the coordinator scored itself.  Only the slow path writes the
+        live state here.
         """
         if tag == _MSG_BATCH:
             if not safe:
@@ -474,74 +551,86 @@ _LIVE_GROUPS: "set[_WorkerGroup]" = set()
 
 
 def live_pool_health() -> list[dict]:
-    """Health snapshots of the workers of every BSP run in flight.
+    """Health snapshots of the forked workers of every BSP run in flight.
 
     The serve layer's ``/healthz`` endpoint surfaces this: an idle
-    service reports none; during a run it reports that run's workers,
-    every one alive.
+    service reports none; during a run it reports that run's forked
+    workers (``1 … N−1``), every one alive.  A one-lane run forks no
+    process, so it reports nothing either.
     """
     return [group.health() for group in list(_LIVE_GROUPS)]
 
 
 class _WorkerGroup:
-    """The worker processes of one BSP run and their pipes.
+    """The forked worker processes of one BSP run and their pipes.
 
-    Owns the fork, the liveness-watching receive loop and the single
-    :class:`~repro.errors.WorkerFailureError` failure surface, whose
-    message names the worker and its segments.  :func:`run_bsp_shared`
-    builds one per run and reaps it in its ``finally``.
+    Worker 0's lane is the coordinator's own, so a run of ``N`` lanes
+    forks workers ``1 … N−1``; the processes, pipes and pollers are
+    keyed by worker id.  Owns the fork, the liveness-watching receive
+    loop and the single :class:`~repro.errors.WorkerFailureError`
+    failure surface, whose message names the worker and its segments.
+    :func:`run_bsp_shared` builds one per run and reaps it in its
+    ``finally``.
     """
 
     def __init__(self, segments: Sequence[Sequence[EdgeSegment]]) -> None:
-        """One worker per segment list; :meth:`fork` starts them."""
+        """One lane per segment list; :meth:`fork` starts lanes 1 on."""
         self.segments = [list(segs) for segs in segments]
         methods = multiprocessing.get_all_start_methods()
         self.mp_context = "fork" if "fork" in methods else "spawn"
-        self._procs: list = []
-        self._conns: list = []
+        self._procs: dict = {}
+        self._conns: dict = {}
         # One registered select.poll object per pipe: Connection.poll
         # builds and closes a selector on every call.
-        self._pollers: list = []
+        self._pollers: dict = {}
         # Always-on receive accounting (coordinator-side): seconds spent
         # blocked on worker frames, and frames/bytes drained.
         self.recv_wait_s = 0.0
         self.frames_recv = 0
         self.bytes_recv = 0
 
+    @property
+    def forked(self) -> list[int]:
+        """The forked workers' ids, in worker order."""
+        return list(self._procs)
+
     def fork(self, job: dict, trace: bool) -> None:
-        """Start the workers, each with ``job`` plus its own segments.
+        """Start workers ``1 … N−1``, each with ``job`` plus its segments.
 
         With ``trace`` each worker collects its spans and ships them in
         its ``DONE`` frame.
         """
         ctx = multiprocessing.get_context(self.mp_context)
-        pipes = [ctx.Pipe(duplex=True) for _ in self.segments]
-        self._conns = [parent_end for parent_end, _ in pipes]
+        pipes = {
+            w: ctx.Pipe(duplex=True) for w in range(1, len(self.segments))
+        }
+        self._conns = {w: parent_end for w, (parent_end, _) in pipes.items()}
         try:
-            for w, segments in enumerate(self.segments):
+            for w in pipes:
                 proc = ctx.Process(
                     target=_worker_main,
-                    args=(w, pipes, trace, dict(job, segments=segments)),
+                    args=(w, pipes, trace, dict(job, segments=self.segments[w])),
                     name=f"repro-worker-{w}",
                     daemon=True,
                 )
                 proc.start()
-                self._procs.append(proc)
+                self._procs[w] = proc
         finally:
-            for _, child_end in pipes:
+            for _, child_end in pipes.values():
                 child_end.close()
-        for conn in self._conns:
+        for w, conn in self._conns.items():
             poller = select.poll()
             poller.register(conn.fileno(), select.POLLIN)
-            self._pollers.append(poller)
-        _LIVE_GROUPS.add(self)
+            self._pollers[w] = poller
+        if self._procs:
+            _LIVE_GROUPS.add(self)
 
     def health(self) -> dict:
-        """Liveness snapshot: worker count, per-worker state and pids.
+        """Liveness snapshot: forked worker count, their states and pids.
 
-        ``healthy`` is true iff every worker process is still alive.
+        ``healthy`` is true iff every forked worker is still alive.
         """
-        procs = self._procs
+        procs = list(self._procs.values())
         alive = [proc.is_alive() for proc in procs]
         return {
             "pool": "bsp-shm",
@@ -559,13 +648,13 @@ class _WorkerGroup:
         running after :data:`_REAP_GRACE_S` is terminated, then killed.
         """
         _LIVE_GROUPS.discard(self)
-        for conn in self._conns:
+        for conn in self._conns.values():
             try:
                 conn.close()
             except OSError:
                 pass
         deadline = time.monotonic() + _REAP_GRACE_S
-        for proc in self._procs:
+        for proc in self._procs.values():
             proc.join(max(deadline - time.monotonic(), 0.0))
             if proc.is_alive():
                 proc.terminate()
@@ -583,11 +672,23 @@ class _WorkerGroup:
         return f"worker {w} (segments: {names})"
 
     def died(self, w: int) -> WorkerFailureError:
-        """The error for worker ``w`` gone before finishing its stream."""
-        exitcode = self._procs[w].exitcode
+        """The error for worker ``w`` gone before finishing its stream.
+
+        The pipe's EOF can reach the coordinator before the process is
+        reaped, so the process is joined for at most
+        :data:`_REAP_GRACE_S` before its exit code is read.
+        """
+        proc = self._procs[w]
+        proc.join(_REAP_GRACE_S)
         return WorkerFailureError(
             f"{self.describe(w)} died mid-sweep "
-            f"(exit code {exitcode}) before finishing its stream"
+            f"(exit code {proc.exitcode}) before finishing its stream"
+        )
+
+    def failed(self, w: int, exc_type: str, message: str) -> WorkerFailureError:
+        """The error for lane ``w`` raising ``exc_type: message``."""
+        return WorkerFailureError(
+            f"{self.describe(w)} failed: {exc_type}: {message}"
         )
 
     def send(self, w: int, frame: bytes) -> None:
@@ -641,9 +742,7 @@ class _WorkerGroup:
             exc_type, message = pickle.loads(payload)
         except Exception:  # noqa: BLE001 — corrupt error payloads
             exc_type, message = "unknown error", "<undecodable payload>"
-        raise WorkerFailureError(
-            f"{self.describe(w)} failed: {exc_type}: {message}"
-        )
+        raise self.failed(w, exc_type, message)
 
 
 def run_bsp_shared(
@@ -655,17 +754,21 @@ def run_bsp_shared(
     eps: float = 1.0,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> MultiWorkerReport:
-    """Run one shared-memory BSP streaming run on its own worker processes.
+    """Run one shared-memory BSP streaming run over one lane per segment list.
 
     Bit-identical to the in-process ``bsp_hdrf_stream`` for the same
     ``segments``/``batch``: the schedule is ``len(segments)`` streams
-    wide, one worker each (a worker with no segments reports ``DONE``
-    at once), merges happen in worker order, and the fast/slow path
-    split is the same deterministic predicate.
+    wide, one lane each (a lane with no segments is done at once),
+    merges happen in worker order, and the fast/slow path split is the
+    same deterministic predicate.
 
     The run creates one :class:`~repro.parallel.shm.SharedState`
-    segment, forks one worker per segment list with its job as the
-    process arguments, and drives the supersteps.  Worker batches land
+    segment and forks workers ``1 … N−1`` with their jobs as their
+    process arguments.  Worker 0's lane is streamed here, opened only
+    after the fork so no worker inherits its files: each superstep the
+    coordinator scores its batch against the published snapshot through
+    the same :class:`_Lane` the workers use, merges it, then receives
+    and merges the forked lanes in worker order.  Forked batches land
     in per-worker scratch lanes of the segment and the merged delta is
     never broadcast.  Between the last lane and the ``COMMIT`` frame
     the coordinator does only what the workers need: the protocol
@@ -675,16 +778,19 @@ def run_bsp_shared(
     serialized placement).  The frame names the published buffer.
     While the workers score the next superstep, the coordinator replays
     the delta into the other buffer
-    (:meth:`~repro.parallel.shm.SharedState.catch_up`) and copies the
-    ``k`` published loads into the live state; the live replica matrix
-    is copied from the published buffer once, when the run ends.
-    Workers apply no deltas, and pipes carry only control frames.  A
-    worker's ``DONE`` frame carries its timings and trace records,
-    which are adopted under the ``pool_run`` span as it arrives.
+    (:meth:`~repro.parallel.shm.SharedState.catch_up`), copies the
+    ``k`` published loads into the live state and scores its own next
+    batch; the live replica matrix is copied from the published buffer
+    once, when the run ends.  Workers apply no deltas, and pipes carry
+    only control frames.  A worker's ``DONE`` frame carries its timings
+    and trace records, which are adopted under the ``pool_run`` span as
+    it arrives; the coordinator's lane records its ``worker_stream``
+    span there when the run ends.
 
     Mutates ``state`` and ``parts``.  One ``finally`` reaps the workers
-    and unlinks the segment on every exit path.  Worker failures
-    surface as one :class:`~repro.errors.WorkerFailureError`.
+    and unlinks the segment on every exit path.  Lane failures, the
+    coordinator's own included, surface as one
+    :class:`~repro.errors.WorkerFailureError`.
     """
     if batch < 1:
         raise ConfigurationError(f"batch must be >= 1, got {batch}")
@@ -700,10 +806,14 @@ def run_bsp_shared(
     first_commit_at = 0.0
     worker_timings: list = [None] * workers
     group = _WorkerGroup(segments)
+    lane_args = dict(
+        workers=workers, batch=batch, capacity=state.capacity,
+        lam=lam, eps=eps, chunk_size=chunk_size,
+    )
     # The segment is created *inside* the try so an interrupt landing
     # anywhere after creation — mid-fork included — still reaches the
     # finally below.
-    shared = None
+    shared = lane = None
     try:
         with tracer.span(
             "shm_attach", side="coordinator", workers=workers, batch=batch
@@ -714,38 +824,60 @@ def run_bsp_shared(
             )
             span.add("shm_bytes", shared.nbytes)
         with tracer.span(
-            "pool_spawn", workers=workers, mp_context=group.mp_context
+            "pool_spawn", forked=workers - 1, mp_context=group.mp_context
         ):
             group.fork(
                 dict(
-                    shm_name=shared.name,
-                    num_vertices=state.num_vertices,
-                    k=state.k,
-                    capacity=state.capacity,
-                    workers=workers,
-                    batch=batch,
-                    lam=lam,
-                    eps=eps,
-                    chunk_size=chunk_size,
+                    lane_args, shm_name=shared.name,
+                    num_vertices=state.num_vertices, k=state.k,
                 ),
                 trace=tracer.enabled,
             )
         with tracer.span(
             "pool_run", pool="bsp-shm", workers=workers, batch=batch,
         ) as span:
-            active = list(range(workers))
+            lane_started = time.time()
+            lane_t0 = perf()
+            lane = _Lane(group.segments[0], state.degrees, **lane_args)
+            active = group.forked
             published = shared.published
-            while active:
+            # One running clock ``t``: each lap charges the seconds since
+            # the last one to a bucket, so the loop is timed end to end
+            # (a recv's blocked wait is the group's own count).
+            t = perf()
+            lane_busy_s = lane_s = t - lane_t0
+            while active or not lane.done:
                 safe = service.begin_superstep()
-                messages = []
-                for w in active:
-                    tag, count, payload = _unpack_message(group.recv(w))
-                    messages.append((w, tag, count, payload))
                 delta_us: list[np.ndarray] = []
                 delta_vs: list[np.ndarray] = []
                 delta_ps: list[np.ndarray] = []
                 senders: list[int] = []
-                for w, tag, count, payload in messages:
+                if not lane.done:
+                    now = perf()
+                    merge_s += now - t
+                    try:
+                        eids, us, vs, ps, scores = lane.step(
+                            *shared.snapshot(published)
+                        )
+                    except Exception as exc:  # noqa: BLE001 — re-raised
+                        raise group.failed(
+                            0, type(exc).__name__, str(exc)
+                        ) from exc
+                    t = perf()
+                    lane_busy_s += t - now
+                    lane_s = t - lane_t0
+                    us, vs, ps = service.merge_arrays(
+                        0, _MSG_BATCH if scores is None else _MSG_SCORES,
+                        eids, us, vs, ps if scores is None else scores, safe,
+                    )
+                    delta_us.append(us)
+                    delta_vs.append(vs)
+                    delta_ps.append(ps)
+                for w in list(active):
+                    merge_s += perf() - t
+                    blob = group.recv(w)
+                    t = perf()
+                    tag, count, payload = _unpack_message(blob)
                     if tag == _MSG_DONE:
                         active.remove(w)
                         worker_timings[w], records = pickle.loads(payload)
@@ -753,19 +885,17 @@ def run_bsp_shared(
                         continue
                     if tag == _MSG_ERROR:
                         group.raise_error(w, payload)
-                    t0 = perf()
                     eids, us, vs, extra = shared.read_batch(
                         w, count, slow=tag == _MSG_SCORES
                     )
                     us, vs, ps = service.merge_arrays(
                         w, tag, eids, us, vs, extra, safe
                     )
-                    merge_s += perf() - t0
                     delta_us.append(us)
                     delta_vs.append(vs)
                     delta_ps.append(ps)
                     senders.append(w)
-                if not senders:
+                if not delta_us:
                     continue
                 supersteps += 1
                 if safe:
@@ -775,6 +905,7 @@ def run_bsp_shared(
                 if not first_commit_at:
                     first_commit_at = time.time()
                 t0 = perf()
+                merge_s += t0 - t
                 # np.concatenate always copies, so the commit never
                 # holds a lane view across the frame that lets workers
                 # overwrite their lanes.
@@ -783,37 +914,57 @@ def run_bsp_shared(
                     np.concatenate(delta_vs),
                     np.concatenate(delta_ps),
                 )
-                commit_s += perf() - t0
-                t0 = perf()
+                t1 = perf()
                 frame = _pack_message(_MSG_COMMIT, published)
-                encode_s += perf() - t0
-                t0 = perf()
+                t2 = perf()
                 for w in senders:
                     group.send(w, frame)
-                send_s += perf() - t0
+                t3 = perf()
                 frames_sent += len(senders)
                 bytes_sent += len(frame) * len(senders)
                 # The workers now score the next superstep; what follows
                 # reads the committed delta copy, never a lane.
-                t0 = perf()
                 shared.catch_up()
-                commit_s += perf() - t0
                 # The next predicate reads the live loads (a fast
                 # superstep left them to the snapshot).
                 state.loads[...] = shared.snapshot(published)[1]
+                t = perf()
+                commit_s += (t1 - t0) + (t - t3)
+                encode_s += t2 - t1
+                send_s += t3 - t2
             # Fast supersteps never write the live replica matrix, and
             # the slow path reads only the live loads.
             state.replicas[...] = shared.snapshot(published)[0]
-            if tracer.enabled and supersteps:
-                # One aggregate span (a per-superstep span per commit
-                # would dwarf the trace); dur_s is the measured total.
-                tracer.adopt([{
+            worker_timings[0] = (lane_busy_s, 0.0, 0.0)
+            if tracer.enabled:
+                # Hand-built records, adopted under pool_run: an open
+                # span here would parent the workers' adopted spans.
+                # One aggregate commit span (a per-superstep span per
+                # commit would dwarf the trace); dur_s is the measured
+                # total.
+                records = [{
                     "type": "span", "id": 0, "parent": None,
-                    "name": "superstep_commit", "start": first_commit_at,
-                    "dur_s": commit_s,
-                    "attrs": {"side": "coordinator"},
-                    "counters": {"supersteps": supersteps},
-                }])
+                    "name": "worker_stream", "start": lane_started,
+                    "dur_s": lane_s,
+                    "attrs": {
+                        "worker": 0, "protocol": "shm",
+                        "side": "coordinator",
+                    },
+                    "counters": {
+                        "busy_s": lane_busy_s, "read_s": lane.read_s,
+                        "score_s": lane.score_s,
+                        "edges_scanned": lane.edges,
+                    },
+                }]
+                if supersteps:
+                    records.append({
+                        "type": "span", "id": 1, "parent": None,
+                        "name": "superstep_commit",
+                        "start": first_commit_at, "dur_s": commit_s,
+                        "attrs": {"side": "coordinator"},
+                        "counters": {"supersteps": supersteps},
+                    })
+                tracer.adopt(records)
             for name, value in (
                 ("recv_wait_s", group.recv_wait_s),
                 ("merge_s", merge_s), ("commit_s", commit_s),
@@ -826,9 +977,12 @@ def run_bsp_shared(
     finally:
         # On the failure path the propagating traceback pins this frame;
         # null the lane views it may hold (the per-worker reads and the
-        # fast-path delta lists) so the segment can unmap.
+        # fast-path delta lists) so the segment can unmap, and close the
+        # coordinator lane's files.
         eids = us = vs = extra = None  # noqa: F841
         delta_us = delta_vs = delta_ps = None  # noqa: F841
+        if lane is not None:
+            lane.close()
         if shared is not None:
             shared.close()
             shared.unlink()

@@ -215,7 +215,11 @@ class TestWarmPoolFailures:
 
     @staticmethod
     def _kill_after_spawn(monkeypatch, worker):
-        """SIGKILL ``worker`` of the next run as soon as it is forked."""
+        """SIGKILL forked ``worker`` of the next run as soon as it is forked.
+
+        The coordinator streams worker 0's lane itself, so ``pids``
+        lists the forked workers 1, 2, ... from index 0.
+        """
         from repro.stream import workers as workers_mod
 
         fork = workers_mod._WorkerGroup.fork
@@ -223,7 +227,7 @@ class TestWarmPoolFailures:
         def fork_then_kill(group, job, trace):
             fork(group, job, trace)
             [health] = workers_mod.live_pool_health()
-            os.kill(health["pids"][worker], signal.SIGKILL)
+            os.kill(health["pids"][worker - 1], signal.SIGKILL)
 
         monkeypatch.setattr(workers_mod._WorkerGroup, "fork", fork_then_kill)
 
@@ -233,7 +237,9 @@ class TestWarmPoolFailures:
         graph, manifest = sharded
         before = psm_segments()
         self._kill_after_spawn(monkeypatch, 1)
-        with pytest.raises(WorkerFailureError, match=r"worker 1 .*died"):
+        with pytest.raises(
+            WorkerFailureError, match=r"worker 1 .*died.*\(exit code -9\)"
+        ):
             self._shared_run(graph, manifest)
         assert _repro_workers() == []
         assert leaked_segments(before) == []
@@ -259,8 +265,9 @@ class TestWarmPoolFailures:
             while time.monotonic() < deadline:
                 groups = list(workers_mod._LIVE_GROUPS)
                 if groups and groups[0].frames_recv >= 20:
+                    # pids lists the forked workers: [0] is worker 1.
                     [health] = workers_mod.live_pool_health()
-                    os.kill(health["pids"][1], signal.SIGKILL)
+                    os.kill(health["pids"][0], signal.SIGKILL)
                     killed.set()
                     return
                 time.sleep(0.0005)
@@ -275,6 +282,28 @@ class TestWarmPoolFailures:
         assert killed.is_set()
         assert "worker 1 " in str(excinfo.value)
         assert "died" in str(excinfo.value)
+        assert "(exit code -9)" in str(excinfo.value)
+        assert _repro_workers() == []
+        assert leaked_segments(before) == []
+
+    def test_dead_worker_reports_its_exit_code(self, sharded, monkeypatch):
+        """A worker's pipe can close before its process exits: the
+        coordinator sees EOF first, joins the worker, then names its
+        exit code (``None`` if it read the code at the EOF)."""
+        from repro.stream import workers as workers_mod
+
+        def close_then_exit(worker_id, pipes, trace, job):
+            workers_mod._claim_pipe(worker_id, pipes).close()
+            time.sleep(0.3)
+            os._exit(3)
+
+        graph, manifest = sharded
+        before = psm_segments()
+        monkeypatch.setattr(workers_mod, "_worker_main", close_then_exit)
+        with pytest.raises(
+            WorkerFailureError, match=r"worker 1 .*died.*\(exit code 3\)"
+        ):
+            self._shared_run(graph, manifest)
         assert _repro_workers() == []
         assert leaked_segments(before) == []
 
@@ -305,8 +334,11 @@ class TestWarmPoolFailures:
 
         graph, manifest = sharded
         with monkeypatch.context() as patch:
-            self._kill_after_spawn(patch, 0)
-            with pytest.raises(WorkerFailureError, match=r"worker 0 .*died"):
+            self._kill_after_spawn(patch, 1)
+            with pytest.raises(
+                WorkerFailureError,
+                match=r"worker 1 .*died.*\(exit code -9\)",
+            ):
                 self._shared_run(graph, manifest)
         result = run_job(
             make_job("HDRF", manifest.path, 4, workers=2, batch=4)

@@ -357,6 +357,28 @@ class TestSummaries:
         assert out["attributed"] == pytest.approx(0.9)
         assert out["fractions"]["other"] == pytest.approx(0.1)
 
+    def test_phase_breakdown_counts_the_coordinator_lane_as_compute(self):
+        spans = [
+            {"type": "span", "id": 1, "parent": None, "name": "partition",
+             "dur_s": 10.0, "counters": {}},
+            {"type": "span", "id": 2, "parent": 1, "name": "pool_run",
+             "dur_s": 8.0,
+             "counters": {"merge_s": 1.0, "recv_wait_s": 2.0}},
+            {"type": "span", "id": 3, "parent": 2, "name": "worker_stream",
+             "dur_s": 7.0, "attrs": {"worker": 0, "side": "coordinator"},
+             "counters": {"busy_s": 4.0}},
+            {"type": "span", "id": 4, "parent": 2, "name": "worker_stream",
+             "dur_s": 7.0, "attrs": {"worker": 1},
+             "counters": {"busy_s": 3.0, "encode_s": 0.5, "send_s": 0.5}},
+        ]
+        seconds = phase_breakdown(spans)["seconds"]
+        # The coordinator's own lane is coordinator wall-clock; only the
+        # forked worker's shares (3 : 0.5 : 0.5) split the recv wait.
+        assert seconds["compute"] == pytest.approx(4.0 + 1.5)
+        assert seconds["pickle"] == pytest.approx(0.25)
+        assert seconds["pipe"] == pytest.approx(0.25)
+        assert seconds["merge"] == pytest.approx(1.0)
+
     def test_phase_breakdown_recv_wait_defaults_to_pipe(self):
         spans = [
             {"type": "span", "id": 1, "parent": None, "name": "pool_run",

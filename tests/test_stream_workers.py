@@ -49,6 +49,7 @@ from repro.stream.workers import (
     _unpack_message,
     live_pool_health,
 )
+from shm_leaks import leaked_segments, psm_segments
 
 
 @pytest.fixture(scope="module")
@@ -356,7 +357,8 @@ class TestOneShotWorkers:
     def test_workers_exit_when_the_run_returns(
         self, graph, manifest, monkeypatch
     ):
-        """Health reports the run's live workers while it runs; once
+        """Health reports the run's live forked workers while it runs
+        (worker 1: the coordinator streams worker 0's lane); once
         ``run_bsp_shared`` returns they are gone, with no shutdown call."""
         from repro.stream import workers as workers_mod
 
@@ -378,7 +380,7 @@ class TestOneShotWorkers:
         )
         run_bsp_shared(segments, state, np.full(m, -1, np.int32))
         [health] = during
-        assert health["alive"] == [True, True]
+        assert health["alive"] == [True]
         assert live_pool_health() == []
         assert [
             p for p in multiprocessing.active_children()
@@ -387,6 +389,92 @@ class TestOneShotWorkers:
         for pid in health["pids"]:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+def _repro_workers():
+    return [
+        p for p in multiprocessing.active_children()
+        if p.name.startswith("repro-worker")
+    ]
+
+
+@pytest.mark.slow
+class TestCoordinatorLane:
+    """The coordinator streams worker 0's lane itself: a run of ``N``
+    lanes forks ``N - 1`` workers, and none at one lane."""
+
+    def test_one_lane_run_forks_no_process(
+        self, graph, manifest, monkeypatch
+    ):
+        """While a one-lane run runs, no ``repro-worker-*`` child exists
+        and health reports no pool; its parts equal the one-stream
+        in-process schedule's."""
+        from repro.stream import workers as workers_mod
+
+        during = []
+        begin = workers_mod.StateService.begin_superstep
+
+        def record(service):
+            if not during:
+                during.append((live_pool_health(), _repro_workers()))
+            return begin(service)
+
+        monkeypatch.setattr(
+            workers_mod.StateService, "begin_superstep", record
+        )
+        segments, streams, m, _ = plan_worker_segments(manifest.path, 1)
+        state = StreamingState(
+            graph.num_vertices, 8, capacity_bound(m, 8, 1.0),
+            exact_degrees=graph.degrees,
+        )
+        parts = np.full(m, -1, np.int32)
+        report = run_bsp_shared(segments, state, parts, batch=16)
+        assert during == [([], [])]
+        oracle, oracle_state, oracle_report = _oracle_parts(
+            graph, 1, 16, streams
+        )
+        assert np.array_equal(parts, oracle)
+        assert np.array_equal(state.loads, oracle_state.loads)
+        assert report.supersteps == oracle_report.supersteps
+        assert len(report.timings.busy_s) == 1
+        assert report.timings.busy_s[0] > 0.0
+
+    def test_interrupt_in_the_coordinator_lane_leaks_nothing(
+        self, graph, manifest, monkeypatch
+    ):
+        """A KeyboardInterrupt raised in the coordinator's own lane step
+        mid-run propagates as itself; the forked worker is reaped and
+        the segment unlinked."""
+        from repro.stream import workers as workers_mod
+
+        coordinator = os.getpid()
+        step = workers_mod._Lane.step
+        calls = []
+
+        def interrupted(lane, replicas, loads, emit=None):
+            # The forked worker inherits the patch; only the
+            # coordinator's lane is interrupted.
+            if os.getpid() == coordinator:
+                calls.append(len(calls))
+                if len(calls) == 3:
+                    raise KeyboardInterrupt
+            return step(lane, replicas, loads, emit)
+
+        monkeypatch.setattr(workers_mod._Lane, "step", interrupted)
+        segments, _, m, _ = plan_worker_segments(manifest.path, 2)
+        state = StreamingState(
+            graph.num_vertices, 8, capacity_bound(m, 8, 1.0),
+            exact_degrees=graph.degrees,
+        )
+        before = psm_segments()
+        with pytest.raises(KeyboardInterrupt):
+            run_bsp_shared(
+                segments, state, np.full(m, -1, np.int32), batch=4
+            )
+        assert len(calls) == 3
+        assert _repro_workers() == []
+        assert live_pool_health() == []
+        assert leaked_segments(before) == []
 
 
 @pytest.mark.slow
